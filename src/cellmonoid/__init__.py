@@ -8,26 +8,23 @@ exact Gram-matrix ranks, with independent cross-checks throughout.
 
 from .exactalg import (DenseMatrix, FieldSpec, RATIONALS, Scalar, mat_nullspace,
                        mat_rank, prime_field, solve_linear)
-from .monoid import (FiniteMonoid, LoopTable, MonoidError, NotAssociative, BadIdentity,
-                     SizeCapExceeded, family, from_cayley_table, generate_from_maps,
-                     generating_set, idempotents, is_inverse, is_regular,
+from .monoid import (BadIdentity, CellmonoidError, FiniteMonoid, LoopTable, MonoidError,
+                     NotAssociative, SizeCapExceeded, family, from_cayley_table,
+                     generate_from_maps, generating_set, idempotents, is_inverse, is_regular,
                      load_cayley_json, load_loop_table, save_cayley_json, save_loop_table)
 from .green import (EggBox, GreenStructure, SchutzGroup, Within, bijection_condition,
                     build_eggbox, compute_green, left_action, matched, right_action,
                     schutzenberger)
 from .groupcell import (AxiomViolation, GroupTable, UnsupportedGroup, find_symmetric_iso,
-                        group_bracket, group_gram, group_lambda0, group_semisimple,
                         load_custom_datum, murphy_datum, partitions, save_custom_datum,
                         standard_group_data, standard_tableaux, trivial_group_datum)
-from .cellbasis import (AnalysisReport, CellDatum, GroupDatumAttachment, MonoidAttachment,
-                        NotABasis, GroupMismatch, analyze, bracket_value, build_cell_datum,
-                        gram_definition, gram_fast, irreducible_dims, is_quasi_hereditary,
-                        is_semisimple, lambda0, lambda0_direct, lambda0_via_matching,
-                        to_cell_coordinates)
+from .cellbasis import (AnalysisReport, CellDatum, GramSummary, GroupDatumAttachment,
+                        MonoidAttachment, NotABasis, GroupMismatch, analyze, bracket_value,
+                        build_cell_datum, gram_definition, gram_fast, gram_summary,
+                        lambda0_via_matching, table_mult)
 from .twist import (Compatibility, IncompatibleTwisting, Twisting, build_twisted_cell_datum,
                     compatibility_class, make_loop_twisting, match_scales, trivial_twisting,
-                    twisted_analyses, twisted_multiply, verify_twisting,
-                    load_twisting_json, save_twisting_json)
+                    verify_twisting, load_twisting_json, save_twisting_json)
 from .verify import (AxiomReport, WrongCharacteristic, cross_check, trace_form_semisimple,
                      verify_cell_axioms)
 from .pipeline import green_data, loop_twisted_datum, standard_datum, twisted_datum

@@ -8,19 +8,19 @@ are sparse dicts {basis element index: scalar}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield, replace
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from . import exactalg, green as green_mod
+from . import green as green_mod
 from .exactalg import DenseMatrix, FieldSpec, Scalar, mat_inverse, mat_rank
 from .green import EggBox, GreenStructure, SchutzGroup
-from .monoid import FiniteMonoid, is_inverse, is_regular
+from .monoid import CellmonoidError, FiniteMonoid, is_inverse, is_regular
 
 SparseVec = Dict[int, Scalar]
 Key = Tuple[int, int, int]  # (node index, left position, right position)
 
 
-class CellBasisError(Exception):
+class CellBasisError(CellmonoidError):
     pass
 
 
@@ -72,6 +72,7 @@ class MonoidAttachment:
     node_dclass: List[int]
     node_gnode: List[int]
     matched_g: List[Dict[Tuple[int, int], int]]
+    group_summaries: List["GramSummary"]  # per D-class, of its group datum
     iso_inv: Dict[int, Dict[int, int]]
     twist: Any = None  # set by the twisting layer
 
@@ -191,27 +192,41 @@ def _lam_str(lam) -> str:
     return str(lam)
 
 
-def to_cell_coordinates(d: CellDatum, x: SparseVec) -> Dict[Key, Scalar]:
-    return d.coordinates(x)
+def table_mult(table: List[List[int]], field: FieldSpec,
+               weights: Optional[List[List[Scalar]]] = None
+               ) -> Callable[[SparseVec, SparseVec], SparseVec]:
+    """The product of the algebra spanned by the table's elements, on sparse
+    vectors: x*y carries the coefficient of ex, ey to table[ex][ey], times
+    weights[ex][ey] when weights are given (the twisted product).  Terms a
+    zero weight kills are skipped, so key order follows the first nonzero
+    contribution; the unweighted loop is kept free of a weight multiply."""
+    if weights is None:
+        def mult(x: SparseVec, y: SparseVec) -> SparseVec:
+            out: Dict[int, Scalar] = {}
+            for ex, cx in x.items():
+                row = table[ex]
+                for ey, cy in y.items():
+                    k = row[ey]
+                    c = field.mul(cx, cy)
+                    out[k] = field.add(out[k], c) if k in out else c
+            return {k: v for k, v in out.items() if not field.is_zero(v)}
 
+        return mult
 
-def monoid_mult(M: FiniteMonoid, field: FieldSpec) -> Callable[[SparseVec, SparseVec], SparseVec]:
-    T = M.table
-
-    def mult(x: SparseVec, y: SparseVec) -> SparseVec:
+    def weighted(x: SparseVec, y: SparseVec) -> SparseVec:
         out: Dict[int, Scalar] = {}
         for ex, cx in x.items():
-            row = T[ex]
+            row = table[ex]
+            wrow = weights[ex]
             for ey, cy in y.items():
+                c = field.mul(field.mul(cx, cy), wrow[ey])
+                if field.is_zero(c):
+                    continue
                 k = row[ey]
-                c = field.mul(cx, cy)
-                if k in out:
-                    out[k] = field.add(out[k], c)
-                else:
-                    out[k] = c
+                out[k] = field.add(out[k], c) if k in out else c
         return {k: v for k, v in out.items() if not field.is_zero(v)}
 
-    return mult
+    return weighted
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +331,11 @@ def build_cell_datum(M: FiniteMonoid, gs: GreenStructure, boxes: List[EggBox],
                     mm[(i, j)] = g
         matched_g.append(mm)
 
+    group_summaries = [gram_summary(group_data[d].datum) for d in range(nd)]
     iso_inv = {d: {g: ga for ga, g in enumerate(group_data[d].iso)} for d in range(nd)}
-    attach = MonoidAttachment(M, gs, boxes, schutzs, group_data,
-                              node_dclass, node_gnode, matched_g, iso_inv)
-    return CellDatum(field, M.size, monoid_mult(M, field),
+    attach = MonoidAttachment(M, gs, boxes, schutzs, group_data, node_dclass,
+                              node_gnode, matched_g, group_summaries, iso_inv)
+    return CellDatum(field, M.size, table_mult(M.table, field),
                      nodes, gt_pairs, lsets, rsets, basis, blocks, attach)
 
 
@@ -412,7 +428,7 @@ def gram_fast(d: CellDatum, ni: int) -> DenseMatrix:
     gd = at.group_data[dcl]
     gdat = gd.datum
     ls, rs = len(gdat.lsets[gn]), len(gdat.rsets[gn])
-    ggram = gram_definition(gdat, gn)
+    ggram = at.group_summaries[dcl].grams[gn]
     inv_map = at.iso_inv[dcl]
     act_cache: Dict[int, List[List[Scalar]]] = {}
 
@@ -455,17 +471,41 @@ def _scale_blocks(d: CellDatum, ni: int, base: DenseMatrix, scales) -> DenseMatr
     return DenseMatrix(f, base.rows, base.cols, entries)
 
 
-def all_grams(d: CellDatum, check: bool = False) -> Dict[int, DenseMatrix]:
-    return {ni: gram_definition(d, ni, check=check) for ni in range(len(d.nodes))}
-
-
 # ---------------------------------------------------------------------------
 # Nonzero-bracket nodes, irreducible dimensions, verdicts.
 # ---------------------------------------------------------------------------
 
-def lambda0_direct(d: CellDatum, grams: Optional[Dict[int, DenseMatrix]] = None) -> Set[int]:
-    grams = grams if grams is not None else all_grams(d)
-    return {ni for ni, g in grams.items() if not g.is_zero()}
+@dataclass
+class GramSummary:
+    """Every Gram matrix of a datum, each built and ranked once, with the
+    verdicts read off the ranks."""
+
+    grams: List[DenseMatrix]
+    ranks: List[int]
+    lambda0: Set[int]  # nodes with a nonzero Gram
+    dims: Dict[int, int]  # Gram rank per lambda0 node: the irreducible dimensions
+    quasi_hereditary: bool
+    qh_failing: List[str]  # labels of the zero-Gram nodes
+    semisimple: bool
+    ss_certificate: Optional[str]  # the first node whose Gram is not square or singular
+
+
+def gram_summary(d: CellDatum) -> GramSummary:
+    """Build and rank every Gram matrix of d once; read the verdicts off the ranks."""
+    grams = [gram_definition(d, ni) for ni in range(len(d.nodes))]
+    ranks = [mat_rank(g) for g in grams]
+    l0 = {ni for ni, r in enumerate(ranks) if r > 0}
+    failing = [d.node_label(ni) for ni, r in enumerate(ranks) if r == 0]
+    certificate = None
+    for ni, (g, r) in enumerate(zip(grams, ranks)):
+        if g.rows != g.cols:
+            certificate = f"node {d.node_label(ni)}: Gram is {g.rows}x{g.cols}, not square"
+        elif r != g.rows:
+            certificate = f"node {d.node_label(ni)}: Gram rank {r} < {g.rows}"
+        if certificate is not None:
+            break
+    return GramSummary(grams, ranks, l0, {ni: ranks[ni] for ni in sorted(l0)},
+                       not failing, failing, certificate is None, certificate)
 
 
 def _dual_path_applicable(d: CellDatum) -> bool:
@@ -478,64 +518,8 @@ def lambda0_via_matching(d: CellDatum) -> Set[int]:
     at = d.attach
     if at is None:
         raise ValueError("matching path needs an assembled monoid datum")
-    out: Set[int] = set()
-    group_l0: Dict[int, Set[int]] = {}
-    for ni in range(len(d.nodes)):
-        dcl, gn = at.node_dclass[ni], at.node_gnode[ni]
-        if not at.matched_g[dcl]:
-            continue
-        if dcl not in group_l0:
-            group_l0[dcl] = lambda0_direct(at.group_data[dcl].datum)
-        if gn in group_l0[dcl]:
-            out.add(ni)
-    return out
-
-
-def lambda0(d: CellDatum) -> Set[int]:
-    """Nonzero-bracket nodes; when the matched-pair route applies it is
-    computed as well and any disagreement raises."""
-    direct = lambda0_direct(d)
-    if _dual_path_applicable(d):
-        other = lambda0_via_matching(d)
-        if direct != other:
-            raise CellBasisError("direct and matched-pair node sets disagree")
-    return direct
-
-
-def irreducible_dims(d: CellDatum, grams: Optional[Dict[int, DenseMatrix]] = None) -> Dict[int, int]:
-    """Gram rank per nonzero node: the dimension of the irreducible quotient."""
-    grams = grams if grams is not None else all_grams(d)
-    return {ni: mat_rank(g) for ni, g in grams.items() if not g.is_zero()}
-
-
-@dataclass
-class QhResult:
-    ok: bool
-    failing_nodes: List[str]
-
-
-@dataclass
-class SsResult:
-    ok: bool
-    certificate: Optional[str]
-
-
-def is_quasi_hereditary(d: CellDatum, grams: Optional[Dict[int, DenseMatrix]] = None) -> QhResult:
-    grams = grams if grams is not None else all_grams(d)
-    failing = [d.node_label(ni) for ni in range(len(d.nodes)) if grams[ni].is_zero()]
-    return QhResult(not failing, failing)
-
-
-def is_semisimple(d: CellDatum, grams: Optional[Dict[int, DenseMatrix]] = None) -> SsResult:
-    grams = grams if grams is not None else all_grams(d)
-    for ni in range(len(d.nodes)):
-        g = grams[ni]
-        if g.rows != g.cols:
-            return SsResult(False, f"node {d.node_label(ni)}: Gram is {g.rows}x{g.cols}, not square")
-        r = mat_rank(g)
-        if r != g.rows:
-            return SsResult(False, f"node {d.node_label(ni)}: Gram rank {r} < {g.rows}")
-    return SsResult(True, None)
+    return {ni for ni, (dcl, gn) in enumerate(zip(at.node_dclass, at.node_gnode))
+            if at.matched_g[dcl] and gn in at.group_summaries[dcl].lambda0}
 
 
 # ---------------------------------------------------------------------------
@@ -567,21 +551,7 @@ class AnalysisReport:
     checks: List[Dict]
 
     def to_dict(self) -> Dict:
-        return {
-            "field": self.field,
-            "size": self.size,
-            "regular": self.regular,
-            "inverse": self.inverse,
-            "dclasses": self.dclasses,
-            "nodes": self.nodes,
-            "lambda0": self.lambda0,
-            "quasi_hereditary": self.quasi_hereditary,
-            "qh_failing": self.qh_failing,
-            "semisimple": self.semisimple,
-            "ss_certificate": self.ss_certificate,
-            "dim_sq_sum": self.dim_sq_sum,
-            "checks": self.checks,
-        }
+        return asdict(self)
 
 
 def analyze(d: CellDatum) -> AnalysisReport:
@@ -595,10 +565,8 @@ def analyze(d: CellDatum) -> AnalysisReport:
         raise ValueError("analyze needs an assembled monoid datum")
     f = d.field
     M = at.monoid
-    grams = all_grams(d)
-    ranks = {ni: mat_rank(g) for ni, g in grams.items()}
-    l0 = {ni for ni in ranks if ranks[ni] > 0}
-    dims = {ni: ranks[ni] for ni in l0}
+    summary = gram_summary(d)
+    grams, ranks, l0 = summary.grams, summary.ranks, summary.lambda0
     checks: List[Dict] = []
     dual_ok = _dual_path_applicable(d)
 
@@ -641,24 +609,14 @@ def analyze(d: CellDatum) -> AnalysisReport:
     total = sum(len(d.lsets[ni]) * len(d.rsets[ni]) for ni in range(len(d.nodes)))
     checks.append(_check("basis_count", total == M.size, f"{total} labels for {M.size} elements"))
 
-    # group-level summaries
-    group_l0: Dict[int, Set[int]] = {}
-    group_ss: Dict[int, bool] = {}
-    group_grams: Dict[int, Dict[int, DenseMatrix]] = {}
-    for dcl, gd in at.group_data.items():
-        gg = all_grams(gd.datum)
-        group_grams[dcl] = gg
-        group_l0[dcl] = lambda0_direct(gd.datum, gg)
-        group_ss[dcl] = is_semisimple(gd.datum, gg).ok
-
     # radical inheritance: a rank-deficient group Gram forces the same
     # deficiency on the assembled Gram (both column and row versions)
     if dual_ok:
         bad_rad = []
         for ni in range(len(d.nodes)):
             dcl, gn = at.node_dclass[ni], at.node_gnode[ni]
-            gg = group_grams[dcl][gn]
-            gr = mat_rank(gg)
+            gg = at.group_summaries[dcl].grams[gn]
+            gr = at.group_summaries[dcl].ranks[gn]
             if gr < gg.cols and ranks[ni] >= grams[ni].cols:
                 bad_rad.append(f"{d.node_label(ni)} (columns)")
             if gr < gg.rows and ranks[ni] >= grams[ni].rows:
@@ -667,35 +625,33 @@ def analyze(d: CellDatum) -> AnalysisReport:
     else:
         checks.append(_entry("radical_inheritance", "skip", "twisting is not strongly compatible"))
 
-    qh = is_quasi_hereditary(d, grams)
-    ss = is_semisimple(d, grams)
-    dim_sq = sum(v * v for v in dims.values())
+    ss = summary.semisimple
+    dim_sq = sum(v * v for v in summary.dims.values())
 
-    checks.append(_check("ss_dimension_identity", (dim_sq == M.size) == ss.ok,
-                         f"sum of squared dims {dim_sq} vs size {M.size}, semisimple={ss.ok}"))
+    checks.append(_check("ss_dimension_identity", (dim_sq == M.size) == ss,
+                         f"sum of squared dims {dim_sq} vs size {M.size}, semisimple={ss}"))
 
     regular = is_regular(M)
     inverse = is_inverse(M)
     bijections = {dcl: green_mod.bijection_condition(at.boxes[dcl], at.schutzs[dcl])
                   for dcl in range(len(at.boxes))}
-    all_group_ss = all(group_ss.values())
+    all_group_ss = all(gsum.semisimple for gsum in at.group_summaries)
     all_bijection = all(bij is not None for bij in bijections.values())
-    all_group_l0_full = all(len(group_l0[dcl]) == len(at.group_data[dcl].datum.nodes)
-                            for dcl in at.group_data)
+    all_group_l0_full = all(gsum.quasi_hereditary for gsum in at.group_summaries)
 
     if dual_ok:
-        checks.append(_check("ss_groups_necessary", all_group_ss or not ss.ok,
+        checks.append(_check("ss_groups_necessary", all_group_ss or not ss,
                              "a non-semisimple group algebra forbids a semisimple verdict"))
         if inverse:
-            checks.append(_check("ss_inverse_iff_groups", ss.ok == all_group_ss,
-                                 f"verdict {ss.ok} vs all groups semisimple {all_group_ss}"))
+            checks.append(_check("ss_inverse_iff_groups", ss == all_group_ss,
+                                 f"verdict {ss} vs all groups semisimple {all_group_ss}"))
         else:
             checks.append(_entry("ss_inverse_iff_groups", "skip", "monoid is not inverse"))
         checks.append(_check("ss_bijection_sufficient",
-                             ss.ok or not (all_group_ss and all_bijection),
+                             ss or not (all_group_ss and all_bijection),
                              "semisimple groups plus matched pairings force semisimplicity"))
         checks.append(_check("qh_regular_sufficient",
-                             qh.ok or not (regular and all_group_l0_full),
+                             summary.quasi_hereditary or not (regular and all_group_l0_full),
                              "regular monoid with full group node sets forces quasi-heredity"))
     else:
         for name in ("ss_groups_necessary", "ss_inverse_iff_groups",
@@ -706,18 +662,19 @@ def analyze(d: CellDatum) -> AnalysisReport:
     for dcl in range(len(at.boxes)):
         box = at.boxes[dcl]
         gd = at.group_data[dcl]
+        gsum = at.group_summaries[dcl]
         mm = at.matched_g[dcl]
         bij = bijections[dcl]
         dsummaries.append({
             "id": dcl,
-            "size": len(gs_members(at.green, dcl)),
+            "size": len(at.green.dclasses[dcl]),
             "rows": len(box.rows),
             "cols": len(box.cols),
             "hsize": len(at.schutzs[dcl].hclass),
             "group_order": at.schutzs[dcl].order,
             "group_kind": gd.kind,
-            "group_lambda0": [_lam_str(gd.datum.nodes[gn]) for gn in sorted(group_l0[dcl])],
-            "group_semisimple": group_ss[dcl],
+            "group_lambda0": [_lam_str(gd.datum.nodes[gn]) for gn in sorted(gsum.lambda0)],
+            "group_semisimple": gsum.semisimple,
             "bijection": sorted([j, i] for j, i in bij.items()) if bij is not None else None,
             "matched": [[(i, j) in mm for j in range(len(box.cols))] for i in range(len(box.rows))],
         })
@@ -741,14 +698,10 @@ def analyze(d: CellDatum) -> AnalysisReport:
         dclasses=dsummaries,
         nodes=node_dicts,
         lambda0=[d.node_label(ni) for ni in sorted(l0)],
-        quasi_hereditary=qh.ok,
-        qh_failing=qh.failing_nodes,
-        semisimple=ss.ok,
-        ss_certificate=ss.certificate,
+        quasi_hereditary=summary.quasi_hereditary,
+        qh_failing=summary.qh_failing,
+        semisimple=ss,
+        ss_certificate=summary.ss_certificate,
         dim_sq_sum=dim_sq,
         checks=checks,
     )
-
-
-def gs_members(gs: GreenStructure, dcl: int) -> List[int]:
-    return gs.dclasses[dcl]

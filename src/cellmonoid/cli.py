@@ -11,13 +11,11 @@ import json
 import sys
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import cellbasis, monoid as monoid_mod, pipeline, twist as twist_mod, verify as verify_mod
 from .exactalg import FieldSpec
-from .groupcell import UnsupportedGroup
-from .monoid import FiniteMonoid, LoopTable, MonoidError
+from .monoid import CellmonoidError, FiniteMonoid, LoopTable, MonoidError
 
 FAMILIES = ("tfull", "tpartial", "syminv", "jones")
 
@@ -98,18 +96,19 @@ def _config_from_args(args) -> RunConfig:
         raise UsageError("--delta needs a loop-table-bearing source (--family jones)")
     if args.command == "twist" and delta is None and twist_file is None:
         raise UsageError("twist needs --delta or --twist-file")
+    if args.command == "verify" and args.verify_mode == "off":
+        raise UsageError("verify needs --verify full or generators")
     return RunConfig(args.command, args.family, args.n, args.cayley, field,
                      delta, twist_file, args.verify_mode, args.report, args.cap)
 
 
-def _build_monoid(cfg: RunConfig) -> Tuple[FiniteMonoid, Optional[LoopTable], str]:
+def _build_monoid(cfg: RunConfig) -> Tuple[FiniteMonoid, Optional[LoopTable]]:
     if cfg.family is not None:
-        M, loops = monoid_mod.family(cfg.family, cfg.n, cap=cfg.cap)
-        return M, loops, f"{cfg.family}({cfg.n})"
+        return monoid_mod.family(cfg.family, cfg.n, cap=cfg.cap)
     M = monoid_mod.load_cayley_json(cfg.cayley)
     if M.size > cfg.cap:
         raise MonoidError(f"table has {M.size} elements, over the cap {cfg.cap}")
-    return M, None, Path(cfg.cayley).name
+    return M, None
 
 
 def _build_twisting(cfg: RunConfig, M: FiniteMonoid,
@@ -119,7 +118,10 @@ def _build_twisting(cfg: RunConfig, M: FiniteMonoid,
             raise UsageError("--delta needs a loop-table-bearing source")
         delta = cfg.field.parse_scalar(cfg.delta)
         return twist_mod.make_loop_twisting(loops, delta, cfg.field)
-    return twist_mod.load_twisting_json(cfg.twist_file, cfg.field)
+    pi = twist_mod.load_twisting_json(cfg.twist_file, cfg.field)
+    if len(pi.values) != M.size:
+        raise UsageError(f"twisting grid has {len(pi.values)} rows for {M.size} elements")
+    return pi
 
 
 def _acting_set(cfg: RunConfig, M: FiniteMonoid) -> Optional[List[int]]:
@@ -173,8 +175,7 @@ def _render_text(payload: Dict) -> str:
 def _emit(payload: Dict, cfg: RunConfig) -> None:
     sys.stdout.write(_render_text(payload))
     if cfg.report:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        Path(cfg.report).write_text(text, encoding="utf-8")
+        monoid_mod._dump_json(payload, cfg.report)
 
 
 def _payload(cfg: RunConfig, analysis=None, twisting=None, axioms=None, cross=None) -> Dict:
@@ -190,66 +191,36 @@ def _payload(cfg: RunConfig, analysis=None, twisting=None, axioms=None, cross=No
     }
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    M, _, _ = _build_monoid(cfg)
-    datum = pipeline.standard_datum(M, cfg.field)
-    report = cellbasis.analyze(datum)
-    ledger = verify_mod.cross_check(datum, report=report)
-    axioms = None
-    if cfg.verify_mode != "off":
-        axioms = verify_mod.verify_cell_axioms(
-            datum.mult, datum, acting=_acting_set(cfg, M), mode=cfg.verify_mode).to_dict()
-    payload = _payload(cfg, analysis=report.to_dict(), axioms=axioms, cross=ledger)
-    _emit(payload, cfg)
-    bad = any(c["status"] == "fail" for c in ledger) or (axioms is not None and not axioms["ok"])
-    return 2 if bad else 0
-
-
-def cmd_twist(cfg: RunConfig) -> int:
-    M, loops, _ = _build_monoid(cfg)
-    pi = _build_twisting(cfg, M, loops)
-    cocycle_witness = twist_mod.verify_twisting(M, pi)
-    base = pipeline.standard_datum(M, cfg.field)
-    compat = twist_mod.compatibility_class(M, base.attach.green, pi)
-    summary = twist_mod.twist_summary(M, pi, compat, cocycle_witness)
-    if cocycle_witness is not None or compat.level == "incompatible":
-        payload = _payload(cfg, twisting=summary)
-        _emit(payload, cfg)
-        return 2
-    datum = twist_mod.build_twisted_cell_datum(base, pi, compat=compat)
-    report = twist_mod.twisted_analyses(datum)
-    ledger = verify_mod.cross_check(datum, report=report)
-    axioms = None
-    if cfg.verify_mode != "off":
-        axioms = verify_mod.verify_cell_axioms(
-            datum.mult, datum, acting=_acting_set(cfg, M), mode=cfg.verify_mode).to_dict()
-    payload = _payload(cfg, analysis=report.to_dict(), twisting=summary, axioms=axioms, cross=ledger)
-    _emit(payload, cfg)
-    bad = any(c["status"] == "fail" for c in ledger) or (axioms is not None and not axioms["ok"])
-    return 2 if bad else 0
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.verify_mode == "off":
-        raise UsageError("verify needs --verify full or generators")
-    M, loops, _ = _build_monoid(cfg)
-    datum = pipeline.standard_datum(M, cfg.field)
-    twisting = None
+def run(cfg: RunConfig) -> int:
+    """Build the monoid and its datum, twist it when a twisting is given, then
+    analyze it (not under verify) and check the basis axioms (unless --verify
+    off).  A twisting that fails its cocycle or compatibility check ends the
+    run with a twisting-only report."""
+    M, loops = _build_monoid(cfg)
+    pi = summary = cocycle_witness = None
     if cfg.delta is not None or cfg.twist_file is not None:
         pi = _build_twisting(cfg, M, loops)
         cocycle_witness = twist_mod.verify_twisting(M, pi)
+    datum = pipeline.standard_datum(M, cfg.field)
+    if pi is not None:
         compat = twist_mod.compatibility_class(M, datum.attach.green, pi)
-        twisting = twist_mod.twist_summary(M, pi, compat, cocycle_witness)
+        summary = twist_mod.twist_summary(pi, compat, cocycle_witness)
         if cocycle_witness is not None or compat.level == "incompatible":
-            payload = _payload(cfg, twisting=twisting)
-            _emit(payload, cfg)
+            _emit(_payload(cfg, twisting=summary), cfg)
             return 2
         datum = twist_mod.build_twisted_cell_datum(datum, pi, compat=compat)
-    axioms = verify_mod.verify_cell_axioms(
-        datum.mult, datum, acting=_acting_set(cfg, M), mode=cfg.verify_mode)
-    payload = _payload(cfg, twisting=twisting, axioms=axioms.to_dict())
-    _emit(payload, cfg)
-    return 0 if axioms.ok else 2
+    analysis = ledger = axioms = None
+    if cfg.command != "verify":
+        report = cellbasis.analyze(datum)
+        analysis = report.to_dict()
+        ledger = verify_mod.cross_check(datum, report=report)
+    if cfg.verify_mode != "off":
+        axioms = verify_mod.verify_cell_axioms(
+            datum.mult, datum, acting=_acting_set(cfg, M), mode=cfg.verify_mode).to_dict()
+    _emit(_payload(cfg, analysis=analysis, twisting=summary, axioms=axioms, cross=ledger), cfg)
+    bad = (any(c["status"] == "fail" for c in ledger or ())
+           or (axioms is not None and not axioms["ok"]))
+    return 2 if bad else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -259,14 +230,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        cfg = _config_from_args(args)
-        if cfg.command == "analyze":
-            return cmd_analyze(cfg)
-        if cfg.command == "twist":
-            return cmd_twist(cfg)
-        return cmd_verify(cfg)
-    except (UsageError, MonoidError, UnsupportedGroup, twist_mod.IncompatibleTwisting,
-            FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
+        return run(_config_from_args(args))
+    except (UsageError, CellmonoidError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

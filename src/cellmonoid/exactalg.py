@@ -14,16 +14,32 @@ from typing import List, Optional, Sequence, Union
 Scalar = Union[Fraction, int]
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over the first 12 prime bases, exact for
+    n < 3.3e24; moduli of 2**64 and above are refused rather than guessed."""
+    if n >= 1 << 64:
+        raise ValueError(f"prime-field modulus {n} is not below 2**64")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -107,12 +123,15 @@ class FieldSpec:
     def parse_scalar(self, s: str) -> Scalar:
         """Parse "n" or "n/d".  Over a prime field the value is reduced mod p."""
         s = s.strip()
-        if self.kind == "q":
-            return Fraction(s)
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return self.div(int(num) % self.p, int(den) % self.p)
-        return int(s) % self.p
+        try:
+            if self.kind == "q":
+                return Fraction(s)
+            if "/" in s:
+                num, den = s.split("/", 1)
+                return self.div(int(num) % self.p, int(den) % self.p)
+            return int(s) % self.p
+        except ZeroDivisionError:
+            raise ValueError(f"scalar {s!r} divides by zero in {self.spec_string()}") from None
 
     def format_scalar(self, a: Scalar) -> str:
         return str(a)
@@ -151,9 +170,6 @@ class DenseMatrix:
 
     def is_zero(self) -> bool:
         return all(self.field.is_zero(v) for row in self.entries for v in row)
-
-    def format(self) -> str:
-        return "[" + "; ".join(" ".join(self.field.format_scalar(v) for v in row) for row in self.entries) + "]"
 
 
 def _rref(field: FieldSpec, rows: List[List[Scalar]], ncols: int):
@@ -246,15 +262,3 @@ def mat_inverse(m: DenseMatrix) -> Optional[DenseMatrix]:
     if pivots[:n] != list(range(n)):
         return None
     return DenseMatrix(f, n, n, [r[n:] for r in rows])
-
-
-def mat_mul_vec(m: DenseMatrix, v: Sequence[Scalar]) -> List[Scalar]:
-    f = m.field
-    out = []
-    for row in m.entries:
-        acc = f.zero()
-        for a, b in zip(row, v):
-            if not f.is_zero(a) and not f.is_zero(b):
-                acc = f.add(acc, f.mul(a, b))
-        out.append(acc)
-    return out

@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .monoid import FiniteMonoid
+from .monoid import CellmonoidError, FiniteMonoid
 
 
-class GreenError(Exception):
+class GreenError(CellmonoidError):
     pass
 
 

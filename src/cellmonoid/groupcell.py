@@ -6,20 +6,18 @@ data loaded from files.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import cellbasis, verify as verify_mod
-from .cellbasis import CellDatum, GroupDatumAttachment, NotABasis
+from .cellbasis import CellDatum, GroupDatumAttachment, table_mult
 from .exactalg import FieldSpec, Scalar
 from .green import SchutzGroup
-from .monoid import FiniteMonoid
+from .monoid import CellmonoidError, FiniteMonoid, _dump_json, _load_json_object
 
 
-class GroupCellError(Exception):
+class GroupCellError(CellmonoidError):
     pass
 
 
@@ -55,26 +53,10 @@ def as_group_table(g: Union[GroupTable, SchutzGroup]) -> GroupTable:
     return GroupTable(g.order, g.identity, [list(r) for r in g.mult], list(g.inv), labels)
 
 
-def group_mult(gt: GroupTable, field: FieldSpec):
-    table = gt.table
-
-    def mult(x, y):
-        out: Dict[int, Scalar] = {}
-        for ex, cx in x.items():
-            row = table[ex]
-            for ey, cy in y.items():
-                k = row[ey]
-                c = field.mul(cx, cy)
-                out[k] = field.add(out[k], c) if k in out else c
-        return {k: v for k, v in out.items() if not field.is_zero(v)}
-
-    return mult
-
-
 def _group_datum(gt: GroupTable, field: FieldSpec, nodes, gt_pairs, lsets, rsets, basis) -> CellDatum:
     keys = tuple(sorted(basis))
     blocks = [(tuple(range(gt.size)), keys)]
-    datum = CellDatum(field, gt.size, group_mult(gt, field),
+    datum = CellDatum(field, gt.size, table_mult(gt.table, field),
                       nodes, gt_pairs, lsets, rsets, basis, blocks)
     return datum
 
@@ -263,26 +245,6 @@ def trivial_group_datum(field: FieldSpec, group: Optional[GroupTable] = None) ->
 
 
 # ---------------------------------------------------------------------------
-# Group-level brackets and verdicts (thin views of the generic machinery).
-# ---------------------------------------------------------------------------
-
-def group_bracket(d: CellDatum, node: int, t: int, s: int) -> Scalar:
-    return cellbasis.bracket_value(d, node, t, s)
-
-
-def group_gram(d: CellDatum, node: int):
-    return cellbasis.gram_definition(d, node)
-
-
-def group_lambda0(d: CellDatum) -> Set[int]:
-    return cellbasis.lambda0_direct(d)
-
-
-def group_semisimple(d: CellDatum) -> bool:
-    return cellbasis.is_semisimple(d).ok
-
-
-# ---------------------------------------------------------------------------
 # Custom datum files.
 #
 # Format: {"nodes": [...], "poset": [[higher, lower], ...] (strict covers),
@@ -310,7 +272,7 @@ def save_custom_datum(d: CellDatum, path) -> None:
             for (ni, si, ti) in sorted(d.basis)
         },
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _dump_json(payload, path)
 
 
 def load_custom_datum(path, group: Union[GroupTable, SchutzGroup], field: FieldSpec) -> CellDatum:
@@ -320,7 +282,7 @@ def load_custom_datum(path, group: Union[GroupTable, SchutzGroup], field: FieldS
     conditions are verified over every group element before acceptance.
     """
     gt = as_group_table(group)
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = _load_json_object(path, "nodes", "poset", "L", "R", "basis")
     node_labels = [str(x) for x in data["nodes"]]
     if len(set(node_labels)) != len(node_labels):
         raise ValueError("duplicate node labels")

@@ -17,7 +17,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 DEFAULT_SIZE_CAP = 5000
 
 
-class MonoidError(Exception):
+class CellmonoidError(Exception):
+    """Base of the package's own errors: bad input or a failed construction."""
+
+
+class MonoidError(CellmonoidError):
     pass
 
 
@@ -68,17 +72,22 @@ def from_cayley_table(size: int, identity: int, table: Sequence[Sequence[int]],
     and family constructors skip this because composition of maps/diagrams is
     associative by construction.
     """
+    if not isinstance(size, int) or not isinstance(identity, int):
+        raise ValueError("size and identity must be integers")
     if size < 1:
         raise ValueError("size must be at least 1")
     if not (0 <= identity < size):
         raise ValueError("identity index out of range")
+    rows_ok = isinstance(table, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in table)
+    if not rows_ok:
+        raise ValueError("table must be a list of rows")
     if len(table) != size or any(len(row) != size for row in table):
         raise ValueError("table shape does not match size")
     tab = [list(row) for row in table]
     for row in tab:
         for v in row:
-            if not (0 <= v < size):
-                raise ValueError(f"table entry {v} out of range")
+            if not isinstance(v, int) or not (0 <= v < size):
+                raise ValueError(f"table entry {v!r} out of range")
     for x in range(size):
         if tab[identity][x] != x or tab[x][identity] != x:
             raise BadIdentity(x)
@@ -92,6 +101,8 @@ def from_cayley_table(size: int, identity: int, table: Sequence[Sequence[int]],
                     raise NotAssociative(x, y, z)
     if labels is None:
         labels = [str(i) for i in range(size)]
+    elif not isinstance(labels, (list, tuple)):
+        raise ValueError("labels must be a list")
     else:
         labels = [str(s) for s in labels]
         if len(labels) != size:
@@ -407,12 +418,23 @@ def _dump_json(obj, path) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _load_json_object(path, *keys: str) -> Dict:
+    """The JSON object in a file; ValueError unless it has every given key."""
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{path}: missing key {key!r}")
+    return data
+
+
 def save_cayley_json(M: FiniteMonoid, path) -> None:
     _dump_json({"size": M.size, "identity": M.identity, "table": M.table, "labels": M.labels}, path)
 
 
 def load_cayley_json(path) -> FiniteMonoid:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = _load_json_object(path, "size", "identity", "table")
     return from_cayley_table(data["size"], data["identity"], data["table"], data.get("labels"))
 
 
@@ -421,7 +443,7 @@ def save_loop_table(L: LoopTable, path) -> None:
 
 
 def load_loop_table(path) -> LoopTable:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = _load_json_object(path, "loops")
     loops = [list(map(int, row)) for row in data["loops"]]
     if any(len(row) != len(loops) for row in loops):
         raise ValueError("loop table must be square")

@@ -1,5 +1,5 @@
 """Twistings (unital 2-cocycles) on a finite monoid, their compatibility
-classification, and cell analyses of the twisted monoid algebra.
+classification, and the cell datum of the twisted monoid algebra.
 
 The twisted product is x o y = pi(x, y) * (x y), extended bilinearly.  A
 compatible twisting yields the same labeled basis as the untwisted algebra;
@@ -9,18 +9,17 @@ twisted brackets are blockwise rescalings of the untwisted ones.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .cellbasis import AnalysisReport, CellDatum, SparseVec, analyze
+from .cellbasis import CellDatum, table_mult
 from .exactalg import FieldSpec, Scalar
 from .green import GreenStructure
-from .monoid import FiniteMonoid, LoopTable
+from .monoid import (CellmonoidError, FiniteMonoid, LoopTable, _dump_json,
+                     _load_json_object)
 
 
-class TwistError(Exception):
+class TwistError(CellmonoidError):
     pass
 
 
@@ -63,12 +62,14 @@ def make_loop_twisting(loops: LoopTable, delta: Scalar, field: FieldSpec) -> Twi
 
 def save_twisting_json(pi: Twisting, path) -> None:
     payload = {"values": [[pi.field.format_scalar(v) for v in row] for row in pi.values]}
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _dump_json(payload, path)
 
 
 def load_twisting_json(path, field: FieldSpec) -> Twisting:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    values = [[field.parse_scalar(str(v)) for v in row] for row in data["values"]]
+    grid = _load_json_object(path, "values")["values"]
+    if not isinstance(grid, list) or any(not isinstance(row, list) for row in grid):
+        raise ValueError("twisting values must be a list of rows")
+    values = [[field.parse_scalar(str(v)) for v in row] for row in grid]
     if any(len(row) != len(values) for row in values):
         raise ValueError("twisting grid must be square")
     return Twisting(field, values, "file")
@@ -153,30 +154,6 @@ def _is_lr(M: FiniteMonoid, gs: GreenStructure, pi: Twisting) -> bool:
     return True
 
 
-def twisted_multiply(M: FiniteMonoid, pi: Twisting, x: SparseVec, y: SparseVec) -> SparseVec:
-    f = pi.field
-    T = M.table
-    V = pi.values
-    out: Dict[int, Scalar] = {}
-    for ex, cx in x.items():
-        row = T[ex]
-        vrow = V[ex]
-        for ey, cy in y.items():
-            c = f.mul(f.mul(cx, cy), vrow[ey])
-            if f.is_zero(c):
-                continue
-            k = row[ey]
-            out[k] = f.add(out[k], c) if k in out else c
-    return {k: v for k, v in out.items() if not f.is_zero(v)}
-
-
-def twisted_mult_fn(M: FiniteMonoid, pi: Twisting) -> Callable[[SparseVec, SparseVec], SparseVec]:
-    def mult(x: SparseVec, y: SparseVec) -> SparseVec:
-        return twisted_multiply(M, pi, x, y)
-
-    return mult
-
-
 @dataclass
 class TwistInfo:
     pi: Twisting
@@ -218,20 +195,10 @@ def build_twisted_cell_datum(base: CellDatum, pi: Twisting,
     scales = match_scales(at.monoid, at.boxes, at.matched_g, pi)
     info = TwistInfo(pi, compat, base, scales)
     new_attach = replace(at, twist=info)
-    return base.with_mult(twisted_mult_fn(at.monoid, pi), new_attach)
+    return base.with_mult(table_mult(at.monoid.table, pi.field, pi.values), new_attach)
 
 
-def twisted_analyses(d_pi: CellDatum) -> AnalysisReport:
-    """Full analysis of a twisted datum; the blockwise-rescaling route and the
-    matched-pair node route are cross-checked exactly when the twisting is
-    strongly compatible."""
-    if d_pi.attach is None or d_pi.attach.twist is None:
-        raise ValueError("twisted_analyses needs a twisted datum")
-    return analyze(d_pi)
-
-
-def twist_summary(M: FiniteMonoid, pi: Twisting, compat: Compatibility,
-                  cocycle_witness: Optional[Dict]) -> Dict:
+def twist_summary(pi: Twisting, compat: Compatibility, cocycle_witness: Optional[Dict]) -> Dict:
     return {
         "provenance": pi.provenance,
         "cocycle_ok": cocycle_witness is None,

@@ -5,13 +5,14 @@ dual-path cross-check ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional, Sequence
 
 from .exactalg import DenseMatrix, FieldSpec, Scalar, mat_rank
+from .monoid import CellmonoidError
 
 
-class WrongCharacteristic(Exception):
+class WrongCharacteristic(CellmonoidError):
     pass
 
 
@@ -23,8 +24,7 @@ class AxiomReport:
     acting_count: int
 
     def to_dict(self) -> Dict:
-        return {"mode": self.mode, "ok": self.ok, "witness": self.witness,
-                "acting_count": self.acting_count}
+        return asdict(self)
 
 
 def verify_cell_axioms(mult, datum, acting: Optional[Sequence[int]] = None,

@@ -41,11 +41,11 @@ def test_build_syminv2(store):
 def test_coordinates(store):
     d = store.datum("tfull2")
     for key, vec in d.basis.items():
-        coords = cm.to_cell_coordinates(d, vec)
+        coords = d.coordinates(vec)
         assert coords == {key: Fraction(1)}
-    assert cm.to_cell_coordinates(d, {}) == {}
+    assert d.coordinates({}) == {}
     # gamma of the rank-1 class of T2 is the constant-to-1 map, a basis vector
-    coords = cm.to_cell_coordinates(d, {1: Fraction(1)})
+    coords = d.coordinates({1: Fraction(1)})
     assert list(coords.values()) == [Fraction(1)]
 
 
@@ -87,39 +87,42 @@ def test_gram_fast_equals_definition(store):
 
 def test_lambda0_t2_and_null(store):
     d = store.datum("tfull2")
-    assert cm.lambda0(d) == {0, 1, 2}
+    assert cm.gram_summary(d).lambda0 == {0, 1, 2}
+    assert cm.lambda0_via_matching(d) == {0, 1, 2}
     dn = store.datum("null3")
-    l0 = cm.lambda0(dn)
+    l0 = cm.gram_summary(dn).lambda0
     assert len(l0) == 2
+    assert cm.lambda0_via_matching(dn) == l0
     labels = {dn.node_label(ni) for ni in l0}
     assert "D1:*" not in labels  # the square-zero class drops out
     dt = store.datum("trivial")
-    assert cm.lambda0(dt) == {0}
+    assert cm.gram_summary(dt).lambda0 == {0}
+    assert cm.lambda0_via_matching(dt) == {0}
 
 
 def test_irreducible_dims(store):
     d = store.datum("tfull2")
-    dims = cm.irreducible_dims(d)
+    dims = cm.gram_summary(d).dims
     assert sorted(dims.values()) == [1, 1, 1]
     di = store.datum("syminv2")
-    assert sorted(cm.irreducible_dims(di).values()) == [1, 1, 1, 2]
-    assert sum(v * v for v in cm.irreducible_dims(di).values()) == 7
+    assert sorted(cm.gram_summary(di).dims.values()) == [1, 1, 1, 2]
+    assert sum(v * v for v in cm.gram_summary(di).dims.values()) == 7
 
 
 def test_quasi_hereditary(store):
-    assert cm.is_quasi_hereditary(store.datum("tfull3")).ok
-    assert cm.is_quasi_hereditary(store.datum("trivial")).ok
-    qh = cm.is_quasi_hereditary(store.datum("null3"))
-    assert not qh.ok and qh.failing_nodes == ["D1:*"]
+    assert cm.gram_summary(store.datum("tfull3")).quasi_hereditary
+    assert cm.gram_summary(store.datum("trivial")).quasi_hereditary
+    qh = cm.gram_summary(store.datum("null3"))
+    assert not qh.quasi_hereditary and qh.qh_failing == ["D1:*"]
 
 
 def test_semisimple(store):
-    assert cm.is_semisimple(store.datum("syminv3")).ok
-    res = cm.is_semisimple(store.datum("tfull2"))
-    assert not res.ok and "not square" in res.certificate
-    f3 = cm.is_semisimple(store.datum("syminv3", "fp:3"))
-    assert not f3.ok
-    assert cm.is_semisimple(store.datum("syminv3", "fp:5")).ok
+    assert cm.gram_summary(store.datum("syminv3")).semisimple
+    res = cm.gram_summary(store.datum("tfull2"))
+    assert not res.semisimple and "not square" in res.ss_certificate
+    f3 = cm.gram_summary(store.datum("syminv3", "fp:3"))
+    assert not f3.semisimple
+    assert cm.gram_summary(store.datum("syminv3", "fp:5")).semisimple
 
 
 def test_analyze_reports(store):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -119,3 +121,90 @@ def test_unsupported_group_exit(tmp_path):
     path = tmp_path / "c4.json"
     cm.save_cayley_json(M, path)
     assert main(["analyze", "--cayley", str(path), "--field", "q"]) == 1
+
+
+# Each run: arguments, exit code, sha256 of the --report bytes and of stdout.
+GOLDEN = [
+    (["analyze", "--family", "tfull", "--n", "3", "--verify", "generators"], 0,
+     "32a25ad75329c473bca8b41498bb858c6963089277998ea4895ed3d1b7b15030",
+     "17a60b755ea98063a1e6484332769333d0552e84b1eb1392eb2a5f4e383261b2"),
+    (["analyze", "--family", "syminv", "--n", "3", "--field", "fp:2"], 0,
+     "d6c6857d3c85c8c4f5d7c8dd7ae019bfc53a2d7f219f5f640631eedfa8ac9d60",
+     "920ece02cfc519738c1fee190f3cb28112fe0faa037d2f3555f78a07c2089153"),
+    (["twist", "--family", "jones", "--n", "4", "--delta", "0"], 0,
+     "23279ac57ae17120d0e78ba1ec2823e0201f5465204c7c1175b147a3504b0a6c",
+     "410cf548eccd7241afe7a86d849232ca72e7f1be0254c35c021e1b20ddeb85b6"),
+    (["verify", "--family", "jones", "--n", "4", "--delta", "2"], 0,
+     "6f33d4a5a88aea3ff6961db001bffd4e4e8c588e0242f0607d9952c905e48a60",
+     "4acb3ce45fa5384f7ec7826cbdb27d5608e50c5b3c3c4d5bbd6f08858c16e45d"),
+    (["verify", "--family", "tfull", "--n", "3", "--verify", "generators"], 0,
+     "3d0ebfd234892efbb2b2dd44df419bd129d4988680a00adba820dcedac24f38f",
+     "4de6eefd015be1a6ad59cdbed1d0486451e59698dcce37be7e2a8e310dd43716"),
+    # a twisting file that breaks the cocycle law: exit 2 with a twisting-only report
+    (["twist", "--cayley", "t2.json", "--twist-file", "bad_pi.json"], 2,
+     "c4cd57c01bba781163a8dfe5ffb6363e26e9ae7e0dece8088aa88009bc410788",
+     "0aa7ccc98a512eb0bc30fc10df59bf8a0b7c7a3a21dad7e4d2d7264a647a091b"),
+    (["verify", "--cayley", "t2.json", "--twist-file", "bad_pi.json"], 2,
+     "e9e02520655ef29cf237c097fb20eb3fc4a37b911d627710938fcc97fde25f4a",
+     "b5342c1543d1ddc7af66e77d5e130e4c2cc471ea04d264db1ac4290682dfee5f"),
+    (["twist", "--family", "jones", "--n", "3", "--delta", "2", "--verify", "off"], 0,
+     "4e300e76066e45347ed68452b5ebb382dfd188514c80c58ea162d2090d56d470",
+     "a20063521df598fab21b7ac16b709642e291e7fd88fbbd0a579a7ce89eba114f"),
+]
+
+
+def test_reports_are_byte_stable(tmp_path, monkeypatch, capsys):
+    # file sources are named relative to the working directory, so neither the
+    # report's config nor the text output carries a temporary path
+    monkeypatch.chdir(tmp_path)
+    M, _ = cm.family("tfull", 2)
+    cm.save_cayley_json(M, "t2.json")
+    pi = cm.trivial_twisting(M.size, cm.RATIONALS)
+    pi.values[1][1] = Fraction(2)
+    cm.save_twisting_json(pi, "bad_pi.json")
+    for k, (args, code, report_sha, stdout_sha) in enumerate(GOLDEN):
+        report = tmp_path / f"golden{k}.json"
+        assert main(args + ["--report", str(report)]) == code, args
+        out = capsys.readouterr().out
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha, args
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, args
+
+
+def _json_file(path, obj):
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+T2_TABLE = {"size": 2, "identity": 0, "table": [[0, 1], [1, 1]]}  # {1, z} with z absorbing
+
+INPUT_FAULTS = {
+    "twist_file_wrong_size": lambda p: [
+        "twist", "--cayley", _json_file(p / "c.json", T2_TABLE),
+        "--twist-file", _json_file(p / "pi.json", {"values": [["1"]]})],
+    "delta_divides_by_zero_q": lambda p: [
+        "twist", "--family", "jones", "--n", "2", "--delta", "1/0"],
+    "delta_divides_by_zero_fp": lambda p: [
+        "twist", "--family", "jones", "--n", "2", "--delta", "1/3", "--field", "fp:3"],
+    "cayley_missing_table": lambda p: [
+        "analyze", "--cayley", _json_file(p / "c.json", {"size": 2, "identity": 0})],
+    "twist_file_missing_values": lambda p: [
+        "twist", "--cayley", _json_file(p / "c.json", T2_TABLE),
+        "--twist-file", _json_file(p / "pi.json", {"grid": []})],
+    "table_not_a_list": lambda p: [
+        "analyze", "--cayley", _json_file(p / "c.json", dict(T2_TABLE, table=5))],
+    "size_not_an_int": lambda p: [
+        "analyze", "--cayley", _json_file(p / "c.json", dict(T2_TABLE, size="2"))],
+    "cayley_top_level_list": lambda p: [
+        "analyze", "--cayley", _json_file(p / "c.json", T2_TABLE["table"])],
+    "values_not_a_list": lambda p: [
+        "twist", "--cayley", _json_file(p / "c.json", T2_TABLE),
+        "--twist-file", _json_file(p / "pi.json", {"values": 3})],
+    "cayley_is_a_directory": lambda p: ["analyze", "--cayley", str(p)],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(INPUT_FAULTS))
+def test_input_fault_exits_1_with_one_line(fault, tmp_path, capsys):
+    assert main(INPUT_FAULTS[fault](tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -1,9 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from cellmonoid.exactalg import (DenseMatrix, FieldSpec, RATIONALS, mat_inverse,
+from cellmonoid.exactalg import (DenseMatrix, FieldSpec, RATIONALS, _is_prime, mat_inverse,
                                  mat_nullspace, mat_rank, prime_field, solve_linear)
 
 F2 = prime_field(2)
@@ -29,12 +30,34 @@ def test_field_spec_validation():
     assert prime_field(11).spec_string() == "fp:11"
 
 
+def test_primality_is_exact_and_fast():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if trial(n)]
+    # strong pseudoprimes to the smallest bases, and a Carmichael number
+    for n in (561, 2047, 3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+    t0 = time.perf_counter()
+    big = FieldSpec.parse("fp:2305843009213693951")  # 2**61 - 1
+    assert time.perf_counter() - t0 < 1.0
+    assert big == prime_field(2 ** 61 - 1)
+    assert _is_prime(2 ** 64 - 59)  # the largest prime below 2**64
+    with pytest.raises(ValueError):
+        FieldSpec.parse(f"fp:{2 ** 64 + 13}")
+    with pytest.raises(ValueError):
+        FieldSpec.parse("fp:2305843009213693953")  # 2**61 + 1, divisible by 3
+
+
 def test_scalar_serialization_round_trip():
     assert RATIONALS.format_scalar(Fraction(-3, 2)) == "-3/2"
     assert RATIONALS.parse_scalar("-3/2") == Fraction(-3, 2)
     assert F5.parse_scalar("7") == 2
     assert F5.parse_scalar("1/2") == 3  # 2 * 3 = 6 = 1 mod 5
     assert F5.format_scalar(3) == "3"
+    for field in (RATIONALS, F5):
+        with pytest.raises(ValueError):
+            field.parse_scalar("1/0")
 
 
 def test_rank_examples():

@@ -38,7 +38,7 @@ def test_trivial_group_datum():
     for field in (RATIONALS, F2):
         d = cm.trivial_group_datum(field)
         assert d.dim == 1 and len(d.nodes) == 1
-        assert cm.group_bracket(d, 0, 0, 0) == field.one()
+        assert cm.bracket_value(d, 0, 0, 0) == field.one()
         rep = cm.verify_cell_axioms(d.mult, d, mode="full")
         assert rep.ok
 
@@ -65,25 +65,25 @@ def test_murphy_cap():
 
 def test_group_gram_values_s2():
     d = murphy_datum(2, RATIONALS)
-    assert cm.group_gram(d, 0).entries == [[2]]
-    assert cm.group_gram(d, 1).entries == [[1]]
-    assert cm.group_lambda0(d) == {0, 1}
-    assert cm.group_semisimple(d)
+    assert cm.gram_definition(d, 0).entries == [[2]]
+    assert cm.gram_definition(d, 1).entries == [[1]]
+    assert cm.gram_summary(d).lambda0 == {0, 1}
+    assert cm.gram_summary(d).semisimple
     d2 = murphy_datum(2, F2)
-    assert cm.group_gram(d2, 0).entries == [[0]]
-    assert cm.group_lambda0(d2) == {1}
-    assert not cm.group_semisimple(d2)
+    assert cm.gram_definition(d2, 0).entries == [[0]]
+    assert cm.gram_summary(d2).lambda0 == {1}
+    assert not cm.gram_summary(d2).semisimple
 
 
 def test_group_gram_s3_rationals_vs_f3():
     dq = murphy_datum(3, RATIONALS)
-    assert cm.group_semisimple(dq)
+    assert cm.gram_summary(dq).semisimple
     assert sum(len(l) ** 2 for l in dq.lsets) == 6
     dp = murphy_datum(3, F3)
     singular = [ni for ni in range(3)
-                if cm.mat_rank(cm.group_gram(dp, ni)) < len(dp.lsets[ni])]
+                if cm.mat_rank(cm.gram_definition(dp, ni)) < len(dp.lsets[ni])]
     assert singular
-    assert not cm.group_semisimple(dp)
+    assert not cm.gram_summary(dp).semisimple
 
 
 def test_bracket_reference_independence_small():

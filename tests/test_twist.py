@@ -73,10 +73,17 @@ def test_twisted_multiply(store):
     pi = cm.make_loop_twisting(loops, Fraction(2), Q)
     e1 = 1
     one = Fraction(1)
-    assert cm.twisted_multiply(M, pi, {M.identity: one}, {e1: one}) == {e1: one}
-    assert cm.twisted_multiply(M, pi, {e1: one}, {e1: one}) == {e1: Fraction(2)}
+    mult = cm.table_mult(M.table, Q, pi.values)
+    assert mult({M.identity: one}, {e1: one}) == {e1: one}
+    assert mult({e1: one}, {e1: one}) == {e1: Fraction(2)}
     pi0 = cm.make_loop_twisting(loops, Fraction(0), Q)
-    assert cm.twisted_multiply(M, pi0, {e1: one}, {e1: one}) == {}
+    assert cm.table_mult(M.table, Q, pi0.values)({e1: one}, {e1: one}) == {}
+    # all-one weights give the untwisted product, keys in the same order
+    plain = cm.table_mult(M.table, Q)
+    ones = cm.table_mult(M.table, Q, cm.trivial_twisting(M.size, Q).values)
+    x = {k: Fraction(k + 1) for k in reversed(range(M.size))}
+    y = {k: Fraction(1, k + 2) for k in range(M.size)}
+    assert list(ones(x, y).items()) == list(plain(x, y).items())
 
 
 def test_twisted_axioms_full(store):
@@ -90,11 +97,11 @@ def test_trivial_twisting_report_matches_untwisted(store):
     M, _ = store.monoid("jones3")
     base = store.datum("jones3")
     d = cm.build_twisted_cell_datum(base, cm.trivial_twisting(M.size, Q))
-    assert cm.twisted_analyses(d).to_dict() == cm.analyze(base).to_dict()
+    assert cm.analyze(d).to_dict() == cm.analyze(base).to_dict()
 
 
 def test_tl2_delta0_not_semisimple(store):
-    rep = cm.twisted_analyses(store.twisted("jones2", "0"))
+    rep = cm.analyze(store.twisted("jones2", "0"))
     assert not rep.semisimple and not rep.quasi_hereditary
     assert rep.lambda0 == ["D0:*"]
     assert_checks_clean(rep)
@@ -102,7 +109,7 @@ def test_tl2_delta0_not_semisimple(store):
 
 def test_tl3_delta2_semisimple_with_trace(store):
     d = store.twisted("jones3", "2")
-    rep = cm.twisted_analyses(d)
+    rep = cm.analyze(d)
     assert rep.semisimple and rep.dim_sq_sum == 5
     assert_checks_clean(rep)
     assert cm.trace_form_semisimple(d.mult, d.dim, d.field)
@@ -110,7 +117,7 @@ def test_tl3_delta2_semisimple_with_trace(store):
 
 def test_tl3_delta1_verdict_matches_trace_oracle(store):
     d = store.twisted("jones3", "1")
-    rep = cm.twisted_analyses(d)
+    rep = cm.analyze(d)
     assert_checks_clean(rep)
     assert rep.semisimple == cm.trace_form_semisimple(d.mult, d.dim, d.field)
 
@@ -161,7 +168,7 @@ def test_twisted_fp_group_implication(store):
     base = store.datum("syminv3", "fp:3")
     F3 = prime_field(3)
     d = cm.build_twisted_cell_datum(base, cm.trivial_twisting(M.size, F3))
-    rep = cm.twisted_analyses(d)
+    rep = cm.analyze(d)
     assert not rep.semisimple
     assert_checks_clean(rep)
 
@@ -179,5 +186,5 @@ def test_twist_summary_shape(store):
     M, loops = store.monoid("jones2")
     gs, _, _ = store.green("jones2")
     pi = cm.make_loop_twisting(loops, Fraction(2), Q)
-    summary = twist_summary(M, pi, cm.compatibility_class(M, gs, pi), None)
+    summary = twist_summary(pi, cm.compatibility_class(M, gs, pi), None)
     assert summary["cocycle_ok"] and summary["compatibility"] == "strong"
