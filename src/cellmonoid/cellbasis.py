@@ -82,7 +82,9 @@ class CellDatum:
 
     blocks partition both the carrier and the label set; within each block the
     labeled vectors must form a basis of the span of the block's carrier
-    elements (exact inverse matrices are precomputed for coordinate lookups).
+    elements.  The exact inverse of each block is kept as sparse columns, one
+    per carrier element, so a coordinate lookup touches only the nonzero
+    terms of its vector.
     """
 
     def __init__(self, field: FieldSpec, dim: int,
@@ -116,7 +118,7 @@ class CellDatum:
         ]
 
         self._block_of_elem: Dict[int, int] = {}
-        self._inv: List[DenseMatrix] = []
+        self._inv_cols: Dict[int, List[Tuple[int, Scalar]]] = {}
         seen_keys: Set[Key] = set()
         for bi, (elems, keys) in enumerate(self.blocks):
             if len(elems) != len(keys):
@@ -139,7 +141,9 @@ class CellDatum:
             inv = mat_inverse(mat)
             if inv is None:
                 raise NotABasis(f"labeled vectors of block {bi} are linearly dependent")
-            self._inv.append(inv)
+            for c, e in enumerate(elems):
+                self._inv_cols[e] = [(r, row[c]) for r, row in enumerate(inv.entries)
+                                     if not field.is_zero(row[c])]
         if len(self._block_of_elem) != dim or seen_keys != expected:
             raise ValueError("blocks do not partition the carrier and label set")
 
@@ -165,24 +169,21 @@ class CellDatum:
     # -- coordinates -----------------------------------------------------
 
     def coordinates(self, vec: SparseVec) -> Dict[Key, Scalar]:
-        """Exact coordinates of a carrier vector in the labeled basis."""
+        """Exact coordinates of a carrier vector in the labeled basis: blocks
+        in the order the vector first touches them, labels in block order."""
         f = self.field
-        out: Dict[Key, Scalar] = {}
-        touched: Dict[int, SparseVec] = {}
+        touched: Dict[int, Dict[int, Scalar]] = {}
         for e, c in vec.items():
-            touched.setdefault(self._block_of_elem[e], {})[e] = c
-        for bi, sub in touched.items():
-            elems, keys = self.blocks[bi]
-            inv = self._inv[bi]
-            col = [sub.get(e, f.zero()) for e in elems]
-            for r, key in enumerate(keys):
-                acc = f.zero()
-                row = inv.entries[r]
-                for c_idx, yv in enumerate(col):
-                    if not f.is_zero(yv):
-                        acc = f.add(acc, f.mul(row[c_idx], yv))
-                if not f.is_zero(acc):
-                    out[key] = acc
+            acc = touched.setdefault(self._block_of_elem[e], {})
+            for r, w in self._inv_cols[e]:
+                v = f.mul(w, c)
+                acc[r] = f.add(acc[r], v) if r in acc else v
+        out: Dict[Key, Scalar] = {}
+        for bi, acc in touched.items():
+            keys = self.blocks[bi][1]
+            for r in sorted(acc):
+                if not f.is_zero(acc[r]):
+                    out[keys[r]] = acc[r]
         return out
 
 

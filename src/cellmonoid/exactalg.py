@@ -2,13 +2,17 @@
 
 Every computation in this package is exact: scalars are `fractions.Fraction`
 values over the rationals, or canonical residues (ints in ``[0, p)``) over a
-prime field.  Rank decisions therefore never depend on tolerances.
+prime field.  Rank decisions therefore never depend on tolerances.  Ranks over
+the rationals are computed fraction-free on Python ints (Bareiss elimination);
+nullspaces, solves and inverses use reduced row echelon form, which is also
+the rank-nullity second route for those ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Union
 
 Scalar = Union[Fraction, int]
@@ -210,7 +214,33 @@ def _rref(field: FieldSpec, rows: List[List[Scalar]], ncols: int):
     return pivots
 
 
+def _bareiss_rank(rows: List[List[int]]) -> int:
+    """Rank of an integer matrix by fraction-free elimination (Bareiss 1968):
+    each update divides exactly by the previous pivot, so entries stay ints
+    (they are minors of the input).  Eliminated rows and columns are dropped."""
+    rank, prev = 0, 1
+    while rows and rows[0]:
+        i = next((i for i, r in enumerate(rows) if r[0]), None)
+        if i is None:
+            rows = [r[1:] for r in rows]
+            continue
+        pv = rows.pop(i)
+        p, tail = pv[0], pv[1:]
+        rows = [[(p * v - r[0] * w) // prev for v, w in zip(r[1:], tail)] for r in rows]
+        prev = p
+        rank += 1
+    return rank
+
+
+def clear_denominators(values: Sequence[Scalar]) -> List[int]:
+    """Rationals times the lcm of their denominators: ints in the same ratios."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
 def mat_rank(m: DenseMatrix) -> int:
+    if m.field.kind == "q":  # scaling a row keeps the rank
+        return _bareiss_rank([clear_denominators(row) for row in m.entries])
     rows = [list(r) for r in m.entries]
     return len(_rref(m.field, rows, m.cols))
 

@@ -283,13 +283,21 @@ def load_custom_datum(path, group: Union[GroupTable, SchutzGroup], field: FieldS
     """
     gt = as_group_table(group)
     data = _load_json_object(path, "nodes", "poset", "L", "R", "basis")
+    if not (all(isinstance(data[k], list) for k in ("nodes", "poset"))
+            and all(isinstance(data[k], dict) for k in ("L", "R", "basis"))):
+        raise ValueError("nodes and poset must be lists; L, R and basis JSON objects")
     node_labels = [str(x) for x in data["nodes"]]
     if len(set(node_labels)) != len(node_labels):
         raise ValueError("duplicate node labels")
     at = {lab: i for i, lab in enumerate(node_labels)}
+    if not all(isinstance(p, list) and len(p) == 2 and all(str(v) in at for v in p)
+               for p in data["poset"]):
+        raise ValueError("poset must list [higher, lower] pairs of declared nodes")
     gt_pairs = [(at[str(hi)], at[str(lo)]) for hi, lo in data["poset"]]
-    lsizes = {str(k): int(v) for k, v in data["L"].items()}
-    rsizes = {str(k): int(v) for k, v in data["R"].items()}
+    if not all(isinstance(v, int) for k in ("L", "R") for v in data[k].values()):
+        raise ValueError("L/R sizes must be integers")
+    lsizes = {str(k): v for k, v in data["L"].items()}
+    rsizes = {str(k): v for k, v in data["R"].items()}
     if set(lsizes) != set(node_labels) or set(rsizes) != set(node_labels):
         raise ValueError("L/R sizes must cover exactly the declared nodes")
     lsets = [[str(i) for i in range(lsizes[lab])] for lab in node_labels]
@@ -297,9 +305,11 @@ def load_custom_datum(path, group: Union[GroupTable, SchutzGroup], field: FieldS
     basis: Dict[Tuple[int, int, int], Dict[int, Scalar]] = {}
     for key, terms in data["basis"].items():
         lab, s, t = key.rsplit("/", 2)
+        if lab not in at or not isinstance(terms, list) or not all(
+                isinstance(u, list) and len(u) == 2 and isinstance(u[0], int) for u in terms):
+            raise ValueError(f"basis entry {key!r} is not 'node/s/t': [[g, c], ...]")
         vec: Dict[int, Scalar] = {}
         for g, cs in terms:
-            g = int(g)
             if not (0 <= g < gt.size):
                 raise ValueError(f"group index {g} out of range")
             c = field.parse_scalar(str(cs))

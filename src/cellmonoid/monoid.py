@@ -443,8 +443,11 @@ def save_loop_table(L: LoopTable, path) -> None:
 
 
 def load_loop_table(path) -> LoopTable:
-    data = _load_json_object(path, "loops")
-    loops = [list(map(int, row)) for row in data["loops"]]
+    loops = _load_json_object(path, "loops")["loops"]
+    if not isinstance(loops, list) or any(not isinstance(row, list) for row in loops):
+        raise ValueError("loop table must be a list of rows")
+    if any(not isinstance(v, int) or v < 0 for row in loops for v in row):
+        raise ValueError("loop counts must be non-negative integers")
     if any(len(row) != len(loops) for row in loops):
         raise ValueError("loop table must be square")
     return LoopTable(loops)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from .cellbasis import CellDatum, table_mult
-from .exactalg import FieldSpec, Scalar
+from .exactalg import FieldSpec, Scalar, clear_denominators
 from .green import GreenStructure
 from .monoid import (CellmonoidError, FiniteMonoid, LoopTable, _dump_json,
                      _load_json_object)
@@ -77,7 +77,9 @@ def load_twisting_json(path, field: FieldSpec) -> Twisting:
 
 def verify_twisting(M: FiniteMonoid, pi: Twisting) -> Optional[Dict]:
     """Exhaustive unit and cocycle check; None when both laws hold, otherwise
-    a witness naming the first violation."""
+    a witness naming the first violation.  Over the rationals the grid is
+    scaled by the lcm D of its denominators; both sides of the cocycle law have
+    degree 2 in pi, so both scale by D**2 and the check runs on ints."""
     if len(pi.values) != M.size:
         return {"law": "shape", "detail": f"{len(pi.values)} rows for {M.size} elements"}
     f = pi.field
@@ -86,14 +88,18 @@ def verify_twisting(M: FiniteMonoid, pi: Twisting) -> Optional[Dict]:
     for x in range(M.size):
         if pi.values[x][e] != one or pi.values[e][x] != one:
             return {"law": "unit", "x": x}
-    T = M.table
-    V = pi.values
-    for x in range(M.size):
-        for y in range(M.size):
-            vxy = V[x][y]
-            xy = T[x][y]
-            for z in range(M.size):
-                if f.mul(vxy, V[xy][z]) != f.mul(V[x][T[y][z]], V[y][z]):
+    T, n, p = M.table, M.size, f.p
+    W = pi.values
+    if p is None:
+        flat = clear_denominators([v for row in W for v in row])
+        W = [flat[x * n:(x + 1) * n] for x in range(n)]
+    for x in range(n):
+        Wx, Tx = W[x], T[x]
+        for y in range(n):
+            wxy, Wxy, Wy, Ty = Wx[y], W[Tx[y]], W[y], T[y]
+            for z in range(n):
+                diff = wxy * Wxy[z] - Wx[Ty[z]] * Wy[z]
+                if diff and (p is None or diff % p):
                     return {"law": "cocycle", "triple": (x, y, z)}
     return None
 

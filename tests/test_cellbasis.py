@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 import cellmonoid as cm
 from cellmonoid.cellbasis import CellBasisError, NotABasis
-from cellmonoid.exactalg import RATIONALS, prime_field
+from cellmonoid.exactalg import DenseMatrix, FieldSpec, RATIONALS, mat_inverse, prime_field
 
 from conftest import assert_checks_clean
 
@@ -47,6 +48,46 @@ def test_coordinates(store):
     # gamma of the rank-1 class of T2 is the constant-to-1 map, a basis vector
     coords = d.coordinates({1: Fraction(1)})
     assert list(coords.values()) == [Fraction(1)]
+
+
+def _dense_coordinates(d, inverses, vec):
+    """Reference: each touched block's dense inverse times the block's column."""
+    f = d.field
+    out = {}
+    touched = []
+    for e in vec:
+        bi = next(i for i, (elems, _) in enumerate(d.blocks) if e in elems)
+        if bi not in touched:
+            touched.append(bi)
+    for bi in touched:
+        elems, keys = d.blocks[bi]
+        col = [vec.get(e, f.zero()) for e in elems]
+        for key, row in zip(keys, inverses[bi].entries):
+            acc = f.zero()
+            for w, y in zip(row, col):
+                acc = f.add(acc, f.mul(w, y))
+            if not f.is_zero(acc):
+                out[key] = acc
+    return out
+
+
+@pytest.mark.parametrize("field", ["q", "fp:3"])
+def test_coordinates_match_dense_inverse(store, field):
+    fs = FieldSpec.parse(field)
+    rng = random.Random(4)
+    for d in (store.datum("tfull3", field), store.datum("syminv3", field),
+              store.twisted("jones4", "2", field)):
+        inverses = [mat_inverse(DenseMatrix.from_rows(fs, [
+            [d.basis[k].get(e, fs.zero()) for k in keys] for e in elems]))
+            for elems, keys in d.blocks]
+        vecs = [dict(v) for v in d.basis.values()]
+        for _ in range(200):
+            elems = rng.sample(range(d.dim), rng.randint(1, min(3, d.dim)))
+            vecs.append({e: fs.parse_scalar(f"{rng.choice((-3, -1, 1, 2, 5))}/"
+                                            f"{rng.choice((1, 2, 7))}") for e in elems})
+        for vec in vecs:
+            got = d.coordinates(vec)
+            assert list(got.items()) == list(_dense_coordinates(d, inverses, vec).items())
 
 
 def test_gram_definition_examples(store):

@@ -85,22 +85,54 @@ def test_solve_examples():
 
 
 def test_rank_nullity_and_exact_solve_randomized():
+    # 40 small integer matrices per field, then 60 from random_matrix; the rank
+    # over Q (fraction-free) is checked against the nullspace route (rref)
     rng = random.Random(20240611)
     for field in (RATIONALS, F2, F3, F5):
-        for _ in range(40):
-            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-            a = M(field, [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)])
+        for trial in range(100):
+            if trial < 40:
+                nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+                a = M(field, [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)])
+                bound = min(nr, nc)
+            else:
+                a, bound = random_matrix(rng, field, rng.randint(0, 12), rng.randint(0, 12))
             r = mat_rank(a)
+            assert r <= bound
             ns = mat_nullspace(a)
-            assert r + len(ns) == nc
+            assert r + len(ns) == a.cols
             for v in ns:
                 prod = [sum_entries(field, row, v) for row in a.entries]
                 assert all(field.is_zero(x) for x in prod)
-            b = [field.from_int(rng.randint(-4, 4)) for _ in range(nr)]
+            b = [field.from_int(rng.randint(-4, 4)) for _ in range(a.rows)]
             x = solve_linear(a, b)
             if x is not None:
                 got = [sum_entries(field, row, x) for row in a.entries]
                 assert got == list(b)
+
+
+def random_matrix(rng, field, nr, nc):
+    """An nr x nc matrix and a bound on its rank.  Entries are rationals with
+    small denominators over Q; two times in five the matrix is a product of
+    nr x k and k x nc factors, so of rank at most k; some columns are zero."""
+    def entry():
+        if field.kind == "q":
+            return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5, 12)))
+        return field.from_int(rng.randint(-4, 4))
+
+    bound = min(nr, nc)
+    if rng.random() < 0.4:
+        bound = rng.randint(0, bound)
+        left = [[entry() for _ in range(bound)] for _ in range(nr)]
+        right = [[entry() for _ in range(nc)] for _ in range(bound)]
+        rows = [[sum_entries(field, lr, [right[i][j] for i in range(bound)]) for j in range(nc)]
+                for lr in left]
+    else:
+        rows = [[entry() for _ in range(nc)] for _ in range(nr)]
+    for j in range(nc):
+        if rng.random() < 0.15:
+            for row in rows:
+                row[j] = field.zero()
+    return DenseMatrix(field, nr, nc, rows), bound
 
 
 def sum_entries(field, row, v):

@@ -130,6 +130,33 @@ def test_custom_datum_rejections(tmp_path):
         cm.load_custom_datum(bad2, d.carrier_group, RATIONALS)
 
 
+CUSTOM_DATUM_FAULTS = {
+    "nodes_not_a_list": lambda data: data.update(nodes="(2)"),
+    "L_not_an_object": lambda data: data.update(L=5),
+    "R_not_an_object": lambda data: data.update(R=["(2)", 1]),
+    "size_not_an_int": lambda data: data["L"].update({"(2)": "1"}),
+    "poset_pair_too_short": lambda data: data.update(poset=[["(2)"]]),
+    "poset_unknown_node": lambda data: data.update(poset=[["(2)", "(3)"]]),
+    "basis_not_an_object": lambda data: data.update(basis=[]),
+    "basis_terms_not_a_list": lambda data: data["basis"].update({"(2)/0/0": 5}),
+    "basis_term_not_a_pair": lambda data: data["basis"].update({"(2)/0/0": [[0]]}),
+    "basis_index_not_an_int": lambda data: data["basis"].update({"(2)/0/0": [["0", "1"]]}),
+    "basis_unknown_node": lambda data: data["basis"].update({"(3)/0/0": [[0, "1"]]}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CUSTOM_DATUM_FAULTS))
+def test_custom_datum_wrong_types_raise_value_error(tmp_path, fault):
+    d = murphy_datum(2, RATIONALS)
+    path = tmp_path / "s2.json"
+    cm.save_custom_datum(d, path)
+    data = json.loads(path.read_text())
+    CUSTOM_DATUM_FAULTS[fault](data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError):
+        cm.load_custom_datum(path, d.carrier_group, RATIONALS)
+
+
 def test_find_symmetric_iso(store):
     gs, boxes, schutzs = store.green("tfull3")
     d_units = gs.dclass[0]

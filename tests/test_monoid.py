@@ -158,3 +158,13 @@ def test_loop_json_round_trip(tmp_path):
     cm.save_loop_table(loops, path)
     loops2 = cm.load_loop_table(path)
     assert loops2.loops == loops.loops
+
+
+@pytest.mark.parametrize("loops", [5, [1, 2], [["0"]], [[0.5]], [[-1]]],
+                         ids=["not_a_list", "row_not_a_list", "string_entry",
+                              "float_entry", "negative_entry"])
+def test_loop_table_wrong_types_raise_value_error(tmp_path, loops):
+    path = tmp_path / "l.json"
+    path.write_text(json.dumps({"loops": loops}))
+    with pytest.raises(ValueError):
+        cm.load_loop_table(path)

@@ -33,14 +33,25 @@ def test_verify_twisting(store):
     bad.values[1][M.identity] = Fraction(2)
     w = cm.verify_twisting(M, bad)
     assert w is not None and w["law"] == "unit"
+    # a coboundary f(x)f(y)/f(xy) with non-integer f is a cocycle; the integer
+    # check scales the grid by the lcm of its denominators
+    f = [Fraction(1), Fraction(1, 3), Fraction(5, 2), Fraction(-2, 7), Fraction(4, 9)]
+    vals = [[f[x] * f[y] / f[M.table[x][y]] for y in range(5)] for x in range(5)]
+    cob = cm.Twisting(Q, vals, "coboundary")
+    assert cm.verify_twisting(M, cob) is None
+    cob.values[2][3] *= 3
+    assert cm.verify_twisting(M, cob) == {"law": "cocycle", "triple": (1, 4, 3)}
 
 
 def test_cocycle_violation_witness(store):
     M, loops = store.monoid("jones3")
     pi = cm.make_loop_twisting(loops, Fraction(2), Q)
     pi.values[1][1] = Fraction(7)  # break one entry off the loop count
-    w = cm.verify_twisting(M, pi)
-    assert w is not None and w["law"] == "cocycle"
+    assert cm.verify_twisting(M, pi) == {"law": "cocycle", "triple": (1, 1, 2)}
+    F5 = prime_field(5)
+    pi5 = cm.make_loop_twisting(loops, F5.from_int(2), F5)
+    pi5.values[1][1] = 3
+    assert cm.verify_twisting(M, pi5) == {"law": "cocycle", "triple": (1, 1, 2)}
 
 
 def test_compatibility_classes(store):
