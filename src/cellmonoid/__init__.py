@@ -27,6 +27,6 @@ from .twist import (Compatibility, IncompatibleTwisting, Twisting, build_twisted
                     verify_twisting, load_twisting_json, save_twisting_json)
 from .verify import (AxiomReport, WrongCharacteristic, cross_check, trace_form_semisimple,
                      verify_cell_axioms)
-from .pipeline import green_data, loop_twisted_datum, standard_datum, twisted_datum
+from .pipeline import green_data, standard_datum
 
 __version__ = "0.1.0"

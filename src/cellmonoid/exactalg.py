@@ -172,9 +172,6 @@ class DenseMatrix:
         one, zero = field.one(), field.zero()
         return DenseMatrix(field, n, n, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    def is_zero(self) -> bool:
-        return all(self.field.is_zero(v) for row in self.entries for v in row)
-
 
 def _rref(field: FieldSpec, rows: List[List[Scalar]], ncols: int):
     """In-place reduced row echelon form; returns pivot column list.

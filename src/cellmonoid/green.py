@@ -8,7 +8,7 @@ deterministic for a fixed Cayley table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .monoid import CellmonoidError, FiniteMonoid
 
@@ -52,25 +52,23 @@ class GreenStructure:
 def compute_green(M: FiniteMonoid) -> GreenStructure:
     """L, R, H, D partitions via principal ideals, plus the strict D-order.
 
-    xLy iff Mx = My, xRy iff xM = yM, and the two-sided classes are computed
-    through MxM (which coincides with the D-relation in a finite monoid).
+    xLy iff Mx = My and xRy iff xM = yM.  D comes from L and R: x D y iff L_x
+    meets R_y, and inside a D-class every L-class meets every R-class, so the
+    set of R-classes that an element's L-class meets names its D-class.  The
+    two-sided ideal MxM, the union of zM over z in Mx, is built once per
+    D-class, from its least member, and serves only the D-order.
     """
     n = M.size
     T = M.table
     lsets = [frozenset(T[m][x] for m in range(n)) for x in range(n)]
     rsets = [frozenset(T[x][m] for m in range(n)) for x in range(n)]
-    jsets = []
-    for x in range(n):
-        acc = set()
-        for z in lsets[x]:
-            acc.update(T[z])
-        jsets.append(frozenset(acc))
 
     lclass, lclasses = _classes(lsets)
     rclass, rclasses = _classes(rsets)
     hclass, hclasses = _classes([(lclass[x], rclass[x]) for x in range(n)])
-    dclass, dclasses = _classes(jsets)
-    dideals = [jsets[members[0]] for members in dclasses]
+    meets = [frozenset(rclass[y] for y in members) for members in lclasses]
+    dclass, dclasses = _classes([meets[lclass[x]] for x in range(n)])
+    dideals = [frozenset().union(*(rsets[z] for z in lsets[members[0]])) for members in dclasses]
     dless = frozenset(
         (a, b)
         for a in range(len(dclasses))
@@ -111,33 +109,50 @@ class EggBox:
         return self.grid[i][j]
 
 
-def _verify_translations(M: FiniteMonoid, box: EggBox) -> None:
-    """Exhaustively confirm the translation bijections on every row/column."""
-    T = M.table
-    for i in range(len(box.rows)):
-        ai, abari = box.a[i], box.abar[i]
-        for j in range(len(box.cols)):
-            src, dst = box.grid[0][j], set(box.grid[i][j])
+def _verify_translations(lines: List[List[List[int]]], there: List[int], back: List[int],
+                         act: Callable[[int, int], int], what: str, across: str) -> None:
+    """Exhaustively confirm one side's translation bijections.
+
+    lines[k][pos] is the cell at position pos of line k (a row or a column),
+    and act(c, h) multiplies h by c on the side that moves between lines.  Pair
+    k must carry each cell of line 0 onto the cell of line k at the same
+    position, and back, bijectively.
+    """
+    for k, (c, cbar) in enumerate(zip(there, back)):
+        for pos, (src, cell) in enumerate(zip(lines[0], lines[k])):
+            dst = set(cell)
             images = set()
             for h in src:
-                z = T[ai][h]
-                if z not in dst or T[abari][z] != h:
-                    raise TranslationNotFound(f"row translation a[{i}] fails on column {j}")
+                z = act(c, h)
+                if z not in dst or act(cbar, z) != h:
+                    raise TranslationNotFound(f"{what}[{k}] fails on {across} {pos}")
                 images.add(z)
             if images != dst:
-                raise TranslationNotFound(f"row translation a[{i}] is not onto in column {j}")
-    for j in range(len(box.cols)):
-        bj, bbarj = box.b[j], box.bbar[j]
-        for i in range(len(box.rows)):
-            src, dst = box.grid[i][0], set(box.grid[i][j])
-            images = set()
-            for h in src:
-                z = T[h][bj]
-                if z not in dst or T[z][bbarj] != h:
-                    raise TranslationNotFound(f"column translation b[{j}] fails on row {i}")
-                images.add(z)
-            if images != dst:
-                raise TranslationNotFound(f"column translation b[{j}] is not onto in row {i}")
+                raise TranslationNotFound(f"{what}[{k}] is not onto in {across} {pos}")
+
+
+def _translations(gs: GreenStructure, gamma: int, targets: List[Tuple[int, int]],
+                  products: Callable[[int], List[int]], identity: int,
+                  side: str) -> Tuple[List[int], List[int]]:
+    """Translation pairs from gamma's cell to each target (R-class, L-class) cell.
+
+    products(u)[c] is c*u for rows and u*c for columns.  Pair k is the first c
+    whose product with gamma lands in target k, then the first c' whose
+    product with that element is gamma again; pair 0 is the identity.
+    """
+    there, back = [identity], [identity]
+    from_gamma = products(gamma)
+    for k, (rid, lid) in enumerate(targets[1:], 1):
+        for c, z in enumerate(from_gamma):
+            if gs.rclass[z] == rid and gs.lclass[z] == lid:
+                from_z = products(z)
+                if gamma in from_z:
+                    there.append(c)
+                    back.append(from_z.index(gamma))
+                    break
+        else:
+            raise TranslationNotFound(f"no {side} translation for {side} {k}")
+    return there, back
 
 
 def build_eggbox(M: FiniteMonoid, gs: GreenStructure, d: int) -> EggBox:
@@ -145,15 +160,11 @@ def build_eggbox(M: FiniteMonoid, gs: GreenStructure, d: int) -> EggBox:
     members = gs.dclasses[d]
     gamma = members[0]
     T = M.table
-    n = M.size
 
-    rows = sorted({gs.rclass[x] for x in members}, key=lambda rid: min(gs.rclasses[rid]))
-    cols = sorted({gs.lclass[x] for x in members}, key=lambda lid: min(gs.lclasses[lid]))
-    rg, cg = gs.rclass[gamma], gs.lclass[gamma]
-    rows.remove(rg)
-    rows.insert(0, rg)
-    cols.remove(cg)
-    cols.insert(0, cg)
+    # Class ids follow least members and gamma is the least member of its
+    # D-class, so sorting by id puts gamma's R- and L-class first.
+    rows = sorted({gs.rclass[x] for x in members})
+    cols = sorted({gs.lclass[x] for x in members})
     row_of = {rid: i for i, rid in enumerate(rows)}
     col_of = {lid: j for j, lid in enumerate(cols)}
 
@@ -166,62 +177,32 @@ def build_eggbox(M: FiniteMonoid, gs: GreenStructure, d: int) -> EggBox:
     if len(members) != len(rows) * len(cols) * hsize:
         raise GreenError("egg-box is not rectangular")
 
-    a = [M.identity] * len(rows)
-    abar = [M.identity] * len(rows)
-    for i in range(1, len(rows)):
-        found = False
-        for cand in range(n):
-            z = T[cand][gamma]
-            if gs.rclass[z] == rows[i] and gs.lclass[z] == cols[0]:
-                for back in range(n):
-                    if T[back][z] == gamma:
-                        a[i], abar[i] = cand, back
-                        found = True
-                        break
-            if found:
-                break
-        if not found:
-            raise TranslationNotFound(f"no row translation for row {i}")
+    a, abar = _translations(gs, gamma, [(rid, cols[0]) for rid in rows],
+                            lambda u: [row[u] for row in T], M.identity, "row")
+    b, bbar = _translations(gs, gamma, [(rows[0], lid) for lid in cols],
+                            lambda u: T[u], M.identity, "column")
 
-    b = [M.identity] * len(cols)
-    bbar = [M.identity] * len(cols)
-    for j in range(1, len(cols)):
-        found = False
-        for cand in range(n):
-            z = T[gamma][cand]
-            if gs.lclass[z] == cols[j] and gs.rclass[z] == rows[0]:
-                for back in range(n):
-                    if T[z][back] == gamma:
-                        b[j], bbar[j] = cand, back
-                        found = True
-                        break
-            if found:
-                break
-        if not found:
-            raise TranslationNotFound(f"no column translation for column {j}")
-
-    box = EggBox(M, gs, d, gamma, rows, cols, grid, a, abar, b, bbar, row_of, col_of)
-    _verify_translations(M, box)
-    return box
+    _verify_translations(grid, a, abar, lambda c, h: T[c][h], "row translation a", "column")
+    _verify_translations([list(col) for col in zip(*grid)], b, bbar, lambda c, h: T[h][c],
+                         "column translation b", "row")
+    return EggBox(M, gs, d, gamma, rows, cols, grid, a, abar, b, bbar, row_of, col_of)
 
 
 @dataclass
 class SchutzGroup:
     """Right translation group of the base H-class, as permutations of it.
 
-    ``perms[g]`` permutes positions of the sorted base class; ``section[g]`` is
-    a chosen monoid representative m with r_m = g; ``rm`` maps every m that
-    stabilizes H on the right to its group element; ``left_transfer`` maps every
-    m that stabilizes H on the left to the representative mbar with
-    m*gamma = gamma*mbar.
+    ``perms[g]`` permutes positions of the sorted base class; ``rm`` maps every
+    m that stabilizes H on the right to its group element; ``phiR[g]`` is
+    gamma*m for the chosen representative m of g (see ``schutzenberger``);
+    ``left_transfer`` maps every m that stabilizes H on the left to the
+    representative mbar with m*gamma = gamma*mbar.
     """
 
     hclass: List[int]
     perms: List[Tuple[int, ...]]
     mult: List[List[int]]
     identity: int
-    inv: List[int]
-    section: List[int]
     rm: Dict[int, int]
     left_transfer: Dict[int, int]
     phiR: List[int]
@@ -269,12 +250,6 @@ def schutzenberger(M: FiniteMonoid, box: EggBox, section: str = "least") -> Schu
     k = len(H)
     mult = [[pindex[tuple(p2[v] for v in p1)] for p2 in perms] for p1 in perms]
     identity = pindex[tuple(range(k))]
-    inv = [0] * len(perms)
-    for g1 in range(len(perms)):
-        for g2 in range(len(perms)):
-            if mult[g1][g2] == identity:
-                inv[g1] = g2
-                break
 
     phiR = [T[gamma][reps[g]] for g in range(len(perms))]
     if len(set(phiR)) != len(H):
@@ -288,7 +263,7 @@ def schutzenberger(M: FiniteMonoid, box: EggBox, section: str = "least") -> Schu
             g = phiR_inv[T[m][gamma]]
             left_transfer[m] = reps[g]
 
-    return SchutzGroup(H, perms, mult, identity, inv, reps, rm, left_transfer, phiR, phiR_inv)
+    return SchutzGroup(H, perms, mult, identity, rm, left_transfer, phiR, phiR_inv)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from . import cellbasis, verify as verify_mod
 from .cellbasis import CellDatum, GroupDatumAttachment, table_mult
 from .exactalg import FieldSpec, Scalar
 from .green import SchutzGroup
-from .monoid import CellmonoidError, FiniteMonoid, _dump_json, _load_json_object
+from .monoid import CellmonoidError, FiniteMonoid, _dump_json, _is_int, _load_json_object
 
 
 class GroupCellError(CellmonoidError):
@@ -39,18 +39,15 @@ class GroupTable:
     size: int
     identity: int
     table: List[List[int]]
-    inv: List[int]
-    labels: List[str]
 
 
-TRIVIAL_GROUP = GroupTable(1, 0, [[0]], [0], ["e"])
+TRIVIAL_GROUP = GroupTable(1, 0, [[0]])
 
 
 def as_group_table(g: Union[GroupTable, SchutzGroup]) -> GroupTable:
     if isinstance(g, GroupTable):
         return g
-    labels = [f"g{i}" for i in range(g.order)]
-    return GroupTable(g.order, g.identity, [list(r) for r in g.mult], list(g.inv), labels)
+    return GroupTable(g.order, g.identity, [list(r) for r in g.mult])
 
 
 def _group_datum(gt: GroupTable, field: FieldSpec, nodes, gt_pairs, lsets, rsets, basis) -> CellDatum:
@@ -58,6 +55,7 @@ def _group_datum(gt: GroupTable, field: FieldSpec, nodes, gt_pairs, lsets, rsets
     blocks = [(tuple(range(gt.size)), keys)]
     datum = CellDatum(field, gt.size, table_mult(gt.table, field),
                       nodes, gt_pairs, lsets, rsets, basis, blocks)
+    datum.carrier_group = gt
     return datum
 
 
@@ -85,9 +83,7 @@ def symmetric_group_table(n: int) -> Tuple[GroupTable, List[Perm]]:
     perms = [tuple(p) for p in itertools.permutations(range(n))]
     index = {p: i for i, p in enumerate(perms)}
     table = [[index[_pcompose(p, q)] for q in perms] for p in perms]
-    inv = [index[_pinv(p)] for p in perms]
-    labels = ["[" + ",".join(str(v + 1) for v in p) + "]" for p in perms]
-    return GroupTable(len(perms), index[tuple(range(n))], table, inv, labels), perms
+    return GroupTable(len(perms), index[tuple(range(n))], table), perms
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +224,7 @@ def murphy_datum(n: int, field: FieldSpec, cap: int = MURPHY_CAP) -> CellDatum:
                     g = _pcompose(_pcompose(d_inv[si], w), d_of[ti])
                     vec[pindex[g]] = one  # stabilizer cosets never collide
                 basis[(ni, si, ti)] = vec
-    datum = _group_datum(gt, field, nodes, gt_pairs, lsets, rsets, basis)
-    datum.carrier_group = gt
-    return datum
+    return _group_datum(gt, field, nodes, gt_pairs, lsets, rsets, basis)
 
 
 def trivial_group_datum(field: FieldSpec, group: Optional[GroupTable] = None) -> CellDatum:
@@ -238,10 +232,8 @@ def trivial_group_datum(field: FieldSpec, group: Optional[GroupTable] = None) ->
     gt = group if group is not None else TRIVIAL_GROUP
     if gt.size != 1:
         raise GroupCellError("trivial datum needs a one-element group")
-    datum = _group_datum(gt, field, ["*"], [], [["1"]], [["1"]],
-                         {(0, 0, 0): {gt.identity: field.one()}})
-    datum.carrier_group = gt
-    return datum
+    return _group_datum(gt, field, ["*"], [], [["1"]], [["1"]],
+                        {(0, 0, 0): {gt.identity: field.one()}})
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +286,7 @@ def load_custom_datum(path, group: Union[GroupTable, SchutzGroup], field: FieldS
                for p in data["poset"]):
         raise ValueError("poset must list [higher, lower] pairs of declared nodes")
     gt_pairs = [(at[str(hi)], at[str(lo)]) for hi, lo in data["poset"]]
-    if not all(isinstance(v, int) for k in ("L", "R") for v in data[k].values()):
+    if not all(_is_int(v) for k in ("L", "R") for v in data[k].values()):
         raise ValueError("L/R sizes must be integers")
     lsizes = {str(k): v for k, v in data["L"].items()}
     rsizes = {str(k): v for k, v in data["R"].items()}
@@ -304,10 +296,16 @@ def load_custom_datum(path, group: Union[GroupTable, SchutzGroup], field: FieldS
     rsets = [[str(i) for i in range(rsizes[lab])] for lab in node_labels]
     basis: Dict[Tuple[int, int, int], Dict[int, Scalar]] = {}
     for key, terms in data["basis"].items():
-        lab, s, t = key.rsplit("/", 2)
-        if lab not in at or not isinstance(terms, list) or not all(
-                isinstance(u, list) and len(u) == 2 and isinstance(u[0], int) for u in terms):
-            raise ValueError(f"basis entry {key!r} is not 'node/s/t': [[g, c], ...]")
+        parts = key.rsplit("/", 2)
+        try:
+            vkey = (at[parts[0]], int(parts[1]), int(parts[2]))
+        except (KeyError, IndexError, ValueError):
+            raise ValueError(f"basis key {key!r} is not 'node/s/t' with a declared node") from None
+        if vkey in basis:
+            raise ValueError(f"basis key {key!r} names the same vector as an earlier key")
+        if not isinstance(terms, list) or not all(
+                isinstance(u, list) and len(u) == 2 and _is_int(u[0]) for u in terms):
+            raise ValueError(f"basis entry {key!r} is not a list of [g, c] pairs")
         vec: Dict[int, Scalar] = {}
         for g, cs in terms:
             if not (0 <= g < gt.size):
@@ -315,9 +313,8 @@ def load_custom_datum(path, group: Union[GroupTable, SchutzGroup], field: FieldS
             c = field.parse_scalar(str(cs))
             if not field.is_zero(c):
                 vec[g] = c
-        basis[(at[lab], int(s), int(t))] = vec
+        basis[vkey] = vec
     datum = _group_datum(gt, field, node_labels, gt_pairs, lsets, rsets, basis)
-    datum.carrier_group = gt
     report = verify_mod.verify_cell_axioms(datum.mult, datum, mode="full")
     if not report.ok:
         raise AxiomViolation(report.witness)

@@ -8,6 +8,7 @@ kernel/domain partition.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -41,6 +42,12 @@ class SizeCapExceeded(MonoidError):
     pass
 
 
+def _is_int(v) -> bool:
+    """An integer from input, refusing booleans (JSON true/false load as bool,
+    a subclass of int)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass
 class FiniteMonoid:
     """Identity-bearing Cayley table with element labels.  Treated as immutable."""
@@ -72,7 +79,7 @@ def from_cayley_table(size: int, identity: int, table: Sequence[Sequence[int]],
     and family constructors skip this because composition of maps/diagrams is
     associative by construction.
     """
-    if not isinstance(size, int) or not isinstance(identity, int):
+    if not _is_int(size) or not _is_int(identity):
         raise ValueError("size and identity must be integers")
     if size < 1:
         raise ValueError("size must be at least 1")
@@ -86,7 +93,7 @@ def from_cayley_table(size: int, identity: int, table: Sequence[Sequence[int]],
     tab = [list(row) for row in table]
     for row in tab:
         for v in row:
-            if not isinstance(v, int) or not (0 <= v < size):
+            if not _is_int(v) or not (0 <= v < size):
                 raise ValueError(f"table entry {v!r} out of range")
     for x in range(size):
         if tab[identity][x] != x or tab[x][identity] != x:
@@ -198,32 +205,6 @@ def _family_size(kind: str, n: int) -> int:
     raise ValueError(f"unknown family {kind!r}")
 
 
-def _enumerate_pmaps(n: int, total_only: bool, injective_only: bool) -> List[PMap]:
-    # lexicographic over per-point options, defined values before None
-    options: List[Optional[int]] = list(range(n))
-    if not total_only:
-        options.append(None)
-    out: List[PMap] = []
-
-    def rec(prefix: List[Optional[int]]):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for v in options:
-            if injective_only and v is not None and v in prefix:
-                continue
-            prefix.append(v)
-            rec(prefix)
-            prefix.pop()
-
-    rec([])
-    return out
-
-
-def _identity_first(elems: List[PMap], ident: PMap) -> List[PMap]:
-    return [ident] + [m for m in elems if m != ident]
-
-
 # Temperley-Lieb style diagrams on 2n points: a planar perfect matching of the
 # points 1..n (top) and 1'..n' (bottom).  Canonical form: sorted pairs over
 # point ids 0..n-1 (top) and n..2n-1 (bottom).
@@ -330,14 +311,14 @@ def family(kind: str, n: int, cap: int = DEFAULT_SIZE_CAP) -> Tuple[FiniteMonoid
         raise SizeCapExceeded(f"family {kind}({n}) has {size} elements, over the cap {cap}")
     if kind == "jones":
         return _jones_family(n)
+    # identity first, then lexicographic with undefined after every point
+    values: List[Optional[int]] = list(range(n)) + ([] if kind == "tfull" else [None])
+    elems: List[PMap] = list(itertools.product(values, repeat=n))
+    if kind == "syminv":
+        elems = [m for m in elems if len({v for v in m if v is not None}) == n - m.count(None)]
     ident: PMap = tuple(range(n))
-    if kind == "tfull":
-        elems = _enumerate_pmaps(n, total_only=True, injective_only=False)
-    elif kind == "tpartial":
-        elems = _enumerate_pmaps(n, total_only=False, injective_only=False)
-    else:
-        elems = _enumerate_pmaps(n, total_only=False, injective_only=True)
-    return _monoid_from_maps(n, _identity_first(elems, ident)), None
+    elems.remove(ident)
+    return _monoid_from_maps(n, [ident] + elems), None
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +427,7 @@ def load_loop_table(path) -> LoopTable:
     loops = _load_json_object(path, "loops")["loops"]
     if not isinstance(loops, list) or any(not isinstance(row, list) for row in loops):
         raise ValueError("loop table must be a list of rows")
-    if any(not isinstance(v, int) or v < 0 for row in loops for v in row):
+    if any(not _is_int(v) or v < 0 for row in loops for v in row):
         raise ValueError("loop counts must be non-negative integers")
     if any(len(row) != len(loops) for row in loops):
         raise ValueError("loop table must be square")

@@ -1,15 +1,15 @@
 """One-call builders wiring a monoid through Green data and group data to an
-assembled cell datum (optionally twisted)."""
+assembled cell datum."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from . import green as green_mod, groupcell, twist as twist_mod
+from . import green as green_mod, groupcell
 from .cellbasis import CellDatum, build_cell_datum
-from .exactalg import FieldSpec, Scalar
+from .exactalg import FieldSpec
 from .green import EggBox, GreenStructure, SchutzGroup
-from .monoid import FiniteMonoid, LoopTable
+from .monoid import FiniteMonoid
 
 
 def green_data(M: FiniteMonoid, section: str = "least"
@@ -28,14 +28,3 @@ def standard_datum(M: FiniteMonoid, field: FieldSpec,
     group_data = groupcell.standard_group_data(M, gs, boxes, schutzs, field, custom=custom)
     return build_cell_datum(M, gs, boxes, schutzs, group_data, field)
 
-
-def twisted_datum(M: FiniteMonoid, pi: twist_mod.Twisting, field: FieldSpec,
-                  custom: Optional[Dict[int, CellDatum]] = None) -> CellDatum:
-    base = standard_datum(M, field, custom=custom)
-    return twist_mod.build_twisted_cell_datum(base, pi)
-
-
-def loop_twisted_datum(M: FiniteMonoid, loops: LoopTable, delta: Scalar,
-                       field: FieldSpec) -> CellDatum:
-    pi = twist_mod.make_loop_twisting(loops, delta, field)
-    return twisted_datum(M, pi, field)

@@ -200,6 +200,9 @@ INPUT_FAULTS = {
         "twist", "--cayley", _json_file(p / "c.json", T2_TABLE),
         "--twist-file", _json_file(p / "pi.json", {"values": 3})],
     "cayley_is_a_directory": lambda p: ["analyze", "--cayley", str(p)],
+    "cayley_booleans": lambda p: [
+        "analyze", "--cayley", _json_file(p / "c.json", {
+            "size": 2, "identity": False, "table": [[False, True], [True, True]]})],
 }
 
 

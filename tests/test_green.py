@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import cellmonoid as cm
 from cellmonoid.green import GreenError
@@ -8,6 +9,58 @@ from conftest import (check_action_formulas, check_class_preservation,
                       check_matched_representative_independence)
 
 SMALL_KEYS = ("trivial", "null3", "tfull2", "tfull3", "tpartial2", "syminv2", "jones3")
+
+
+def _ideal_route(M):
+    """D-classes as elements with equal two-sided ideals MxM, ids by least
+    member; returns (dclass, dclasses, dideals, dless)."""
+    T = M.table
+    n = M.size
+    ideals = [frozenset(T[z][w] for z in {T[m][x] for m in range(n)} for w in range(n))
+              for x in range(n)]
+    dclass, dclasses, first = [], [], {}
+    for x, ideal in enumerate(ideals):
+        if ideal not in first:
+            first[ideal] = len(dclasses)
+            dclasses.append([])
+        dclass.append(first[ideal])
+        dclasses[first[ideal]].append(x)
+    dideals = [ideals[members[0]] for members in dclasses]
+    k = len(dclasses)
+    dless = frozenset((a, b) for a in range(k) for b in range(k)
+                      if a != b and dideals[a] <= dideals[b])
+    return dclass, dclasses, dideals, dless
+
+
+def _assert_ideal_route(M):
+    gs = cm.compute_green(M)
+    assert (gs.dclass, gs.dclasses, gs.dideals, gs.dless) == _ideal_route(M)
+    return gs
+
+
+@pytest.mark.parametrize("key", SMALL_KEYS + ("tpartial3", "syminv3", "jones4"))
+def test_dclasses_match_two_sided_ideals(store, key):
+    _assert_ideal_route(store.monoid(key)[0])
+
+
+@pytest.mark.parametrize("key", ["tfull3", "jones4"])
+@settings(max_examples=15, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_dclasses_match_two_sided_ideals_relabeled(store, key, data):
+    M, _ = store.monoid(key)
+    sigma = data.draw(st.permutations(range(M.size)))
+    assume(sigma[M.identity] != 0)
+    table = [[0] * M.size for _ in range(M.size)]
+    for x in range(M.size):
+        for y in range(M.size):
+            table[sigma[x]][sigma[y]] = sigma[M.table[x][y]]
+    R = cm.from_cayley_table(M.size, sigma[M.identity], table)
+    gs = _assert_ideal_route(R)
+    for d, members in enumerate(gs.dclasses):
+        box = cm.build_eggbox(R, gs, d)
+        assert box.gamma == members[0]
+        assert box.rows[0] == gs.rclass[box.gamma] and box.cols[0] == gs.lclass[box.gamma]
 
 
 def test_green_t2(store):

@@ -142,7 +142,13 @@ CUSTOM_DATUM_FAULTS = {
     "basis_term_not_a_pair": lambda data: data["basis"].update({"(2)/0/0": [[0]]}),
     "basis_index_not_an_int": lambda data: data["basis"].update({"(2)/0/0": [["0", "1"]]}),
     "basis_unknown_node": lambda data: data["basis"].update({"(3)/0/0": [[0, "1"]]}),
+    "basis_index_is_a_boolean": lambda data: data["basis"].update(
+        {"(2)/0/0": [[False, "1"], [True, "1"]]}),
+    "basis_alias_key": lambda data: data["basis"].update({"(2)/00/0": data["basis"]["(2)/0/0"]}),
+    "basis_key_malformed": lambda data: data["basis"].update({"(2)/0": [[0, "1"]]}),
 }
+# faults whose message must name the offending basis key
+NAMED_KEYS = {"basis_alias_key": "(2)/00/0", "basis_key_malformed": "(2)/0"}
 
 
 @pytest.mark.parametrize("fault", sorted(CUSTOM_DATUM_FAULTS))
@@ -153,8 +159,9 @@ def test_custom_datum_wrong_types_raise_value_error(tmp_path, fault):
     data = json.loads(path.read_text())
     CUSTOM_DATUM_FAULTS[fault](data)
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         cm.load_custom_datum(path, d.carrier_group, RATIONALS)
+    assert fault not in NAMED_KEYS or repr(NAMED_KEYS[fault]) in str(err.value)
 
 
 def test_find_symmetric_iso(store):

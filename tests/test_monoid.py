@@ -26,6 +26,8 @@ def test_from_cayley_table_rejects_bad_tables():
         cm.from_cayley_table(2, 0, [[0, 0], [1, 1]])
     with pytest.raises(ValueError):
         cm.from_cayley_table(2, 0, [[0, 5], [1, 1]])
+    with pytest.raises(ValueError):
+        cm.from_cayley_table(2, False, [[False, True], [True, False]])
 
 
 def test_generate_from_maps_oracles():
@@ -41,6 +43,19 @@ def test_generate_from_maps_oracles():
         cm.generate_from_maps(2, [[3, 1]])
 
 
+def _reference_map_labels(kind, n):
+    """Labels of the map families by counting in base n (total) or n + 1, the
+    digit n standing for an undefined point: identity first, then
+    lexicographic with "-" last."""
+    base = n if kind == "tfull" else n + 1
+    maps = [[k // base ** (n - 1 - p) % base for p in range(n)] for k in range(base ** n)]
+    if kind == "syminv":
+        maps = [m for m in maps if all(m.count(v) == 1 for v in m if v < n)]
+    maps.remove(list(range(n)))
+    maps.insert(0, list(range(n)))
+    return ["[" + ",".join("-" if v == n else str(v + 1) for v in m) + "]" for m in maps]
+
+
 def test_family_sizes():
     assert cm.family("syminv", 2)[0].size == 7
     assert cm.family("jones", 3)[0].size == 5
@@ -51,6 +66,8 @@ def test_family_sizes():
         assert cm.family("syminv", n)[0].size == sum(
             math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
         assert cm.family("jones", n)[0].size == math.comb(2 * n, n) // (n + 1)
+        for kind in ("tfull", "tpartial", "syminv"):
+            assert cm.family(kind, n)[0].labels == _reference_map_labels(kind, n)
     with pytest.raises(SizeCapExceeded):
         cm.family("tfull", 6)
     with pytest.raises(ValueError):
@@ -160,9 +177,9 @@ def test_loop_json_round_trip(tmp_path):
     assert loops2.loops == loops.loops
 
 
-@pytest.mark.parametrize("loops", [5, [1, 2], [["0"]], [[0.5]], [[-1]]],
+@pytest.mark.parametrize("loops", [5, [1, 2], [["0"]], [[0.5]], [[-1]], [[True]]],
                          ids=["not_a_list", "row_not_a_list", "string_entry",
-                              "float_entry", "negative_entry"])
+                              "float_entry", "negative_entry", "boolean_entry"])
 def test_loop_table_wrong_types_raise_value_error(tmp_path, loops):
     path = tmp_path / "l.json"
     path.write_text(json.dumps({"loops": loops}))
