@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import cellbasis, monoid as monoid_mod, pipeline, twist as twist_mod, verify as verify_mod
 from .exactalg import FieldSpec
-from .monoid import CellmonoidError, FiniteMonoid, LoopTable, MonoidError
+from .monoid import CellmonoidError, FiniteMonoid, LoopTable
 
 FAMILIES = ("tfull", "tpartial", "syminv", "jones")
 
@@ -84,6 +84,8 @@ def _config_from_args(args) -> RunConfig:
         raise UsageError("exactly one monoid source: --family with --n, or --cayley")
     if args.family is not None and args.n is None:
         raise UsageError("--family needs --n")
+    if args.family is None and args.n is not None:
+        raise UsageError("--n needs --family")
     try:
         field = FieldSpec.parse(args.field)
     except ValueError as exc:
@@ -105,10 +107,7 @@ def _config_from_args(args) -> RunConfig:
 def _build_monoid(cfg: RunConfig) -> Tuple[FiniteMonoid, Optional[LoopTable]]:
     if cfg.family is not None:
         return monoid_mod.family(cfg.family, cfg.n, cap=cfg.cap)
-    M = monoid_mod.load_cayley_json(cfg.cayley)
-    if M.size > cfg.cap:
-        raise MonoidError(f"table has {M.size} elements, over the cap {cfg.cap}")
-    return M, None
+    return monoid_mod.load_cayley_json(cfg.cayley, cap=cfg.cap), None
 
 
 def _build_twisting(cfg: RunConfig, M: FiniteMonoid,

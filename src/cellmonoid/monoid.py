@@ -4,13 +4,18 @@ Composition convention, fixed globally: maps act on the right of points, so the
 product ``x*y`` means "apply x, then y".  For transformation families this makes
 L-equivalence correspond to equal image and R-equivalence to equal
 kernel/domain partition.
+
+Tables are never built by composing every pair of elements.  Each constructor
+fixes its element order (identity first), composes each generator with each
+element once, and fills the table row by row along the left Cayley graph:
+row g*x is row x read through the row of g (see _left_walk).  Jones loop
+tables follow the same walk through the loop cocycle rule.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -135,18 +140,58 @@ def _map_label(m: PMap) -> str:
     return "[" + ",".join("-" if v is None else str(v + 1) for v in m) + "]"
 
 
-def _monoid_from_maps(r: int, elems: List[PMap]) -> FiniteMonoid:
+def _left_walk(size: int, gen_rows: Sequence[List[int]],
+               gen_loops: Optional[Sequence[List[int]]] = None
+               ) -> Tuple[List[List[int]], Optional[List[List[int]]]]:
+    """Cayley table from the left Cayley graph of a generating set.
+
+    The identity has index 0, and Lg = gen_rows[k] holds Lg[v] = index of
+    g_k * v.  Breadth first from the identity, an element x = g * x' first
+    reached from x' gets row x = [Lg[v] for v in row x'], because
+    (g x') y = g (x' y).  With gen_loops[k][v], the loops removed stacking g_k
+    on v, loop rows follow from the cocycle rule
+    L(g x', y) = L(x', y) + L(g, x' y) - L(g, x').  Every row is written at
+    its element's index; MonoidError when the generators miss an element.
+    """
+    table: List[Optional[List[int]]] = [None] * size
+    loops: Optional[List[Optional[List[int]]]] = None if gen_loops is None else [None] * size
+    table[0] = list(range(size))
+    if loops is not None:
+        loops[0] = [0] * size
+    reached = [0]
+    for x in reached:
+        row = table[x]
+        for k, Lg in enumerate(gen_rows):
+            z = Lg[x]
+            if table[z] is None:
+                table[z] = [Lg[v] for v in row]
+                if loops is not None:
+                    lg = gen_loops[k]
+                    c = lg[x]
+                    loops[z] = [a + lg[v] - c for a, v in zip(loops[x], row)]
+                reached.append(z)
+    if len(reached) != size:
+        raise MonoidError(f"generators reach {len(reached)} of {size} elements")
+    return table, loops
+
+
+def _monoid_from_maps(elems: List[PMap], gens: Sequence[PMap]) -> FiniteMonoid:
+    """The monoid on elems, in this order and identity first, from generators
+    that produce all of it."""
     index = {m: i for i, m in enumerate(elems)}
-    table = [[index[_compose_maps(x, y)] for y in elems] for x in elems]
-    labels = [_map_label(m) for m in elems]
-    return FiniteMonoid(len(elems), index[tuple(range(r))], table, labels)
+    gen_rows = [[index[_compose_maps(g, m)] for m in elems] for g in gens]
+    table, _ = _left_walk(len(elems), gen_rows)
+    return FiniteMonoid(len(elems), 0, table, [_map_label(m) for m in elems])
 
 
 def generate_from_maps(r: int, generators: Sequence[Sequence[Optional[int]]]) -> FiniteMonoid:
     """Closure of {identity} plus the given (partial) self-maps of {1..r}.
 
     Generators use 1-based point values, with None marking undefined points.
-    Element order is deterministic: identity first, then closure insertion order.
+    Element order is breadth first under right multiplication by the
+    generators: the identity, then the generators as given (repeats and the
+    identity skipped), then their products in the order first reached.  The
+    table is built from the left Cayley graph of the same generators.
     """
     if r < 1:
         raise ValueError("point count must be at least 1")
@@ -164,45 +209,69 @@ def generate_from_maps(r: int, generators: Sequence[Sequence[Optional[int]]]) ->
                 raise ValueError(f"generator value {v!r} outside 1..{r}")
         gens.append(tuple(conv))
 
-    ident: PMap = tuple(range(r))
-    elems: List[PMap] = [ident]
-    seen = {ident}
-    for g in gens:
-        if g not in seen:
-            elems.append(g)
-            seen.add(g)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(elems)
-        for x in snapshot:
-            for y in snapshot:
-                z = _compose_maps(x, y)
-                if z not in seen:
-                    elems.append(z)
-                    seen.add(z)
-                    changed = True
-    return _monoid_from_maps(r, elems)
+    elems: List[PMap] = [tuple(range(r))]
+    seen = set(elems)
+    for x in elems:
+        for g in gens:
+            z = _compose_maps(x, g)
+            if z not in seen:
+                seen.add(z)
+                elems.append(z)
+    return _monoid_from_maps(elems, gens)
 
 
 # ---------------------------------------------------------------------------
 # Built-in families.
 # ---------------------------------------------------------------------------
 
-def _catalan(n: int) -> int:
-    return math.comb(2 * n, n) // (n + 1)
+def _family_size(kind: str, n: int, cap: int) -> int:
+    """The size of kind(n) when it is at most cap, else some number above cap.
 
-
-def _family_size(kind: str, n: int) -> int:
-    if kind == "tfull":
-        return n ** n
-    if kind == "tpartial":
-        return (n + 1) ** n
-    if kind == "syminv":
-        return sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
-    if kind == "jones":
-        return _catalan(n)
+    Sizes are built up term by term and the count stops once it passes the
+    cap, so a huge n costs a few steps (n ** n alone would not).
+    """
+    if kind in ("tfull", "tpartial"):  # n ** n and (n + 1) ** n
+        base, size = (n if kind == "tfull" else n + 1), 1
+        for _ in range(n):
+            size *= base
+            if size > cap:
+                break
+        return size
+    if kind == "syminv":  # sum over ranks k of C(n, k)^2 k!
+        size, term = 0, 1
+        for k in range(n + 1):
+            size += term
+            if size > cap:
+                break
+            term = term * (n - k) ** 2 // (k + 1)
+        return size
+    if kind == "jones":  # the Catalan number C(2n, n) / (n + 1)
+        size = 1
+        for k in range(n):
+            size = size * 2 * (2 * k + 1) // (k + 2)
+            if size > cap:
+                break
+        return size
     raise ValueError(f"unknown family {kind!r}")
+
+
+# The maps (1 2) and (1 2 ... n) generate the symmetric group.  With a rank
+# n-1 idempotent they generate all total maps, with a partial identity of rank
+# n-1 all partial injections, and with both all partial maps.
+_MAP_GENERATORS = {"tfull": ("swap", "cycle", "collapse"),
+                   "syminv": ("swap", "cycle", "restrict"),
+                   "tpartial": ("swap", "cycle", "collapse", "restrict")}
+
+
+def _map_generators(kind: str, n: int) -> List[PMap]:
+    """The family's generators as maps, without the identity or repeats."""
+    ident: PMap = tuple(range(n))
+    maps = {"swap": ident[1::-1] + ident[2:],
+            "cycle": ident[1:] + ident[:1],
+            "collapse": tuple(0 if p == 1 else p for p in ident),
+            "restrict": (None,) + ident[1:]}
+    gens = [maps[name] for name in _MAP_GENERATORS[kind]]
+    return [g for g in dict.fromkeys(gens) if g != ident]
 
 
 # Temperley-Lieb style diagrams on 2n points: a planar perfect matching of the
@@ -285,16 +354,18 @@ def _jones_family(n: int) -> Tuple[FiniteMonoid, LoopTable]:
     ident = _canon_pairs((i, n + i) for i in range(n))
     diagrams = [ident] + [d for d in diagrams if d != ident]
     index = {d: i for i, d in enumerate(diagrams)}
-    size = len(diagrams)
-    table = [[0] * size for _ in range(size)]
-    loops = [[0] * size for _ in range(size)]
-    for i, x in enumerate(diagrams):
-        for j, y in enumerate(diagrams):
-            z, nl = _compose_diagrams(n, x, y)
-            table[i][j] = index[z]  # planar diagrams are closed under stacking
-            loops[i][j] = nl
+    # e_i joins top points i, i+1 and bottom points i, i+1; e_1 ... e_{n-1}
+    # generate the planar diagrams
+    gen_rows, gen_loops = [], []
+    for i in range(n - 1):
+        e = _canon_pairs([(i, i + 1), (n + i, n + i + 1)]
+                         + [(j, n + j) for j in range(n) if j not in (i, i + 1)])
+        products = [_compose_diagrams(n, e, d) for d in diagrams]
+        gen_rows.append([index[z] for z, _ in products])
+        gen_loops.append([nl for _, nl in products])
+    table, loops = _left_walk(len(diagrams), gen_rows, gen_loops)
     labels = [_diagram_label(n, d) for d in diagrams]
-    return FiniteMonoid(size, 0, table, labels), LoopTable(loops)
+    return FiniteMonoid(len(diagrams), 0, table, labels), LoopTable(loops)
 
 
 def family(kind: str, n: int, cap: int = DEFAULT_SIZE_CAP) -> Tuple[FiniteMonoid, Optional[LoopTable]]:
@@ -303,22 +374,28 @@ def family(kind: str, n: int, cap: int = DEFAULT_SIZE_CAP) -> Tuple[FiniteMonoid
     kind: "tfull" (all total maps on n points), "tpartial" (all partial maps),
     "syminv" (all partial injections), "jones" (planar diagrams under stacking;
     also returns the table of loops removed per composition).
+
+    Element order: the identity first.  Maps then follow in lexicographic
+    order of their images, an undefined point after every point; diagrams in
+    the order of _planar_diagrams.  The table is built row by row from the
+    left Cayley graph of a few fixed generators (_MAP_GENERATORS, or e_1 ...
+    e_{n-1} for jones), one composition per generator and element.
+    SizeCapExceeded, without computing the exact size, when the family has
+    more than cap elements.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    size = _family_size(kind, n)
-    if size > cap:
-        raise SizeCapExceeded(f"family {kind}({n}) has {size} elements, over the cap {cap}")
+    if _family_size(kind, n, cap) > cap:
+        raise SizeCapExceeded(f"family {kind}({n}) has more elements than the cap {cap}")
     if kind == "jones":
         return _jones_family(n)
-    # identity first, then lexicographic with undefined after every point
     values: List[Optional[int]] = list(range(n)) + ([] if kind == "tfull" else [None])
     elems: List[PMap] = list(itertools.product(values, repeat=n))
     if kind == "syminv":
         elems = [m for m in elems if len({v for v in m if v is not None}) == n - m.count(None)]
     ident: PMap = tuple(range(n))
     elems.remove(ident)
-    return _monoid_from_maps(n, [ident] + elems), None
+    return _monoid_from_maps([ident] + elems, _map_generators(kind, n)), None
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +491,15 @@ def save_cayley_json(M: FiniteMonoid, path) -> None:
     _dump_json({"size": M.size, "identity": M.identity, "table": M.table, "labels": M.labels}, path)
 
 
-def load_cayley_json(path) -> FiniteMonoid:
+def load_cayley_json(path, cap: Optional[int] = None) -> FiniteMonoid:
+    """The validated table in a file.  With a cap, SizeCapExceeded before any
+    validation when the declared size or the row count is over it."""
     data = _load_json_object(path, "size", "identity", "table")
-    return from_cayley_table(data["size"], data["identity"], data["table"], data.get("labels"))
+    size, table = data["size"], data["table"]
+    if cap is not None and ((_is_int(size) and size > cap)
+                            or (isinstance(table, list) and len(table) > cap)):
+        raise SizeCapExceeded(f"table has more elements than the cap {cap}")
+    return from_cayley_table(size, data["identity"], table, data.get("labels"))
 
 
 def save_loop_table(L: LoopTable, path) -> None:

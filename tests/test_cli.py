@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -203,6 +204,11 @@ INPUT_FAULTS = {
     "cayley_booleans": lambda p: [
         "analyze", "--cayley", _json_file(p / "c.json", {
             "size": 2, "identity": False, "table": [[False, True], [True, True]]})],
+    "n_without_family": lambda p: [
+        "verify", "--cayley", _json_file(p / "c.json", T2_TABLE), "--n", "7"],
+    "over_cap_tfull_2000": lambda p: ["analyze", "--family", "tfull", "--n", "2000"],
+    "over_cap_tfull_1e9": lambda p: ["analyze", "--family", "tfull", "--n", str(10 ** 9)],
+    "over_cap_jones_3000": lambda p: ["analyze", "--family", "jones", "--n", "3000"],
 }
 
 
@@ -211,3 +217,20 @@ def test_input_fault_exits_1_with_one_line(fault, tmp_path, capsys):
     assert main(INPUT_FAULTS[fault](tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("fault", sorted(f for f in INPUT_FAULTS if f.startswith("over_cap")))
+def test_over_cap_family_is_refused_at_once(fault, tmp_path, capsys):
+    start = time.perf_counter()
+    assert main(INPUT_FAULTS[fault](tmp_path)) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "cap 5000" in err and len(err) < 200, err
+
+
+def test_cap_applies_before_table_validation(tmp_path, capsys):
+    # not associative, so validating it first would end in NotAssociative
+    bad = {"size": 3, "identity": 0, "table": [[0, 1, 2], [1, 2, 2], [2, 2, 1]]}
+    assert main(["analyze", "--cayley", _json_file(tmp_path / "c.json", bad), "--cap", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: table has more elements than the cap 2\n"

@@ -1,11 +1,15 @@
+import itertools
 import json
 import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cellmonoid as cm
 from cellmonoid.monoid import (BadIdentity, NotAssociative, SizeCapExceeded,
-                               _compose_diagrams, generating_set)
+                               _compose_diagrams, _compose_maps, _left_walk,
+                               generating_set)
 
 from conftest import build_monoid
 
@@ -74,6 +78,46 @@ def test_family_sizes():
         cm.family("tfull", 0)
 
 
+def _all_pairs_reference(kind, n, M):
+    """Table (and loop table) of a family by composing every pair of its
+    elements, recovered from the labels."""
+    if kind == "jones":
+        def point(s):
+            return int(s[:-1]) - 1 + n if s.endswith("'") else int(s) - 1
+        elems = [tuple(sorted(tuple(sorted((point(a), point(b))))
+                              for a, b in re.findall(r"\((\S+) (\S+)\)", label)))
+                 for label in M.labels]
+        products = [[_compose_diagrams(n, x, y) for y in elems] for x in elems]
+        index = {d: i for i, d in enumerate(elems)}
+        return ([[index[z] for z, _ in row] for row in products],
+                [[loops for _, loops in row] for row in products])
+    elems = [tuple(_as_map(M, x)) for x in range(M.size)]
+    index = {m: i for i, m in enumerate(elems)}
+    return [[index[_compose_maps(x, y)] for y in elems] for x in elems], None
+
+
+@pytest.mark.parametrize("kind,top", [("tfull", 4), ("tpartial", 4), ("syminv", 4), ("jones", 6)])
+def test_family_tables_match_all_pairs_composition(kind, top):
+    for n in range(1, top + 1):
+        M, loops = cm.family(kind, n)
+        table, ref_loops = _all_pairs_reference(kind, n, M)
+        assert M.identity == 0 and M.table == table, (kind, n)
+        assert (loops is None) == (ref_loops is None)
+        assert loops is None or loops.loops == ref_loops, (kind, n)
+
+
+def test_left_walk_follows_the_loop_cocycle_rule():
+    # On Jones monoids a generator that removes a loop never reaches a new
+    # element, so the L(g, x') term is 0 there.  A coboundary
+    # L(x, y) = f(x) + f(y) - f(xy) with f(1) = 0 is a cocycle where it is not.
+    M, _ = cm.family("tfull", 3)
+    f = [0] + [(7 * x) % 5 + 1 for x in range(1, M.size)]
+    L = [[f[x] + f[y] - f[M.table[x][y]] for y in range(M.size)] for x in range(M.size)]
+    gens = generating_set(M)
+    table, loops = _left_walk(M.size, [M.table[g] for g in gens], [L[g] for g in gens])
+    assert table == M.table and loops == L
+
+
 def test_family_tables_are_associative_monoids():
     # exhaustive associativity for families at small n, via the validator
     for fam in ("tfull", "tpartial", "syminv", "jones"):
@@ -138,6 +182,35 @@ def test_generating_set():
         gens = generating_set(M)
         assert _table_closure(M, gens) == set(range(M.size))
         assert expected is None or gens == expected
+
+
+def _closure(r, gens):
+    """Every composite of the generators, by repeated all-pairs composition."""
+    elems = {tuple(range(r))} | set(gens)
+    while True:
+        more = {_compose_maps(x, y) for x in elems for y in elems} - elems
+        if not more:
+            return elems
+        elems |= more
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_generate_from_maps_random_generators(data):
+    r = data.draw(st.integers(1, 3))
+    point = st.one_of(st.none(), st.integers(1, r))
+    gens = data.draw(st.lists(st.lists(point, min_size=r, max_size=r), max_size=3))
+    M = cm.generate_from_maps(r, gens)
+    maps = [tuple(_as_map(M, x)) for x in range(M.size)]
+    assert M.identity == 0 and maps[0] == tuple(range(r))
+    as_tuples = [tuple(None if v is None else v - 1 for v in g) for g in gens]
+    firsts = [g for g in dict.fromkeys(as_tuples) if g != maps[0]]
+    assert maps[1:1 + len(firsts)] == firsts
+    assert len(set(maps)) == M.size
+    assert set(maps) == _closure(r, as_tuples)
+    cm.from_cayley_table(M.size, M.identity, M.table, M.labels)
+    for x, y in itertools.product(range(M.size), repeat=2):
+        assert maps[M.table[x][y]] == _compose_maps(maps[x], maps[y])
 
 
 def _as_map(M, g):
