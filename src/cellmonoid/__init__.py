@@ -6,16 +6,15 @@ and per-class group data, then decides quasi-heredity and semisimplicity by
 exact Gram-matrix ranks, with independent cross-checks throughout.
 """
 
-from .exactalg import (DenseMatrix, FieldSpec, RATIONALS, Scalar, mat_nullspace,
-                       mat_rank, prime_field, solve_linear)
+from .exactalg import (DenseMatrix, FieldSpec, RATIONALS, Scalar, mat_nullspace, mat_rank,
+                       prime_field)
 from .monoid import (BadIdentity, CellmonoidError, FiniteMonoid, LoopTable, MonoidError,
                      NotAssociative, SizeCapExceeded, family, from_cayley_table,
                      generate_from_maps, generating_set, idempotents, is_inverse, is_regular,
                      load_cayley_json, load_loop_table, save_cayley_json, save_loop_table)
-from .green import (EggBox, GreenStructure, SchutzGroup, Within, bijection_condition,
-                    build_eggbox, compute_green, left_action, matched, right_action,
-                    schutzenberger)
-from .groupcell import (AxiomViolation, GroupTable, UnsupportedGroup, find_symmetric_iso,
+from .green import (EggBox, GreenStructure, SchutzGroup, bijection_condition, build_eggbox,
+                    compute_green, matched, schutzenberger)
+from .groupcell import (AxiomViolation, UnsupportedGroup, find_symmetric_iso,
                         load_custom_datum, murphy_datum, partitions, save_custom_datum,
                         standard_group_data, standard_tableaux, trivial_group_datum)
 from .cellbasis import (AnalysisReport, CellDatum, GramSummary, GroupDatumAttachment,

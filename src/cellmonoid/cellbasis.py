@@ -51,11 +51,9 @@ def _transitive_closure(n: int, pairs) -> FrozenSet[Tuple[int, int]]:
 @dataclass
 class GroupDatumAttachment:
     """A group-level cell datum together with its gluing onto one D-class:
-    iso maps abstract carrier elements onto Schutzenberger group elements.
-    group is the abstract carrier (an object with size/identity/table)."""
+    iso maps the datum's carrier elements onto Schutzenberger group elements."""
 
     datum: "CellDatum"
-    group: Any
     iso: List[int]
     kind: str
 
@@ -73,29 +71,29 @@ class MonoidAttachment:
     node_gnode: List[int]
     matched_g: List[Dict[Tuple[int, int], int]]
     group_summaries: List["GramSummary"]  # per D-class, of its group datum
-    iso_inv: Dict[int, Dict[int, int]]
     twist: Any = None  # set by the twisting layer
 
 
 class CellDatum:
     """Basis of an algebra labeled by (node, left index, right index) triples.
 
-    blocks partition both the carrier and the label set; within each block the
-    labeled vectors must form a basis of the span of the block's carrier
-    elements.  The exact inverse of each block is kept as sparse columns, one
-    per carrier element, so a coordinate lookup touches only the nonzero
-    terms of its vector.
+    The carrier is the algebra spanned by the elements of a Cayley table, with
+    its product in mult (see table_mult).  blocks partition both the carrier
+    and the label set; within each block the labeled vectors must form a basis
+    of the span of the block's carrier elements.  The exact inverse of each
+    block is kept as sparse columns, one per carrier element, so a coordinate
+    lookup touches only the nonzero terms of its vector.
     """
 
-    def __init__(self, field: FieldSpec, dim: int,
-                 mult: Callable[[SparseVec, SparseVec], SparseVec],
+    def __init__(self, field: FieldSpec, table: List[List[int]],
                  nodes: List, gt_pairs, lsets: List[List], rsets: List[List],
                  basis: Dict[Key, SparseVec],
                  blocks: List[Tuple[Tuple[int, ...], Tuple[Key, ...]]],
                  attach: Optional[MonoidAttachment] = None):
         self.field = field
-        self.dim = dim
-        self.mult = mult
+        self.table = table
+        self.dim = dim = len(table)
+        self.mult = table_mult(table, field)
         self.nodes = list(nodes)
         self.gt = _transitive_closure(len(self.nodes), gt_pairs)
         self.lsets = [list(s) for s in lsets]
@@ -158,11 +156,12 @@ class CellDatum:
     def unit(self, e: int) -> SparseVec:
         return {e: self.field.one()}
 
-    def with_mult(self, mult, attach) -> "CellDatum":
-        """Same labeled basis and solvers over a different carrier product."""
+    def twisted(self, weights: List[List[Scalar]], attach) -> "CellDatum":
+        """Same labeled basis and solvers over the table's product weighted
+        by weights."""
         clone = object.__new__(CellDatum)
         clone.__dict__.update(self.__dict__)
-        clone.mult = mult
+        clone.mult = table_mult(self.table, self.field, weights)
         clone.attach = attach
         return clone
 
@@ -238,7 +237,7 @@ def _check_iso(gd: GroupDatumAttachment, sch: SchutzGroup, d: int) -> None:
     size = gd.datum.dim
     if sorted(gd.iso) != list(range(sch.order)) or size != sch.order:
         raise GroupMismatch(f"D-class {d}: iso is not a bijection onto the translation group")
-    abs_table = gd.group.table
+    abs_table = gd.datum.table
     for x in range(size):
         for y in range(size):
             if gd.iso[abs_table[x][y]] != sch.mult[gd.iso[x]][gd.iso[y]]:
@@ -333,46 +332,31 @@ def build_cell_datum(M: FiniteMonoid, gs: GreenStructure, boxes: List[EggBox],
         matched_g.append(mm)
 
     group_summaries = [gram_summary(group_data[d].datum) for d in range(nd)]
-    iso_inv = {d: {g: ga for ga, g in enumerate(group_data[d].iso)} for d in range(nd)}
     attach = MonoidAttachment(M, gs, boxes, schutzs, group_data, node_dclass,
-                              node_gnode, matched_g, group_summaries, iso_inv)
-    return CellDatum(field, M.size, table_mult(M.table, field),
-                     nodes, gt_pairs, lsets, rsets, basis, blocks, attach)
+                              node_gnode, matched_g, group_summaries)
+    return CellDatum(field, M.table, nodes, gt_pairs, lsets, rsets, basis, blocks, attach)
 
 
 # ---------------------------------------------------------------------------
 # Brackets and Gram matrices.
 # ---------------------------------------------------------------------------
 
-def bracket_value(d: CellDatum, ni: int, rpos: int, cpos: int,
-                  refs: Tuple[int, int] = (0, 0)) -> Scalar:
+def bracket_value(d: CellDatum, ni: int, rpos: int, cpos: int, check: bool = False) -> Scalar:
     """Pairing of right index rpos against left index cpos at node ni.
 
-    The scalar is read off the product of the reference-labeled vectors: with
-    r = refs it is the coefficient of the (ni, r_l, r_t) basis vector in
-    X*Y where X carries labels (r_l, rpos) and Y carries (cpos, r_t).
+    The scalar is the coefficient of the (ni, 0, 0) basis vector in X*Y, where
+    X carries labels (0, rpos) and Y carries (cpos, 0).  With check, it is
+    recomputed with every reference pair (rl, rt) in place of (0, 0), and each
+    product must be pure: supported on (ni, rl, rt) and strictly higher nodes.
     """
-    rl, rt = refs
-    X = d.basis[(ni, rl, rpos)]
-    Y = d.basis[(ni, cpos, rt)]
-    coords = d.coordinates(d.mult(X, Y))
-    return coords.get((ni, rl, rt), d.field.zero())
-
-
-def _bracket_checked(d: CellDatum, ni: int, rpos: int, cpos: int) -> Scalar:
-    """Bracket recomputed for every reference choice, with purity asserted."""
     f = d.field
     value = None
-    for rl in range(len(d.lsets[ni])):
-        for rt in range(len(d.rsets[ni])):
-            X = d.basis[(ni, rl, rpos)]
-            Y = d.basis[(ni, cpos, rt)]
-            coords = d.coordinates(d.mult(X, Y))
+    for rl in range(len(d.lsets[ni])) if check else (0,):
+        for rt in range(len(d.rsets[ni])) if check else (0,):
+            coords = d.coordinates(d.mult(d.basis[(ni, rl, rpos)], d.basis[(ni, cpos, rt)]))
             v = coords.get((ni, rl, rt), f.zero())
-            for (nj, sj, tj), c in coords.items():
-                if nj in d.higher[ni]:
-                    continue
-                if nj != ni or (sj, tj) != (rl, rt):
+            for nj, sj, tj in coords if check else ():
+                if nj not in d.higher[ni] and (nj != ni or (sj, tj) != (rl, rt)):
                     raise CellBasisError(
                         f"product at node {d.node_label(ni)} has a stray coefficient at "
                         f"({d.node_label(nj)}, {sj}, {tj})")
@@ -388,12 +372,11 @@ def gram_definition(d: CellDatum, ni: int, check: bool = False) -> DenseMatrix:
     """Gram matrix from the defining products; rows are right indices
     (column, t) and columns are left indices (row, s)."""
     nr, nc = len(d.rsets[ni]), len(d.lsets[ni])
-    fn = _bracket_checked if check else bracket_value
-    entries = [[fn(d, ni, r, c) for c in range(nc)] for r in range(nr)]
+    entries = [[bracket_value(d, ni, r, c, check) for c in range(nc)] for r in range(nr)]
     return DenseMatrix(d.field, nr, nc, entries)
 
 
-def _left_action_matrix(gdat: CellDatum, gn: int, ga: int) -> List[List[Scalar]]:
+def _left_coefficients(gdat: CellDatum, gn: int, ga: int) -> List[List[Scalar]]:
     """Coefficients of g acting on left indices of group node gn, truncated to
     the node itself: out[s][s'] multiplies the s' label."""
     f = gdat.field
@@ -430,7 +413,7 @@ def gram_fast(d: CellDatum, ni: int) -> DenseMatrix:
     gdat = gd.datum
     ls, rs = len(gdat.lsets[gn]), len(gdat.rsets[gn])
     ggram = at.group_summaries[dcl].grams[gn]
-    inv_map = at.iso_inv[dcl]
+    inv_map = {g: ga for ga, g in enumerate(gd.iso)}
     act_cache: Dict[int, List[List[Scalar]]] = {}
 
     nrow, ncol = len(d.rsets[ni]), len(d.lsets[ni])
@@ -442,7 +425,7 @@ def gram_fast(d: CellDatum, ni: int) -> DenseMatrix:
                 continue
             ga = inv_map[g]
             if ga not in act_cache:
-                act_cache[ga] = _left_action_matrix(gdat, gn, ga)
+                act_cache[ga] = _left_coefficients(gdat, gn, ga)
             L = act_cache[ga]
             for t in range(rs):
                 grow = ggram.entries[t]

@@ -212,10 +212,10 @@ def run(cfg: RunConfig) -> int:
     if cfg.command != "verify":
         report = cellbasis.analyze(datum)
         analysis = report.to_dict()
-        ledger = verify_mod.cross_check(datum, report=report)
+        ledger = verify_mod.cross_check(datum, report)
     if cfg.verify_mode != "off":
         axioms = verify_mod.verify_cell_axioms(
-            datum.mult, datum, acting=_acting_set(cfg, M), mode=cfg.verify_mode).to_dict()
+            datum, acting=_acting_set(cfg, M), mode=cfg.verify_mode).to_dict()
     _emit(_payload(cfg, analysis=analysis, twisting=summary, axioms=axioms, cross=ledger), cfg)
     bad = (any(c["status"] == "fail" for c in ledger or ())
            or (axioms is not None and not axioms["ok"]))

@@ -4,8 +4,8 @@ Every computation in this package is exact: scalars are `fractions.Fraction`
 values over the rationals, or canonical residues (ints in ``[0, p)``) over a
 prime field.  Rank decisions therefore never depend on tolerances.  Ranks over
 the rationals are computed fraction-free on Python ints (Bareiss elimination);
-nullspaces, solves and inverses use reduced row echelon form, which is also
-the rank-nullity second route for those ranks.
+nullspaces and inverses use reduced row echelon form, which is also the
+rank-nullity second route for those ranks.
 """
 
 from __future__ import annotations
@@ -258,23 +258,6 @@ def mat_nullspace(m: DenseMatrix) -> List[List[Scalar]]:
             v[pc] = f.neg(rows[r][fc])
         basis.append(v)
     return basis
-
-
-def solve_linear(a: DenseMatrix, b: Sequence[Scalar]) -> Optional[List[Scalar]]:
-    """Some x with a x = b, or None when b is outside the column space."""
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length does not match row count")
-    f = a.field
-    rows = [list(r) + [bv] for r, bv in zip(a.entries, b)]
-    if a.rows == 0:
-        return [f.zero()] * a.cols
-    pivots = _rref(f, rows, a.cols + 1)
-    if pivots and pivots[-1] == a.cols:
-        return None
-    x = [f.zero()] * a.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][a.cols]
-    return x
 
 
 def mat_inverse(m: DenseMatrix) -> Optional[DenseMatrix]:

@@ -7,7 +7,7 @@ deterministic for a fixed Cayley table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .monoid import CellmonoidError, FiniteMonoid
@@ -100,8 +100,6 @@ class EggBox:
     abar: List[int]
     b: List[int]
     bbar: List[int]
-    row_of: Dict[int, int] = field(default_factory=dict)
-    col_of: Dict[int, int] = field(default_factory=dict)
 
     def cell(self, i: int, j: int) -> List[int]:
         if not (0 <= i < len(self.rows) and 0 <= j < len(self.cols)):
@@ -165,12 +163,12 @@ def build_eggbox(M: FiniteMonoid, gs: GreenStructure, d: int) -> EggBox:
     # D-class, so sorting by id puts gamma's R- and L-class first.
     rows = sorted({gs.rclass[x] for x in members})
     cols = sorted({gs.lclass[x] for x in members})
-    row_of = {rid: i for i, rid in enumerate(rows)}
-    col_of = {lid: j for j, lid in enumerate(cols)}
+    row_at = {rid: i for i, rid in enumerate(rows)}
+    col_at = {lid: j for j, lid in enumerate(cols)}
 
     grid = [[[] for _ in cols] for _ in rows]
     for x in sorted(members):
-        grid[row_of[gs.rclass[x]]][col_of[gs.lclass[x]]].append(x)
+        grid[row_at[gs.rclass[x]]][col_at[gs.lclass[x]]].append(x)
     hsize = len(grid[0][0])
     if any(len(cell) != hsize for row in grid for cell in row):
         raise GreenError("egg-box cells have unequal sizes")
@@ -185,7 +183,7 @@ def build_eggbox(M: FiniteMonoid, gs: GreenStructure, d: int) -> EggBox:
     _verify_translations(grid, a, abar, lambda c, h: T[c][h], "row translation a", "column")
     _verify_translations([list(col) for col in zip(*grid)], b, bbar, lambda c, h: T[h][c],
                          "column translation b", "row")
-    return EggBox(M, gs, d, gamma, rows, cols, grid, a, abar, b, bbar, row_of, col_of)
+    return EggBox(M, gs, d, gamma, rows, cols, grid, a, abar, b, bbar)
 
 
 @dataclass
@@ -194,9 +192,7 @@ class SchutzGroup:
 
     ``perms[g]`` permutes positions of the sorted base class; ``rm`` maps every
     m that stabilizes H on the right to its group element; ``phiR[g]`` is
-    gamma*m for the chosen representative m of g (see ``schutzenberger``);
-    ``left_transfer`` maps every m that stabilizes H on the left to the
-    representative mbar with m*gamma = gamma*mbar.
+    gamma*m for the chosen representative m of g (see ``schutzenberger``).
     """
 
     hclass: List[int]
@@ -204,9 +200,7 @@ class SchutzGroup:
     mult: List[List[int]]
     identity: int
     rm: Dict[int, int]
-    left_transfer: Dict[int, int]
     phiR: List[int]
-    phiR_inv: Dict[int, int]
 
     @property
     def order(self) -> int:
@@ -214,7 +208,7 @@ class SchutzGroup:
 
 
 def schutzenberger(M: FiniteMonoid, box: EggBox, section: str = "least") -> SchutzGroup:
-    """Scan all of M for right/left stabilizers of the base H-class.
+    """Scan all of M for right stabilizers of the base H-class.
 
     section: "least" picks the smallest representative of each permutation,
     "greatest" the largest; analysis results must not depend on this choice.
@@ -254,61 +248,7 @@ def schutzenberger(M: FiniteMonoid, box: EggBox, section: str = "least") -> Schu
     phiR = [T[gamma][reps[g]] for g in range(len(perms))]
     if len(set(phiR)) != len(H):
         raise GreenError("evaluation at the base element is not bijective")
-    phiR_inv = {h: g for g, h in enumerate(phiR)}
-
-    left_transfer: Dict[int, int] = {}
-    for m in range(M.size):
-        imgs = [T[m][h] for h in H]
-        if all(v in hset for v in imgs):
-            g = phiR_inv[T[m][gamma]]
-            left_transfer[m] = reps[g]
-
-    return SchutzGroup(H, perms, mult, identity, rm, left_transfer, phiR, phiR_inv)
-
-
-@dataclass(frozen=True)
-class Within:
-    """Action stayed inside the D-class: target row-or-column k, the conjugated
-    translation element mstar, and the induced group element g."""
-
-    k: int
-    mstar: int
-    g: int
-
-
-def right_action(box: EggBox, sch: SchutzGroup, i: int, j: int, m: int) -> Optional[Within]:
-    """Effect of right multiplication by m on cell (i, j); None when the
-    product falls out of the D-class (in which case the whole cell does)."""
-    cell = box.cell(i, j)
-    T = box.monoid.table
-    gs = box.green
-    z = T[cell[0]][m]
-    if gs.dclass[z] != box.d:
-        return None
-    if gs.rclass[z] != box.rows[i]:
-        raise GreenError("right action moved the row inside the D-class")
-    k = box.col_of[gs.lclass[z]]
-    mstar = T[T[box.b[j]][m]][box.bbar[k]]
-    if mstar not in sch.rm:
-        raise GreenError("conjugated element does not stabilize the base class")
-    return Within(k, mstar, sch.rm[mstar])
-
-
-def left_action(box: EggBox, sch: SchutzGroup, i: int, j: int, m: int) -> Optional[Within]:
-    """Dual of right_action; g is the group element of the transferred mstar."""
-    cell = box.cell(i, j)
-    T = box.monoid.table
-    gs = box.green
-    z = T[m][cell[0]]
-    if gs.dclass[z] != box.d:
-        return None
-    if gs.lclass[z] != box.cols[j]:
-        raise GreenError("left action moved the column inside the D-class")
-    k = box.row_of[gs.rclass[z]]
-    mstar = T[T[box.abar[k]][m]][box.a[i]]
-    if mstar not in sch.left_transfer:
-        raise GreenError("conjugated element does not stabilize the base class on the left")
-    return Within(k, mstar, sch.rm[sch.left_transfer[mstar]])
+    return SchutzGroup(H, perms, mult, identity, rm, phiR)
 
 
 def matched(box: EggBox, sch: SchutzGroup, i: int, j: int) -> Optional[int]:

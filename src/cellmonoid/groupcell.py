@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from . import cellbasis, verify as verify_mod
-from .cellbasis import CellDatum, GroupDatumAttachment, table_mult
+from .cellbasis import CellDatum, GroupDatumAttachment
 from .exactalg import FieldSpec, Scalar
 from .green import SchutzGroup
 from .monoid import CellmonoidError, FiniteMonoid, _dump_json, _is_int, _load_json_object
@@ -32,31 +31,11 @@ class AxiomViolation(GroupCellError):
         self.witness = witness
 
 
-@dataclass
-class GroupTable:
-    """A finite group on indices 0..size-1 with full multiplication table."""
-
-    size: int
-    identity: int
-    table: List[List[int]]
-
-
-TRIVIAL_GROUP = GroupTable(1, 0, [[0]])
-
-
-def as_group_table(g: Union[GroupTable, SchutzGroup]) -> GroupTable:
-    if isinstance(g, GroupTable):
-        return g
-    return GroupTable(g.order, g.identity, [list(r) for r in g.mult])
-
-
-def _group_datum(gt: GroupTable, field: FieldSpec, nodes, gt_pairs, lsets, rsets, basis) -> CellDatum:
-    keys = tuple(sorted(basis))
-    blocks = [(tuple(range(gt.size)), keys)]
-    datum = CellDatum(field, gt.size, table_mult(gt.table, field),
-                      nodes, gt_pairs, lsets, rsets, basis, blocks)
-    datum.carrier_group = gt
-    return datum
+def _group_datum(table: List[List[int]], field: FieldSpec, nodes, gt_pairs, lsets, rsets,
+                 basis) -> CellDatum:
+    """A datum on a group's Cayley table, with the whole group as one block."""
+    blocks = [(tuple(range(len(table))), tuple(sorted(basis)))]
+    return CellDatum(field, table, nodes, gt_pairs, lsets, rsets, basis, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +57,12 @@ def _pinv(p: Perm) -> Perm:
     return tuple(out)
 
 
-def symmetric_group_table(n: int) -> Tuple[GroupTable, List[Perm]]:
-    """All n! permutations in lexicographic order (identity first)."""
+def symmetric_group_table(n: int) -> Tuple[List[List[int]], List[Perm]]:
+    """Cayley table of all n! permutations in lexicographic order (identity
+    first), and the permutations."""
     perms = [tuple(p) for p in itertools.permutations(range(n))]
     index = {p: i for i, p in enumerate(perms)}
-    table = [[index[_pcompose(p, q)] for q in perms] for p in perms]
-    return GroupTable(len(perms), index[tuple(range(n))], table), perms
+    return [[index[_pcompose(p, q)] for q in perms] for p in perms], perms
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +178,7 @@ def murphy_datum(n: int, field: FieldSpec, cap: int = MURPHY_CAP) -> CellDatum:
     """
     if not (1 <= n <= cap):
         raise GroupCellError(f"point count {n} outside 1..{cap}")
-    gt, perms = symmetric_group_table(n)
+    table, perms = symmetric_group_table(n)
     pindex = {p: i for i, p in enumerate(perms)}
     one = field.one()
 
@@ -224,16 +203,12 @@ def murphy_datum(n: int, field: FieldSpec, cap: int = MURPHY_CAP) -> CellDatum:
                     g = _pcompose(_pcompose(d_inv[si], w), d_of[ti])
                     vec[pindex[g]] = one  # stabilizer cosets never collide
                 basis[(ni, si, ti)] = vec
-    return _group_datum(gt, field, nodes, gt_pairs, lsets, rsets, basis)
+    return _group_datum(table, field, nodes, gt_pairs, lsets, rsets, basis)
 
 
-def trivial_group_datum(field: FieldSpec, group: Optional[GroupTable] = None) -> CellDatum:
+def trivial_group_datum(field: FieldSpec) -> CellDatum:
     """Single node, single index pair, basis = the identity element."""
-    gt = group if group is not None else TRIVIAL_GROUP
-    if gt.size != 1:
-        raise GroupCellError("trivial datum needs a one-element group")
-    return _group_datum(gt, field, ["*"], [], [["1"]], [["1"]],
-                        {(0, 0, 0): {gt.identity: field.one()}})
+    return _group_datum([[0]], field, ["*"], [], [["1"]], [["1"]], {(0, 0, 0): {0: field.one()}})
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +242,13 @@ def save_custom_datum(d: CellDatum, path) -> None:
     _dump_json(payload, path)
 
 
-def load_custom_datum(path, group: Union[GroupTable, SchutzGroup], field: FieldSpec) -> CellDatum:
-    """Load and fully validate a user-supplied group datum.
+def load_custom_datum(path, table: List[List[int]], field: FieldSpec) -> CellDatum:
+    """Load and fully validate a user-supplied datum on the group with this
+    Cayley table (a SchutzGroup's mult, say).
 
     The labeled vectors must form a basis and the one-sided multiplication
     conditions are verified over every group element before acceptance.
     """
-    gt = as_group_table(group)
     data = _load_json_object(path, "nodes", "poset", "L", "R", "basis")
     if not (all(isinstance(data[k], list) for k in ("nodes", "poset"))
             and all(isinstance(data[k], dict) for k in ("L", "R", "basis"))):
@@ -308,14 +283,14 @@ def load_custom_datum(path, group: Union[GroupTable, SchutzGroup], field: FieldS
             raise ValueError(f"basis entry {key!r} is not a list of [g, c] pairs")
         vec: Dict[int, Scalar] = {}
         for g, cs in terms:
-            if not (0 <= g < gt.size):
+            if not (0 <= g < len(table)):
                 raise ValueError(f"group index {g} out of range")
             c = field.parse_scalar(str(cs))
             if not field.is_zero(c):
                 vec[g] = c
         basis[vkey] = vec
-    datum = _group_datum(gt, field, node_labels, gt_pairs, lsets, rsets, basis)
-    report = verify_mod.verify_cell_axioms(datum.mult, datum, mode="full")
+    datum = _group_datum(table, field, node_labels, gt_pairs, lsets, rsets, basis)
+    report = verify_mod.verify_cell_axioms(datum, mode="full")
     if not report.ok:
         raise AxiomViolation(report.witness)
     return datum
@@ -412,11 +387,11 @@ def standard_group_data(M: FiniteMonoid, gs, boxes, schutzs, field: FieldSpec,
             datum = custom[d]
             if datum.dim != sch.order:
                 raise UnsupportedGroup(f"D-class {d}: custom datum has the wrong dimension")
-            out[d] = GroupDatumAttachment(datum, datum.carrier_group, list(range(sch.order)), "custom")
+            out[d] = GroupDatumAttachment(datum, list(range(sch.order)), "custom")
             continue
         if sch.order == 1:
             datum = trivial_group_datum(field)
-            out[d] = GroupDatumAttachment(datum, datum.carrier_group, [sch.identity], "trivial")
+            out[d] = GroupDatumAttachment(datum, [sch.identity], "trivial")
             continue
         n = _factorial_arg(sch.order)
         iso = find_symmetric_iso(n, sch) if n is not None else None
@@ -427,5 +402,5 @@ def standard_group_data(M: FiniteMonoid, gs, boxes, schutzs, field: FieldSpec,
         if n not in murphy_cache:
             murphy_cache[n] = murphy_datum(n, field)
         datum = murphy_cache[n]
-        out[d] = GroupDatumAttachment(datum, datum.carrier_group, iso, f"symmetric({n})")
+        out[d] = GroupDatumAttachment(datum, iso, f"symmetric({n})")
     return out

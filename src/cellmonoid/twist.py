@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from .cellbasis import CellDatum, table_mult
+from .cellbasis import CellDatum
 from .exactalg import FieldSpec, Scalar, clear_denominators
 from .green import GreenStructure
 from .monoid import (CellmonoidError, FiniteMonoid, LoopTable, _dump_json,
@@ -201,7 +201,7 @@ def build_twisted_cell_datum(base: CellDatum, pi: Twisting,
     scales = match_scales(at.monoid, at.boxes, at.matched_g, pi)
     info = TwistInfo(pi, compat, base, scales)
     new_attach = replace(at, twist=info)
-    return base.with_mult(table_mult(at.monoid.table, pi.field, pi.values), new_attach)
+    return base.twisted(pi.values, new_attach)
 
 
 def twist_summary(pi: Twisting, compat: Compatibility, cocycle_witness: Optional[Dict]) -> Dict:

@@ -118,39 +118,6 @@ def check_class_preservation(M, gs):
                 assert gs.lclass[ma] == gs.lclass[a]
 
 
-def check_action_formulas(M, gs, boxes, schutzs):
-    """The translated action formulas reproduce raw products on every cell,
-    and a cell either stays in its D-class or leaves it as a whole."""
-    T = M.table
-    for d, box in enumerate(boxes):
-        sch = schutzs[d]
-        phi = sch.phiR
-        for i in range(len(box.rows)):
-            for j in range(len(box.cols)):
-                cell = box.grid[i][j]
-                for m in range(M.size):
-                    res = cm.right_action(box, sch, i, j, m)
-                    if res is None:
-                        assert all(gs.dclass[T[x][m]] != d for x in cell)
-                    else:
-                        for g in range(sch.order):
-                            h = T[T[box.a[i]][phi[g]]][box.b[j]]
-                            lhs = T[h][m]
-                            g2 = sch.mult[g][res.g]
-                            rhs = T[T[box.a[i]][phi[g2]]][box.b[res.k]]
-                            assert lhs == rhs
-                    res = cm.left_action(box, sch, i, j, m)
-                    if res is None:
-                        assert all(gs.dclass[T[m][x]] != d for x in cell)
-                    else:
-                        for g in range(sch.order):
-                            h = T[T[box.a[i]][phi[g]]][box.b[j]]
-                            lhs = T[m][h]
-                            g2 = sch.mult[res.g][g]
-                            rhs = T[T[box.a[res.k]][phi[g2]]][box.b[j]]
-                            assert lhs == rhs
-
-
 def check_matched_representative_independence(M, gs, boxes, schutzs):
     """Whether a column meets a row inside the D-class does not depend on the
     chosen representatives."""

@@ -202,7 +202,7 @@ def test_group_mismatch():
     gd = cm.standard_group_data(M, gs, boxes, schutzs, RATIONALS)
     d_units = gs.dclass[M.identity]
     good = gd[d_units]
-    gd[d_units] = cm.GroupDatumAttachment(good.datum, good.group, list(reversed(good.iso)), good.kind)
+    gd[d_units] = cm.GroupDatumAttachment(good.datum, list(reversed(good.iso)), good.kind)
     if gd[d_units].iso != good.iso:
         with pytest.raises(cm.GroupMismatch):
             cm.build_cell_datum(M, gs, boxes, schutzs, gd, RATIONALS)
@@ -229,5 +229,5 @@ def test_datum_rejects_dependent_vectors():
     k0 = sorted(broken)[0]
     broken[k0] = {}  # zero vector makes its block singular
     with pytest.raises(NotABasis):
-        cm.CellDatum(datum.field, datum.dim, datum.mult, datum.nodes, datum.gt,
+        cm.CellDatum(datum.field, datum.table, datum.nodes, datum.gt,
                      datum.lsets, datum.rsets, broken, datum.blocks)

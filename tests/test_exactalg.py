@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cellmonoid.exactalg import (DenseMatrix, FieldSpec, RATIONALS, _is_prime, mat_inverse,
-                                 mat_nullspace, mat_rank, prime_field, solve_linear)
+                                 mat_nullspace, mat_rank, prime_field)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -77,13 +77,6 @@ def test_nullspace_examples():
     assert ns3 == [[1]]
 
 
-def test_solve_examples():
-    ident = DenseMatrix.identity(RATIONALS, 2)
-    assert solve_linear(ident, [Fraction(5), Fraction(-1)]) == [Fraction(5), Fraction(-1)]
-    assert solve_linear(M(RATIONALS, [[2]]), [Fraction(1)]) == [Fraction(1, 2)]
-    assert solve_linear(M(RATIONALS, [[1], [1]]), [Fraction(1), Fraction(2)]) is None
-
-
 def test_rank_nullity_and_exact_solve_randomized():
     # 40 small integer matrices per field, then 60 from random_matrix; the rank
     # over Q (fraction-free) is checked against the nullspace route (rref)
@@ -103,11 +96,6 @@ def test_rank_nullity_and_exact_solve_randomized():
             for v in ns:
                 prod = [sum_entries(field, row, v) for row in a.entries]
                 assert all(field.is_zero(x) for x in prod)
-            b = [field.from_int(rng.randint(-4, 4)) for _ in range(a.rows)]
-            x = solve_linear(a, b)
-            if x is not None:
-                got = [sum_entries(field, row, x) for row in a.entries]
-                assert got == list(b)
 
 
 def random_matrix(rng, field, nr, nc):

@@ -39,13 +39,13 @@ def test_trivial_group_datum():
         d = cm.trivial_group_datum(field)
         assert d.dim == 1 and len(d.nodes) == 1
         assert cm.bracket_value(d, 0, 0, 0) == field.one()
-        rep = cm.verify_cell_axioms(d.mult, d, mode="full")
+        rep = cm.verify_cell_axioms(d, mode="full")
         assert rep.ok
 
 
 def test_murphy_s2_basis():
     d = murphy_datum(2, RATIONALS)
-    gt, perms = symmetric_group_table(2)
+    _, perms = symmetric_group_table(2)
     e, s = perms.index((0, 1)), perms.index((1, 0))
     assert d.basis[(0, 0, 0)] == {e: 1, s: 1}   # node (2)
     assert d.basis[(1, 0, 0)] == {e: 1}          # node (1,1)
@@ -97,14 +97,14 @@ def test_murphy_axioms_full():
     for n in (2, 3):
         for field in (RATIONALS, F2):
             d = murphy_datum(n, field)
-            assert cm.verify_cell_axioms(d.mult, d, mode="full").ok
+            assert cm.verify_cell_axioms(d, mode="full").ok
 
 
 def test_custom_datum_round_trip(tmp_path):
     d = murphy_datum(2, RATIONALS)
     path = tmp_path / "s2.json"
     cm.save_custom_datum(d, path)
-    loaded = cm.load_custom_datum(path, d.carrier_group, RATIONALS)
+    loaded = cm.load_custom_datum(path, d.table, RATIONALS)
     assert loaded.basis == d.basis
     assert loaded.gt == d.gt
     assert [len(s) for s in loaded.lsets] == [len(s) for s in d.lsets]
@@ -119,7 +119,7 @@ def test_custom_datum_rejections(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     with pytest.raises(cm.NotABasis):
-        cm.load_custom_datum(bad, d.carrier_group, RATIONALS)
+        cm.load_custom_datum(bad, d.table, RATIONALS)
     # scrambled basis vectors that still span: axiom violation
     data2 = json.loads(path.read_text())
     data2["basis"]["(2)/0/0"], data2["basis"]["(1,1)/0/0"] = (
@@ -127,7 +127,7 @@ def test_custom_datum_rejections(tmp_path):
     bad2 = tmp_path / "bad2.json"
     bad2.write_text(json.dumps(data2))
     with pytest.raises(AxiomViolation):
-        cm.load_custom_datum(bad2, d.carrier_group, RATIONALS)
+        cm.load_custom_datum(bad2, d.table, RATIONALS)
 
 
 CUSTOM_DATUM_FAULTS = {
@@ -160,7 +160,7 @@ def test_custom_datum_wrong_types_raise_value_error(tmp_path, fault):
     CUSTOM_DATUM_FAULTS[fault](data)
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError) as err:
-        cm.load_custom_datum(path, d.carrier_group, RATIONALS)
+        cm.load_custom_datum(path, d.table, RATIONALS)
     assert fault not in NAMED_KEYS or repr(NAMED_KEYS[fault]) in str(err.value)
 
 
@@ -213,7 +213,7 @@ def test_custom_datum_rescues_unsupported_group(tmp_path):
     path = tmp_path / "c4.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(AxiomViolation):
-        cm.load_custom_datum(path, sch, F2)
+        cm.load_custom_datum(path, sch.mult, F2)
     # over F2 the algebra of Z/4 is local and the (g+1)-power filtration is a
     # genuine cell datum: (g+1)^3 > (g+1)^2 > (g+1) > 1
     payload2 = {
@@ -230,9 +230,9 @@ def test_custom_datum_rescues_unsupported_group(tmp_path):
     }
     path2 = tmp_path / "c4b.json"
     path2.write_text(json.dumps(payload2))
-    datum = cm.load_custom_datum(path2, sch, F2)
+    datum = cm.load_custom_datum(path2, sch.mult, F2)
     gd = cm.standard_group_data(M, gs, boxes, schutzs, F2, custom={0: datum})
     full = cm.build_cell_datum(M, gs, boxes, schutzs, gd, F2)
-    assert cm.verify_cell_axioms(full.mult, full, mode="full").ok
+    assert cm.verify_cell_axioms(full, mode="full").ok
     rep = cm.analyze(full)
     assert not rep.semisimple and not rep.quasi_hereditary

@@ -101,7 +101,7 @@ def test_twisted_axioms_full(store):
     for n in (2, 3, 4):
         for ds in ("2", "0"):
             d = store.twisted(f"jones{n}", ds)
-            assert cm.verify_cell_axioms(d.mult, d, mode="full").ok
+            assert cm.verify_cell_axioms(d, mode="full").ok
 
 
 def test_trivial_twisting_report_matches_untwisted(store):

@@ -11,13 +11,13 @@ from conftest import assert_checks_clean
 
 def test_axioms_murphy_s3_full():
     d = cm.murphy_datum(3, RATIONALS)
-    rep = cm.verify_cell_axioms(d.mult, d, mode="full")
+    rep = cm.verify_cell_axioms(d, mode="full")
     assert rep.ok and rep.acting_count == 6
 
 
 def test_axioms_t3_full(store):
     d = store.datum("tfull3")
-    rep = cm.verify_cell_axioms(d.mult, d, mode="full")
+    rep = cm.verify_cell_axioms(d, mode="full")
     assert rep.ok and rep.acting_count == 27
 
 
@@ -28,9 +28,9 @@ def test_axioms_sabotage_produces_witness(store):
     k_top = (0, 0, 0)
     k_low = next(k for k in swapped if k[0] != 0)
     swapped[k_top], swapped[k_low] = swapped[k_low], swapped[k_top]
-    datum = cm.CellDatum(d.field, d.dim, d.mult, d.nodes, d.gt,
+    datum = cm.CellDatum(d.field, d.table, d.nodes, d.gt,
                          d.lsets, d.rsets, swapped, d.blocks)
-    rep = cm.verify_cell_axioms(datum.mult, datum, mode="full")
+    rep = cm.verify_cell_axioms(datum, mode="full")
     assert not rep.ok
     assert rep.witness == {"side": "left", "acting": 2, "node": "D0:(2)",
                            "detail": "a*C[0,0] hits (D0:(1,1),0,0)"}
@@ -43,14 +43,14 @@ def _swap_unit_labels(d):
     assert d.basis[k_a] != d.basis[k_b]
     swapped = dict(d.basis)
     swapped[k_a], swapped[k_b] = swapped[k_b], swapped[k_a]
-    return cm.CellDatum(d.field, d.dim, d.mult, d.nodes, d.gt,
+    return cm.CellDatum(d.field, d.table, d.nodes, d.gt,
                         d.lsets, d.rsets, swapped, d.blocks)
 
 
 def test_axioms_sabotage_same_block(store):
     # the checker must notice the swap in the unit class of T2
     datum = _swap_unit_labels(store.datum("tfull2"))
-    rep = cm.verify_cell_axioms(datum.mult, datum, mode="full")
+    rep = cm.verify_cell_axioms(datum, mode="full")
     assert not rep.ok
     assert rep.witness["side"] in ("left", "right")
 
@@ -60,16 +60,16 @@ def test_generators_mode_consistent_with_full(store):
     d = store.datum("tfull3")
     gens = generating_set(M)
     assert len(gens) == 3
-    rep = cm.verify_cell_axioms(d.mult, d, acting=gens, mode="generators")
+    rep = cm.verify_cell_axioms(d, acting=gens, mode="generators")
     assert rep.ok and rep.acting_count == 3
     with pytest.raises(ValueError):
-        cm.verify_cell_axioms(d.mult, d, mode="generators")
+        cm.verify_cell_axioms(d, mode="generators")
     # a broken basis fails by its generators exactly when it fails in full
     for key in ("tfull2", "tfull3"):
         M, _ = store.monoid(key)
         datum = _swap_unit_labels(store.datum(key))
-        full = cm.verify_cell_axioms(datum.mult, datum, mode="full")
-        by_gens = cm.verify_cell_axioms(datum.mult, datum, acting=generating_set(M),
+        full = cm.verify_cell_axioms(datum, mode="full")
+        by_gens = cm.verify_cell_axioms(datum, acting=generating_set(M),
                                         mode="generators")
         assert not full.ok and not by_gens.ok
 
@@ -78,8 +78,8 @@ def test_axiom_report_identical_untwisted_vs_trivial_twist(store):
     M, _ = store.monoid("jones3")
     base = store.datum("jones3")
     twisted = cm.build_twisted_cell_datum(base, cm.trivial_twisting(M.size, RATIONALS))
-    r1 = cm.verify_cell_axioms(base.mult, base, mode="full")
-    r2 = cm.verify_cell_axioms(twisted.mult, twisted, mode="full")
+    r1 = cm.verify_cell_axioms(base, mode="full")
+    r2 = cm.verify_cell_axioms(twisted, mode="full")
     assert r1.to_dict() == r2.to_dict()
 
 
@@ -101,12 +101,12 @@ def test_trace_form_wrong_characteristic(store):
 def test_cross_check_ledgers(store):
     for key in ("syminv3", "tfull3"):
         datum = store.datum(key)
-        ledger = cm.cross_check(datum, report=store.report(key))
+        ledger = cm.cross_check(datum, store.report(key))
         assert all(c["status"] != "fail" for c in ledger)
         trace = next(c for c in ledger if c["name"] == "trace_form_agreement")
         assert trace["status"] == "pass"
     datum5 = store.datum("syminv3", "fp:5")
-    ledger5 = cm.cross_check(datum5, report=store.report("syminv3", "fp:5"))
+    ledger5 = cm.cross_check(datum5, store.report("syminv3", "fp:5"))
     trace5 = next(c for c in ledger5 if c["name"] == "trace_form_agreement")
     assert trace5["status"] == "skip"
     assert all(c["status"] != "fail" for c in ledger5)
