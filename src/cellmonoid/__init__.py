@@ -13,7 +13,7 @@ from .monoid import (BadIdentity, CellmonoidError, FiniteMonoid, LoopTable, Mono
                      generate_from_maps, generating_set, idempotents, is_inverse, is_regular,
                      load_cayley_json, load_loop_table, save_cayley_json, save_loop_table)
 from .green import (EggBox, GreenStructure, SchutzGroup, bijection_condition, build_eggbox,
-                    compute_green, matched, schutzenberger)
+                    compute_green, sandwich, schutzenberger)
 from .groupcell import (AxiomViolation, UnsupportedGroup, find_symmetric_iso,
                         load_custom_datum, murphy_datum, partitions, save_custom_datum,
                         standard_group_data, standard_tableaux, trivial_group_datum)

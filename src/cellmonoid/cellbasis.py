@@ -32,7 +32,7 @@ class GroupMismatch(CellBasisError):
     pass
 
 
-def _transitive_closure(n: int, pairs) -> FrozenSet[Tuple[int, int]]:
+def _transitive_closure(pairs) -> FrozenSet[Tuple[int, int]]:
     gt = {tuple(p) for p in pairs}
     changed = True
     while changed:
@@ -95,7 +95,7 @@ class CellDatum:
         self.dim = dim = len(table)
         self.mult = table_mult(table, field)
         self.nodes = list(nodes)
-        self.gt = _transitive_closure(len(self.nodes), gt_pairs)
+        self.gt = _transitive_closure(gt_pairs)
         self.lsets = [list(s) for s in lsets]
         self.rsets = [list(s) for s in rsets]
         self.basis = dict(basis)
@@ -320,17 +320,7 @@ def build_cell_datum(M: FiniteMonoid, gs: GreenStructure, boxes: List[EggBox],
                             keys.append(key)
                 blocks.append((tuple(box.grid[i][j]), tuple(keys)))
 
-    matched_g: List[Dict[Tuple[int, int], int]] = []
-    for d in range(nd):
-        box, sch = boxes[d], schutzs[d]
-        mm: Dict[Tuple[int, int], int] = {}
-        for i in range(len(box.rows)):
-            for j in range(len(box.cols)):
-                g = green_mod.matched(box, sch, i, j)
-                if g is not None:
-                    mm[(i, j)] = g
-        matched_g.append(mm)
-
+    matched_g = [green_mod.sandwich(M, gs, boxes[d], schutzs[d]) for d in range(nd)]
     group_summaries = [gram_summary(group_data[d].datum) for d in range(nd)]
     attach = MonoidAttachment(M, gs, boxes, schutzs, group_data, node_dclass,
                               node_gnode, matched_g, group_summaries)
@@ -392,23 +382,22 @@ def _left_coefficients(gdat: CellDatum, gn: int, ga: int) -> List[List[Scalar]]:
 
 
 def gram_fast(d: CellDatum, ni: int) -> DenseMatrix:
-    """Gram matrix via group-level brackets: zero on unmatched (row, column)
-    pairs, and on matched pairs the group bracket twisted by the matched group
-    element.  For a strongly compatible twisting the untwisted fast matrix is
-    rescaled blockwise by the matching scale."""
+    """Gram matrix via group-level brackets, read off the sandwich matrix:
+    zero on unmatched (row, column) pairs, and on a matched pair the group
+    bracket twisted by its sandwich entry.  Under a strongly compatible
+    twisting each matched block is also multiplied by its scale, the twisting's
+    value on the pair's representative product."""
     at = d.attach
     if at is None:
         raise ValueError("gram_fast needs an assembled monoid datum")
     f = d.field
+    scales = None
     if at.twist is not None:
-        tw = at.twist
-        if tw.compat.level != "strong":
+        if at.twist.compat.level != "strong":
             raise ValueError("the scaled fast path needs a strongly compatible twisting")
-        base = gram_fast(tw.base, ni)
-        return _scale_blocks(d, ni, base, tw.scales)
+        scales = at.twist.scales
 
     dcl, gn = at.node_dclass[ni], at.node_gnode[ni]
-    box = at.boxes[dcl]
     gd = at.group_data[dcl]
     gdat = gd.datum
     ls, rs = len(gdat.lsets[gn]), len(gdat.rsets[gn])
@@ -418,41 +407,22 @@ def gram_fast(d: CellDatum, ni: int) -> DenseMatrix:
 
     nrow, ncol = len(d.rsets[ni]), len(d.lsets[ni])
     entries = [[f.zero()] * ncol for _ in range(nrow)]
-    for j in range(len(box.cols)):
-        for i in range(len(box.rows)):
-            g = at.matched_g[dcl].get((i, j))
-            if g is None:
-                continue
-            ga = inv_map[g]
-            if ga not in act_cache:
-                act_cache[ga] = _left_coefficients(gdat, gn, ga)
-            L = act_cache[ga]
-            for t in range(rs):
-                grow = ggram.entries[t]
-                for s in range(ls):
-                    acc = f.zero()
-                    for s2 in range(ls):
-                        lv = L[s][s2]
-                        if not f.is_zero(lv) and not f.is_zero(grow[s2]):
-                            acc = f.add(acc, f.mul(lv, grow[s2]))
-                    entries[j * rs + t][i * ls + s] = acc
-    return DenseMatrix(f, nrow, ncol, entries)
-
-
-def _scale_blocks(d: CellDatum, ni: int, base: DenseMatrix, scales) -> DenseMatrix:
-    at = d.attach
-    f = d.field
-    dcl, gn = at.node_dclass[ni], at.node_gnode[ni]
-    gdat = at.group_data[dcl].datum
-    ls, rs = len(gdat.lsets[gn]), len(gdat.rsets[gn])
-    entries = [[f.zero()] * base.cols for _ in range(base.rows)]
-    for (dd, i, j), c in scales.items():
-        if dd != dcl:
-            continue
+    for (i, j), g in at.matched_g[dcl].items():
+        scale = None if scales is None else scales[(dcl, i, j)]
+        ga = inv_map[g]
+        if ga not in act_cache:
+            act_cache[ga] = _left_coefficients(gdat, gn, ga)
+        L = act_cache[ga]
         for t in range(rs):
+            grow = ggram.entries[t]
             for s in range(ls):
-                entries[j * rs + t][i * ls + s] = f.mul(c, base.entries[j * rs + t][i * ls + s])
-    return DenseMatrix(f, base.rows, base.cols, entries)
+                acc = f.zero()
+                for s2 in range(ls):
+                    lv = L[s][s2]
+                    if not f.is_zero(lv) and not f.is_zero(grow[s2]):
+                        acc = f.add(acc, f.mul(lv, grow[s2]))
+                entries[j * rs + t][i * ls + s] = acc if scale is None else f.mul(scale, acc)
+    return DenseMatrix(f, nrow, ncol, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +587,7 @@ def analyze(d: CellDatum) -> AnalysisReport:
 
     regular = is_regular(M)
     inverse = is_inverse(M)
-    bijections = {dcl: green_mod.bijection_condition(at.boxes[dcl], at.schutzs[dcl])
+    bijections = {dcl: green_mod.bijection_condition(at.boxes[dcl], at.matched_g[dcl])
                   for dcl in range(len(at.boxes))}
     all_group_ss = all(gsum.semisimple for gsum in at.group_summaries)
     all_bijection = all(bij is not None for bij in bijections.values())

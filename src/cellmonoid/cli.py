@@ -123,9 +123,10 @@ def _build_twisting(cfg: RunConfig, M: FiniteMonoid,
     return pi
 
 
-def _acting_set(cfg: RunConfig, M: FiniteMonoid) -> Optional[List[int]]:
+def _acting_set(cfg: RunConfig, M: FiniteMonoid,
+                pi: Optional[twist_mod.Twisting]) -> Optional[List[int]]:
     if cfg.verify_mode == "generators":
-        return monoid_mod.generating_set(M)
+        return monoid_mod.generating_set(M, None if pi is None else pi.values)
     return None
 
 
@@ -215,7 +216,7 @@ def run(cfg: RunConfig) -> int:
         ledger = verify_mod.cross_check(datum, report)
     if cfg.verify_mode != "off":
         axioms = verify_mod.verify_cell_axioms(
-            datum, acting=_acting_set(cfg, M), mode=cfg.verify_mode).to_dict()
+            datum, acting=_acting_set(cfg, M, pi), mode=cfg.verify_mode).to_dict()
     _emit(_payload(cfg, analysis=analysis, twisting=summary, axioms=axioms, cross=ledger), cfg)
     bad = (any(c["status"] == "fail" for c in ledger or ())
            or (axioms is not None and not axioms["ok"]))

@@ -89,9 +89,6 @@ class EggBox:
     gamma, and a[0] = abar[0] = b[0] = bbar[0] = identity.
     """
 
-    monoid: FiniteMonoid
-    green: GreenStructure
-    d: int
     gamma: int
     rows: List[int]
     cols: List[int]
@@ -100,11 +97,6 @@ class EggBox:
     abar: List[int]
     b: List[int]
     bbar: List[int]
-
-    def cell(self, i: int, j: int) -> List[int]:
-        if not (0 <= i < len(self.rows) and 0 <= j < len(self.cols)):
-            raise ValueError(f"invalid cell ({i}, {j})")
-        return self.grid[i][j]
 
 
 def _verify_translations(lines: List[List[List[int]]], there: List[int], back: List[int],
@@ -183,7 +175,7 @@ def build_eggbox(M: FiniteMonoid, gs: GreenStructure, d: int) -> EggBox:
     _verify_translations(grid, a, abar, lambda c, h: T[c][h], "row translation a", "column")
     _verify_translations([list(col) for col in zip(*grid)], b, bbar, lambda c, h: T[h][c],
                          "column translation b", "row")
-    return EggBox(M, gs, d, gamma, rows, cols, grid, a, abar, b, bbar)
+    return EggBox(gamma, rows, cols, grid, a, abar, b, bbar)
 
 
 @dataclass
@@ -241,9 +233,9 @@ def schutzenberger(M: FiniteMonoid, box: EggBox, section: str = "least") -> Schu
     if len(perms) != len(H):
         raise GreenError("translation group order differs from the base class size")
 
-    k = len(H)
-    mult = [[pindex[tuple(p2[v] for v in p1)] for p2 in perms] for p1 in perms]
-    identity = pindex[tuple(range(k))]
+    # m1*m2 stabilizes H too, and acts as m1 then m2
+    mult = [[rm[T[r1][r2]] for r2 in reps] for r1 in reps]
+    identity = rm[M.identity]
 
     phiR = [T[gamma][reps[g]] for g in range(len(perms))]
     if len(set(phiR)) != len(H):
@@ -251,32 +243,35 @@ def schutzenberger(M: FiniteMonoid, box: EggBox, section: str = "least") -> Schu
     return SchutzGroup(H, perms, mult, identity, rm, phiR)
 
 
-def matched(box: EggBox, sch: SchutzGroup, i: int, j: int) -> Optional[int]:
-    """Group element induced by column j meeting row i, or None when the
-    products of L_j by R_i all avoid the D-class."""
-    box.cell(i, j)
-    T = box.monoid.table
-    x = T[box.gamma][box.b[j]]
-    y = T[box.a[i]][box.gamma]
-    if box.green.dclass[T[x][y]] != box.d:
-        return None
-    mij = T[T[box.b[j]][box.a[i]]][box.gamma]
-    if mij not in sch.rm:
-        raise GreenError("matched product does not stabilize the base class")
-    return sch.rm[mij]
+def sandwich(M: FiniteMonoid, gs: GreenStructure, box: EggBox,
+             sch: SchutzGroup) -> Dict[Tuple[int, int], int]:
+    """The sandwich matrix of a D-class: {(row i, column j): group element}
+    for every column j that meets row i inside the D-class, in row-major order.
+
+    Column j meets row i when x*y stays in the D-class for x = gamma*b[j] and
+    y = a[i]*gamma; the entry is the group element of (b[j]*a[i])*gamma.
+    """
+    T = M.table
+    gamma = box.gamma
+    d = gs.dclass[gamma]
+    out: Dict[Tuple[int, int], int] = {}
+    for i, ai in enumerate(box.a):
+        y = T[ai][gamma]
+        for j, bj in enumerate(box.b):
+            if gs.dclass[T[T[gamma][bj]][y]] != d:
+                continue
+            mij = T[T[bj][ai]][gamma]
+            if mij not in sch.rm:
+                raise GreenError("matched product does not stabilize the base class")
+            out[(i, j)] = sch.rm[mij]
+    return out
 
 
-def bijection_condition(box: EggBox, sch: SchutzGroup) -> Optional[Dict[int, int]]:
-    """Column -> row pairing when the matched pattern is a permutation matrix."""
-    nr, nc = len(box.rows), len(box.cols)
-    if nr != nc:
-        return None
-    pairing: Dict[int, int] = {}
-    for j in range(nc):
-        hits = [i for i in range(nr) if matched(box, sch, i, j) is not None]
-        if len(hits) != 1:
-            return None
-        pairing[j] = hits[0]
-    if len(set(pairing.values())) != nr:
-        return None
-    return pairing
+def bijection_condition(box: EggBox, sandwich: Dict[Tuple[int, int], int]
+                        ) -> Optional[Dict[int, int]]:
+    """Column -> row pairing when the sandwich matrix has the pattern of a
+    permutation matrix: rows, columns, columns hit, entries and distinct rows
+    all equal in number."""
+    pairing = {j: i for i, j in sandwich}
+    counts = (len(box.rows), len(box.cols), len(pairing), len(sandwich), len(set(pairing.values())))
+    return pairing if len(set(counts)) == 1 else None

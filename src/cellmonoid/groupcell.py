@@ -13,7 +13,7 @@ from . import cellbasis, verify as verify_mod
 from .cellbasis import CellDatum, GroupDatumAttachment
 from .exactalg import FieldSpec, Scalar
 from .green import SchutzGroup
-from .monoid import CellmonoidError, FiniteMonoid, _dump_json, _is_int, _load_json_object
+from .monoid import CellmonoidError, _dump_json, _is_int, _load_json_object
 
 
 class GroupCellError(CellmonoidError):
@@ -60,7 +60,7 @@ def _pinv(p: Perm) -> Perm:
 def symmetric_group_table(n: int) -> Tuple[List[List[int]], List[Perm]]:
     """Cayley table of all n! permutations in lexicographic order (identity
     first), and the permutations."""
-    perms = [tuple(p) for p in itertools.permutations(range(n))]
+    perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     return [[index[_pcompose(p, q)] for q in perms] for p in perms], perms
 
@@ -168,7 +168,7 @@ def _tableau_label(t: Tableau) -> str:
 MURPHY_CAP = 5
 
 
-def murphy_datum(n: int, field: FieldSpec, cap: int = MURPHY_CAP) -> CellDatum:
+def murphy_datum(n: int, field: FieldSpec) -> CellDatum:
     """Tableau-pair basis of the symmetric group algebra on n points.
 
     Nodes are partitions of n under the dominance order; left and right
@@ -176,8 +176,8 @@ def murphy_datum(n: int, field: FieldSpec, cap: int = MURPHY_CAP) -> CellDatum:
     d(s)^-1 * x_lam * d(t), where x_lam sums the row stabilizer of the
     row-reading tableau and d(t) carries the row-reading tableau onto t.
     """
-    if not (1 <= n <= cap):
-        raise GroupCellError(f"point count {n} outside 1..{cap}")
+    if not (1 <= n <= MURPHY_CAP):
+        raise GroupCellError(f"point count {n} outside 1..{MURPHY_CAP}")
     table, perms = symmetric_group_table(n)
     pindex = {p: i for i, p in enumerate(perms)}
     one = field.one()
@@ -300,8 +300,11 @@ def load_custom_datum(path, table: List[List[int]], field: FieldSpec) -> CellDat
 # Matching abstract symmetric groups onto Schutzenberger groups.
 # ---------------------------------------------------------------------------
 
-def _hom_closure(perms: List[Perm], pindex: Dict[Perm, int], gens: List[Tuple[Perm, int]],
-                 sch: SchutzGroup, identity_perm: Perm) -> Optional[List[int]]:
+def _hom_closure(perms: List[Perm], gens: List[Tuple[Perm, int]], sch: SchutzGroup,
+                 identity_perm: Perm) -> Optional[List[int]]:
+    """The bijective homomorphism extending the generator images, indexed like
+    perms, or None.  Checking f(w*g) = f(w)*f(g) on every Cayley-graph edge
+    proves f(x*y) = f(x)*f(y) by induction on the length of y."""
     known: Dict[Perm, int] = {identity_perm: sch.identity}
     frontier = [identity_perm]
     while frontier:
@@ -324,12 +327,11 @@ def _hom_closure(perms: List[Perm], pindex: Dict[Perm, int], gens: List[Tuple[Pe
 def find_symmetric_iso(n: int, sch: SchutzGroup) -> Optional[List[int]]:
     """Isomorphism from the abstract symmetric group on n points onto the
     Schutzenberger group, as a list indexed by abstract element; None when no
-    isomorphism exists.  Found by searching generator images and verified as a
-    homomorphism on the full table."""
+    isomorphism exists.  Found by searching images of two generators; the
+    first images that extend to a bijective homomorphism are returned."""
     if math.factorial(n) != sch.order:
         return None
-    _, perms = symmetric_group_table(n)
-    pindex = {p: i for i, p in enumerate(perms)}
+    perms = list(itertools.permutations(range(n)))
     identity_perm = tuple(range(n))
     if n == 1:
         return [sch.identity]
@@ -348,19 +350,8 @@ def find_symmetric_iso(n: int, sch: SchutzGroup) -> Optional[List[int]]:
     cands_c = [g for g in range(sch.order) if order_of(g) == n]
     image_sets = [cands_t] if n == 2 else [cands_t, cands_c]
     for images in itertools.product(*image_sets):
-        gens = list(zip(gen_perms, images))
-        iso = _hom_closure(perms, pindex, gens, sch, identity_perm)
-        if iso is None:
-            continue
-        ok = True
-        for x in range(len(perms)):
-            for y in range(len(perms)):
-                if iso[pindex[_pcompose(perms[x], perms[y])]] != sch.mult[iso[x]][iso[y]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        iso = _hom_closure(perms, list(zip(gen_perms, images)), sch, identity_perm)
+        if iso is not None:
             return iso
     return None
 
@@ -373,7 +364,7 @@ def _factorial_arg(size: int) -> Optional[int]:
     return n if f == size else None
 
 
-def standard_group_data(M: FiniteMonoid, gs, boxes, schutzs, field: FieldSpec,
+def standard_group_data(schutzs: List[SchutzGroup], field: FieldSpec,
                         custom: Optional[Dict[int, CellDatum]] = None
                         ) -> Dict[int, GroupDatumAttachment]:
     """Pick a verified group datum per D-class: a supplied custom datum (over

@@ -430,41 +430,38 @@ def is_inverse(M: FiniteMonoid) -> bool:
     return True
 
 
-def generating_set(M: FiniteMonoid) -> List[int]:
+def generating_set(M: FiniteMonoid, weights: Optional[Sequence[Sequence]] = None) -> List[int]:
     """Deterministic greedy generating set, scanned from the top of the J-order.
 
     Candidates are taken in decreasing order of (|xM|, |Mx|), ties broken by
-    index, and each one not yet generated is added.  This order is a linear
+    index, and each one not yet reached is added.  This order is a linear
     extension of the J-order: if x = ayb lies strictly J-below y then
     |xM| <= |yM| and |Mx| <= |My|, with equality in both only when x D y.  So
     the group of units comes first and no element is added before the higher
     elements it may be a product of.  The set is not promised to be minimal
     (jones7 gets 11 generators, though 6 would do).
+
+    Reached means by a right walk x -> x*g from the identity.  With weights (a
+    twisting's values) a step needs weights[x][g] nonzero: x o g is then a
+    nonzero multiple of x*g, so the set generates the twisted algebra too.
     """
     T = M.table
     right = [len(set(row)) for row in T]
     left = [len({row[x] for row in T}) for x in range(M.size)]
 
-    def close(base: set) -> set:
-        out = set(base)
-        frontier = list(out)
-        while frontier:
-            nxt = []
-            for x in list(out):
-                for y in frontier:
-                    for z in (T[x][y], T[y][x]):
-                        if z not in out:
-                            out.add(z)
-                            nxt.append(z)
-            frontier = nxt
-        return out
-
     gens: List[int] = []
-    reach = close({M.identity})
-    for x in sorted(range(M.size), key=lambda x: (-right[x], -left[x], x)):
-        if x not in reach:
-            gens.append(x)
-            reach = close(reach | {x})
+    seen = {M.identity}
+    for c in sorted(range(M.size), key=lambda x: (-right[x], -left[x], x)):
+        if c in seen:
+            continue
+        gens.append(c)
+        steps = [(x, c) for x in seen]
+        while steps:
+            x, g = steps.pop()
+            z = T[x][g]
+            if z not in seen and (weights is None or weights[x][g] != 0):
+                seen.add(z)
+                steps.extend((z, h) for h in gens)
     return gens
 
 

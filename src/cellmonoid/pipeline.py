@@ -25,6 +25,6 @@ def standard_datum(M: FiniteMonoid, field: FieldSpec,
                    section: str = "least") -> CellDatum:
     """The assembled cell datum of the monoid algebra over the given field."""
     gs, boxes, schutzs = green_data(M, section=section)
-    group_data = groupcell.standard_group_data(M, gs, boxes, schutzs, field, custom=custom)
+    group_data = groupcell.standard_group_data(schutzs, field, custom=custom)
     return build_cell_datum(M, gs, boxes, schutzs, group_data, field)
 

@@ -2,9 +2,11 @@
 classification, and the cell datum of the twisted monoid algebra.
 
 The twisted product is x o y = pi(x, y) * (x y), extended bilinearly.  A
-compatible twisting yields the same labeled basis as the untwisted algebra;
-when the twisting is also nowhere zero on class-preserving products, the
-twisted brackets are blockwise rescalings of the untwisted ones.
+compatible twisting, one whose values on D-class-preserving products a*x
+are constant as x runs over an R-class (and on x*a as x runs over an
+L-class), yields the same labeled basis as the untwisted algebra.  When it is
+also nowhere zero on those products, the twisted brackets are blockwise
+rescalings of the untwisted ones, one scale per sandwich-matrix entry.
 """
 
 from __future__ import annotations
@@ -106,8 +108,10 @@ def verify_twisting(M: FiniteMonoid, pi: Twisting) -> Optional[Dict]:
 
 @dataclass
 class Compatibility:
-    """level is "strong", "compatible", or "incompatible"; lr is the separate
-    left/right-class constancy flag."""
+    """level is "strong", "compatible", or "incompatible" (see
+    compatibility_class; the witness names the side, a, and two x, y that
+    disagree); lr is the separate flag for pi(x, .) constant over each L-class
+    of x and pi(., y) over each R-class of y."""
 
     level: str
     witness: Optional[Dict]
@@ -115,30 +119,29 @@ class Compatibility:
 
 
 def compatibility_class(M: FiniteMonoid, gs: GreenStructure, pi: Twisting) -> Compatibility:
-    """Scan all D-class-preserving products for constancy of pi across the
-    fixed factor's H-class ("compatible"), additionally nonzero ("strong")."""
+    """Scan every D-class-preserving product a*x for pi(a, x) constant as x
+    runs over its R-class, and every x*a for pi(x, a) constant over the
+    L-class of x ("compatible"), additionally nonzero ("strong").  The left
+    coefficients of a must not depend on the right index, which runs along an
+    R-class; dually on the right.  a*x stays in D_x for all x of an R-class
+    or for none."""
     f = pi.field
     T = M.table
     V = pi.values
     strong = True
     for a in range(M.size):
-        for members in gs.hclasses:
-            x0 = members[0]
-            if gs.dclass[T[a][x0]] == gs.dclass[x0]:
-                v = V[a][x0]
+        for side, classes, prods, weights in (
+                ("left", gs.rclasses, T[a], V[a]),
+                ("right", gs.lclasses, [row[a] for row in T], [row[a] for row in V])):
+            for members in classes:
+                x0 = members[0]
+                if gs.dclass[prods[x0]] != gs.dclass[x0]:
+                    continue
+                v = weights[x0]
                 for y in members[1:]:
-                    if V[a][y] != v:
+                    if weights[y] != v:
                         return Compatibility("incompatible",
-                                             {"side": "left", "a": a, "x": x0, "y": y},
-                                             _is_lr(M, gs, pi))
-                if f.is_zero(v):
-                    strong = False
-            if gs.dclass[T[x0][a]] == gs.dclass[x0]:
-                v = V[x0][a]
-                for y in members[1:]:
-                    if V[y][a] != v:
-                        return Compatibility("incompatible",
-                                             {"side": "right", "a": a, "x": x0, "y": y},
+                                             {"side": side, "a": a, "x": x0, "y": y},
                                              _is_lr(M, gs, pi))
                 if f.is_zero(v):
                     strong = False
@@ -164,22 +167,15 @@ def _is_lr(M: FiniteMonoid, gs: GreenStructure, pi: Twisting) -> bool:
 class TwistInfo:
     pi: Twisting
     compat: Compatibility
-    base: CellDatum
     scales: Dict[Tuple[int, int, int], Scalar]
 
 
 def match_scales(M: FiniteMonoid, boxes, matched_g, pi: Twisting) -> Dict[Tuple[int, int, int], Scalar]:
-    """Per D-class map (d, row i, column j) -> pi on the representative product
-    of column j against row i; constant across the classes when compatible."""
+    """Per sandwich-matrix entry (d, row i, column j): pi on the representative
+    product of column j against row i; constant across the classes when compatible."""
     T = M.table
-    scales: Dict[Tuple[int, int, int], Scalar] = {}
-    for d, mm in enumerate(matched_g):
-        box = boxes[d]
-        for (i, j) in mm:
-            x = T[box.gamma][box.b[j]]
-            y = T[box.a[i]][box.gamma]
-            scales[(d, i, j)] = pi.value(x, y)
-    return scales
+    return {(d, i, j): pi.value(T[box.gamma][box.b[j]], T[box.a[i]][box.gamma])
+            for d, (box, mm) in enumerate(zip(boxes, matched_g)) for i, j in mm}
 
 
 def build_twisted_cell_datum(base: CellDatum, pi: Twisting,
@@ -199,7 +195,7 @@ def build_twisted_cell_datum(base: CellDatum, pi: Twisting,
     if compat.level == "incompatible":
         raise IncompatibleTwisting(compat.witness)
     scales = match_scales(at.monoid, at.boxes, at.matched_g, pi)
-    info = TwistInfo(pi, compat, base, scales)
+    info = TwistInfo(pi, compat, scales)
     new_attach = replace(at, twist=info)
     return base.twisted(pi.values, new_attach)
 

@@ -37,11 +37,9 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None,
     "full" mode the acting set is every carrier element; "generators" mode
     checks a supplied acting set, which suffices when that set generates the
     algebra under datum.mult, because the coefficient matrices compose under
-    products and the higher span is an ideal.  Generators of a monoid also
-    generate its algebra twisted by nowhere-zero weights, but not always one
-    whose weights vanish somewhere: on jones5 with delta = 0 the greedy
-    generating set reaches 18 of the 42 basis elements, and the elements it
-    misses are checked only in "full" mode.
+    products and the higher span is an ideal.  Under a twisting with zero
+    weights, take monoid.generating_set with the twisting's values, as the CLI
+    does: the untwisted set can miss elements (18 of 42 on jones5, delta = 0).
     """
     if mode == "full":
         acting = list(range(datum.dim))

@@ -48,7 +48,7 @@ class Store:
             M, _ = self.monoid(key)
             fs = FieldSpec.parse(field)
             gs, boxes, schutzs = self.green(key)
-            group_data = cm.standard_group_data(M, gs, boxes, schutzs, fs)
+            group_data = cm.standard_group_data(schutzs, fs)
             self._datums[k] = cm.build_cell_datum(M, gs, boxes, schutzs, group_data, fs)
         return self._datums[k]
 
@@ -123,10 +123,10 @@ def check_matched_representative_independence(M, gs, boxes, schutzs):
     chosen representatives."""
     T = M.table
     for d, box in enumerate(boxes):
-        sch = schutzs[d]
+        sandwich = cm.sandwich(M, gs, box, schutzs[d])
         for i in range(len(box.rows)):
             for j in range(len(box.cols)):
-                verdict = cm.matched(box, sch, i, j) is not None
+                verdict = (i, j) in sandwich
                 for ii in range(len(box.rows)):
                     for x in box.grid[ii][j]:
                         for jj in range(len(box.cols)):

@@ -199,7 +199,7 @@ def test_basis_count_identity(store):
 def test_group_mismatch():
     M, _ = cm.family("tfull", 2)
     gs, boxes, schutzs = cm.green_data(M)
-    gd = cm.standard_group_data(M, gs, boxes, schutzs, RATIONALS)
+    gd = cm.standard_group_data(schutzs, RATIONALS)
     d_units = gs.dclass[M.identity]
     good = gd[d_units]
     gd[d_units] = cm.GroupDatumAttachment(good.datum, list(reversed(good.iso)), good.kind)
@@ -223,7 +223,7 @@ def test_section_choice_does_not_change_results(store):
 def test_datum_rejects_dependent_vectors():
     M, _ = cm.family("tfull", 2)
     gs, boxes, schutzs = cm.green_data(M)
-    gd = cm.standard_group_data(M, gs, boxes, schutzs, RATIONALS)
+    gd = cm.standard_group_data(schutzs, RATIONALS)
     datum = cm.build_cell_datum(M, gs, boxes, schutzs, gd, RATIONALS)
     broken = dict(datum.basis)
     k0 = sorted(broken)[0]

@@ -93,6 +93,16 @@ def test_verify_commands(tmp_path):
     jsonschema.validate(payload, report_schema())
 
 
+def test_verify_generators_under_zero_weights(tmp_path):
+    # the acting set generates the twisted algebra, whose delta = 0 products
+    # vanish on loops: eight generators, where the untwisted greedy set has seven
+    code, payload, _ = run(["verify", "--family", "jones", "--n", "5", "--delta", "0",
+                            "--verify", "generators"], tmp_path)
+    assert code == 0
+    assert payload["axioms"] == {"mode": "generators", "ok": True, "witness": None,
+                                 "acting_count": 8}
+
+
 def test_usage_errors(tmp_path):
     assert main(["analyze", "--field", "q"]) == 1                      # no source
     assert main(["analyze", "--family", "tfull", "--field", "q"]) == 1  # no n
@@ -141,13 +151,14 @@ GOLDEN = [
     (["verify", "--family", "tfull", "--n", "3", "--verify", "generators"], 0,
      "3d0ebfd234892efbb2b2dd44df419bd129d4988680a00adba820dcedac24f38f",
      "4de6eefd015be1a6ad59cdbed1d0486451e59698dcce37be7e2a8e310dd43716"),
-    # a twisting file that breaks the cocycle law: exit 2 with a twisting-only report
+    # a twisting file that breaks the cocycle law (and is incompatible: pi(1, .)
+    # varies on the R-class {1, 3}): exit 2 with a twisting-only report
     (["twist", "--cayley", "t2.json", "--twist-file", "bad_pi.json"], 2,
-     "c4cd57c01bba781163a8dfe5ffb6363e26e9ae7e0dece8088aa88009bc410788",
-     "0aa7ccc98a512eb0bc30fc10df59bf8a0b7c7a3a21dad7e4d2d7264a647a091b"),
+     "ffb77db7acdea81f36a6e3083be00d03a338e5b362cf5bb3944f9235374e0aa3",
+     "5869dabb3ac977668a468e8ddc4b53dc92a61d8fd32af1bb516cd206dfa4a641"),
     (["verify", "--cayley", "t2.json", "--twist-file", "bad_pi.json"], 2,
-     "e9e02520655ef29cf237c097fb20eb3fc4a37b911d627710938fcc97fde25f4a",
-     "b5342c1543d1ddc7af66e77d5e130e4c2cc471ea04d264db1ac4290682dfee5f"),
+     "09ecbf4edcdf4ee964c1f6a9b992686e824a5a7ed891cb492e0ed06fe01b79ef",
+     "d6155a433d3f80f4fc71c87f225470d3b0cb9aadbe63e3c2bc91372ffce2b803"),
     (["twist", "--family", "jones", "--n", "3", "--delta", "2", "--verify", "off"], 0,
      "4e300e76066e45347ed68452b5ebb382dfd188514c80c58ea162d2090d56d470",
      "a20063521df598fab21b7ac16b709642e291e7fd88fbbd0a579a7ce89eba114f"),

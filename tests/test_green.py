@@ -1,8 +1,12 @@
+import time
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import cellmonoid as cm
+from cellmonoid.cli import main
 from cellmonoid.green import GreenError
+from cellmonoid.groupcell import symmetric_group_table
 
 from conftest import (check_class_preservation, check_eggbox_rectangular, check_h_stability,
                       check_matched_representative_independence)
@@ -148,10 +152,27 @@ def test_schutz_group_laws(store):
     _, _, schutzs = store.green("tfull3")
     for sch in schutzs:
         assert sch.order == len(sch.hclass)
+        # the table read from representatives is composition of permutations
+        for g1, p1 in enumerate(sch.perms):
+            for g2, p2 in enumerate(sch.perms):
+                assert sch.perms[sch.mult[g1][g2]] == tuple(p2[v] for v in p1)
+        assert sch.perms[sch.identity] == tuple(range(sch.order))
         # representative product law r_m r_n = r_{mn}
         for m in sch.rm:
             for n in sch.rm:
                 assert sch.mult[sch.rm[m]][sch.rm[n]] == sch.rm[T[m][n]]
+
+
+def test_s6_cayley_input_exits_quickly(tmp_path, capsys):
+    # S6 is under the size cap but above the tableau datum's point bound, so
+    # the run ends with exit 1 once the group is recognised
+    table, _ = symmetric_group_table(6)
+    path = tmp_path / "s6.json"
+    cm.save_cayley_json(cm.from_cayley_table(720, 0, table), path)
+    start = time.perf_counter()
+    assert main(["analyze", "--cayley", str(path)]) == 1
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().err == "error: point count 6 outside 1..5\n"
 
 
 def test_h_stability_and_class_preservation(store):
@@ -163,29 +184,31 @@ def test_h_stability_and_class_preservation(store):
 
 
 def test_matched_examples(store):
+    M, _ = store.monoid("tfull2")
     gs, boxes, schutzs = store.green("tfull2")
     d = gs.dclass[1]
-    box, sch = boxes[d], schutzs[d]
-    assert cm.matched(box, sch, 0, 0) == sch.identity
-    assert cm.matched(box, sch, 0, 1) == sch.identity
-    M, _ = store.monoid("tfull2")
-    dbox = boxes[gs.dclass[M.identity]]
-    dsch = schutzs[gs.dclass[M.identity]]
-    assert cm.matched(dbox, dsch, 0, 0) == dsch.identity
+    sch = schutzs[d]
+    assert cm.sandwich(M, gs, boxes[d], sch) == {(0, 0): sch.identity, (0, 1): sch.identity}
+    du = gs.dclass[M.identity]
+    assert cm.sandwich(M, gs, boxes[du], schutzs[du]) == {(0, 0): schutzs[du].identity}
     # null class: the square falls below
+    Mn, _ = store.monoid("null3")
     gsn, boxesn, schutzn = store.green("null3")
     dn = gsn.dclass[1]
-    assert cm.matched(boxesn[dn], schutzn[dn], 0, 0) is None
+    assert cm.sandwich(Mn, gsn, boxesn[dn], schutzn[dn]) == {}
 
 
 def test_matched_syminv2_pattern(store):
+    M, _ = store.monoid("syminv2")
     gs, boxes, schutzs = store.green("syminv2")
     d = next(i for i, c in enumerate(gs.dclasses) if len(c) == 4)
-    box, sch = boxes[d], schutzs[d]
-    pattern = [[cm.matched(box, sch, i, j) is not None for j in range(2)] for i in range(2)]
+    box = boxes[d]
+    sandwich = cm.sandwich(M, gs, box, schutzs[d])
+    pattern = [[(i, j) in sandwich for j in range(2)] for i in range(2)]
     assert sorted(sum(row) for row in pattern) == [1, 1]
     assert sorted(sum(col) for col in zip(*pattern)) == [1, 1]
-    assert cm.bijection_condition(box, sch) is not None
+    assert list(sandwich) == sorted(sandwich)  # row-major
+    assert cm.bijection_condition(box, sandwich) is not None
 
 
 def test_matched_representative_independence(store):
@@ -196,20 +219,20 @@ def test_matched_representative_independence(store):
 
 
 def test_bijection_condition(store):
-    gs, boxes, schutzs = store.green("tfull2")
-    d = gs.dclass[1]
-    assert cm.bijection_condition(boxes[d], schutzs[d]) is None  # 1x2 grid
-    gst, boxest, schutzt = store.green("trivial")
-    assert cm.bijection_condition(boxest[0], schutzt[0]) == {0: 0}
+    def pairings(key):
+        M, _ = store.monoid(key)
+        gs, boxes, schutzs = store.green(key)
+        return [cm.bijection_condition(box, cm.sandwich(M, gs, box, sch))
+                for box, sch in zip(boxes, schutzs)]
+
+    gs, _, _ = store.green("tfull2")
+    assert pairings("tfull2")[gs.dclass[1]] is None  # 1x2 grid
+    assert pairings("trivial") == [{0: 0}]
     # every class of an inverse monoid carries the pairing
-    gsi, boxesi, schutzi = store.green("syminv2")
-    for box, sch in zip(boxesi, schutzi):
-        assert cm.bijection_condition(box, sch) is not None
-
-
-def test_invalid_cell():
-    M, _ = cm.family("tfull", 2)
-    gs, boxes, schutzs = cm.green_data(M)
-    d = gs.dclass[1]
-    with pytest.raises(ValueError):
-        cm.matched(boxes[d], schutzs[d], 5, 0)
+    assert all(p is not None for p in pairings("syminv2"))
+    # a square pattern with two entries in one column is not a pairing
+    box = cm.EggBox(0, [0, 1], [0, 1], [[[0], [1]], [[2], [3]]], [0, 0], [0, 0], [0, 0], [0, 0])
+    assert cm.bijection_condition(box, {(0, 0): 0, (1, 1): 0}) == {0: 0, 1: 1}
+    assert cm.bijection_condition(box, {(0, 0): 0, (1, 0): 0}) is None
+    assert cm.bijection_condition(box, {(0, 0): 0, (0, 1): 0}) is None
+    assert cm.bijection_condition(box, {(0, 0): 0, (0, 1): 0, (1, 1): 0}) is None

@@ -183,7 +183,7 @@ def test_factorial_arg():
 def test_standard_group_data_kinds(store):
     M, _ = store.monoid("syminv3")
     gs, boxes, schutzs = store.green("syminv3")
-    gd = cm.standard_group_data(M, gs, boxes, schutzs, RATIONALS)
+    gd = cm.standard_group_data(schutzs, RATIONALS)
     kinds = sorted(g.kind for g in gd.values())
     assert kinds == ["symmetric(2)", "symmetric(3)", "trivial", "trivial"]
 
@@ -194,7 +194,7 @@ def test_unsupported_group():
     M = cm.from_cayley_table(4, 0, table, ["0", "1", "2", "3"])
     gs, boxes, schutzs = cm.green_data(M)
     with pytest.raises(cm.UnsupportedGroup):
-        cm.standard_group_data(M, gs, boxes, schutzs, RATIONALS)
+        cm.standard_group_data(schutzs, RATIONALS)
 
 
 def test_custom_datum_rescues_unsupported_group(tmp_path):
@@ -231,7 +231,7 @@ def test_custom_datum_rescues_unsupported_group(tmp_path):
     path2 = tmp_path / "c4b.json"
     path2.write_text(json.dumps(payload2))
     datum = cm.load_custom_datum(path2, sch.mult, F2)
-    gd = cm.standard_group_data(M, gs, boxes, schutzs, F2, custom={0: datum})
+    gd = cm.standard_group_data(schutzs, F2, custom={0: datum})
     full = cm.build_cell_datum(M, gs, boxes, schutzs, gd, F2)
     assert cm.verify_cell_axioms(full, mode="full").ok
     rep = cm.analyze(full)

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -243,17 +244,63 @@ def _as_map(M, g):
     return [None if v == "-" else int(v) - 1 for v in M.labels[g][1:-1].split(",")]
 
 
-def _table_closure(M, gens):
+def _table_closure(M, gens, weights=None):
+    """Elements reached by right steps x -> x*g, with weights[x][g] nonzero
+    when weights are given."""
     reach = {M.identity}
     frontier = [M.identity]
     while frontier:
         x = frontier.pop()
         for g in gens:
             z = M.table[x][g]
-            if z not in reach:
+            if z not in reach and (weights is None or weights[x][g] != 0):
                 reach.add(z)
                 frontier.append(z)
     return reach
+
+
+def _greedy_two_sided(M):
+    """The greedy generating set, each candidate tested against the two-sided
+    product closure of the generators so far."""
+    T = M.table
+    right = [len(set(row)) for row in T]
+    left = [len({row[x] for row in T}) for x in range(M.size)]
+    gens, reach = [], {M.identity}
+    for x in sorted(range(M.size), key=lambda x: (-right[x], -left[x], x)):
+        if x in reach:
+            continue
+        gens.append(x)
+        reach.add(x)
+        while True:
+            more = {T[u][v] for u in reach for v in reach} - reach
+            if not more:
+                break
+            reach |= more
+    return gens
+
+
+def test_generating_set_matches_two_sided_closure():
+    for key in ("trivial", "null3", "tfull3", "tpartial3", "syminv3", "jones4", "jones5"):
+        M, _ = build_monoid(key)
+        assert generating_set(M) == _greedy_two_sided(M), key
+    rng = random.Random(5)
+    for _ in range(40):
+        r = rng.randint(2, 4)
+        maps = [[rng.randint(1, r) for _ in range(r)] for _ in range(rng.randint(1, 3))]
+        M = cm.generate_from_maps(r, maps)
+        assert generating_set(M) == _greedy_two_sided(M), maps
+
+
+@pytest.mark.parametrize("n, count", [(4, 6), (5, 8), (6, 10)])
+def test_generating_set_under_zero_weights(n, count):
+    # with delta = 0 a product that removes a loop is zero, so the untwisted
+    # generators miss elements of the twisted algebra
+    M, loops = cm.family("jones", n)
+    weights = cm.make_loop_twisting(loops, Fraction(0), cm.RATIONALS).values
+    assert len(_table_closure(M, generating_set(M), weights)) < M.size
+    gens = generating_set(M, weights)
+    assert len(gens) == count
+    assert _table_closure(M, gens, weights) == set(range(M.size))
 
 
 def test_cayley_json_round_trip(tmp_path):

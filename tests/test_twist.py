@@ -199,3 +199,20 @@ def test_twist_summary_shape(store):
     pi = cm.make_loop_twisting(loops, Fraction(2), Q)
     summary = twist_summary(pi, cm.compatibility_class(M, gs, pi), None)
     assert summary["cocycle_ok"] and summary["compatibility"] == "strong"
+
+
+def test_compatibility_scans_r_and_l_classes(store):
+    # pi(1, .) varies on the R-class {1, 3} of the constant maps of T2, so the
+    # left scan refuses it; on the opposite monoid with the transposed grid the
+    # same values vary along an L-class and the right scan refuses them
+    M, _ = store.monoid("tfull2")
+    pi = cm.trivial_twisting(M.size, Q)
+    pi.values[1][1] = Fraction(2)
+    compat = cm.compatibility_class(M, store.green("tfull2")[0], pi)
+    assert (compat.level, compat.witness) == ("incompatible",
+                                              {"side": "left", "a": 1, "x": 1, "y": 3})
+    op = cm.from_cayley_table(M.size, M.identity, [list(col) for col in zip(*M.table)])
+    pi_op = cm.Twisting(Q, [list(col) for col in zip(*pi.values)], "transposed")
+    compat = cm.compatibility_class(op, cm.compute_green(op), pi_op)
+    assert (compat.level, compat.witness) == ("incompatible",
+                                              {"side": "right", "a": 1, "x": 1, "y": 3})
