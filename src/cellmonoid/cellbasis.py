@@ -78,11 +78,12 @@ class CellDatum:
     """Basis of an algebra labeled by (node, left index, right index) triples.
 
     The carrier is the algebra spanned by the elements of a Cayley table, with
-    its product in mult (see table_mult).  blocks partition both the carrier
-    and the label set; within each block the labeled vectors must form a basis
-    of the span of the block's carrier elements.  The exact inverse of each
-    block is kept as sparse columns, one per carrier element, so a coordinate
-    lookup touches only the nonzero terms of its vector.
+    its product in mult (see table_mult), weighted by weights under a twisting
+    (None otherwise).  blocks partition both the carrier and the label set;
+    within each block the labeled vectors must form a basis of the span of the
+    block's carrier elements.  The exact inverse of each block is kept as
+    sparse columns, one per carrier element, so a coordinate lookup touches
+    only the nonzero terms of its vector.
     """
 
     def __init__(self, field: FieldSpec, table: List[List[int]],
@@ -93,6 +94,7 @@ class CellDatum:
         self.field = field
         self.table = table
         self.dim = dim = len(table)
+        self.weights: Optional[List[List[Scalar]]] = None
         self.mult = table_mult(table, field)
         self.nodes = list(nodes)
         self.gt = _transitive_closure(gt_pairs)
@@ -161,6 +163,7 @@ class CellDatum:
         by weights."""
         clone = object.__new__(CellDatum)
         clone.__dict__.update(self.__dict__)
+        clone.weights = weights
         clone.mult = table_mult(self.table, self.field, weights)
         clone.attach = attach
         return clone

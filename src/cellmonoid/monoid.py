@@ -447,7 +447,7 @@ def generating_set(M: FiniteMonoid, weights: Optional[Sequence[Sequence]] = None
     """
     T = M.table
     right = [len(set(row)) for row in T]
-    left = [len({row[x] for row in T}) for x in range(M.size)]
+    left = [len(set(col)) for col in zip(*T)]
 
     gens: List[int] = []
     seen = {M.identity}

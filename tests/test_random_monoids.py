@@ -104,3 +104,117 @@ def test_random_coboundary_twistings():
 
     check()
     assert min(counts.values()) > 0, counts
+
+
+def _reference_witness(datum, acting):
+    """The plain scan the axiom check must agree with: every acting element,
+    node and basis vector, left side by (t, s), right side by (s, t)."""
+    zero = datum.field.zero()
+    for a in acting:
+        ua = datum.unit(a)
+        for ni in range(len(datum.nodes)):
+            ls, rs = len(datum.lsets[ni]), len(datum.rsets[ni])
+            higher = datum.higher[ni]
+
+            def fail(side, detail):
+                return {"side": side, "acting": a, "node": datum.node_label(ni), "detail": detail}
+
+            ref = None
+            for t in range(rs):
+                mat = [[zero] * ls for _ in range(ls)]
+                for s in range(ls):
+                    coords = datum.coordinates(datum.mult(ua, datum.basis[(ni, s, t)]))
+                    for (nj, sj, tj), c in coords.items():
+                        if nj in higher:
+                            continue
+                        if nj != ni or tj != t:
+                            return fail("left", f"a*C[{s},{t}] hits "
+                                                f"({datum.node_label(nj)},{sj},{tj})")
+                        mat[s][sj] = c
+                if ref is None:
+                    ref = mat
+                elif mat != ref:
+                    return fail("left", f"left coefficients at right index {t} "
+                                        "differ from index 0")
+            ref = None
+            for s in range(ls):
+                mat = [[zero] * rs for _ in range(rs)]
+                for t in range(rs):
+                    coords = datum.coordinates(datum.mult(datum.basis[(ni, s, t)], ua))
+                    for (nj, sj, tj), c in coords.items():
+                        if nj in higher:
+                            continue
+                        if nj != ni or sj != s:
+                            return fail("right", f"C[{s},{t}]*a hits "
+                                                 f"({datum.node_label(nj)},{sj},{tj})")
+                        mat[t][tj] = c
+                if ref is None:
+                    ref = mat
+                elif mat != ref:
+                    return fail("right", f"right coefficients at left index {s} "
+                                         "differ from index 0")
+    return None
+
+
+def test_axiom_check_matches_reference_scan():
+    # Sabotaged and twisted data on family members and random submonoids of
+    # T3 and T4: the check, which
+    # verifies each translate of a row or column once, must report the verdict
+    # and the witness of the plain scan, in full and generators mode.  Merged
+    # blocks give units with no anchor; zero weights make actors with the same
+    # products a*x0 differ.
+    counts = {"ok": 0, "failed": 0}
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        if data.draw(st.booleans()):
+            M, _ = cm.family(*data.draw(st.sampled_from(FAMILY_MEMBERS)))
+        else:
+            r = data.draw(st.integers(3, 4))
+            point_map = st.lists(st.integers(1, r), min_size=r, max_size=r)
+            M = cm.generate_from_maps(r, data.draw(st.lists(point_map, min_size=2, max_size=3)))
+            if M.size > SIZE_BOUND:
+                return
+        try:
+            base = cm.standard_datum(M, RATIONALS)
+        except cm.UnsupportedGroup:
+            return
+        basis, blocks = dict(base.basis), list(base.blocks)
+        sabotage = data.draw(st.sampled_from(["swap", "rescale", "weights"]))
+        if sabotage == "swap":
+            # two vectors of one block, or of two blocks of a node then merged
+            b1 = data.draw(st.sampled_from(blocks))
+            b2 = data.draw(st.sampled_from([b for b in blocks if b[1][0][0] == b1[1][0][0]]))
+            k1, k2 = data.draw(st.sampled_from(b1[1])), data.draw(st.sampled_from(b2[1]))
+            basis[k1], basis[k2] = basis[k2], basis[k1]
+            if b1 != b2:
+                blocks = [b for b in blocks if b not in (b1, b2)] + [(b1[0] + b2[0],
+                                                                      b1[1] + b2[1])]
+        elif sabotage == "rescale":
+            k = data.draw(st.sampled_from(sorted(basis)))
+            c = data.draw(st.sampled_from([Fraction(2), Fraction(-1), Fraction(1, 3)]))
+            basis[k] = {e: c * v for e, v in basis[k].items()}
+        datum = cm.CellDatum(base.field, base.table, base.nodes, base.gt, base.lsets,
+                             base.rsets, basis, blocks, base.attach)
+        if sabotage == "weights":
+            # a coboundary, compatible or not, with a few weights set to zero
+            gs = base.attach.green
+            cls = data.draw(st.sampled_from([gs.hclass, gs.rclass, gs.lclass]))
+            scalar = st.sampled_from([Fraction(1), Fraction(2), Fraction(-1, 2)])
+            pi = _coboundary(M, cls, data.draw(st.lists(scalar, min_size=max(cls) + 1,
+                                                        max_size=max(cls) + 1)))
+            element = st.integers(0, M.size - 1)
+            for x, y in data.draw(st.lists(st.tuples(element, element), max_size=2)):
+                pi.values[x][y] = Fraction(0)
+            datum = datum.twisted(pi.values, base.attach)
+        full = cm.verify_cell_axioms(datum, mode="full")
+        assert full.witness == _reference_witness(datum, range(M.size))
+        assert (full.ok, full.acting_count) == (full.witness is None, M.size)
+        counts["ok" if full.ok else "failed"] += 1
+        acting = data.draw(st.lists(st.integers(0, M.size - 1), min_size=1, max_size=4))
+        by_gens = cm.verify_cell_axioms(datum, acting=acting, mode="generators")
+        assert by_gens.witness == _reference_witness(datum, acting)
+
+    check()
+    assert min(counts.values()) > 0, counts

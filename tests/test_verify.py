@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -36,15 +37,35 @@ def test_axioms_sabotage_produces_witness(store):
                            "detail": "a*C[0,0] hits (D0:(1,1),0,0)"}
 
 
+def _rebuilt(d, changes, blocks=None):
+    basis = dict(d.basis)
+    basis.update(changes)
+    return cm.CellDatum(d.field, d.table, d.nodes, d.gt,
+                        d.lsets, d.rsets, basis, blocks or d.blocks, d.attach)
+
+
+def _swap(d, k1, k2, blocks=None):
+    return _rebuilt(d, {k1: d.basis[k2], k2: d.basis[k1]}, blocks)
+
+
+def _merge_swap(d, k1, k2):
+    # swap vectors of two cells and merge the cells' blocks: a unit's support
+    # then spans two R-classes (or L-classes), with no anchor in it
+    b1, b2 = (next(b for b in d.blocks if k in b[1]) for k in (k1, k2))
+    blocks = [b for b in d.blocks if b not in (b1, b2)] + [(b1[0] + b2[0], b1[1] + b2[1])]
+    return _swap(d, k1, k2, blocks)
+
+
+def _rescale(d, k, c):
+    return _rebuilt(d, {k: {e: c * v for e, v in d.basis[k].items()}})
+
+
 def _swap_unit_labels(d):
     # swapping the first two partition labels inside the unit class keeps a
     # basis but breaks the triangularity
     k_a, k_b = (0, 0, 0), (1, 0, 0)
     assert d.basis[k_a] != d.basis[k_b]
-    swapped = dict(d.basis)
-    swapped[k_a], swapped[k_b] = swapped[k_b], swapped[k_a]
-    return cm.CellDatum(d.field, d.table, d.nodes, d.gt,
-                        d.lsets, d.rsets, swapped, d.blocks)
+    return _swap(d, k_a, k_b)
 
 
 def test_axioms_sabotage_same_block(store):
@@ -53,6 +74,94 @@ def test_axioms_sabotage_same_block(store):
     rep = cm.verify_cell_axioms(datum, mode="full")
     assert not rep.ok
     assert rep.witness["side"] in ("left", "right")
+
+
+def _h_coboundary(d, h):
+    # pi(x, y) = f(x) f(y) / f(xy) with f = 2 on H-class h: constant on an
+    # H-class only, so the twisted basis can break the one-sided axioms
+    M, gs = d.attach.monoid, d.attach.green
+    f = [Fraction(2) if gs.hclass[x] == h else Fraction(1) for x in range(M.size)]
+    return d.twisted([[f[x] * f[y] / f[M.table[x][y]] for y in range(M.size)]
+                      for x in range(M.size)], d.attach)
+
+
+def _zero_weight(d, x, y):
+    # all weights 1 but weights[x][y] = 0: actors with equal products a*x0
+    # differ in their weights, so the weights belong to the skip key
+    weights = [[1] * d.dim for _ in range(d.dim)]
+    weights[x][y] = 0
+    return d.twisted(weights, d.attach)
+
+
+# The first failure in the order acting, node, left before right, then (t, s)
+# on the left and (s, t) on the right, as the plain scan over every acting
+# element reports it.  The swaps fail at several entries inside the reported
+# (acting, node, side): a*C[0,1] and a*C[1,1] both leave the node on tfull3,
+# and C[4,1]*a and C[4,2]*a both do on tpartial3.  The merged swaps leave a
+# unit with no anchor, report a later unit than the first failing one, and
+# report a hit at the same t as another unit's differing row, in that order.
+PINNED_WITNESSES = [
+    ("tfull3", lambda d: _swap(d, (1, 0, 1), (1, 1, 0)),
+     {"side": "left", "acting": 7, "node": "D0:(2,1)",
+      "detail": "a*C[0,1] hits (D0:(2,1),0,0)"}),
+    ("tfull3", lambda d: _rescale(d, (1, 1, 1), 2),
+     {"side": "left", "acting": 7, "node": "D0:(2,1)",
+      "detail": "left coefficients at right index 1 differ from index 0"}),
+    ("tpartial3", lambda d: _swap(d, (4, 4, 0), (5, 4, 0)),
+     {"side": "right", "acting": 2, "node": "D2:(2)",
+      "detail": "C[4,1]*a hits (D2:(1,1),4,0)"}),
+    ("tfull3", lambda d: _h_coboundary(d, 2),
+     {"side": "left", "acting": 2, "node": "D2:(2)",
+      "detail": "left coefficients at right index 1 differ from index 0"}),
+    ("tfull3", lambda d: _merge_swap(d, (4, 0, 0), (4, 1, 1)),
+     {"side": "left", "acting": 2, "node": "D2:(2)",
+      "detail": "a*C[0,0] hits (D2:(2),0,1)"}),
+    ("tfull3", lambda d: _merge_swap(d, (4, 0, 2), (4, 1, 1)),
+     {"side": "left", "acting": 2, "node": "D2:(2)",
+      "detail": "left coefficients at right index 1 differ from index 0"}),
+    ("tpartial3", lambda d: _merge_swap(d, (3, 0, 1), (3, 4, 0)),
+     {"side": "left", "acting": 1, "node": "D1:*",
+      "detail": "a*C[1,1] hits (D1:*,4,0)"}),
+    ("tfull3", lambda d: _zero_weight(d, 1, 1),
+     {"side": "left", "acting": 1, "node": "D1:*",
+      "detail": "left coefficients at right index 1 differ from index 0"}),
+]
+
+
+@pytest.mark.parametrize("key,sabotage,witness", PINNED_WITNESSES,
+                         ids=["swap", "rescale", "swap-right", "h-coboundary", "merge-no-anchor",
+                              "merge-later-unit", "merge-hit-first", "zero-weight"])
+def test_axiom_witnesses_pinned(store, key, sabotage, witness):
+    datum = sabotage(store.datum(key))
+    rep = cm.verify_cell_axioms(datum, mode="full")
+    assert (rep.ok, rep.witness, rep.acting_count) == (False, witness, datum.dim)
+    by_gens = cm.verify_cell_axioms(datum, acting=[witness["acting"]], mode="generators")
+    assert (by_gens.witness, by_gens.acting_count) == (witness, 1)
+
+
+def test_bad_acting_indices_rejected(store):
+    d = store.datum("tfull2")
+    for bad in (-1, 99, d.dim):
+        with pytest.raises(ValueError, match=f"acting index {bad} "):
+            cm.verify_cell_axioms(d, acting=[0, bad], mode="generators")
+
+
+def test_full_check_product_counts(store):
+    # each row and column translate is verified once: 642 of 2*27**2 = 1458
+    # products on tfull3 and 2570 of 8192 on tpartial3
+    for key, products in (("tfull3", 642), ("tpartial3", 2570)):
+        datum = copy.copy(store.datum(key))
+        calls = 0
+        mult = datum.mult
+
+        def counting(x, y):
+            nonlocal calls
+            calls += 1
+            return mult(x, y)
+
+        datum.mult = counting
+        rep = cm.verify_cell_axioms(datum, mode="full")
+        assert (rep.ok, rep.acting_count, calls) == (True, datum.dim, products), key
 
 
 def test_generators_mode_consistent_with_full(store):
