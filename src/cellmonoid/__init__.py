@@ -6,8 +6,7 @@ and per-class group data, then decides quasi-heredity and semisimplicity by
 exact Gram-matrix ranks, with independent cross-checks throughout.
 """
 
-from .exactalg import (DenseMatrix, FieldSpec, RATIONALS, Scalar, mat_nullspace, mat_rank,
-                       prime_field)
+from .exactalg import DenseMatrix, FieldSpec, RATIONALS, Scalar, mat_rank, prime_field
 from .monoid import (BadIdentity, CellmonoidError, FiniteMonoid, LoopTable, MonoidError,
                      NotAssociative, SizeCapExceeded, family, from_cayley_table,
                      generate_from_maps, generating_set, idempotents, is_inverse, is_regular,

@@ -2,18 +2,28 @@
 
 Every computation in this package is exact: scalars are `fractions.Fraction`
 values over the rationals, or canonical residues (ints in ``[0, p)``) over a
-prime field.  Rank decisions therefore never depend on tolerances.  Ranks over
-the rationals are computed fraction-free on Python ints (Bareiss elimination);
-nullspaces and inverses use reduced row echelon form, which is also the
-rank-nullity second route for those ranks.
+prime field.  Rank decisions therefore never depend on tolerances.
+
+Ranks, nonsingularity and inverses share one kernel: Gauss-Jordan elimination
+on Python ints mod a prime p.  Over a prime field p is the field's own and the
+answer is exact.  Over the rationals (where ints are accepted as scalars) each
+row is scaled to ints by clear_denominators and eliminated mod _MODULUS, and
+no answer is taken from the prime alone (Dixon 1982): a full rank mod p is a
+full rank; a rank r below full is certified by lifting the reduced form's
+kernel vectors by rational reconstruction and checking A v = 0 on ints; an
+inverse B is certified by A B = I on ints, with one common denominator.  When
+a certificate fails (p divides a minor, or an entry is too large to
+reconstruct), ranks come from fraction-free Bareiss elimination and inverses
+from reduced row echelon form over Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import List, Optional, Sequence, Union
+from math import isqrt, lcm
+from operator import mul
+from typing import List, Optional, Sequence, Tuple, Union
 
 Scalar = Union[Fraction, int]
 
@@ -113,7 +123,7 @@ class FieldSpec:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         if self.kind == "q":
-            return 1 / a
+            return Fraction(1) / a
         return pow(a, self.p - 2, self.p)
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
@@ -142,6 +152,11 @@ class FieldSpec:
 
 
 RATIONALS = FieldSpec("q")
+
+# The prime of the rational kernel, the Mersenne prime 2**61 - 1.  Residues
+# stay small enough for fast Python ints; every answer taken mod this prime is
+# certified over the integers before it is returned.
+_MODULUS = (1 << 61) - 1
 
 
 def prime_field(p: int) -> FieldSpec:
@@ -235,40 +250,147 @@ def clear_denominators(values: Sequence[Scalar]) -> List[int]:
     return [v.numerator * (den // v.denominator) for v in values]
 
 
-def mat_rank(m: DenseMatrix) -> int:
-    if m.field.kind == "q":  # scaling a row keeps the rank
-        return _bareiss_rank([clear_denominators(row) for row in m.entries])
-    rows = [list(r) for r in m.entries]
-    return len(_rref(m.field, rows, m.cols))
-
-
-def mat_nullspace(m: DenseMatrix) -> List[List[Scalar]]:
-    """Basis of the right nullspace {v : m v = 0}; empty iff full column rank."""
-    f = m.field
-    rows = [list(r) for r in m.entries]
-    pivots = _rref(f, rows, m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(m.cols):
-        if fc in pivot_set:
+def _rref_mod(rows: List[List[int]], ncols: int, p: int, stop_at_free: bool) -> List[int]:
+    """In-place reduced row echelon form of rows of residues mod p; returns
+    the pivot columns.  Same pivot rule as _rref, so over a prime field it
+    gives _rref's result.  With stop_at_free the elimination stops at the
+    first column without a pivot, whose index is then len(pivots)."""
+    pivots: List[int] = []
+    pr = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        pv = next((r for r in range(pr, nrows) if rows[r][c]), None)
+        if pv is None:
+            if stop_at_free:
+                break
             continue
-        v = [f.zero()] * m.cols
-        v[fc] = f.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(rows[r][fc])
-        basis.append(v)
-    return basis
+        rows[pr], rows[pv] = rows[pv], rows[pr]
+        prow = rows[pr]
+        if prow[c] != 1:
+            inv = pow(prow[c], -1, p)
+            prow = rows[pr] = [v * inv % p for v in prow]
+        tail = prow[c:]  # prow is zero left of c
+        for r in range(nrows):
+            row = rows[r]
+            f0 = row[c]
+            if f0 and r != pr:
+                rows[r] = row[:c] + [(v - f0 * w) % p for v, w in zip(row[c:], tail)]
+        pivots.append(c)
+        pr += 1
+        if pr == nrows:
+            break
+    return pivots
+
+
+def _lift(residues: Sequence[int], p: int) -> Optional[Tuple[List[int], int]]:
+    """Ints N and d > 0 with N/d = residues mod p, entry by entry, by rational
+    reconstruction (Wang 1981) under one common denominator d; None when an
+    entry has no reconstruction with numerator and denominator below
+    sqrt(p/2)."""
+    bound = isqrt(p >> 1)
+    den, nums = 1, []
+    for x in residues:
+        r0, r1, s0, s1 = p, x * den % p, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        if s1 < 0:
+            r1, s1 = -r1, -s1
+        if s1 > bound:
+            return None
+        if s1 != 1:
+            nums = [v * s1 for v in nums]
+            den *= s1
+        nums.append(r1)
+    return nums, den
+
+
+def _certified_kernel_vector(rows: List[List[int]], red: List[List[int]], pivots: List[int],
+                             free: int, p: int) -> Optional[List[Tuple[int, int]]]:
+    """The kernel vector of the reduced residue rows red at the free column
+    free (1 there, minus column free's entries at the pivots, 0 elsewhere),
+    lifted to ints, as (column, entry) pairs of its support; None unless it
+    lifts and the int rows annihilate the lift exactly."""
+    lifted = _lift([1] + [-red[r][free] % p for r in range(len(pivots))], p)
+    if lifted is None:
+        return None
+    support = list(zip([free] + pivots, lifted[0]))
+    if any(sum(row[c] * v for c, v in support) for row in rows):
+        return None
+    return support
+
+
+def _eliminate(m: DenseMatrix, stop_at_free: bool):
+    """(int rows, reduced residue rows, pivots, p): m's rows as ints (over
+    the rationals each row scaled by clear_denominators) and their reduced
+    row echelon form mod p, the field's own prime or _MODULUS."""
+    if m.field.kind == "q":
+        p = _MODULUS
+        rows = [clear_denominators(r) for r in m.entries]
+    else:
+        p = m.field.p
+        rows = m.entries
+    red = [[v % p for v in r] for r in rows]
+    return rows, red, _rref_mod(red, m.cols, p, stop_at_free), p
+
+
+def mat_rank(m: DenseMatrix) -> int:
+    """Exact rank.  Over the rationals the rank r mod _MODULUS is a lower
+    bound; it stands when it is full, or when each of the cols - r kernel
+    vectors lifts to a certified one (so the nullity is at least cols - r).
+    Otherwise the rank comes from Bareiss elimination."""
+    rows, red, pivots, p = _eliminate(m, False)
+    r = len(pivots)
+    if m.field.kind == "fp" or r == min(m.rows, m.cols):
+        return r
+    pivot_set = set(pivots)
+    if all(_certified_kernel_vector(rows, red, pivots, c, p) is not None
+           for c in range(m.cols) if c not in pivot_set):
+        return r
+    return _bareiss_rank(rows)
+
+
+def certified_nonsingular(m: DenseMatrix) -> Optional[bool]:
+    """Whether the square matrix m is nonsingular.  Over the rationals a
+    full rank mod _MODULUS proves it, and one certified kernel vector proves
+    m singular; None when neither holds, for the caller's exact fallback."""
+    rows, red, pivots, p = _eliminate(m, True)
+    if len(pivots) == m.rows:
+        return True
+    if (m.field.kind == "fp"
+            or _certified_kernel_vector(rows, red, pivots, len(pivots), p) is not None):
+        return False
+    return None
 
 
 def mat_inverse(m: DenseMatrix) -> Optional[DenseMatrix]:
-    """Inverse of a square matrix, or None when singular."""
+    """Inverse of a square matrix, or None when singular.
+
+    [m | I] is eliminated as one matrix; over the rationals its rows are
+    scaled to ints [A | S] = S [m | I] (S diagonal), whose reduced form mod
+    _MODULUS is [I | m^-1].  The right half is lifted to N/d under one
+    common denominator, and A N = d S, checked on ints, proves m^-1 = N/d.
+    A matrix singular mod _MODULUS, or a lift that fails the check, is
+    inverted by reduced row echelon form over Fractions instead."""
     if m.rows != m.cols:
         return None
-    f = m.field
-    n = m.rows
+    f, n = m.field, m.rows
     one, zero = f.one(), f.zero()
-    rows = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(m.entries)]
-    pivots = _rref(f, rows, 2 * n)
-    if pivots[:n] != list(range(n)):
+    aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(m.entries)]
+    rows, red, pivots, p = _eliminate(DenseMatrix(f, n, 2 * n, aug), True)
+    nonsingular = len(pivots) == n
+    if f.kind == "fp":
+        return DenseMatrix(f, n, n, [r[n:] for r in red]) if nonsingular else None
+    if nonsingular:
+        lifted = _lift([v for r in red for v in r[n:]], p)
+        if lifted is not None:
+            flat, d = lifted
+            inv = [flat[i * n:(i + 1) * n] for i in range(n)]
+            cols = list(zip(*inv))
+            # map stops at n, so each product reads only A's half of the row
+            if all(sum(map(mul, row, col)) == (d * row[n + i] if i == j else 0)
+                   for i, row in enumerate(rows) for j, col in enumerate(cols)):
+                return DenseMatrix(f, n, n, [[Fraction(v, d) for v in r] for r in inv])
+    if _rref(f, aug, 2 * n)[:n] != list(range(n)):
         return None
-    return DenseMatrix(f, n, n, [r[n:] for r in rows])
+    return DenseMatrix(f, n, n, [r[n:] for r in aug])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import cellmonoid as cm
-from cellmonoid.exactalg import FieldSpec
+from cellmonoid.exactalg import FieldSpec, _bareiss_rank, clear_denominators
 
 
 def build_monoid(key: str):
@@ -72,6 +72,29 @@ class Store:
 @pytest.fixture(scope="session")
 def store():
     return Store()
+
+
+def reference_trace_form(mult, dim, field):
+    """The trace-form verdict by the plain loop the oracle must agree with:
+    dim**2 products for the traces, dim**2 more for the form, Fraction
+    arithmetic, and the rank by Bareiss elimination."""
+    one = field.one()
+    traces = []
+    for m in range(dim):
+        acc = field.zero()
+        for x in range(dim):
+            acc = field.add(acc, mult({m: one}, {x: one}).get(x, field.zero()))
+        traces.append(acc)
+    entries = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            acc = field.zero()
+            for k, c in mult({i: one}, {j: one}).items():
+                acc = field.add(acc, field.mul(c, traces[k]))
+            row.append(acc)
+        entries.append(clear_denominators(row))
+    return _bareiss_rank(entries) == dim
 
 
 def assert_checks_clean(report):

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from cellmonoid.exactalg import (DenseMatrix, FieldSpec, RATIONALS, _is_prime, mat_inverse,
-                                 mat_nullspace, mat_rank, prime_field)
+from cellmonoid import exactalg
+from cellmonoid.exactalg import (DenseMatrix, FieldSpec, RATIONALS, _bareiss_rank,
+                                 _certified_kernel_vector, _is_prime, _eliminate, _rref,
+                                 certified_nonsingular, clear_denominators, mat_inverse,
+                                 mat_rank, prime_field)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -67,20 +70,46 @@ def test_rank_examples():
     assert mat_rank(DenseMatrix(RATIONALS, 0, 3, [])) == 0
 
 
+def nullspace(m):
+    """The kernel's nullspace basis of m: over a prime field the free-column
+    vectors of the reduced form, over Q the certified lifts of those vectors
+    (as Fractions), or None when one of them does not certify."""
+    rows, red, pivots, p = _eliminate(m, False)
+    basis = []
+    for free in (c for c in range(m.cols) if c not in pivots):
+        if m.field.kind == "q":
+            support = _certified_kernel_vector(rows, red, pivots, free, p)
+            if support is None:
+                return None
+        else:
+            support = [(free, 1)] + [(c, -red[r][free] % p) for r, c in enumerate(pivots)]
+        v = [m.field.zero()] * m.cols
+        for c, x in support:
+            v[c] = m.field.from_int(x)
+        basis.append(v)
+    return basis
+
+
 def test_nullspace_examples():
-    assert mat_nullspace(DenseMatrix.identity(RATIONALS, 3)) == []
-    ns = mat_nullspace(M(RATIONALS, [[1, 1]]))
+    assert nullspace(DenseMatrix.identity(RATIONALS, 3)) == []
+    ns = nullspace(M(RATIONALS, [[1, 1]]))
     assert len(ns) == 1
     v = ns[0]
     assert v[0] + v[1] == 0 and v != [0, 0]
-    ns3 = mat_nullspace(M(F3, [[3]]))
+    assert all(type(x) is Fraction for x in v)
+    ns3 = nullspace(M(F3, [[3]]))
     assert ns3 == [[1]]
+    assert nullspace(M(RATIONALS, [[2, 4], [1, 2]])) == [[-2, 1]]
 
 
 def test_rank_nullity_and_exact_solve_randomized():
-    # 40 small integer matrices per field, then 60 from random_matrix; the rank
-    # over Q (fraction-free) is checked against the nullspace route (rref)
+    # 40 small integer matrices per field, then 60 from random_matrix; the
+    # rank is checked against the nullspace route, the kernel vectors that
+    # certify it over Q.  Large kernel entries do not reconstruct mod the
+    # kernel's prime; such matrices are counted, and their rank comes from
+    # Bareiss elimination (see test_kernel_matches_reference_eliminations).
     rng = random.Random(20240611)
+    counts = {"certified": 0, "not certified": 0}
     for field in (RATIONALS, F2, F3, F5):
         for trial in range(100):
             if trial < 40:
@@ -91,11 +120,17 @@ def test_rank_nullity_and_exact_solve_randomized():
                 a, bound = random_matrix(rng, field, rng.randint(0, 12), rng.randint(0, 12))
             r = mat_rank(a)
             assert r <= bound
-            ns = mat_nullspace(a)
+            ns = nullspace(a)
+            if ns is None:
+                counts["not certified"] += 1
+                continue
+            if field.kind == "q":
+                counts["certified"] += 1
             assert r + len(ns) == a.cols
             for v in ns:
                 prod = [sum_entries(field, row, v) for row in a.entries]
                 assert all(field.is_zero(x) for x in prod)
+    assert min(counts.values()) > 0, counts
 
 
 def random_matrix(rng, field, nr, nc):
@@ -138,6 +173,92 @@ def test_inverse_round_trip():
     assert prod == [[1, 0], [0, 1]]
     assert mat_inverse(M(RATIONALS, [[1, 1], [1, 1]])) is None
     assert mat_inverse(M(RATIONALS, [[1, 2]])) is None
+
+
+def test_rational_division_is_exact():
+    half = RATIONALS.inv(2)
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    third = RATIONALS.div(1, 3)
+    assert third == Fraction(1, 3) and type(third) is Fraction
+    assert type(RATIONALS.inv(Fraction(-2, 3))) is Fraction
+    with pytest.raises(ZeroDivisionError):
+        RATIONALS.inv(0)
+
+
+def _reference_inverse(m):
+    """Inverse by reduced row echelon form over the field's own arithmetic."""
+    f, n = m.field, m.rows
+    rows = [list(r) + [f.one() if i == j else f.zero() for j in range(n)]
+            for i, r in enumerate(m.entries)]
+    if _rref(f, rows, 2 * n)[:n] != list(range(n)):
+        return None
+    return [r[n:] for r in rows]
+
+
+def _reference_rank(m):
+    if m.field.kind == "q":
+        return _bareiss_rank([clear_denominators(r) for r in m.entries])
+    return len(_rref(m.field, [list(r) for r in m.entries], m.cols))
+
+
+def test_kernel_matches_reference_eliminations():
+    # The mod-p kernel against fraction-free Bareiss (ranks over Q) and RREF
+    # in the field's own arithmetic (ranks over F_p, inverses), on
+    # random_matrix's matrices: products of low rank, zero columns, singular
+    # squares.  Inverses over Q are Fractions, so str() of a scalar is as
+    # before.
+    rng = random.Random(1103)
+    singular = 0
+    for field in (RATIONALS, F2, F3, F5):
+        for _ in range(150):
+            a, _ = random_matrix(rng, field, rng.randint(0, 9), rng.randint(0, 9))
+            assert mat_rank(a) == _reference_rank(a)
+            n = rng.randint(0, 8)
+            sq, _ = random_matrix(rng, field, n, n)
+            expected = _reference_inverse(sq)
+            assert certified_nonsingular(sq) in (expected is not None, None)
+            inv = mat_inverse(sq)
+            if expected is None:
+                singular += 1
+                assert inv is None
+                continue
+            assert inv.entries == expected
+            if field.kind == "q":
+                assert all(type(x) is Fraction for row in inv.entries for x in row)
+    assert singular > 20
+
+
+def test_tiny_prime_falls_back_to_exact_eliminations(monkeypatch):
+    # With the kernel's prime set to 3, answers mod 3 that are wrong must
+    # fail their certificate and end in the exact route.
+    calls = {"bareiss": 0, "rref": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(exactalg, "_MODULUS", 3)
+    monkeypatch.setattr(exactalg, "_bareiss_rank", counted("bareiss", exactalg._bareiss_rank))
+    monkeypatch.setattr(exactalg, "_rref", counted("rref", exactalg._rref))
+    assert mat_rank(M(RATIONALS, [[3]])) == 1
+    assert mat_rank(M(RATIONALS, [[1, 2], [2, 1]])) == 2  # det -3
+    assert calls == {"bareiss": 2, "rref": 0}
+    inv = mat_inverse(M(RATIONALS, [[3]]))
+    assert inv.entries == [[Fraction(1, 3)]] and type(inv.entries[0][0]) is Fraction
+    assert mat_inverse(M(RATIONALS, [[1, 2], [2, 1]])).entries == [
+        [Fraction(-1, 3), Fraction(2, 3)], [Fraction(2, 3), Fraction(-1, 3)]]
+    # [[2]] is invertible mod 3, but its inverse 2 = -1 mod 3 lifts to -1,
+    # which fails the check A B = I
+    assert mat_inverse(M(RATIONALS, [[2]])).entries == [[Fraction(1, 2)]]
+    assert calls == {"bareiss": 2, "rref": 3}
+    assert certified_nonsingular(M(RATIONALS, [[1, 2], [2, 1]])) is None
+    # answers the prime gets right are still certified without a fallback
+    assert mat_rank(M(RATIONALS, [[1, 1], [1, 1]])) == 1
+    assert certified_nonsingular(M(RATIONALS, [[1, 1], [1, 1]])) is False
+    assert mat_inverse(M(RATIONALS, [[1, 1], [0, 1]])).entries == [[1, -1], [0, 1]]
+    assert calls == {"bareiss": 2, "rref": 3}
 
 
 def test_scalar_arithmetic_laws_randomized():

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 import cellmonoid as cm
 from cellmonoid.exactalg import RATIONALS
 
+from conftest import reference_trace_form
+
 SIZE_BOUND = 40  # larger monoids are counted, not analysed, to keep this fast
 
 
@@ -35,6 +37,8 @@ def test_random_submonoids():
         assert cm.verify_cell_axioms(datum, mode="full").ok
         ledger = cm.cross_check(datum, report)
         assert [c for c in ledger if c["status"] == "fail"] == []
+        assert (cm.trace_form_semisimple(datum.mult, datum.dim, datum.field)
+                == reference_trace_form(datum.mult, datum.dim, datum.field))
         trace = next(c for c in ledger if c["name"] == "trace_form_agreement")
         assert trace["status"] == "pass"
         assert (report.dim_sq_sum == M.size) == report.semisimple

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 import cellmonoid as cm
-from cellmonoid.exactalg import RATIONALS, prime_field
+from cellmonoid import exactalg, verify
+from cellmonoid.exactalg import RATIONALS, mat_rank, prime_field
 from cellmonoid.monoid import generating_set
 
-from conftest import assert_checks_clean
+from conftest import assert_checks_clean, reference_trace_form
 
 
 def test_axioms_murphy_s3_full():
@@ -199,6 +200,87 @@ def test_trace_form_examples(store):
     assert cm.trace_form_semisimple(di.mult, di.dim, di.field)
     dt = store.datum("trivial")
     assert cm.trace_form_semisimple(dt.mult, dt.dim, dt.field)
+
+
+def _polynomial_algebra(c0, c1):
+    """The product of Q[x]/(x**2 - c1*x - c0) on the basis 1, x: x*x has two
+    terms when c0 and c1 are nonzero."""
+    square = {k: v for k, v in ((0, Fraction(c0)), (1, Fraction(c1))) if v}
+
+    def mult(a, b):
+        out = {}
+        for i, u in a.items():
+            for j, v in b.items():
+                for k, w in ({i + j: 1} if i + j < 2 else square).items():
+                    out[k] = out.get(k, 0) + u * v * w
+        return {k: v for k, v in out.items() if v}
+
+    return mult
+
+
+def test_trace_form_matches_reference_loop(store):
+    # The oracle computes each unit product once, on ints; the reference is
+    # the plain loop of Fraction traces and form.  Twistings with delta = 0
+    # have zero weights, delta = 1/2 and -1 denominators and signs.  The
+    # quadratic algebras Q[x]/(f) have products with two terms; they are
+    # semisimple exactly when f has no repeated root: x**2 = x + 1 and
+    # x**2 = 1/3 - x/2 are, x**2 = 2x - 1 and x**2 = 0 are not.
+    cases = [store.datum(key) for key in ("tfull3", "tpartial3", "syminv3")]
+    cases += [store.twisted(key, delta) for key in ("jones4", "jones5")
+              for delta in ("0", "1/2", "-1", "2")]
+    verdicts = []
+    for d in cases:
+        verdict = cm.trace_form_semisimple(d.mult, d.dim, d.field)
+        assert verdict == reference_trace_form(d.mult, d.dim, d.field)
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+    for (c0, c1), expected in (((1, 1), True), ((-1, 2), False), ((0, 0), False),
+                               ((Fraction(1, 3), Fraction(-1, 2)), True)):
+        mult = _polynomial_algebra(c0, c1)
+        assert cm.trace_form_semisimple(mult, 2, RATIONALS) == expected
+        assert reference_trace_form(mult, 2, RATIONALS) == expected
+
+
+def test_trace_form_makes_each_unit_product_once(store, monkeypatch):
+    # dim**2 products: 729 on tfull3, where the two-pass loop made 1458.  The
+    # form handed to the kernel has int entries, also under a twisting with
+    # denominators.
+    forms = []
+    monkeypatch.setattr(verify, "certified_nonsingular",
+                        lambda m: forms.append(m) or exactalg.certified_nonsingular(m))
+    for d in (store.datum("tfull3"), store.datum("syminv3"), store.twisted("jones4", "1/2")):
+        calls = 0
+
+        def counting(x, y):
+            nonlocal calls
+            calls += 1
+            return d.mult(x, y)
+
+        cm.trace_form_semisimple(counting, d.dim, d.field)
+        assert calls == d.dim ** 2
+        assert all(type(v) is int for row in forms[-1].entries for v in row)
+    assert store.datum("tfull3").dim ** 2 == 729
+
+
+def test_trace_form_exact_fallback_on_a_tiny_prime(store, monkeypatch):
+    # The trace form of syminv2's semisimple algebra is singular mod 2, so
+    # with the kernel's prime set to 2 the nonsingularity certificate fails
+    # and the exact rank decides; the ledger says so.  Without a fallback
+    # the ledger's detail is unchanged.
+    d = store.datum("syminv2")
+    report = store.report("syminv2")
+    trace = next(c for c in cm.cross_check(d, report) if c["name"] == "trace_form_agreement")
+    assert trace["detail"] == "trace oracle True vs rank criterion True"
+    ranks = []
+    monkeypatch.setattr(verify, "mat_rank", lambda m: ranks.append(m.rows) or mat_rank(m))
+    monkeypatch.setattr(exactalg, "_MODULUS", 2)
+    notes = []
+    assert cm.trace_form_semisimple(d.mult, d.dim, d.field, notes)
+    assert notes == ["decided by the exact rank fallback"] and ranks == [d.dim]
+    trace = next(c for c in cm.cross_check(d, report) if c["name"] == "trace_form_agreement")
+    assert trace == {"name": "trace_form_agreement", "status": "pass",
+                     "detail": "trace oracle True vs rank criterion True; "
+                               "decided by the exact rank fallback"}
 
 
 def test_trace_form_wrong_characteristic(store):
