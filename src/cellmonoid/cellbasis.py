@@ -134,16 +134,14 @@ class CellDatum:
                 support = set(self.basis[k])
                 if not support <= set(elems):
                     raise NotABasis(f"vector {k} is not supported inside its block")
-            zero = field.zero()
             mat = DenseMatrix.from_rows(field, [
-                [self.basis[k].get(e, zero) for k in keys] for e in elems
+                [self.basis[k].get(e, 0) for k in keys] for e in elems
             ])
             inv = mat_inverse(mat)
             if inv is None:
                 raise NotABasis(f"labeled vectors of block {bi} are linearly dependent")
             for c, e in enumerate(elems):
-                self._inv_cols[e] = [(r, row[c]) for r, row in enumerate(inv.entries)
-                                     if not field.is_zero(row[c])]
+                self._inv_cols[e] = [(r, row[c]) for r, row in enumerate(inv.entries) if row[c]]
         if len(self._block_of_elem) != dim or seen_keys != expected:
             raise ValueError("blocks do not partition the carrier and label set")
 
@@ -156,7 +154,7 @@ class CellDatum:
         return _lam_str(d)
 
     def unit(self, e: int) -> SparseVec:
-        return {e: self.field.one()}
+        return {e: 1}
 
     def twisted(self, weights: List[List[Scalar]], attach) -> "CellDatum":
         """Same labeled basis and solvers over the table's product weighted
@@ -173,19 +171,19 @@ class CellDatum:
     def coordinates(self, vec: SparseVec) -> Dict[Key, Scalar]:
         """Exact coordinates of a carrier vector in the labeled basis: blocks
         in the order the vector first touches them, labels in block order."""
-        f = self.field
+        norm = self.field.norm
         touched: Dict[int, Dict[int, Scalar]] = {}
         for e, c in vec.items():
             acc = touched.setdefault(self._block_of_elem[e], {})
             for r, w in self._inv_cols[e]:
-                v = f.mul(w, c)
-                acc[r] = f.add(acc[r], v) if r in acc else v
+                acc[r] = acc[r] + w * c if r in acc else w * c
         out: Dict[Key, Scalar] = {}
         for bi, acc in touched.items():
             keys = self.blocks[bi][1]
             for r in sorted(acc):
-                if not f.is_zero(acc[r]):
-                    out[keys[r]] = acc[r]
+                v = norm(acc[r])
+                if v:
+                    out[keys[r]] = v
         return out
 
 
@@ -202,7 +200,12 @@ def table_mult(table: List[List[int]], field: FieldSpec,
     vectors: x*y carries the coefficient of ex, ey to table[ex][ey], times
     weights[ex][ey] when weights are given (the twisted product).  Terms a
     zero weight kills are skipped, so key order follows the first nonzero
-    contribution; the unweighted loop is kept free of a weight multiply."""
+    contribution; the unweighted loop is kept free of a weight multiply.
+    Sums are taken on the raw products and reduced by field.norm once per
+    key.  The weighted loop may test the raw product for zero: a product of
+    canonical residues mod a prime is 0 only when a factor is 0, so the raw
+    product is 0 exactly when its reduction is."""
+    norm = field.norm
     if weights is None:
         def mult(x: SparseVec, y: SparseVec) -> SparseVec:
             out: Dict[int, Scalar] = {}
@@ -210,9 +213,8 @@ def table_mult(table: List[List[int]], field: FieldSpec,
                 row = table[ex]
                 for ey, cy in y.items():
                     k = row[ey]
-                    c = field.mul(cx, cy)
-                    out[k] = field.add(out[k], c) if k in out else c
-            return {k: v for k, v in out.items() if not field.is_zero(v)}
+                    out[k] = out[k] + cx * cy if k in out else cx * cy
+            return {k: v for k, v in zip(out, map(norm, out.values())) if v}
 
         return mult
 
@@ -222,12 +224,12 @@ def table_mult(table: List[List[int]], field: FieldSpec,
             row = table[ex]
             wrow = weights[ex]
             for ey, cy in y.items():
-                c = field.mul(field.mul(cx, cy), wrow[ey])
-                if field.is_zero(c):
+                c = cx * cy * wrow[ey]
+                if not c:
                     continue
                 k = row[ey]
-                out[k] = field.add(out[k], c) if k in out else c
-        return {k: v for k, v in out.items() if not field.is_zero(v)}
+                out[k] = out[k] + c if k in out else c
+        return {k: v for k, v in zip(out, map(norm, out.values())) if v}
 
     return weighted
 
@@ -342,12 +344,11 @@ def bracket_value(d: CellDatum, ni: int, rpos: int, cpos: int, check: bool = Fal
     recomputed with every reference pair (rl, rt) in place of (0, 0), and each
     product must be pure: supported on (ni, rl, rt) and strictly higher nodes.
     """
-    f = d.field
     value = None
     for rl in range(len(d.lsets[ni])) if check else (0,):
         for rt in range(len(d.rsets[ni])) if check else (0,):
             coords = d.coordinates(d.mult(d.basis[(ni, rl, rpos)], d.basis[(ni, cpos, rt)]))
-            v = coords.get((ni, rl, rt), f.zero())
+            v = coords.get((ni, rl, rt), 0)
             for nj, sj, tj in coords if check else ():
                 if nj not in d.higher[ni] and (nj != ni or (sj, tj) != (rl, rt)):
                     raise CellBasisError(
@@ -372,9 +373,8 @@ def gram_definition(d: CellDatum, ni: int, check: bool = False) -> DenseMatrix:
 def _left_coefficients(gdat: CellDatum, gn: int, ga: int) -> List[List[Scalar]]:
     """Coefficients of g acting on left indices of group node gn, truncated to
     the node itself: out[s][s'] multiplies the s' label."""
-    f = gdat.field
     ls = len(gdat.lsets[gn])
-    out = [[f.zero()] * ls for _ in range(ls)]
+    out = [[0] * ls for _ in range(ls)]
     unit = gdat.unit(ga)
     for s in range(ls):
         coords = gdat.coordinates(gdat.mult(unit, gdat.basis[(gn, s, 0)]))
@@ -409,7 +409,7 @@ def gram_fast(d: CellDatum, ni: int) -> DenseMatrix:
     act_cache: Dict[int, List[List[Scalar]]] = {}
 
     nrow, ncol = len(d.rsets[ni]), len(d.lsets[ni])
-    entries = [[f.zero()] * ncol for _ in range(nrow)]
+    entries = [[0] * ncol for _ in range(nrow)]
     for (i, j), g in at.matched_g[dcl].items():
         scale = None if scales is None else scales[(dcl, i, j)]
         ga = inv_map[g]
@@ -419,12 +419,8 @@ def gram_fast(d: CellDatum, ni: int) -> DenseMatrix:
         for t in range(rs):
             grow = ggram.entries[t]
             for s in range(ls):
-                acc = f.zero()
-                for s2 in range(ls):
-                    lv = L[s][s2]
-                    if not f.is_zero(lv) and not f.is_zero(grow[s2]):
-                        acc = f.add(acc, f.mul(lv, grow[s2]))
-                entries[j * rs + t][i * ls + s] = acc if scale is None else f.mul(scale, acc)
+                acc = sum(lv * gv for lv, gv in zip(L[s], grow) if lv and gv)
+                entries[j * rs + t][i * ls + s] = f.norm(acc if scale is None else scale * acc)
     return DenseMatrix(f, nrow, ncol, entries)
 
 
@@ -558,7 +554,7 @@ def analyze(d: CellDatum) -> AnalysisReport:
                     continue
                 for t in range(rs):
                     for s in range(ls):
-                        if not f.is_zero(g.entries[j * rs + t][i * ls + s]):
+                        if g.entries[j * rs + t][i * ls + s]:
                             bad_blocks.append(f"{d.node_label(ni)}@({i},{j})")
     checks.append(_check("unmatched_blocks_zero", not bad_blocks, ";".join(bad_blocks[:5])))
 

@@ -1,8 +1,10 @@
 """Exact scalar arithmetic (rationals and prime fields) and dense linear algebra.
 
-Every computation in this package is exact: scalars are `fractions.Fraction`
-values over the rationals, or canonical residues (ints in ``[0, p)``) over a
-prime field.  Rank decisions therefore never depend on tolerances.
+Every computation in this package is exact: scalars are plain Python numbers,
+ints or `fractions.Fraction` values over the rationals and canonical residues
+(ints in ``[0, p)``) over a prime field.  Arithmetic uses Python's operators,
+and FieldSpec.norm reduces a result to its stored form once, where it is
+stored.  Rank decisions therefore never depend on tolerances.
 
 Ranks, nonsingularity and inverses share one kernel: Gauss-Jordan elimination
 on Python ints mod a prime p.  Over a prime field p is the field's own and the
@@ -61,8 +63,10 @@ def _is_prime(n: int) -> bool:
 class FieldSpec:
     """Coefficient field: ``FieldSpec("q")`` or ``FieldSpec("fp", p)`` with p prime.
 
-    Rational scalars are `Fraction` instances (always in lowest terms with a
-    positive denominator); prime-field scalars are ints reduced into [0, p).
+    Rational scalars are ints or `Fraction` instances; prime-field scalars
+    are ints reduced into [0, p).  Both fields use the constants 0 and 1 and
+    Python's + - * on scalars; norm reduces a computed value to its stored
+    form, and inv is the one division.
     """
 
     kind: str
@@ -94,45 +98,17 @@ class FieldSpec:
     def spec_string(self) -> str:
         return "q" if self.kind == "q" else f"fp:{self.p}"
 
-    # scalar construction ------------------------------------------------
-
-    def zero(self) -> Scalar:
-        return Fraction(0) if self.kind == "q" else 0
-
-    def one(self) -> Scalar:
-        return Fraction(1) if self.kind == "q" else 1
-
-    def from_int(self, n: int) -> Scalar:
-        return Fraction(n) if self.kind == "q" else n % self.p
-
-    # scalar arithmetic --------------------------------------------------
-
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return a + b if self.kind == "q" else (a + b) % self.p
-
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return a - b if self.kind == "q" else (a - b) % self.p
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return a * b if self.kind == "q" else (a * b) % self.p
-
-    def neg(self, a: Scalar) -> Scalar:
-        return -a if self.kind == "q" else (-a) % self.p
+    def norm(self, a: Scalar) -> Scalar:
+        """The stored form of a scalar: a mod p over a prime field, a itself
+        over the rationals."""
+        return a if self.p is None else a % self.p
 
     def inv(self, a: Scalar) -> Scalar:
-        if self.is_zero(a):
+        if not a:
             raise ZeroDivisionError("inverse of zero")
         if self.kind == "q":
             return Fraction(1) / a
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
-    def is_zero(self, a: Scalar) -> bool:
-        return a == 0
-
-    # serialization ------------------------------------------------------
 
     def parse_scalar(self, s: str) -> Scalar:
         """Parse "n" or "n/d".  Over a prime field the value is reduced mod p."""
@@ -142,13 +118,10 @@ class FieldSpec:
                 return Fraction(s)
             if "/" in s:
                 num, den = s.split("/", 1)
-                return self.div(int(num) % self.p, int(den) % self.p)
+                return int(num) * self.inv(int(den) % self.p) % self.p
             return int(s) % self.p
         except ZeroDivisionError:
             raise ValueError(f"scalar {s!r} divides by zero in {self.spec_string()}") from None
-
-    def format_scalar(self, a: Scalar) -> str:
-        return str(a)
 
 
 RATIONALS = FieldSpec("q")
@@ -184,8 +157,7 @@ class DenseMatrix:
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "DenseMatrix":
-        one, zero = field.one(), field.zero()
-        return DenseMatrix(field, n, n, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return DenseMatrix(field, n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def _rref(field: FieldSpec, rows: List[List[Scalar]], ncols: int):
@@ -194,13 +166,14 @@ def _rref(field: FieldSpec, rows: List[List[Scalar]], ncols: int):
     Pivot choice: columns scanned left to right, within a column the first
     nonzero entry from the current row down; deterministic output.
     """
+    norm = field.norm
     pivots: List[int] = []
     pr = 0
     nrows = len(rows)
     for c in range(ncols):
         pv = None
         for r in range(pr, nrows):
-            if not field.is_zero(rows[r][c]):
+            if rows[r][c]:
                 pv = r
                 break
         if pv is None:
@@ -208,17 +181,17 @@ def _rref(field: FieldSpec, rows: List[List[Scalar]], ncols: int):
         if pv != pr:
             rows[pr], rows[pv] = rows[pv], rows[pr]
         piv = rows[pr][c]
-        if piv != field.one():
+        if piv != 1:
             inv = field.inv(piv)
-            rows[pr] = [field.mul(inv, v) for v in rows[pr]]
+            rows[pr] = [norm(inv * v) for v in rows[pr]]
         prow = rows[pr]
         for r in range(nrows):
             if r == pr:
                 continue
             f0 = rows[r][c]
-            if field.is_zero(f0):
+            if not f0:
                 continue
-            rows[r] = [field.sub(v, field.mul(f0, w)) for v, w in zip(rows[r], prow)]
+            rows[r] = [norm(v - f0 * w) for v, w in zip(rows[r], prow)]
         pivots.append(c)
         pr += 1
         if pr == nrows:
@@ -375,8 +348,7 @@ def mat_inverse(m: DenseMatrix) -> Optional[DenseMatrix]:
     if m.rows != m.cols:
         return None
     f, n = m.field, m.rows
-    one, zero = f.one(), f.zero()
-    aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(m.entries)]
+    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(m.entries)]
     rows, red, pivots, p = _eliminate(DenseMatrix(f, n, 2 * n, aug), True)
     nonsingular = len(pivots) == n
     if f.kind == "fp":
@@ -393,4 +365,5 @@ def mat_inverse(m: DenseMatrix) -> Optional[DenseMatrix]:
                 return DenseMatrix(f, n, n, [[Fraction(v, d) for v in r] for r in inv])
     if _rref(f, aug, 2 * n)[:n] != list(range(n)):
         return None
-    return DenseMatrix(f, n, n, [r[n:] for r in aug])
+    # entries the elimination never divided are still ints
+    return DenseMatrix(f, n, n, [[Fraction(v) for v in r[n:]] for r in aug])

@@ -83,10 +83,11 @@ def compute_green(M: FiniteMonoid) -> GreenStructure:
 class EggBox:
     """One D-class as a grid of H-classes, with row/column translations.
 
-    Row i is reached from row 1 by left multiplication by a[i] (undone by
-    abar[i]); column j is reached from column 1 by right multiplication by
-    b[j] (undone by bbar[j]).  Row 1 and column 1 contain the base element
-    gamma, and a[0] = abar[0] = b[0] = bbar[0] = identity.
+    Row i is reached from row 1 by left multiplication by a[i]; column j is
+    reached from column 1 by right multiplication by b[j].  Row 1 and column 1
+    contain the base element gamma, and a[0] = b[0] = identity.  build_eggbox
+    also finds the inverse translations and checks that each pair is a
+    bijection between the cells, but does not keep them.
     """
 
     gamma: int
@@ -94,9 +95,7 @@ class EggBox:
     cols: List[int]
     grid: List[List[List[int]]]
     a: List[int]
-    abar: List[int]
     b: List[int]
-    bbar: List[int]
 
 
 def _verify_translations(lines: List[List[List[int]]], there: List[int], back: List[int],
@@ -175,7 +174,7 @@ def build_eggbox(M: FiniteMonoid, gs: GreenStructure, d: int) -> EggBox:
     _verify_translations(grid, a, abar, lambda c, h: T[c][h], "row translation a", "column")
     _verify_translations([list(col) for col in zip(*grid)], b, bbar, lambda c, h: T[h][c],
                          "column translation b", "row")
-    return EggBox(gamma, rows, cols, grid, a, abar, b, bbar)
+    return EggBox(gamma, rows, cols, grid, a, b)
 
 
 @dataclass

@@ -21,8 +21,8 @@ class GroupCellError(CellmonoidError):
 
 
 class UnsupportedGroup(GroupCellError):
-    """A D-class group is neither trivial nor symmetric and no custom datum
-    was supplied."""
+    """A D-class group has no built-in datum (only trivial and symmetric
+    groups do) and no custom datum was passed to standard_group_data."""
 
 
 class AxiomViolation(GroupCellError):
@@ -180,7 +180,6 @@ def murphy_datum(n: int, field: FieldSpec) -> CellDatum:
         raise GroupCellError(f"point count {n} outside 1..{MURPHY_CAP}")
     table, perms = symmetric_group_table(n)
     pindex = {p: i for i, p in enumerate(perms)}
-    one = field.one()
 
     nodes = partitions(n)
     gt_pairs = [(a, b) for a, lam in enumerate(nodes) for b, mu in enumerate(nodes)
@@ -201,14 +200,14 @@ def murphy_datum(n: int, field: FieldSpec) -> CellDatum:
                 vec: Dict[int, Scalar] = {}
                 for w in stab:
                     g = _pcompose(_pcompose(d_inv[si], w), d_of[ti])
-                    vec[pindex[g]] = one  # stabilizer cosets never collide
+                    vec[pindex[g]] = 1  # stabilizer cosets never collide
                 basis[(ni, si, ti)] = vec
     return _group_datum(table, field, nodes, gt_pairs, lsets, rsets, basis)
 
 
 def trivial_group_datum(field: FieldSpec) -> CellDatum:
     """Single node, single index pair, basis = the identity element."""
-    return _group_datum([[0]], field, ["*"], [], [["1"]], [["1"]], {(0, 0, 0): {0: field.one()}})
+    return _group_datum([[0]], field, ["*"], [], [["1"]], [["1"]], {(0, 0, 0): {0: 1}})
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +219,6 @@ def trivial_group_datum(field: FieldSpec) -> CellDatum:
 # ---------------------------------------------------------------------------
 
 def save_custom_datum(d: CellDatum, path) -> None:
-    f = d.field
     node_labels = [cellbasis._lam_str(nd) for nd in d.nodes]
     covers = []
     for a, b in sorted(d.gt):
@@ -234,7 +232,7 @@ def save_custom_datum(d: CellDatum, path) -> None:
         "R": {node_labels[ni]: len(d.rsets[ni]) for ni in range(len(d.nodes))},
         "basis": {
             f"{node_labels[ni]}/{si}/{ti}": sorted(
-                [g, f.format_scalar(c)] for g, c in d.basis[(ni, si, ti)].items()
+                [g, str(c)] for g, c in d.basis[(ni, si, ti)].items()
             )
             for (ni, si, ti) in sorted(d.basis)
         },
@@ -286,7 +284,7 @@ def load_custom_datum(path, table: List[List[int]], field: FieldSpec) -> CellDat
             if not (0 <= g < len(table)):
                 raise ValueError(f"group index {g} out of range")
             c = field.parse_scalar(str(cs))
-            if not field.is_zero(c):
+            if c:
                 vec[g] = c
         basis[vkey] = vec
     datum = _group_datum(table, field, node_labels, gt_pairs, lsets, rsets, basis)
@@ -388,8 +386,9 @@ def standard_group_data(schutzs: List[SchutzGroup], field: FieldSpec,
         iso = find_symmetric_iso(n, sch) if n is not None else None
         if iso is None:
             raise UnsupportedGroup(
-                f"D-class {d}: group of order {sch.order} is neither trivial nor "
-                f"symmetric; supply a custom datum")
+                f"D-class {d}: group of order {sch.order} has no built-in datum (only "
+                f"trivial and symmetric groups do); pass a custom datum from Python "
+                f"through standard_group_data(custom=...)")
         if n not in murphy_cache:
             murphy_cache[n] = murphy_datum(n, field)
         datum = murphy_cache[n]

@@ -42,28 +42,20 @@ class Twisting:
 
 
 def trivial_twisting(size: int, field: FieldSpec) -> Twisting:
-    one = field.one()
-    return Twisting(field, [[one] * size for _ in range(size)], "trivial")
+    return Twisting(field, [[1] * size for _ in range(size)], "trivial")
 
 
 def make_loop_twisting(loops: LoopTable, delta: Scalar, field: FieldSpec) -> Twisting:
-    """pi(x, y) = delta ** loops[x][y], with delta ** 0 = 1 even for delta = 0."""
-    one = field.one()
-
-    def power(k: int) -> Scalar:
-        acc = one
-        for _ in range(k):
-            acc = field.mul(acc, delta)
-        return acc
-
+    """pi(x, y) = delta ** loops[x][y], with delta ** 0 = 1 even for delta = 0
+    (as Python's 0 ** 0 is)."""
     maxloops = max((v for row in loops.loops for v in row), default=0)
-    powers = [power(k) for k in range(maxloops + 1)]
+    powers = [field.norm(delta ** k) for k in range(maxloops + 1)]
     values = [[powers[v] for v in row] for row in loops.loops]
-    return Twisting(field, values, f"loop:{field.format_scalar(delta)}")
+    return Twisting(field, values, f"loop:{delta}")
 
 
 def save_twisting_json(pi: Twisting, path) -> None:
-    payload = {"values": [[pi.field.format_scalar(v) for v in row] for row in pi.values]}
+    payload = {"values": [[str(v) for v in row] for row in pi.values]}
     _dump_json(payload, path)
 
 
@@ -80,28 +72,25 @@ def load_twisting_json(path, field: FieldSpec) -> Twisting:
 def verify_twisting(M: FiniteMonoid, pi: Twisting) -> Optional[Dict]:
     """Exhaustive unit and cocycle check; None when both laws hold, otherwise
     a witness naming the first violation.  Over the rationals the grid is
-    scaled by the lcm D of its denominators; both sides of the cocycle law have
-    degree 2 in pi, so both scale by D**2 and the check runs on ints."""
+    scaled by the lcm D of its denominators (D = 1 over a prime field); both
+    sides of the cocycle law have degree 2 in pi, so both scale by D**2 and
+    the check runs on ints."""
     if len(pi.values) != M.size:
         return {"law": "shape", "detail": f"{len(pi.values)} rows for {M.size} elements"}
-    f = pi.field
-    one = f.one()
     e = M.identity
     for x in range(M.size):
-        if pi.values[x][e] != one or pi.values[e][x] != one:
+        if pi.values[x][e] != 1 or pi.values[e][x] != 1:
             return {"law": "unit", "x": x}
-    T, n, p = M.table, M.size, f.p
-    W = pi.values
-    if p is None:
-        flat = clear_denominators([v for row in W for v in row])
-        W = [flat[x * n:(x + 1) * n] for x in range(n)]
+    T, n, norm = M.table, M.size, pi.field.norm
+    flat = clear_denominators([v for row in pi.values for v in row])
+    W = [flat[x * n:(x + 1) * n] for x in range(n)]
     for x in range(n):
         Wx, Tx = W[x], T[x]
         for y in range(n):
             wxy, Wxy, Wy, Ty = Wx[y], W[Tx[y]], W[y], T[y]
             for z in range(n):
                 diff = wxy * Wxy[z] - Wx[Ty[z]] * Wy[z]
-                if diff and (p is None or diff % p):
+                if diff and norm(diff):
                     return {"law": "cocycle", "triple": (x, y, z)}
     return None
 
@@ -125,7 +114,6 @@ def compatibility_class(M: FiniteMonoid, gs: GreenStructure, pi: Twisting) -> Co
     coefficients of a must not depend on the right index, which runs along an
     R-class; dually on the right.  a*x stays in D_x for all x of an R-class
     or for none."""
-    f = pi.field
     T = M.table
     V = pi.values
     strong = True
@@ -143,7 +131,7 @@ def compatibility_class(M: FiniteMonoid, gs: GreenStructure, pi: Twisting) -> Co
                         return Compatibility("incompatible",
                                              {"side": side, "a": a, "x": x0, "y": y},
                                              _is_lr(M, gs, pi))
-                if f.is_zero(v):
+                if not v:
                     strong = False
     return Compatibility("strong" if strong else "compatible", None, _is_lr(M, gs, pi))
 
@@ -165,7 +153,6 @@ def _is_lr(M: FiniteMonoid, gs: GreenStructure, pi: Twisting) -> bool:
 
 @dataclass
 class TwistInfo:
-    pi: Twisting
     compat: Compatibility
     scales: Dict[Tuple[int, int, int], Scalar]
 
@@ -195,7 +182,7 @@ def build_twisted_cell_datum(base: CellDatum, pi: Twisting,
     if compat.level == "incompatible":
         raise IncompatibleTwisting(compat.witness)
     scales = match_scales(at.monoid, at.boxes, at.matched_g, pi)
-    info = TwistInfo(pi, compat, scales)
+    info = TwistInfo(compat, scales)
     new_attach = replace(at, twist=info)
     return base.twisted(pi.values, new_attach)
 

@@ -74,24 +74,23 @@ def store():
     return Store()
 
 
-def reference_trace_form(mult, dim, field):
-    """The trace-form verdict by the plain loop the oracle must agree with:
-    dim**2 products for the traces, dim**2 more for the form, Fraction
-    arithmetic, and the rank by Bareiss elimination."""
-    one = field.one()
+def reference_trace_form(mult, dim):
+    """The trace-form verdict over the rationals by the plain loop the oracle
+    must agree with: dim**2 products for the traces, dim**2 more for the form,
+    exact rational arithmetic, and the rank by Bareiss elimination."""
     traces = []
     for m in range(dim):
-        acc = field.zero()
+        acc = 0
         for x in range(dim):
-            acc = field.add(acc, mult({m: one}, {x: one}).get(x, field.zero()))
+            acc += mult({m: 1}, {x: 1}).get(x, 0)
         traces.append(acc)
     entries = []
     for i in range(dim):
         row = []
         for j in range(dim):
-            acc = field.zero()
-            for k, c in mult({i: one}, {j: one}).items():
-                acc = field.add(acc, field.mul(c, traces[k]))
+            acc = 0
+            for k, c in mult({i: 1}, {j: 1}).items():
+                acc += c * traces[k]
             row.append(acc)
         entries.append(clear_denominators(row))
     return _bareiss_rank(entries) == dim

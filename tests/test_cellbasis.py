@@ -61,12 +61,13 @@ def _dense_coordinates(d, inverses, vec):
             touched.append(bi)
     for bi in touched:
         elems, keys = d.blocks[bi]
-        col = [vec.get(e, f.zero()) for e in elems]
+        col = [vec.get(e, 0) for e in elems]
         for key, row in zip(keys, inverses[bi].entries):
-            acc = f.zero()
+            acc = 0
             for w, y in zip(row, col):
-                acc = f.add(acc, f.mul(w, y))
-            if not f.is_zero(acc):
+                acc += w * y
+            acc = f.norm(acc)
+            if acc:
                 out[key] = acc
     return out
 
@@ -78,7 +79,7 @@ def test_coordinates_match_dense_inverse(store, field):
     for d in (store.datum("tfull3", field), store.datum("syminv3", field),
               store.twisted("jones4", "2", field)):
         inverses = [mat_inverse(DenseMatrix.from_rows(fs, [
-            [d.basis[k].get(e, fs.zero()) for k in keys] for e in elems]))
+            [d.basis[k].get(e, 0) for k in keys] for e in elems]))
             for elems, keys in d.blocks]
         vecs = [dict(v) for v in d.basis.values()]
         for _ in range(200):
@@ -88,6 +89,35 @@ def test_coordinates_match_dense_inverse(store, field):
         for vec in vecs:
             got = d.coordinates(vec)
             assert list(got.items()) == list(_dense_coordinates(d, inverses, vec).items())
+
+
+@pytest.mark.parametrize("field", ["q", "fp:3", "fp:5"])
+def test_stored_scalars_are_canonical(store, field):
+    # Sums are taken on raw products and reduced once, where they are stored:
+    # every stored scalar must come out as an int in [0, p) over F_p, and as
+    # an int or a Fraction over Q.
+    fs = FieldSpec.parse(field)
+
+    def canonical(x):
+        if fs.kind == "q":
+            return type(x) in (int, Fraction)
+        return type(x) is int and 0 <= x < fs.p
+
+    for d in (store.datum("tfull3", field), store.twisted("jones4", "2", field)):
+        values = [c for vec in d.basis.values() for c in vec.values()]
+        values += [w for row in d.weights or () for w in row]
+        vecs = list(d.basis.values())
+        for x in vecs:
+            for y in vecs:
+                prod = d.mult(x, y)
+                values += prod.values()
+                values += d.coordinates(prod).values()
+        for ni in range(len(d.nodes)):
+            for gram in (cm.gram_definition(d, ni), cm.gram_fast(d, ni)):
+                values += [v for row in gram.entries for v in row]
+        bad = [v for v in values if not canonical(v)]
+        assert not bad, bad[:5]
+        assert any(v != 0 for v in values)
 
 
 def test_gram_definition_examples(store):

@@ -245,3 +245,15 @@ def test_cap_applies_before_table_validation(tmp_path, capsys):
     assert main(["analyze", "--cayley", _json_file(tmp_path / "c.json", bad), "--cap", "2"]) == 1
     err = capsys.readouterr().err
     assert err == "error: table has more elements than the cap 2\n"
+
+
+def test_unsupported_group_names_the_library_route(tmp_path, capsys):
+    # the cyclic group of order 3 has no built-in datum, and no CLI flag
+    # takes a custom one
+    c3 = {"size": 3, "identity": 0, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+    assert main(["analyze", "--cayley", _json_file(tmp_path / "c3.json", c3)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert "only trivial and symmetric groups" in err
+    assert "standard_group_data(custom=...)" in err

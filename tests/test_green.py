@@ -231,7 +231,7 @@ def test_bijection_condition(store):
     # every class of an inverse monoid carries the pairing
     assert all(p is not None for p in pairings("syminv2"))
     # a square pattern with two entries in one column is not a pairing
-    box = cm.EggBox(0, [0, 1], [0, 1], [[[0], [1]], [[2], [3]]], [0, 0], [0, 0], [0, 0], [0, 0])
+    box = cm.EggBox(0, [0, 1], [0, 1], [[[0], [1]], [[2], [3]]], [0, 0], [0, 0])
     assert cm.bijection_condition(box, {(0, 0): 0, (1, 1): 0}) == {0: 0, 1: 1}
     assert cm.bijection_condition(box, {(0, 0): 0, (1, 0): 0}) is None
     assert cm.bijection_condition(box, {(0, 0): 0, (0, 1): 0}) is None

@@ -49,7 +49,7 @@ def test_cocycle_violation_witness(store):
     pi.values[1][1] = Fraction(7)  # break one entry off the loop count
     assert cm.verify_twisting(M, pi) == {"law": "cocycle", "triple": (1, 1, 2)}
     F5 = prime_field(5)
-    pi5 = cm.make_loop_twisting(loops, F5.from_int(2), F5)
+    pi5 = cm.make_loop_twisting(loops, 2, F5)
     pi5.values[1][1] = 3
     assert cm.verify_twisting(M, pi5) == {"law": "cocycle", "triple": (1, 1, 2)}
 

@@ -1,9 +1,14 @@
-"""Source check: every function parameter in the package is read by its body."""
+"""Source checks: every function parameter in the package is read by its
+body, and every dataclass field is read as an attribute somewhere."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cellmonoid"
+TESTS = Path(__file__).resolve().parent
+
+# Serialized whole by dataclasses.asdict, so each field is read by name.
+SERIALIZED_WHOLE = {"AnalysisReport", "AxiomReport"}
 
 
 def _unread_parameters(tree):
@@ -25,4 +30,35 @@ def test_every_parameter_is_read():
     unread = [f"{path.name}:{line} {func}({name})"
               for path in sorted(SRC.glob("*.py"))
               for func, line, name in _unread_parameters(ast.parse(path.read_text(), str(path)))]
+    assert unread == []
+
+
+def _is_dataclass(cls):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _dataclass_fields(tree):
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield cls.name, stmt.lineno, stmt.target.id
+
+
+def _attributes_read(tree):
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read():
+    sources = sorted(SRC.glob("*.py"))
+    read = set()
+    for path in sources + sorted(TESTS.glob("*.py")):
+        read |= _attributes_read(ast.parse(path.read_text(), str(path)))
+    unread = [f"{path.name}:{line} {cls}.{name}"
+              for path in sources
+              for cls, line, name in _dataclass_fields(ast.parse(path.read_text(), str(path)))
+              if cls not in SERIALIZED_WHOLE and name not in read]
     assert unread == []
