@@ -11,6 +11,7 @@ import json
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import cellbasis, monoid as monoid_mod, pipeline, twist as twist_mod, verify as verify_mod
@@ -100,6 +101,8 @@ def _config_from_args(args) -> RunConfig:
         raise UsageError("twist needs --delta or --twist-file")
     if args.command == "verify" and args.verify_mode == "off":
         raise UsageError("verify needs --verify full or generators")
+    if args.report and not Path(args.report).parent.is_dir():
+        raise UsageError(f"--report: {Path(args.report).parent} is not a directory")
     return RunConfig(args.command, args.family, args.n, args.cayley, field,
                      delta, twist_file, args.verify_mode, args.report, args.cap)
 

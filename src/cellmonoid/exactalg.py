@@ -111,7 +111,9 @@ class FieldSpec:
         return pow(a, self.p - 2, self.p)
 
     def parse_scalar(self, s: str) -> Scalar:
-        """Parse "n" or "n/d".  Over a prime field the value is reduced mod p."""
+        """Parse "n" or "n/d" (any Fraction literal over the rationals).  Over
+        a prime field the value is reduced mod p.  A string that is not one,
+        or divides by zero, raises a ValueError naming it and the field."""
         s = s.strip()
         try:
             if self.kind == "q":
@@ -122,6 +124,8 @@ class FieldSpec:
             return int(s) % self.p
         except ZeroDivisionError:
             raise ValueError(f"scalar {s!r} divides by zero in {self.spec_string()}") from None
+        except ValueError:
+            raise ValueError(f"scalar {s!r} is not n or n/d in {self.spec_string()}") from None
 
 
 RATIONALS = FieldSpec("q")

@@ -475,8 +475,12 @@ def _dump_json(obj, path) -> None:
 
 
 def _load_json_object(path, *keys: str) -> Dict:
-    """The JSON object in a file; ValueError unless it has every given key."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    """The JSON object in a file; ValueError, naming the file, unless it has
+    every given key."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     for key in keys:
@@ -507,9 +511,9 @@ def save_loop_table(L: LoopTable, path) -> None:
 def load_loop_table(path) -> LoopTable:
     loops = _load_json_object(path, "loops")["loops"]
     if not isinstance(loops, list) or any(not isinstance(row, list) for row in loops):
-        raise ValueError("loop table must be a list of rows")
+        raise ValueError(f"{path}: loop table must be a list of rows")
     if any(not _is_int(v) or v < 0 for row in loops for v in row):
-        raise ValueError("loop counts must be non-negative integers")
+        raise ValueError(f"{path}: loop counts must be non-negative integers")
     if any(len(row) != len(loops) for row in loops):
-        raise ValueError("loop table must be square")
+        raise ValueError(f"{path}: loop table must be square")
     return LoopTable(loops)

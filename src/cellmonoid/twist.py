@@ -62,10 +62,13 @@ def save_twisting_json(pi: Twisting, path) -> None:
 def load_twisting_json(path, field: FieldSpec) -> Twisting:
     grid = _load_json_object(path, "values")["values"]
     if not isinstance(grid, list) or any(not isinstance(row, list) for row in grid):
-        raise ValueError("twisting values must be a list of rows")
-    values = [[field.parse_scalar(str(v)) for v in row] for row in grid]
+        raise ValueError(f"{path}: twisting values must be a list of rows")
+    try:
+        values = [[field.parse_scalar(str(v)) for v in row] for row in grid]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if any(len(row) != len(values) for row in values):
-        raise ValueError("twisting grid must be square")
+        raise ValueError(f"{path}: twisting grid must be square")
     return Twisting(field, values, "file")
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from math import lcm
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from .exactalg import DenseMatrix, FieldSpec, Scalar, certified_nonsingular, mat_rank
 from .monoid import CellmonoidError
@@ -52,6 +52,24 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None,
     key already passed is skipped, exactly, since its products are the same
     vectors.  The skip relies on the table being associative, as every
     CellDatum table is.  A unit with no such x0 is checked under every actor.
+
+    Coordinates on strictly higher nodes are ignored, so the check skips the
+    products that can only land there.  Let low[ni] be the carrier elements
+    of the blocks whose labels all belong to nodes in datum.higher[ni].
+    Coordinates are block-local: a carrier element's coordinates lie on the
+    labels of its own block, so the terms of a product in low[ni] have
+    coordinates only on higher nodes.  A unit whose every support element e
+    has table[a][e] (table[e][a] on the right) in low[ni] passes without a
+    product; otherwise each product loses its terms in low[ni] before its
+    coordinates are taken, and none are taken when nothing is left.  Both
+    skips drop only coordinates the check would ignore, and dropping whole
+    blocks keeps the order of the rest, so verdicts and witnesses are exact.
+    low is read from datum.higher, never from Green's order, so a datum with
+    a wrong node order still fails.  In the standard datum a block is one
+    H-class, labelled by nodes of its own D-class, and those nodes sit above
+    every node of a D-class over it: a product that drops to a lower D-class
+    lands in low[ni].
+
     The first failure is reported in the order acting, node, left before
     right, then (t, s) on the left and (s, t) on the right.
     """
@@ -68,9 +86,12 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None,
         raise ValueError(f"unknown mode {mode!r}")
 
     T, W = datum.table, datum.weights
+    low = []  # per node: the carrier elements of blocks labelled only above it
     units = []  # per node and side: (fixed index, anchor, support, passed keys)
     for ni in range(len(datum.nodes)):
         ls, rs = len(datum.lsets[ni]), len(datum.rsets[ni])
+        low.append(frozenset(e for elems, keys in datum.blocks
+                             if all(k[0] in datum.higher[ni] for k in keys) for e in elems))
         units.append((
             [(s, *_anchor(T, [datum.basis[(ni, s, t)] for t in range(rs)], True), set())
              for s in range(ls)],
@@ -95,7 +116,10 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None,
                             T[x0][a], tuple(W[e][a] for e in support))
                     if key in passed:
                         continue
-                    failure = _unit_failure(datum, ua, ni, left, fixed)
+                    if all((T[a][e] if left else T[e][a]) in low[ni] for e in support):
+                        passed.add(key)
+                        continue
+                    failure = _unit_failure(datum, ua, ni, left, fixed, low[ni])
                     if failure is None:
                         passed.add(key)
                     else:
@@ -119,20 +143,23 @@ def _anchor(table: List[List[int]], vectors: List[Dict], left: bool):
     return None, support
 
 
-def _unit_failure(datum, ua: Dict, ni: int, left: bool, fixed: int):
+def _unit_failure(datum, ua: Dict, ni: int, left: bool, fixed: int, low: FrozenSet[int]):
     """First failure of one unit under the acting vector ua, as (position,
     kind, fixed index, detail), or None.  Positions run over t for a left unit
     and s for a right one; at one position a product leaving the node (kind 0)
     precedes coefficients that differ from position 0 (kind 1), as in a scan
-    of each position over all units."""
+    of each position over all units.  A product's terms in low, whose
+    coordinates all lie on higher nodes, are dropped before its coordinates
+    are taken."""
     higher = datum.higher[ni]
     ref = None
     for pos in range(len(datum.rsets[ni] if left else datum.lsets[ni])):
         s, t = (fixed, pos) if left else (pos, fixed)
         vec = datum.basis[(ni, s, t)]
+        kept = {e: c for e, c in (datum.mult(ua, vec) if left else datum.mult(vec, ua)).items()
+                if e not in low}
         row = {}
-        for (nj, sj, tj), c in datum.coordinates(
-                datum.mult(ua, vec) if left else datum.mult(vec, ua)).items():
+        for (nj, sj, tj), c in (datum.coordinates(kept) if kept else {}).items():
             if nj in higher:
                 continue
             if nj != ni or (tj if left else sj) != pos:

@@ -257,3 +257,31 @@ def test_unsupported_group_names_the_library_route(tmp_path, capsys):
     assert "Traceback" not in err
     assert "only trivial and symmetric groups" in err
     assert "standard_group_data(custom=...)" in err
+
+
+@pytest.mark.parametrize("field,delta", [("q", "abc"), ("q", "1/2/3"), ("fp:3", "abc"),
+                                         ("fp:3", "1.5")])
+def test_bad_delta_names_the_scalar_and_the_field(field, delta, capsys):
+    assert main(["twist", "--family", "jones", "--n", "2", "--delta", delta,
+                 "--field", field]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: scalar {delta!r} is not n or n/d in {field}\n"
+
+
+def test_non_json_input_names_the_file(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text("not json", encoding="utf-8")
+    assert main(["analyze", "--cayley", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: Expecting value: line 1 column 1 (char 0)\n"
+
+
+@pytest.mark.parametrize("parent", ["missing", "file.txt"])
+def test_report_outside_a_directory_fails_before_the_work(parent, tmp_path, capsys):
+    (tmp_path / "file.txt").write_text("", encoding="utf-8")
+    report = tmp_path / parent / "r.json"
+    assert main(["analyze", "--family", "tfull", "--n", "2", "--report", str(report)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --report: {report.parent} is not a directory\n"
+    assert not report.exists()

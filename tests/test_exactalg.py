@@ -65,6 +65,12 @@ def test_scalar_serialization_round_trip():
     for field in (RATIONALS, F5):
         with pytest.raises(ValueError):
             field.parse_scalar("1/0")
+    # a malformed scalar is named with its field; rational decimals still parse
+    assert RATIONALS.parse_scalar("1.5") == Fraction(3, 2)
+    for field, s in ((RATIONALS, "abc"), (F5, "abc"), (F5, "1.5")):
+        with pytest.raises(ValueError, match=f"^scalar '{s}' is not n or n/d in "
+                                             f"{field.spec_string()}$"):
+            field.parse_scalar(s)
 
 
 def test_rank_examples():

@@ -330,3 +330,17 @@ def test_loop_table_wrong_types_raise_value_error(tmp_path, loops):
     path.write_text(json.dumps({"loops": loops}))
     with pytest.raises(ValueError):
         cm.load_loop_table(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[", "Expecting value"),
+    (json.dumps({"loops": 5}), "loop table must be a list of rows"),
+    (json.dumps({"loops": [[-1]]}), "loop counts must be non-negative integers"),
+    (json.dumps({"loops": [[0, 0]]}), "loop table must be square"),
+], ids=["not_json", "not_a_list", "negative_entry", "not_square"])
+def test_loop_table_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "l.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        cm.load_loop_table(path)
+    assert str(err.value).startswith(f"{path}: {message}"), err.value

@@ -216,3 +216,17 @@ def test_compatibility_scans_r_and_l_classes(store):
     compat = cm.compatibility_class(op, cm.compute_green(op), pi_op)
     assert (compat.level, compat.witness) == ("incompatible",
                                               {"side": "right", "a": 1, "x": 1, "y": 3})
+
+
+@pytest.mark.parametrize("text,message", [
+    ("{", "Expecting property name"),
+    ('{"values": 3}', "twisting values must be a list of rows"),
+    ('{"values": [[1, 1]]}', "twisting grid must be square"),
+    ('{"values": [["x"]]}', "scalar 'x' is not n or n/d in q"),
+], ids=["not_json", "not_a_list", "not_square", "bad_scalar"])
+def test_twisting_file_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "pi.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        cm.load_twisting_json(path, Q)
+    assert str(err.value).startswith(f"{path}: {message}"), err.value

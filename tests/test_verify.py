@@ -86,6 +86,14 @@ def _h_coboundary(d, h):
                       for x in range(M.size)], d.attach)
 
 
+def _drop_order(d, pair):
+    # a node order without one of its covering pairs: the products the check
+    # skips are read from this order, so the missing pair must be noticed
+    gt = d.gt - {pair}
+    return cm.CellDatum(d.field, d.table, d.nodes, gt, d.lsets, d.rsets, d.basis, d.blocks,
+                        d.attach)
+
+
 def _zero_weight(d, x, y):
     # all weights 1 but weights[x][y] = 0: actors with equal products a*x0
     # differ in their weights, so the weights belong to the skip key
@@ -101,6 +109,9 @@ def _zero_weight(d, x, y):
 # and C[4,1]*a and C[4,2]*a both do on tpartial3.  The merged swaps leave a
 # unit with no anchor, report a later unit than the first failing one, and
 # report a hit at the same t as another unit's differing row, in that order.
+# Without the pair D2:(1,1) > D0:(3), the D2 blocks carry a label not above
+# D0:(3), so products into them are no longer skipped, though Green's order
+# still puts D2 below D0.
 PINNED_WITNESSES = [
     ("tfull3", lambda d: _swap(d, (1, 0, 1), (1, 1, 0)),
      {"side": "left", "acting": 7, "node": "D0:(2,1)",
@@ -126,12 +137,16 @@ PINNED_WITNESSES = [
     ("tfull3", lambda d: _zero_weight(d, 1, 1),
      {"side": "left", "acting": 1, "node": "D1:*",
       "detail": "left coefficients at right index 1 differ from index 0"}),
+    ("tfull3", lambda d: _drop_order(d, (5, 0)),
+     {"side": "right", "acting": 2, "node": "D0:(3)",
+      "detail": "C[0,0]*a hits (D2:(1,1),0,0)"}),
 ]
 
 
 @pytest.mark.parametrize("key,sabotage,witness", PINNED_WITNESSES,
                          ids=["swap", "rescale", "swap-right", "h-coboundary", "merge-no-anchor",
-                              "merge-later-unit", "merge-hit-first", "zero-weight"])
+                              "merge-later-unit", "merge-hit-first", "zero-weight",
+                              "order"])
 def test_axiom_witnesses_pinned(store, key, sabotage, witness):
     datum = sabotage(store.datum(key))
     rep = cm.verify_cell_axioms(datum, mode="full")
@@ -147,22 +162,53 @@ def test_bad_acting_indices_rejected(store):
             cm.verify_cell_axioms(d, acting=[0, bad], mode="generators")
 
 
+def _counting(datum):
+    """A copy of datum that counts its products, its coordinate lookups and
+    the terms they read, and refuses the coordinates of an empty vector."""
+    datum, counts = copy.copy(datum), {"products": 0, "coordinates": 0, "terms": 0}
+    mult, coordinates = datum.mult, datum.coordinates
+
+    def counting_mult(x, y):
+        counts["products"] += 1
+        return mult(x, y)
+
+    def counting_coordinates(vec):
+        assert vec, "coordinates of an empty vector"
+        counts["coordinates"] += 1
+        counts["terms"] += len(vec)
+        return coordinates(vec)
+
+    datum.mult, datum.coordinates = counting_mult, counting_coordinates
+    return datum, counts
+
+
 def test_full_check_product_counts(store):
-    # each row and column translate is verified once: 642 of 2*27**2 = 1458
-    # products on tfull3 and 2570 of 8192 on tpartial3
-    for key, products in (("tfull3", 642), ("tpartial3", 2570)):
-        datum = copy.copy(store.datum(key))
-        calls = 0
-        mult = datum.mult
-
-        def counting(x, y):
-            nonlocal calls
-            calls += 1
-            return mult(x, y)
-
-        datum.mult = counting
+    # each row and column translate is verified once, and only products that
+    # can reach a node not above the unit's are made: 300 of 2*27**2 = 1458
+    # products on tfull3, 932 of 8192 on tpartial3 and 11996 of 131072 on
+    # tfull4 over F_3.  jones5 twisted by delta = 0 has zero weights: 378 of
+    # its 758 products vanish and take no coordinates.
+    for key, field, delta, products, lookups in (("tfull3", "q", None, 300, 300),
+                                                 ("tpartial3", "q", None, 932, 932),
+                                                 ("tfull4", "fp:3", None, 11996, 11996),
+                                                 ("jones5", "q", "0", 758, 380)):
+        datum, counts = _counting(store.datum(key, field) if delta is None
+                                  else store.twisted(key, delta, field))
         rep = cm.verify_cell_axioms(datum, mode="full")
-        assert (rep.ok, rep.acting_count, calls) == (True, datum.dim, products), key
+        assert (rep.ok, rep.acting_count) == (True, datum.dim), key
+        assert (counts["products"], counts["coordinates"]) == (products, lookups), key
+
+
+def test_products_above_the_node_take_no_coordinates(store):
+    # with two cells merged, a unit's support spans two H-classes, so the
+    # unit is checked even when some of its products land only on blocks
+    # labelled above its node: 3 of its 65 products are dropped whole, and
+    # the rest read 103 terms, not 109
+    datum, counts = _counting(_merge_swap(store.datum("tfull3"), (4, 0, 2), (4, 1, 1)))
+    rep = cm.verify_cell_axioms(datum, mode="full")
+    assert rep.witness == {"side": "left", "acting": 2, "node": "D2:(2)",
+                           "detail": "left coefficients at right index 1 differ from index 0"}
+    assert counts == {"products": 65, "coordinates": 62, "terms": 103}
 
 
 def test_generators_mode_consistent_with_full(store):
