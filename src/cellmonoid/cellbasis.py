@@ -81,9 +81,9 @@ class CellDatum:
     its product in mult (see table_mult), weighted by weights under a twisting
     (None otherwise).  blocks partition both the carrier and the label set;
     within each block the labeled vectors must form a basis of the span of the
-    block's carrier elements.  The exact inverse of each block is kept as
-    sparse columns, one per carrier element, so a coordinate lookup touches
-    only the nonzero terms of its vector.
+    block's carrier elements.  The exact inverse of each block, shared by the
+    blocks with equal matrices, is kept as sparse columns, one per carrier
+    element, so a coordinate lookup touches only the nonzero terms.
     """
 
     def __init__(self, field: FieldSpec, table: List[List[int]],
@@ -119,6 +119,7 @@ class CellDatum:
 
         self._block_of_elem: Dict[int, int] = {}
         self._inv_cols: Dict[int, List[Tuple[int, Scalar]]] = {}
+        inverses: Dict[Tuple[Tuple[Scalar, ...], ...], Optional[DenseMatrix]] = {}
         seen_keys: Set[Key] = set()
         for bi, (elems, keys) in enumerate(self.blocks):
             if len(elems) != len(keys):
@@ -134,10 +135,10 @@ class CellDatum:
                 support = set(self.basis[k])
                 if not support <= set(elems):
                     raise NotABasis(f"vector {k} is not supported inside its block")
-            mat = DenseMatrix.from_rows(field, [
-                [self.basis[k].get(e, 0) for k in keys] for e in elems
-            ])
-            inv = mat_inverse(mat)
+            grid = tuple(tuple(self.basis[k].get(e, 0) for k in keys) for e in elems)
+            if grid not in inverses:
+                inverses[grid] = mat_inverse(DenseMatrix.from_rows(field, grid))
+            inv = inverses[grid]
             if inv is None:
                 raise NotABasis(f"labeled vectors of block {bi} are linearly dependent")
             for c, e in enumerate(elems):

@@ -4,7 +4,8 @@ Every computation in this package is exact: scalars are plain Python numbers,
 ints or `fractions.Fraction` values over the rationals and canonical residues
 (ints in ``[0, p)``) over a prime field.  Arithmetic uses Python's operators,
 and FieldSpec.norm reduces a result to its stored form once, where it is
-stored.  Rank decisions therefore never depend on tolerances.
+stored.  Rank decisions therefore never depend on tolerances.  Parsed and
+inverted rationals are ints when integral, so integral data stay on ints.
 
 Ranks, nonsingularity and inverses share one kernel: Gauss-Jordan elimination
 on Python ints mod a prime p.  Over a prime field p is the field's own and the
@@ -28,6 +29,11 @@ from operator import mul
 from typing import List, Optional, Sequence, Tuple, Union
 
 Scalar = Union[Fraction, int]
+
+
+def _rational(num: int, den: int) -> Scalar:
+    """num/den for den > 0: an int when den divides num, a Fraction otherwise."""
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -66,7 +72,7 @@ class FieldSpec:
     Rational scalars are ints or `Fraction` instances; prime-field scalars
     are ints reduced into [0, p).  Both fields use the constants 0 and 1 and
     Python's + - * on scalars; norm reduces a computed value to its stored
-    form, and inv is the one division.
+    form, and inv (a `Fraction` over the rationals) is the one division.
     """
 
     kind: str
@@ -111,13 +117,13 @@ class FieldSpec:
         return pow(a, self.p - 2, self.p)
 
     def parse_scalar(self, s: str) -> Scalar:
-        """Parse "n" or "n/d" (any Fraction literal over the rationals).  Over
-        a prime field the value is reduced mod p.  A string that is not one,
-        or divides by zero, raises a ValueError naming it and the field."""
+        """Parse "n" or "n/d" (any Fraction literal over the rationals, an int
+        when integral; reduced mod p over a prime field).  A string that is
+        not one, or divides by zero, raises a ValueError naming it and the field."""
         s = s.strip()
         try:
             if self.kind == "q":
-                return Fraction(s)
+                return _rational(*Fraction(s).as_integer_ratio())
             if "/" in s:
                 num, den = s.split("/", 1)
                 return int(num) * self.inv(int(den) % self.p) % self.p
@@ -348,7 +354,8 @@ def mat_inverse(m: DenseMatrix) -> Optional[DenseMatrix]:
     _MODULUS is [I | m^-1].  The right half is lifted to N/d under one
     common denominator, and A N = d S, checked on ints, proves m^-1 = N/d.
     A matrix singular mod _MODULUS, or a lift that fails the check, is
-    inverted by reduced row echelon form over Fractions instead."""
+    inverted by reduced row echelon form over Fractions.  Integral entries
+    are ints."""
     if m.rows != m.cols:
         return None
     f, n = m.field, m.rows
@@ -366,8 +373,7 @@ def mat_inverse(m: DenseMatrix) -> Optional[DenseMatrix]:
             # map stops at n, so each product reads only A's half of the row
             if all(sum(map(mul, row, col)) == (d * row[n + i] if i == j else 0)
                    for i, row in enumerate(rows) for j, col in enumerate(cols)):
-                return DenseMatrix(f, n, n, [[Fraction(v, d) for v in r] for r in inv])
+                return DenseMatrix(f, n, n, [[_rational(v, d) for v in r] for r in inv])
     if _rref(f, aug, 2 * n)[:n] != list(range(n)):
         return None
-    # entries the elimination never divided are still ints
-    return DenseMatrix(f, n, n, [[Fraction(v) for v in r[n:]] for r in aug])
+    return DenseMatrix(f, n, n, [[_rational(*v.as_integer_ratio()) for v in r[n:]] for r in aug])

@@ -52,16 +52,16 @@ class GreenStructure:
 def compute_green(M: FiniteMonoid) -> GreenStructure:
     """L, R, H, D partitions via principal ideals, plus the strict D-order.
 
-    xLy iff Mx = My and xRy iff xM = yM.  D comes from L and R: x D y iff L_x
-    meets R_y, and inside a D-class every L-class meets every R-class, so the
-    set of R-classes that an element's L-class meets names its D-class.  The
-    two-sided ideal MxM, the union of zM over z in Mx, is built once per
-    D-class, from its least member, and serves only the D-order.
+    xLy iff Mx = My and xRy iff xM = yM, with Mx and xM the entries of column
+    x and row x of the table.  D comes from L and R: x D y iff L_x meets R_y,
+    and inside a D-class every L-class meets every R-class, so the set of
+    R-classes that an element's L-class meets names its D-class.  MxM, the
+    union of zM over z in Mx, is built once per D-class, for the D-order.
     """
     n = M.size
     T = M.table
-    lsets = [frozenset(T[m][x] for m in range(n)) for x in range(n)]
-    rsets = [frozenset(T[x][m] for m in range(n)) for x in range(n)]
+    rsets = [frozenset(row) for row in T]
+    lsets = [frozenset(col) for col in zip(*T)]
 
     lclass, lclasses = _classes(lsets)
     rclass, rclasses = _classes(rsets)

@@ -494,14 +494,17 @@ def save_cayley_json(M: FiniteMonoid, path) -> None:
 
 
 def load_cayley_json(path, cap: Optional[int] = None) -> FiniteMonoid:
-    """The validated table in a file.  With a cap, SizeCapExceeded before any
-    validation when the declared size or the row count is over it."""
+    """The validated table in a file, or a ValueError naming it.  With a cap,
+    SizeCapExceeded before any validation when the size or row count is over."""
     data = _load_json_object(path, "size", "identity", "table")
     size, table = data["size"], data["table"]
     if cap is not None and ((_is_int(size) and size > cap)
                             or (isinstance(table, list) and len(table) > cap)):
         raise SizeCapExceeded(f"table has more elements than the cap {cap}")
-    return from_cayley_table(size, data["identity"], table, data.get("labels"))
+    try:
+        return from_cayley_table(size, data["identity"], table, data.get("labels"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_loop_table(L: LoopTable, path) -> None:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import cellmonoid as cm
+from cellmonoid import cellbasis
 from cellmonoid.cellbasis import CellBasisError, NotABasis
 from cellmonoid.exactalg import DenseMatrix, FieldSpec, RATIONALS, mat_inverse, prime_field
 
@@ -261,3 +262,86 @@ def test_datum_rejects_dependent_vectors():
     with pytest.raises(NotABasis):
         cm.CellDatum(datum.field, datum.table, datum.nodes, datum.gt,
                      datum.lsets, datum.rsets, broken, datum.blocks)
+
+
+def _block_grid(d, elems, keys):
+    return [[d.basis[k].get(e, 0) for k in keys] for e in elems]
+
+
+def _assert_per_block_inverses(d):
+    """The stored inverse columns are those of mat_inverse called on every
+    block, values and types alike."""
+    expected = {}
+    for elems, keys in d.blocks:
+        inv = mat_inverse(DenseMatrix.from_rows(d.field, _block_grid(d, elems, keys)))
+        for c, e in enumerate(elems):
+            expected[e] = [(r, row[c]) for r, row in enumerate(inv.entries) if row[c]]
+    assert d._inv_cols == expected
+
+    def typed(cols):
+        return {e: [(r, type(w)) for r, w in col] for e, col in cols.items()}
+
+    assert typed(d._inv_cols) == typed(expected)
+
+
+@pytest.mark.parametrize("key,field", [("tfull3", "q"), ("tpartial3", "q"), ("syminv4", "q"),
+                                       ("jones5", "q"), ("jones4", "q"), ("tfull3", "fp:3")])
+def test_shared_block_inverses_match_per_block_inverses(store, key, field):
+    # Blocks with equal matrices share one inverse.
+    _assert_per_block_inverses(
+        store.twisted(key, "2", field) if key == "jones4" else store.datum(key, field))
+
+
+def test_rescaled_blocks_keep_their_own_inverses(store):
+    # Every block of the standard datum of one size has the same matrix;
+    # doubling one vector in every other block gives equal-sized blocks with
+    # different matrices, and inverses with entries 1/2.
+    d = store.datum("tfull3")
+    basis = dict(d.basis)
+    for elems, keys in d.blocks[::2]:
+        basis[keys[0]] = {e: 2 * c for e, c in basis[keys[0]].items()}
+    rescaled = cm.CellDatum(d.field, d.table, d.nodes, d.gt, d.lsets, d.rsets, basis, d.blocks)
+    _assert_per_block_inverses(rescaled)
+    assert any(type(w) is Fraction for col in rescaled._inv_cols.values() for _, w in col)
+
+
+def test_one_inverse_per_distinct_block(store, monkeypatch):
+    M, _ = store.monoid("tpartial4")
+    gs, boxes, schutzs = store.green("tpartial4")
+    group_data = cm.standard_group_data(schutzs, RATIONALS)
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return mat_inverse(m)
+
+    monkeypatch.setattr(cellbasis, "mat_inverse", counted)
+    d = cm.build_cell_datum(M, gs, boxes, schutzs, group_data, RATIONALS)
+    distinct = {tuple(map(tuple, _block_grid(d, elems, keys))) for elems, keys in d.blocks}
+    assert len(d.blocks) == 252
+    assert len(calls) <= len(distinct) < len(d.blocks)
+
+
+def test_singular_block_is_named_despite_shared_inverses(store):
+    # Sabotage blocks whose healthy matrix an earlier block shares, by
+    # repeating a vector: the first sabotaged block is the one named.
+    d = store.datum("tfull3")
+    seen, repeats = set(), []
+    for bi, (elems, keys) in enumerate(d.blocks):
+        grid = tuple(map(tuple, _block_grid(d, elems, keys)))
+        if grid in seen and len(keys) > 1:
+            repeats.append(bi)
+        seen.add(grid)
+    assert len(repeats) >= 2
+
+    def sabotaged(*bis):
+        basis = dict(d.basis)
+        for bi in bis:
+            keys = d.blocks[bi][1]
+            basis[keys[1]] = dict(basis[keys[0]])
+        return cm.CellDatum(d.field, d.table, d.nodes, d.gt, d.lsets, d.rsets, basis, d.blocks)
+
+    for bis in ((repeats[-1],), (repeats[0], repeats[-1])):
+        with pytest.raises(NotABasis, match=f"^labeled vectors of block {bis[0]} are linearly "
+                                             f"dependent$"):
+            sabotaged(*bis)

@@ -55,6 +55,10 @@ def test_primality_is_exact_and_fast():
 def test_scalar_serialization_round_trip():
     assert str(Fraction(-3, 2)) == "-3/2"
     assert RATIONALS.parse_scalar("-3/2") == Fraction(-3, 2)
+    # an integral rational parses to an int, any other to a Fraction
+    assert type(RATIONALS.parse_scalar("2")) is int
+    assert type(RATIONALS.parse_scalar("4/2")) is int
+    assert type(RATIONALS.parse_scalar("-3/2")) is Fraction
     assert F5.parse_scalar("7") == 2
     assert F5.parse_scalar("1/2") == 3  # 2 * 3 = 6 = 1 mod 5
     assert str(F5.parse_scalar("3")) == "3"
@@ -212,12 +216,19 @@ def _reference_rank(m):
     return len(_rref(m.field, [list(r) for r in m.entries], m.cols))
 
 
+def integral_as_int(entries):
+    """Every rational entry is an int exactly when its denominator is 1, and
+    a Fraction otherwise."""
+    return all(type(x) is (int if x.denominator == 1 else Fraction)
+               for row in entries for x in row)
+
+
 def test_kernel_matches_reference_eliminations():
     # The mod-p kernel against fraction-free Bareiss (ranks over Q) and RREF
     # in the field's own arithmetic (ranks over F_p, inverses), on
     # random_matrix's matrices: products of low rank, zero columns, singular
-    # squares.  Inverses over Q are Fractions, so str() of a scalar is as
-    # before.
+    # squares.  An inverse entry over Q is an int exactly when it is
+    # integral, a Fraction otherwise; str() of a scalar is the same either way.
     rng = random.Random(1103)
     singular = 0
     for field in (RATIONALS, F2, F3, F5):
@@ -235,7 +246,7 @@ def test_kernel_matches_reference_eliminations():
                 continue
             assert inv.entries == expected
             if field.kind == "q":
-                assert all(type(x) is Fraction for row in inv.entries for x in row)
+                assert integral_as_int(inv.entries)
     assert singular > 20
 
 
@@ -267,7 +278,7 @@ def test_tiny_prime_falls_back_to_exact_eliminations(monkeypatch):
     # divides; its inverse -2 = 1 mod 3 lifts to 1 and fails the check
     inv = mat_inverse(M(RATIONALS, [[1, 2], [0, 1]]))
     assert inv.entries == [[1, -2], [0, 1]]
-    assert all(type(x) is Fraction for row in inv.entries for x in row)
+    assert integral_as_int(inv.entries)
     assert calls == {"bareiss": 2, "rref": 4}
     assert certified_nonsingular(M(RATIONALS, [[1, 2], [2, 1]])) is None
     # answers the prime gets right are still certified without a fallback
@@ -275,6 +286,11 @@ def test_tiny_prime_falls_back_to_exact_eliminations(monkeypatch):
     assert certified_nonsingular(M(RATIONALS, [[1, 1], [1, 1]])) is False
     assert mat_inverse(M(RATIONALS, [[1, 1], [0, 1]])).entries == [[1, -1], [0, 1]]
     assert calls == {"bareiss": 2, "rref": 4}
+    # 1/2 = 2 = -1 mod 3 fails the check; the fallback's inverse has
+    # Fractions where it is not integral and ints elsewhere
+    inv = mat_inverse(M(RATIONALS, [[2, 0], [0, 1]]))
+    assert inv.entries == [[Fraction(1, 2), 0], [0, 1]] and integral_as_int(inv.entries)
+    assert calls["rref"] == 5
 
 
 def test_scalar_arithmetic_laws_randomized():

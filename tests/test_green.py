@@ -14,6 +14,19 @@ from conftest import (check_class_preservation, check_eggbox_rectangular, check_
 SMALL_KEYS = ("trivial", "null3", "tfull2", "tfull3", "tpartial2", "syminv2", "jones3")
 
 
+def _by_key(keys):
+    """Class id per element and members per class for equal keys, ids by
+    least member."""
+    ids, members, first = [], [], {}
+    for x, k in enumerate(keys):
+        if k not in first:
+            first[k] = len(members)
+            members.append([])
+        ids.append(first[k])
+        members[first[k]].append(x)
+    return ids, members
+
+
 def _ideal_route(M):
     """D-classes as elements with equal two-sided ideals MxM, ids by least
     member; returns (dclass, dclasses, dideals, dless)."""
@@ -21,13 +34,7 @@ def _ideal_route(M):
     n = M.size
     ideals = [frozenset(T[z][w] for z in {T[m][x] for m in range(n)} for w in range(n))
               for x in range(n)]
-    dclass, dclasses, first = [], [], {}
-    for x, ideal in enumerate(ideals):
-        if ideal not in first:
-            first[ideal] = len(dclasses)
-            dclasses.append([])
-        dclass.append(first[ideal])
-        dclasses[first[ideal]].append(x)
+    dclass, dclasses = _by_key(ideals)
     dideals = [ideals[members[0]] for members in dclasses]
     k = len(dclasses)
     dless = frozenset((a, b) for a in range(k) for b in range(k)
@@ -41,9 +48,27 @@ def _assert_ideal_route(M):
     return gs
 
 
+def _assert_one_sided_route(M, gs):
+    """L, R and H by definition: x L y iff Mx = My, x R y iff xM = yM, and
+    H = L meet R, each principal ideal built element by element."""
+    T = M.table
+    n = M.size
+    left = [frozenset(T[m][x] for m in range(n)) for x in range(n)]
+    right = [frozenset(T[x][m] for m in range(n)) for x in range(n)]
+    assert (gs.lclass, gs.lclasses) == _by_key(left)
+    assert (gs.rclass, gs.rclasses) == _by_key(right)
+    assert (gs.hclass, gs.hclasses) == _by_key(list(zip(left, right)))
+
+
 @pytest.mark.parametrize("key", SMALL_KEYS + ("tpartial3", "syminv3", "jones4"))
 def test_dclasses_match_two_sided_ideals(store, key):
     _assert_ideal_route(store.monoid(key)[0])
+
+
+@pytest.mark.parametrize("key", SMALL_KEYS)
+def test_lrh_classes_match_principal_ideals(store, key):
+    M, _ = store.monoid(key)
+    _assert_one_sided_route(M, cm.compute_green(M))
 
 
 @pytest.mark.parametrize("key", ["tfull3", "jones4"])
@@ -60,6 +85,7 @@ def test_dclasses_match_two_sided_ideals_relabeled(store, key, data):
             table[sigma[x]][sigma[y]] = sigma[M.table[x][y]]
     R = cm.from_cayley_table(M.size, sigma[M.identity], table)
     gs = _assert_ideal_route(R)
+    _assert_one_sided_route(R, gs)
     for d, members in enumerate(gs.dclasses):
         box = cm.build_eggbox(R, gs, d)
         assert box.gamma == members[0]

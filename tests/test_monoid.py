@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cellmonoid as cm
+from cellmonoid.cli import main
 from cellmonoid.monoid import (BadIdentity, NotAssociative, SizeCapExceeded,
                                _compose_diagrams, _compose_maps, _left_walk,
                                generating_set)
@@ -344,3 +345,19 @@ def test_loop_table_errors_name_the_file(tmp_path, text, message):
     with pytest.raises(ValueError) as err:
         cm.load_loop_table(path)
     assert str(err.value).startswith(f"{path}: {message}"), err.value
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"table": 5}, "table must be a list of rows"),
+    ({"labels": 7}, "labels must be a list"),
+    ({"table": [[0, 1], [1, 0], [0, 0]]}, "table shape does not match size"),
+    ({"table": [[0, 1], [1, 2]]}, "table entry 2 out of range"),
+    ({"identity": "0"}, "size and identity must be integers"),
+], ids=["table_not_a_list", "labels_not_a_list", "wrong_shape", "entry_out_of_range",
+        "identity_not_an_int"])
+def test_cayley_errors_name_the_file(tmp_path, capsys, fields, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"size": 2, "identity": 0, "table": [[0, 1], [1, 0]],
+                                "labels": ["1", "s"], **fields}))
+    assert main(["analyze", "--cayley", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
