@@ -14,7 +14,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 from . import green as green_mod
 from .exactalg import DenseMatrix, FieldSpec, Scalar, mat_inverse, mat_rank
 from .green import EggBox, GreenStructure, SchutzGroup
-from .monoid import CellmonoidError, FiniteMonoid, is_inverse, is_regular
+from .monoid import CellmonoidError, FiniteMonoid
 
 SparseVec = Dict[int, Scalar]
 Key = Tuple[int, int, int]  # (node index, left position, right position)
@@ -585,8 +585,7 @@ def analyze(d: CellDatum) -> AnalysisReport:
     checks.append(_check("ss_dimension_identity", (dim_sq == M.size) == ss,
                          f"sum of squared dims {dim_sq} vs size {M.size}, semisimple={ss}"))
 
-    regular = is_regular(M)
-    inverse = is_inverse(M)
+    regular, inverse = green_mod.regular_and_inverse(M, at.green)
     bijections = {dcl: green_mod.bijection_condition(at.boxes[dcl], at.matched_g[dcl])
                   for dcl in range(len(at.boxes))}
     all_group_ss = all(gsum.semisimple for gsum in at.group_summaries)

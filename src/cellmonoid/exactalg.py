@@ -233,11 +233,14 @@ def clear_denominators(values: Sequence[Scalar]) -> List[int]:
     return [v.numerator * (den // v.denominator) for v in values]
 
 
-def _rref_mod(rows: List[List[int]], ncols: int, p: int, stop_at_free: bool) -> List[int]:
+def _rref_mod(rows: List[List[int]], ncols: int, p: int, stop_at_free: bool,
+              reduced: bool = True) -> List[int]:
     """In-place reduced row echelon form of rows of residues mod p; returns
     the pivot columns.  Same pivot rule as _rref, so over a prime field it
     gives _rref's result.  With stop_at_free the elimination stops at the
-    first column without a pivot, whose index is then len(pivots)."""
+    first column without a pivot, whose index is then len(pivots).  Without
+    reduced only the entries below each pivot are cleared: a row echelon
+    form with pivots 1."""
     pivots: List[int] = []
     pr = 0
     nrows = len(rows)
@@ -253,7 +256,7 @@ def _rref_mod(rows: List[List[int]], ncols: int, p: int, stop_at_free: bool) -> 
             inv = pow(prow[c], -1, p)
             prow = rows[pr] = [v * inv % p for v in prow]
         tail = prow[c:]  # prow is zero left of c
-        for r in range(nrows):
+        for r in range(0 if reduced else pr + 1, nrows):
             row = rows[r]
             f0 = row[c]
             if f0 and r != pr:
@@ -303,10 +306,10 @@ def _certified_kernel_vector(rows: List[List[int]], red: List[List[int]], pivots
     return support
 
 
-def _eliminate(m: DenseMatrix, stop_at_free: bool):
+def _eliminate(m: DenseMatrix, stop_at_free: bool, reduced: bool = True):
     """(int rows, reduced residue rows, pivots, p): m's rows as ints (over
-    the rationals each row scaled by clear_denominators) and their reduced
-    row echelon form mod p, the field's own prime or _MODULUS."""
+    the rationals each row scaled by clear_denominators) and their (reduced,
+    by default) row echelon form mod p, the field's own prime or _MODULUS."""
     if m.field.kind == "q":
         p = _MODULUS
         rows = [clear_denominators(r) for r in m.entries]
@@ -314,7 +317,7 @@ def _eliminate(m: DenseMatrix, stop_at_free: bool):
         p = m.field.p
         rows = m.entries
     red = [[v % p for v in r] for r in rows]
-    return rows, red, _rref_mod(red, m.cols, p, stop_at_free), p
+    return rows, red, _rref_mod(red, m.cols, p, stop_at_free, reduced), p
 
 
 def mat_rank(m: DenseMatrix) -> int:
@@ -336,12 +339,19 @@ def mat_rank(m: DenseMatrix) -> int:
 def certified_nonsingular(m: DenseMatrix) -> Optional[bool]:
     """Whether the square matrix m is nonsingular.  Over the rationals a
     full rank mod _MODULUS proves it, and one certified kernel vector proves
-    m singular; None when neither holds, for the caller's exact fallback."""
-    rows, red, pivots, p = _eliminate(m, True)
-    if len(pivots) == m.rows:
+    m singular; None when neither holds, for the caller's exact fallback.
+    Only a row echelon form is computed, up to the first free column; when
+    there is one, back substitution reduces that column alone."""
+    rows, red, pivots, p = _eliminate(m, True, reduced=False)
+    free = len(pivots)
+    if free == m.rows:
         return True
-    if (m.field.kind == "fp"
-            or _certified_kernel_vector(rows, red, pivots, len(pivots), p) is not None):
+    if m.field.kind == "fp":
+        return False
+    for c in range(free - 1, 0, -1):  # pivot c sits at row c
+        for r in range(c):
+            red[r][free] = (red[r][free] - red[r][c] * red[c][free]) % p
+    if _certified_kernel_vector(rows, red, pivots, free, p) is not None:
         return False
     return None
 

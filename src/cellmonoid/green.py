@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from .monoid import CellmonoidError, FiniteMonoid
+from .monoid import CellmonoidError, FiniteMonoid, idempotents
 
 
 class GreenError(CellmonoidError):
@@ -274,3 +274,14 @@ def bijection_condition(box: EggBox, sandwich: Dict[Tuple[int, int], int]
     pairing = {j: i for i, j in sandwich}
     counts = (len(box.rows), len(box.cols), len(pairing), len(sandwich), len(set(pairing.values())))
     return pairing if len(set(counts)) == 1 else None
+
+
+def regular_and_inverse(M: FiniteMonoid, gs: GreenStructure) -> Tuple[bool, bool]:
+    """(M is regular, M is inverse), read off Green's structure: M is regular
+    iff every D-class holds an idempotent, and then every L- and R-class
+    holds one, so M is inverse iff, in addition, it has as many idempotents
+    as L-classes and as R-classes.  monoid.is_regular and is_inverse are the
+    definitions."""
+    idem = idempotents(M)
+    regular = len({gs.dclass[e] for e in idem}) == len(gs.dclasses)
+    return regular, regular and len(idem) == len(gs.lclasses) == len(gs.rclasses)

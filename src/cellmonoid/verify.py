@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from math import lcm
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .exactalg import DenseMatrix, FieldSpec, Scalar, certified_nonsingular, mat_rank
 from .monoid import CellmonoidError
@@ -45,21 +45,30 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None,
     The conditions are checked per unit: a left unit is (node, s) with all its
     right indices t, a right unit (node, t) with all its left indices s.  Let
     U be the union of a unit's supports and x0 an element of U with U inside
-    x0*M (M*x0 for a right unit), found from the table.  Every e in U is then
-    x0*u, so a*e = (a*x0)*u, and the unit's products under a depend only on
-    table[a][x0] (and on the weights weights[a][e], e in U, under a
-    twisting).  A unit is checked once per distinct such key; an actor whose
-    key already passed is skipped, exactly, since its products are the same
-    vectors.  The skip relies on the table being associative, as every
-    CellDatum table is.  A unit with no such x0 is checked under every actor.
+    x0*M (M*x0 for a right unit), found from the table.  Each e in U is then
+    x0*u_e (u_e*x0), u_e the least such u, and the unit's relative vectors
+    are its vectors with each term c_e*e written as the pair (u_e, c_e).  By
+    associativity a*e = (a*x0)*u_e, so under actor a the unit's products are
+    the sums of c_e*w_e*table[y][u_e] with y = table[a][x0] and w_e =
+    weights[a][e] (1 untwisted); on the right, e*a = u_e*(x0*a).  Units of one
+    node and side with equal relative vectors therefore make equal products
+    for equal keys (y, the w_e in relative order), whichever anchors they
+    have, and they share one set of passed keys: an actor whose key already
+    passed is skipped, exactly, and a key not yet passed is checked on the
+    unit itself, so a failure names that unit.  The anchor is the element of
+    the first vector's support reaching U with the least u_e in vector order,
+    so a row or column translate of a unit, whose vectors are the translates
+    of its vectors, gets the translated anchor and the same relative vectors.
+    A unit with no such x0 takes y = a and u_e = e.  The skip relies on the
+    table being associative, as every CellDatum table is.
 
     Coordinates on strictly higher nodes are ignored, so the check skips the
     products that can only land there.  Let low[ni] be the carrier elements
     of the blocks whose labels all belong to nodes in datum.higher[ni].
     Coordinates are block-local: a carrier element's coordinates lie on the
     labels of its own block, so the terms of a product in low[ni] have
-    coordinates only on higher nodes.  A unit whose every support element e
-    has table[a][e] (table[e][a] on the right) in low[ni] passes without a
+    coordinates only on higher nodes.  A key whose products table[y][u_e]
+    (table[u_e][y] on the right) all lie in low[ni] passes without a
     product; otherwise each product loses its terms in low[ni] before its
     coordinates are taken, and none are taken when nothing is left.  Both
     skips drop only coordinates the check would ignore, and dropping whole
@@ -87,17 +96,20 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None,
 
     T, W = datum.table, datum.weights
     low = []  # per node: the carrier elements of blocks labelled only above it
-    units = []  # per node and side: (fixed index, anchor, support, passed keys)
+    sides = ([], [])  # per side: (node, fixed index, vectors) of each unit
     for ni in range(len(datum.nodes)):
         ls, rs = len(datum.lsets[ni]), len(datum.rsets[ni])
         low.append(frozenset(e for elems, keys in datum.blocks
                              if all(k[0] in datum.higher[ni] for k in keys) for e in elems))
-        units.append((
-            [(s, *_anchor(T, [datum.basis[(ni, s, t)] for t in range(rs)], True), set())
-             for s in range(ls)],
-            [(t, *_anchor(T, [datum.basis[(ni, s, t)] for s in range(ls)], False), set())
-             for t in range(rs)],
-        ))
+        sides[0].extend((ni, s, [datum.basis[(ni, s, t)] for t in range(rs)]) for s in range(ls))
+        sides[1].extend((ni, t, [datum.basis[(ni, s, t)] for s in range(ls)]) for t in range(rs))
+    units = [([], []) for _ in datum.nodes]  # per node and side: (fixed, x0, us, U, passed)
+    shared: Dict = {}  # per node, side and relative vectors: the passed keys
+    for left, side in zip((True, False), sides):
+        for (ni, fixed, _), (x0, us, support, rel) in zip(
+                side, _anchors(T, [vectors for *_, vectors in side], left)):
+            passed = shared.setdefault((ni, left, rel), set())
+            units[ni][not left].append((fixed, x0, us, support, passed))
 
     for a in acting:
         ua = datum.unit(a)
@@ -105,18 +117,14 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None,
             for side, side_units in zip(("left", "right"), sides):
                 left = side == "left"
                 failures = []
-                for fixed, x0, support, passed in side_units:
-                    if x0 is None:
-                        key = a
-                    elif left:
-                        key = T[a][x0] if W is None else (
-                            T[a][x0], tuple(W[a][e] for e in support))
-                    else:
-                        key = T[x0][a] if W is None else (
-                            T[x0][a], tuple(W[e][a] for e in support))
+                for fixed, x0, us, support, passed in side_units:
+                    y = a if x0 is None else T[a][x0] if left else T[x0][a]
+                    key = y if W is None else (y, tuple(W[a][e] for e in support) if left
+                                               else tuple(W[e][a] for e in support))
                     if key in passed:
                         continue
-                    if all((T[a][e] if left else T[e][a]) in low[ni] for e in support):
+                    if low[ni].issuperset([T[y][u] for u in us] if left
+                                          else [T[u][y] for u in us]):
                         passed.add(key)
                         continue
                     failure = _unit_failure(datum, ua, ni, left, fixed, low[ni])
@@ -132,15 +140,33 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None,
     return AxiomReport(mode, True, None, len(acting))
 
 
-def _anchor(table: List[List[int]], vectors: List[Dict], left: bool):
-    """(x0, U): U the sorted union of the vectors' supports and x0 the first
-    element of U with U inside x0*M (left) or M*x0 (right), else None."""
-    support = tuple(sorted(set().union(*vectors)))
-    for x0 in support:
-        reach = set(table[x0]) if left else {row[x0] for row in table}
-        if reach.issuperset(support):
-            return x0, support
-    return None, support
+def _anchors(table: List[List[int]], units: List[List[Dict]], left: bool) -> List[Tuple]:
+    """(x0, us, U, rel) for each unit, given as its vectors.  U lists the
+    vectors' support in vector order, us the least u with x0*u = e (u*x0 on
+    the right) for each e in U, and rel the vectors relative to x0: the pairs
+    (u_e, c_e) of each vector.  x0 is the element of the first vector's
+    support reaching all of U with the least us, or None, with u_e = e, when
+    none does.  One pass over the row (column) of each candidate x0 finds
+    its least u's, kept only for the supports of the units it may anchor."""
+    supports = [list(dict.fromkeys(e for vec in vectors for e in vec)) for vectors in units]
+    need: Dict[int, Set[int]] = {}
+    for vectors, support in zip(units, supports):
+        for x0 in vectors[0]:
+            need.setdefault(x0, set()).update(support)
+    least = {}
+    for x0, elems in need.items():
+        line = table[x0] if left else [row[x0] for row in table]
+        first = dict(zip(reversed(line), range(len(line) - 1, -1, -1)))
+        least[x0] = {e: first[e] for e in elems if e in first}
+    out = []
+    for vectors, support in zip(units, supports):
+        within = set(support)
+        x0 = min((x for x in vectors[0] if least[x].keys() >= within), default=None,
+                 key=lambda x: list(map(least[x].__getitem__, support)))
+        u = least[x0] if x0 is not None else dict(zip(support, support))
+        out.append((x0, [u[e] for e in support], support,
+                    tuple(tuple((u[e], c) for e, c in vec.items()) for vec in vectors)))
+    return out
 
 
 def _unit_failure(datum, ua: Dict, ni: int, left: bool, fixed: int, low: FrozenSet[int]):

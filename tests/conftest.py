@@ -96,6 +96,64 @@ def reference_trace_form(mult, dim):
     return _bareiss_rank(entries) == dim
 
 
+def reference_witness(datum, acting):
+    """The plain scan the axiom check must agree with: every acting element,
+    node and basis vector, left side by (t, s), right side by (s, t)."""
+    for a in acting:
+        ua = datum.unit(a)
+        for ni in range(len(datum.nodes)):
+            ls, rs = len(datum.lsets[ni]), len(datum.rsets[ni])
+            higher = datum.higher[ni]
+
+            def fail(side, detail):
+                return {"side": side, "acting": a, "node": datum.node_label(ni), "detail": detail}
+
+            ref = None
+            for t in range(rs):
+                mat = [[0] * ls for _ in range(ls)]
+                for s in range(ls):
+                    coords = datum.coordinates(datum.mult(ua, datum.basis[(ni, s, t)]))
+                    for (nj, sj, tj), c in coords.items():
+                        if nj in higher:
+                            continue
+                        if nj != ni or tj != t:
+                            return fail("left", f"a*C[{s},{t}] hits "
+                                                f"({datum.node_label(nj)},{sj},{tj})")
+                        mat[s][sj] = c
+                if ref is None:
+                    ref = mat
+                elif mat != ref:
+                    return fail("left", f"left coefficients at right index {t} "
+                                        "differ from index 0")
+            ref = None
+            for s in range(ls):
+                mat = [[0] * rs for _ in range(rs)]
+                for t in range(rs):
+                    coords = datum.coordinates(datum.mult(datum.basis[(ni, s, t)], ua))
+                    for (nj, sj, tj), c in coords.items():
+                        if nj in higher:
+                            continue
+                        if nj != ni or sj != s:
+                            return fail("right", f"C[{s},{t}]*a hits "
+                                                 f"({datum.node_label(nj)},{sj},{tj})")
+                        mat[t][tj] = c
+                if ref is None:
+                    ref = mat
+                elif mat != ref:
+                    return fail("right", f"right coefficients at left index {s} "
+                                         "differ from index 0")
+    return None
+
+
+def reference_axiom_report(datum, acting=None):
+    """The AxiomReport of the plain scan: every acting element (all of them
+    when acting is None, as in full mode) and every unit, nothing skipped."""
+    mode = "full" if acting is None else "generators"
+    acting = list(range(datum.dim) if acting is None else acting)
+    witness = reference_witness(datum, acting)
+    return cm.AxiomReport(mode, witness is None, witness, len(acting))
+
+
 def assert_checks_clean(report):
     bad = [c for c in report.checks if c["status"] == "fail"]
     assert not bad, bad

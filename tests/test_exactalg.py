@@ -250,6 +250,36 @@ def test_kernel_matches_reference_eliminations():
     assert singular > 20
 
 
+def test_nonsingular_verdict_matches_the_rank():
+    # certified_nonsingular takes a row echelon form only, and back
+    # substitutes the first free column alone.  Its verdict must be
+    # mat_rank(m) == n on square int matrices over Q and F_p: random ones,
+    # products of rank k < n, and ones whose column j is a combination of
+    # the columns before it, so the first free column falls anywhere.
+    rng = random.Random(4127)
+    counts = {"nonsingular": 0, "singular": 0}
+    for field in (RATIONALS, F2, F3, F5, prime_field(7)):
+        for trial in range(120):
+            n = rng.randint(1, 9)
+            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            if trial % 3 == 1:
+                k = rng.randint(0, n - 1)
+                left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+                right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+                rows = [[sum(lr[i] * right[i][j] for i in range(k)) for j in range(n)]
+                        for lr in left]
+            elif trial % 3 == 2:
+                j = rng.randint(0, n - 1)
+                coeffs = [rng.randint(-3, 3) for _ in range(j)]
+                for row in rows:
+                    row[j] = sum(c * v for c, v in zip(coeffs, row))
+            m = M(field, rows)
+            expected = mat_rank(m) == n
+            assert certified_nonsingular(m) is expected, (field, rows)
+            counts["nonsingular" if expected else "singular"] += 1
+    assert min(counts.values()) > 100, counts
+
+
 def test_tiny_prime_falls_back_to_exact_eliminations(monkeypatch):
     # With the kernel's prime set to 3, answers mod 3 that are wrong must
     # fail their certificate and end in the exact route.

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import cellmonoid as cm
 from cellmonoid.cli import main
-from cellmonoid.green import GreenError
+from cellmonoid.green import GreenError, regular_and_inverse
 from cellmonoid.groupcell import symmetric_group_table
 
 from conftest import (check_class_preservation, check_eggbox_rectangular, check_h_stability,
@@ -262,3 +262,38 @@ def test_bijection_condition(store):
     assert cm.bijection_condition(box, {(0, 0): 0, (1, 0): 0}) is None
     assert cm.bijection_condition(box, {(0, 0): 0, (0, 1): 0}) is None
     assert cm.bijection_condition(box, {(0, 0): 0, (0, 1): 0, (1, 1): 0}) is None
+
+
+def _assert_regularity_routes(M):
+    gs = cm.compute_green(M)
+    fast = regular_and_inverse(M, gs)
+    assert fast == (cm.is_regular(M), cm.is_inverse(M))
+    return fast
+
+
+def test_regularity_read_off_green_matches_definitions(store):
+    # Every family at small n, plus the small fixed monoids: tfull and
+    # tpartial are regular and not inverse past n = 1, syminv is inverse and
+    # jones is regular, and null3 is neither.
+    seen = set()
+    for fam, top in (("tfull", 3), ("tpartial", 3), ("syminv", 4), ("jones", 5)):
+        for n in range(1, top + 1):
+            seen.add(_assert_regularity_routes(cm.family(fam, n)[0]))
+    for key in ("trivial", "null3"):
+        seen.add(_assert_regularity_routes(store.monoid(key)[0]))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_regularity_read_off_green_on_random_submonoids():
+    seen = set()
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        r = data.draw(st.integers(2, 4))
+        point_map = st.lists(st.integers(1, r), min_size=r, max_size=r)
+        M = cm.generate_from_maps(r, data.draw(st.lists(point_map, min_size=1, max_size=3)))
+        seen.add(_assert_regularity_routes(M))
+
+    check()
+    assert seen == {(True, True), (True, False), (False, False)}, seen

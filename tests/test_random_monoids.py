@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import cellmonoid as cm
 from cellmonoid.exactalg import RATIONALS
 
-from conftest import reference_trace_form
+from conftest import reference_trace_form, reference_witness
 
 SIZE_BOUND = 40  # larger monoids are counted, not analysed, to keep this fast
 
@@ -110,55 +110,6 @@ def test_random_coboundary_twistings():
     assert min(counts.values()) > 0, counts
 
 
-def _reference_witness(datum, acting):
-    """The plain scan the axiom check must agree with: every acting element,
-    node and basis vector, left side by (t, s), right side by (s, t)."""
-    for a in acting:
-        ua = datum.unit(a)
-        for ni in range(len(datum.nodes)):
-            ls, rs = len(datum.lsets[ni]), len(datum.rsets[ni])
-            higher = datum.higher[ni]
-
-            def fail(side, detail):
-                return {"side": side, "acting": a, "node": datum.node_label(ni), "detail": detail}
-
-            ref = None
-            for t in range(rs):
-                mat = [[0] * ls for _ in range(ls)]
-                for s in range(ls):
-                    coords = datum.coordinates(datum.mult(ua, datum.basis[(ni, s, t)]))
-                    for (nj, sj, tj), c in coords.items():
-                        if nj in higher:
-                            continue
-                        if nj != ni or tj != t:
-                            return fail("left", f"a*C[{s},{t}] hits "
-                                                f"({datum.node_label(nj)},{sj},{tj})")
-                        mat[s][sj] = c
-                if ref is None:
-                    ref = mat
-                elif mat != ref:
-                    return fail("left", f"left coefficients at right index {t} "
-                                        "differ from index 0")
-            ref = None
-            for s in range(ls):
-                mat = [[0] * rs for _ in range(rs)]
-                for t in range(rs):
-                    coords = datum.coordinates(datum.mult(datum.basis[(ni, s, t)], ua))
-                    for (nj, sj, tj), c in coords.items():
-                        if nj in higher:
-                            continue
-                        if nj != ni or sj != s:
-                            return fail("right", f"C[{s},{t}]*a hits "
-                                                 f"({datum.node_label(nj)},{sj},{tj})")
-                        mat[t][tj] = c
-                if ref is None:
-                    ref = mat
-                elif mat != ref:
-                    return fail("right", f"right coefficients at left index {s} "
-                                         "differ from index 0")
-    return None
-
-
 def test_axiom_check_matches_reference_scan():
     # Sabotaged and twisted data on family members and random submonoids of
     # T3 and T4: the check, which
@@ -224,13 +175,13 @@ def test_axiom_check_matches_reference_scan():
                 pi.values[x][y] = Fraction(0)
             datum = datum.twisted(pi.values, base.attach)
         full = cm.verify_cell_axioms(datum, mode="full")
-        assert full.witness == _reference_witness(datum, range(M.size))
+        assert full.witness == reference_witness(datum, range(M.size))
         assert (full.ok, full.acting_count) == (full.witness is None, M.size)
         counts["ok" if full.ok else "failed"] += 1
         counts["order failed"] += sabotage == "order" and not full.ok
         acting = data.draw(st.lists(st.integers(0, M.size - 1), min_size=1, max_size=4))
         by_gens = cm.verify_cell_axioms(datum, acting=acting, mode="generators")
-        assert by_gens.witness == _reference_witness(datum, acting)
+        assert by_gens.witness == reference_witness(datum, acting)
 
     check()
     assert min(counts.values()) > 0, counts

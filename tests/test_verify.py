@@ -2,13 +2,14 @@ import copy
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cellmonoid as cm
 from cellmonoid import exactalg, verify
 from cellmonoid.exactalg import RATIONALS, mat_rank, prime_field
 from cellmonoid.monoid import generating_set
 
-from conftest import assert_checks_clean, reference_trace_form
+from conftest import assert_checks_clean, reference_axiom_report, reference_trace_form
 
 
 def test_axioms_murphy_s3_full():
@@ -155,6 +156,105 @@ def test_axiom_witnesses_pinned(store, key, sabotage, witness):
     assert (by_gens.witness, by_gens.acting_count) == (witness, 1)
 
 
+@pytest.mark.parametrize("key,sabotage,witness", PINNED_WITNESSES,
+                         ids=["swap", "rescale", "swap-right", "h-coboundary", "merge-no-anchor",
+                              "merge-later-unit", "merge-hit-first", "zero-weight",
+                              "order"])
+def test_pinned_data_match_the_reference_scan(store, key, sabotage, witness):
+    # the whole report, not just the witness, equals the plain scan's
+    datum = sabotage(store.datum(key))
+    assert cm.verify_cell_axioms(datum, mode="full") == reference_axiom_report(datum)
+    acting = [0, witness["acting"]]
+    assert (cm.verify_cell_axioms(datum, acting=acting, mode="generators")
+            == reference_axiom_report(datum, acting))
+
+
+def _coboundary_twist(d, f):
+    """d's basis with each term c*e rescaled to c/f(e)*e, under the weights
+    f(x) f(y) / f(xy).  The map e -> f(e)*e carries this algebra onto d's and
+    the new basis onto d's, so the axioms hold exactly when they hold for d."""
+    T = d.table
+    basis = {k: {e: c / f[e] for e, c in v.items()} for k, v in d.basis.items()}
+    datum = cm.CellDatum(d.field, T, d.nodes, d.gt, d.lsets, d.rsets, basis, d.blocks, d.attach)
+    return datum, [[f[x] * f[y] / f[T[x][y]] for y in range(d.dim)] for x in range(d.dim)]
+
+
+def test_weight_keys_follow_the_relative_vectors():
+    # An identity plus the 3x2 rectangular band (i, j)(k, l) = (i, l), with
+    # trivial groups: row i's left unit has the vectors (i, 0), (i, 1), and
+    # rows 0 and 1 have equal relative vectors.  Row 1 is numbered against
+    # its columns, so its support sorts as ((1, 1), (1, 0)) and row 0's as
+    # ((0, 0), (0, 1)).  Twisted by the coboundary of f = 2 on (2, 1) only
+    # (see _coboundary_twist), the datum passes; a = (2, 0) weights row 0 by
+    # (1, 1/2), and b = (2, 1) sends row 1 to the same products a*(0, j).
+    # Giving b row 0's weights in sorted order weights row 1 by (1/2, 1)
+    # along its vectors, so row 1 fails under b.  Weights keyed in sorted
+    # order would take row 1 under b for row 0 under a and skip it.
+    label = {(2, 0): 1, (2, 1): 2, (0, 0): 3, (0, 1): 4, (1, 0): 6, (1, 1): 5}
+    pair = {v: k for k, v in label.items()}
+    table = [[y if x == 0 else x if y == 0 else label[(pair[x][0], pair[y][1])]
+              for y in range(7)] for x in range(7)]
+    M = cm.from_cayley_table(7, 0, table)
+    f = [Fraction(1)] * 7
+    f[label[(2, 1)]] = Fraction(2)
+    datum, weights = _coboundary_twist(cm.standard_datum(M, RATIONALS), f)
+    assert cm.verify_cell_axioms(datum.twisted(weights, None)).ok
+    a, b = label[(2, 0)], label[(2, 1)]
+    row0 = [weights[a][label[(0, j)]] for j in (0, 1)]
+    assert row0 == [1, Fraction(1, 2)]
+    weights[b][label[(1, 1)]], weights[b][label[(1, 0)]] = row0
+    twisted = datum.twisted(weights, None)
+    rep = cm.verify_cell_axioms(twisted)
+    assert rep == reference_axiom_report(twisted)
+    assert rep.witness == {"side": "left", "acting": b, "node": "D1:*",
+                           "detail": "left coefficients at right index 1 differ from index 0"}
+
+
+def test_random_twistings_match_the_reference_scan():
+    # Random submonoids of T3 and T4 and small family members, twisted by the
+    # coboundary of a random f, with the basis rescaled to match (so the
+    # axioms hold) or not (so they hold only when f suits the classes), and
+    # with up to three weights set to zero: the check's report must be the
+    # plain scan's, in full and in generators mode.
+    counts = {"ok": 0, "failed": 0, "zero weights": 0}
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        if data.draw(st.booleans()):
+            M, _ = cm.family(*data.draw(st.sampled_from([("tfull", 2), ("tfull", 3),
+                                                         ("tpartial", 2), ("jones", 4)])))
+        else:
+            r = data.draw(st.integers(3, 4))
+            point_map = st.lists(st.integers(1, r), min_size=r, max_size=r)
+            M = cm.generate_from_maps(r, data.draw(st.lists(point_map, min_size=1, max_size=3)))
+            if M.size > 40:
+                return
+        try:
+            base = cm.standard_datum(M, RATIONALS)
+        except cm.UnsupportedGroup:
+            return
+        scalar = st.sampled_from([Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 3)])
+        f = data.draw(st.lists(scalar, min_size=M.size, max_size=M.size))
+        datum, weights = _coboundary_twist(base, f)
+        if data.draw(st.booleans()):
+            datum = base
+        element = st.integers(0, M.size - 1)
+        for x, y in data.draw(st.lists(st.tuples(element, element), max_size=3)):
+            weights[x][y] = 0
+            counts["zero weights"] += 1
+        twisted = datum.twisted(weights, base.attach)
+        full = cm.verify_cell_axioms(twisted, mode="full")
+        assert full == reference_axiom_report(twisted)
+        counts["ok" if full.ok else "failed"] += 1
+        acting = data.draw(st.lists(element, min_size=1, max_size=4))
+        assert (cm.verify_cell_axioms(twisted, acting=acting, mode="generators")
+                == reference_axiom_report(twisted, acting))
+
+    check()
+    assert min(counts.values()) > 5, counts
+
+
 def test_bad_acting_indices_rejected(store):
     d = store.datum("tfull2")
     for bad in (-1, 99, d.dim):
@@ -183,15 +283,16 @@ def _counting(datum):
 
 
 def test_full_check_product_counts(store):
-    # each row and column translate is verified once, and only products that
-    # can reach a node not above the unit's are made: 300 of 2*27**2 = 1458
-    # products on tfull3, 932 of 8192 on tpartial3 and 11996 of 131072 on
-    # tfull4 over F_3.  jones5 twisted by delta = 0 has zero weights: 378 of
-    # its 758 products vanish and take no coordinates.
-    for key, field, delta, products, lookups in (("tfull3", "q", None, 300, 300),
-                                                 ("tpartial3", "q", None, 932, 932),
-                                                 ("tfull4", "fp:3", None, 11996, 11996),
-                                                 ("jones5", "q", "0", 758, 380)):
+    # each key of a unit's relative vectors is verified once across the units
+    # that share them, and only products that can reach a node not above the
+    # unit's are made: 126 of 2*27**2 = 1458 products on tfull3, 236 of 8192
+    # on tpartial3 and 1976 of 131072 on tfull4 over F_3.  jones5 twisted by
+    # delta = 0 has zero weights: 82 of its 166 products vanish and take no
+    # coordinates.
+    for key, field, delta, products, lookups in (("tfull3", "q", None, 126, 126),
+                                                 ("tpartial3", "q", None, 236, 236),
+                                                 ("tfull4", "fp:3", None, 1976, 1976),
+                                                 ("jones5", "q", "0", 166, 84)):
         datum, counts = _counting(store.datum(key, field) if delta is None
                                   else store.twisted(key, delta, field))
         rep = cm.verify_cell_axioms(datum, mode="full")
@@ -202,13 +303,13 @@ def test_full_check_product_counts(store):
 def test_products_above_the_node_take_no_coordinates(store):
     # with two cells merged, a unit's support spans two H-classes, so the
     # unit is checked even when some of its products land only on blocks
-    # labelled above its node: 3 of its 65 products are dropped whole, and
-    # the rest read 103 terms, not 109
+    # labelled above its node: 3 of its 62 products are dropped whole, and
+    # the rest read 100 terms, not 106
     datum, counts = _counting(_merge_swap(store.datum("tfull3"), (4, 0, 2), (4, 1, 1)))
     rep = cm.verify_cell_axioms(datum, mode="full")
     assert rep.witness == {"side": "left", "acting": 2, "node": "D2:(2)",
                            "detail": "left coefficients at right index 1 differ from index 0"}
-    assert counts == {"products": 65, "coordinates": 62, "terms": 103}
+    assert counts == {"products": 62, "coordinates": 59, "terms": 100}
 
 
 def test_generators_mode_consistent_with_full(store):
