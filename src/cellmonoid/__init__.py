@@ -9,8 +9,8 @@ exact Gram-matrix ranks, with independent cross-checks throughout.
 from .exactalg import DenseMatrix, FieldSpec, RATIONALS, Scalar, mat_rank, prime_field
 from .monoid import (BadIdentity, CellmonoidError, FiniteMonoid, LoopTable, MonoidError,
                      NotAssociative, SizeCapExceeded, family, from_cayley_table,
-                     generate_from_maps, generating_set, idempotents, is_inverse, is_regular,
-                     load_cayley_json, load_loop_table, save_cayley_json, save_loop_table)
+                     generate_from_maps, generating_set, idempotents, load_cayley_json,
+                     load_loop_table, save_cayley_json, save_loop_table)
 from .green import (EggBox, GreenStructure, SchutzGroup, bijection_condition, build_eggbox,
                     compute_green, sandwich, schutzenberger)
 from .groupcell import (AxiomViolation, UnsupportedGroup, find_symmetric_iso,

@@ -8,8 +8,7 @@ are sparse dicts {basis element index: scalar}.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from . import green as green_mod
 from .exactalg import DenseMatrix, FieldSpec, Scalar, mat_inverse, mat_rank
@@ -48,8 +47,7 @@ def _transitive_closure(pairs) -> FrozenSet[Tuple[int, int]]:
     return frozenset(gt)
 
 
-@dataclass
-class GroupDatumAttachment:
+class GroupDatumAttachment(NamedTuple):
     """A group-level cell datum together with its gluing onto one D-class:
     iso maps the datum's carrier elements onto Schutzenberger group elements."""
 
@@ -58,8 +56,7 @@ class GroupDatumAttachment:
     kind: str
 
 
-@dataclass
-class MonoidAttachment:
+class MonoidAttachment(NamedTuple):
     """Everything the assembled datum remembers about its construction."""
 
     monoid: FiniteMonoid
@@ -83,14 +80,17 @@ class CellDatum:
     within each block the labeled vectors must form a basis of the span of the
     block's carrier elements.  The exact inverse of each block, shared by the
     blocks with equal matrices, is kept as sparse columns, one per carrier
-    element, so a coordinate lookup touches only the nonzero terms.
+    element, so a coordinate lookup touches only the nonzero terms.  Given
+    inv_cols, those columns are taken as they are and no block is inverted:
+    build_cell_datum passes its group data's columns, relabelled.
     """
 
     def __init__(self, field: FieldSpec, table: List[List[int]],
                  nodes: List, gt_pairs, lsets: List[List], rsets: List[List],
                  basis: Dict[Key, SparseVec],
                  blocks: List[Tuple[Tuple[int, ...], Tuple[Key, ...]]],
-                 attach: Optional[MonoidAttachment] = None):
+                 attach: Optional[MonoidAttachment] = None,
+                 inv_cols: Optional[Dict[int, List[Tuple[int, Scalar]]]] = None):
         self.field = field
         self.table = table
         self.dim = dim = len(table)
@@ -118,7 +118,7 @@ class CellDatum:
         ]
 
         self._block_of_elem: Dict[int, int] = {}
-        self._inv_cols: Dict[int, List[Tuple[int, Scalar]]] = {}
+        self._inv_cols = {} if inv_cols is None else inv_cols
         inverses: Dict[Tuple[Tuple[Scalar, ...], ...], Optional[DenseMatrix]] = {}
         seen_keys: Set[Key] = set()
         for bi, (elems, keys) in enumerate(self.blocks):
@@ -135,6 +135,8 @@ class CellDatum:
                 support = set(self.basis[k])
                 if not support <= set(elems):
                     raise NotABasis(f"vector {k} is not supported inside its block")
+            if inv_cols is not None:
+                continue
             grid = tuple(tuple(self.basis[k].get(e, 0) for k in keys) for e in elems)
             if grid not in inverses:
                 inverses[grid] = mat_inverse(DenseMatrix.from_rows(field, grid))
@@ -261,7 +263,8 @@ def build_cell_datum(M: FiniteMonoid, gs: GreenStructure, boxes: List[EggBox],
     Left labels pair rows (R-classes) with group left indices, right labels
     pair columns (L-classes) with group right indices, and the vector for
     (row i, column j) is the group vector pushed into cell (i, j) by the
-    egg-box translations.
+    egg-box translations.  So each cell's block is its group datum's with
+    the carrier relabelled, and its inverse columns are the group datum's.
     """
     nd = len(gs.dclasses)
     if set(group_data) != set(range(nd)):
@@ -302,15 +305,24 @@ def build_cell_datum(M: FiniteMonoid, gs: GreenStructure, boxes: List[EggBox],
 
     basis: Dict[Key, SparseVec] = {}
     blocks: List[Tuple[Tuple[int, ...], Tuple[Key, ...]]] = []
+    inv_cols: Dict[int, List[Tuple[int, Scalar]]] = {}
     for d in range(nd):
         box = boxes[d]
         sch = schutzs[d]
         gd = group_data[d]
         gdat = gd.datum
         rep = [sch.phiR[gd.iso[ga]] for ga in range(gdat.dim)]
+        # A cell lists its keys in the sorted order of the group keys.
+        pos = {k: r for r, k in enumerate(sorted(gdat.basis))}
+        gcols = [[(pos[gdat.blocks[gdat._block_of_elem[ga]][1][r]], w)
+                  for r, w in gdat._inv_cols[ga]] for ga in range(gdat.dim)]
         for i in range(len(box.rows)):
             for j in range(len(box.cols)):
-                conj = {h: T[T[box.a[i]][h]][box.b[j]] for h in sch.hclass}
+                ai, bj = box.a[i], box.b[j]
+                cell = [T[T[ai][h]][bj] for h in rep]  # carrier element of each group element
+                if len(set(cell)) != len(cell):
+                    raise CellBasisError("cell translation is not injective")
+                inv_cols.update(zip(cell, gcols))
                 keys: List[Key] = []
                 for gn in range(len(gdat.nodes)):
                     ni = node_at[(d, gn)]
@@ -318,9 +330,7 @@ def build_cell_datum(M: FiniteMonoid, gs: GreenStructure, boxes: List[EggBox],
                     for sp in range(ls):
                         for tp in range(rs):
                             gvec = gdat.basis[(gn, sp, tp)]
-                            vec = {conj[rep[ga]]: c for ga, c in gvec.items()}
-                            if len(vec) != len(gvec):
-                                raise CellBasisError("cell translation is not injective")
+                            vec = {cell[ga]: c for ga, c in gvec.items()}
                             key = (ni, i * ls + sp, j * rs + tp)
                             basis[key] = vec
                             keys.append(key)
@@ -330,7 +340,8 @@ def build_cell_datum(M: FiniteMonoid, gs: GreenStructure, boxes: List[EggBox],
     group_summaries = [gram_summary(group_data[d].datum) for d in range(nd)]
     attach = MonoidAttachment(M, gs, boxes, schutzs, group_data, node_dclass,
                               node_gnode, matched_g, group_summaries)
-    return CellDatum(field, M.table, nodes, gt_pairs, lsets, rsets, basis, blocks, attach)
+    return CellDatum(field, M.table, nodes, gt_pairs, lsets, rsets, basis, blocks, attach,
+                     inv_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +440,7 @@ def gram_fast(d: CellDatum, ni: int) -> DenseMatrix:
 # Nonzero-bracket nodes, irreducible dimensions, verdicts.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GramSummary:
+class GramSummary(NamedTuple):
     """Every Gram matrix of a datum, each built and ranked once, with the
     verdicts read off the ranks."""
 
@@ -488,8 +498,7 @@ def _check(name: str, ok: bool, detail: str = "") -> Dict[str, str]:
     return _entry(name, "pass" if ok else "fail", detail)
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     field: str
     size: int
     regular: bool
@@ -505,7 +514,7 @@ class AnalysisReport:
     checks: List[Dict]
 
     def to_dict(self) -> Dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def analyze(d: CellDatum) -> AnalysisReport:

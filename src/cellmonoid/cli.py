@@ -9,10 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import cellbasis, monoid as monoid_mod, pipeline, twist as twist_mod, verify as verify_mod
 from .exactalg import FieldSpec
@@ -22,12 +20,13 @@ FAMILIES = ("tfull", "tpartial", "syminv", "jones")
 
 
 def report_schema() -> Dict:
+    from importlib import resources  # the CLI's own runs never read the schema
+
     text = resources.files("cellmonoid").joinpath("report_schema.json").read_text(encoding="utf-8")
     return json.loads(text)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     family: Optional[str]
     n: Optional[int]

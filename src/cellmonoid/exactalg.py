@@ -22,7 +22,6 @@ from reduced row echelon form over Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
@@ -65,7 +64,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """Coefficient field: ``FieldSpec("q")`` or ``FieldSpec("fp", p)`` with p prime.
 
@@ -73,20 +71,33 @@ class FieldSpec:
     are ints reduced into [0, p).  Both fields use the constants 0 and 1 and
     Python's + - * on scalars; norm reduces a computed value to its stored
     form, and inv (a `Fraction` over the rationals) is the one division.
+    Fields of equal kind and modulus compare equal and hash alike.
     """
 
-    kind: str
-    p: Optional[int] = None
+    __slots__ = ("kind", "p")
 
-    def __post_init__(self) -> None:
-        if self.kind == "q":
-            if self.p is not None:
+    def __init__(self, kind: str, p: Optional[int] = None) -> None:
+        if kind == "q":
+            if p is not None:
                 raise ValueError("the rational field takes no modulus")
-        elif self.kind == "fp":
-            if self.p is None or not _is_prime(self.p):
-                raise ValueError(f"prime-field modulus must be prime, got {self.p!r}")
+        elif kind == "fp":
+            if p is None or not _is_prime(p):
+                raise ValueError(f"prime-field modulus must be prime, got {p!r}")
         else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+            raise ValueError(f"unknown field kind {kind!r}")
+        self.kind = kind
+        self.p = p
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FieldSpec):
+            return NotImplemented
+        return (self.kind, self.p) == (other.kind, other.p)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.p))
+
+    def __repr__(self) -> str:
+        return f"FieldSpec(kind={self.kind!r}, p={self.p!r})"
 
     @staticmethod
     def parse(spec: str) -> "FieldSpec":
@@ -146,18 +157,18 @@ def prime_field(p: int) -> FieldSpec:
     return FieldSpec("fp", p)
 
 
-@dataclass
 class DenseMatrix:
     """Row-major exact matrix over a FieldSpec.  Treated as immutable."""
 
-    field: FieldSpec
-    rows: int
-    cols: int
-    entries: List[List[Scalar]]
+    __slots__ = ("field", "rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+    def __init__(self, field: FieldSpec, rows: int, cols: int, entries: List[List[Scalar]]) -> None:
+        if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match declared shape")
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
 
     @staticmethod
     def from_rows(field: FieldSpec, rows: Sequence[Sequence[Scalar]]) -> "DenseMatrix":

@@ -7,8 +7,7 @@ deterministic for a fixed Cayley table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .monoid import CellmonoidError, FiniteMonoid, idempotents
 
@@ -35,8 +34,7 @@ def _classes(keys: List) -> Tuple[List[int], List[List[int]]]:
     return ids, members
 
 
-@dataclass
-class GreenStructure:
+class GreenStructure(NamedTuple):
     lclass: List[int]
     rclass: List[int]
     hclass: List[int]
@@ -79,8 +77,7 @@ def compute_green(M: FiniteMonoid) -> GreenStructure:
                           lclasses, rclasses, hclasses, dclasses, dideals, dless)
 
 
-@dataclass
-class EggBox:
+class EggBox(NamedTuple):
     """One D-class as a grid of H-classes, with row/column translations.
 
     Row i is reached from row 1 by left multiplication by a[i]; column j is
@@ -177,8 +174,7 @@ def build_eggbox(M: FiniteMonoid, gs: GreenStructure, d: int) -> EggBox:
     return EggBox(gamma, rows, cols, grid, a, b)
 
 
-@dataclass
-class SchutzGroup:
+class SchutzGroup(NamedTuple):
     """Right translation group of the base H-class, as permutations of it.
 
     ``perms[g]`` permutes positions of the sorted base class; ``rm`` maps every
@@ -280,8 +276,8 @@ def regular_and_inverse(M: FiniteMonoid, gs: GreenStructure) -> Tuple[bool, bool
     """(M is regular, M is inverse), read off Green's structure: M is regular
     iff every D-class holds an idempotent, and then every L- and R-class
     holds one, so M is inverse iff, in addition, it has as many idempotents
-    as L-classes and as R-classes.  monoid.is_regular and is_inverse are the
-    definitions."""
+    as L-classes and as R-classes.  The tests compare it with the
+    definitions, scanned over all pairs."""
     idem = idempotents(M)
     regular = len({gs.dclass[e] for e in idem}) == len(gs.dclasses)
     return regular, regular and len(idem) == len(gs.lclasses) == len(gs.rclasses)

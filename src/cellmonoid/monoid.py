@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 DEFAULT_SIZE_CAP = 5000
 
@@ -53,8 +52,7 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-@dataclass
-class FiniteMonoid:
+class FiniteMonoid(NamedTuple):
     """Identity-bearing Cayley table with element labels.  Treated as immutable."""
 
     size: int
@@ -69,8 +67,7 @@ class FiniteMonoid:
         return f"FiniteMonoid(size={self.size}, identity={self.identity})"
 
 
-@dataclass
-class LoopTable:
+class LoopTable(NamedTuple):
     """loops[x][y] = closed loops removed when stacking diagram x on diagram y."""
 
     loops: List[List[int]]
@@ -405,29 +402,6 @@ def family(kind: str, n: int, cap: int = DEFAULT_SIZE_CAP) -> Tuple[FiniteMonoid
 
 def idempotents(M: FiniteMonoid) -> List[int]:
     return [x for x in range(M.size) if M.table[x][x] == x]
-
-
-def is_regular(M: FiniteMonoid) -> bool:
-    T = M.table
-    for x in range(M.size):
-        if not any(T[T[x][y]][x] == x for y in range(M.size)):
-            return False
-    return True
-
-
-def is_inverse(M: FiniteMonoid) -> bool:
-    """True when every element has exactly one y with xyx = x and yxy = y."""
-    T = M.table
-    for x in range(M.size):
-        count = 0
-        for y in range(M.size):
-            if T[T[x][y]][x] == x and T[T[y][x]][y] == y:
-                count += 1
-                if count > 1:
-                    return False
-        if count != 1:
-            return False
-    return True
 
 
 def generating_set(M: FiniteMonoid, weights: Optional[Sequence[Sequence]] = None) -> List[int]:

@@ -11,8 +11,7 @@ rescalings of the untwisted ones, one scale per sandwich-matrix entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cellbasis import CellDatum
 from .exactalg import FieldSpec, Scalar, clear_denominators
@@ -31,8 +30,7 @@ class IncompatibleTwisting(TwistError):
         self.witness = witness
 
 
-@dataclass
-class Twisting:
+class Twisting(NamedTuple):
     field: FieldSpec
     values: List[List[Scalar]]
     provenance: str
@@ -98,8 +96,7 @@ def verify_twisting(M: FiniteMonoid, pi: Twisting) -> Optional[Dict]:
     return None
 
 
-@dataclass
-class Compatibility:
+class Compatibility(NamedTuple):
     """level is "strong", "compatible", or "incompatible" (see
     compatibility_class; the witness names the side, a, and two x, y that
     disagree); lr is the separate flag for pi(x, .) constant over each L-class
@@ -154,8 +151,7 @@ def _is_lr(M: FiniteMonoid, gs: GreenStructure, pi: Twisting) -> bool:
     return True
 
 
-@dataclass
-class TwistInfo:
+class TwistInfo(NamedTuple):
     compat: Compatibility
     scales: Dict[Tuple[int, int, int], Scalar]
 
@@ -186,7 +182,7 @@ def build_twisted_cell_datum(base: CellDatum, pi: Twisting,
         raise IncompatibleTwisting(compat.witness)
     scales = match_scales(at.monoid, at.boxes, at.matched_g, pi)
     info = TwistInfo(compat, scales)
-    new_attach = replace(at, twist=info)
+    new_attach = at._replace(twist=info)
     return base.twisted(pi.values, new_attach)
 
 

@@ -5,9 +5,8 @@ dual-path cross-check ledger.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from math import lcm
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .exactalg import DenseMatrix, FieldSpec, Scalar, certified_nonsingular, mat_rank
 from .monoid import CellmonoidError
@@ -17,15 +16,14 @@ class WrongCharacteristic(CellmonoidError):
     pass
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
     mode: str
     ok: bool
     witness: Optional[Dict]
     acting_count: int
 
     def to_dict(self) -> Dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None,

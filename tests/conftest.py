@@ -21,6 +21,30 @@ def build_monoid(key: str):
     raise KeyError(key)
 
 
+def is_regular(M):
+    """Every x has a y with xyx = x: the definition, over all n**2 pairs."""
+    T = M.table
+    for x in range(M.size):
+        if not any(T[T[x][y]][x] == x for y in range(M.size)):
+            return False
+    return True
+
+
+def is_inverse(M):
+    """True when every element has exactly one y with xyx = x and yxy = y."""
+    T = M.table
+    for x in range(M.size):
+        count = 0
+        for y in range(M.size):
+            if T[T[x][y]][x] == x and T[T[y][x]][y] == y:
+                count += 1
+                if count > 1:
+                    return False
+        if count != 1:
+            return False
+    return True
+
+
 class Store:
     """Session-wide cache keyed by monoid key and field string."""
 

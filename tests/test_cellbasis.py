@@ -306,9 +306,12 @@ def test_rescaled_blocks_keep_their_own_inverses(store):
 
 
 def test_one_inverse_per_distinct_block(store, monkeypatch):
+    # Each cell's block is its group datum's block with the carrier
+    # relabelled, so the assembled datum inverts none of its 4 distinct
+    # blocks: of the datum's 9 inversions, the 5 of the group data remain,
+    # one per group datum built (the trivial one once per D-class).
     M, _ = store.monoid("tpartial4")
     gs, boxes, schutzs = store.green("tpartial4")
-    group_data = cm.standard_group_data(schutzs, RATIONALS)
     calls = []
 
     def counted(m):
@@ -316,10 +319,14 @@ def test_one_inverse_per_distinct_block(store, monkeypatch):
         return mat_inverse(m)
 
     monkeypatch.setattr(cellbasis, "mat_inverse", counted)
+    group_data = cm.standard_group_data(schutzs, RATIONALS)
+    assert sorted(m.rows for m in calls) == [1, 1, 2, 6, 24]
+    calls.clear()
     d = cm.build_cell_datum(M, gs, boxes, schutzs, group_data, RATIONALS)
     distinct = {tuple(map(tuple, _block_grid(d, elems, keys))) for elems, keys in d.blocks}
-    assert len(d.blocks) == 252
-    assert len(calls) <= len(distinct) < len(d.blocks)
+    assert len(d.blocks) == 252 and len(distinct) == 4
+    assert calls == []
+    _assert_per_block_inverses(d)
 
 
 def test_singular_block_is_named_despite_shared_inverses(store):

@@ -1,7 +1,12 @@
+import ast
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -285,3 +290,21 @@ def test_report_outside_a_directory_fails_before_the_work(parent, tmp_path, caps
     assert out == ""
     assert err == f"error: --report: {report.parent} is not a directory\n"
     assert not report.exists()
+
+
+def test_cli_import_loads_no_record_machinery():
+    # Each CLI run is a fresh process that pays for every module it imports:
+    # dataclasses alone pulls in inspect, ast, dis and tokenize.  -S keeps
+    # site hooks from loading them on their own behalf.
+    src = Path(cm.__file__).resolve().parent.parent
+    probe = ("import sys, cellmonoid.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+    assert out == "[]\n"
+    importers = [path.name for path in sorted((src / "cellmonoid").glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                 or isinstance(node, ast.Import) and any(a.name == "dataclasses"
+                                                         for a in node.names)]
+    assert importers == []

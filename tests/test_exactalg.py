@@ -29,8 +29,16 @@ def test_field_spec_validation():
     with pytest.raises(ValueError):
         FieldSpec("q", 3)
     assert FieldSpec.parse("fp:7") == prime_field(7)
-    assert FieldSpec.parse("q") == RATIONALS
+    assert hash(FieldSpec.parse("fp:7")) == hash(prime_field(7))
+    assert FieldSpec.parse("q") == RATIONALS != prime_field(7)
     assert prime_field(11).spec_string() == "fp:11"
+
+
+@pytest.mark.parametrize("rows,cols,entries", [(2, 2, [[1, 2]]), (1, 2, [[1, 2, 3]]),
+                                               (2, 2, [[1, 2], [3]])])
+def test_dense_matrix_rejects_a_mis_shaped_grid(rows, cols, entries):
+    with pytest.raises(ValueError, match="declared shape"):
+        DenseMatrix(RATIONALS, rows, cols, entries)
 
 
 def test_primality_is_exact_and_fast():

@@ -9,7 +9,7 @@ from cellmonoid.green import GreenError, regular_and_inverse
 from cellmonoid.groupcell import symmetric_group_table
 
 from conftest import (check_class_preservation, check_eggbox_rectangular, check_h_stability,
-                      check_matched_representative_independence)
+                      check_matched_representative_independence, is_inverse, is_regular)
 
 SMALL_KEYS = ("trivial", "null3", "tfull2", "tfull3", "tpartial2", "syminv2", "jones3")
 
@@ -267,7 +267,7 @@ def test_bijection_condition(store):
 def _assert_regularity_routes(M):
     gs = cm.compute_green(M)
     fast = regular_and_inverse(M, gs)
-    assert fast == (cm.is_regular(M), cm.is_inverse(M))
+    assert fast == (is_regular(M), is_inverse(M))
     return fast
 
 

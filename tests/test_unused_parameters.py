@@ -1,5 +1,5 @@
 """Source checks: every function parameter in the package is read by its
-body, and every dataclass field is read as an attribute somewhere."""
+body, and every record field is read as an attribute somewhere."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "cellmonoid"
 TESTS = Path(__file__).resolve().parent
 
-# Serialized whole by dataclasses.asdict, so each field is read by name.
+# Serialized whole by NamedTuple._asdict, so each field is read by name.
 SERIALIZED_WHOLE = {"AnalysisReport", "AxiomReport"}
 
 
@@ -33,10 +33,22 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
+def _slots(cls):
+    """(line, name) for each name in the class's __slots__ tuple, if any."""
+    for stmt in cls.body:
+        if (isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)):
+            return [(stmt.lineno, e.value) for e in stmt.value.elts]
+    return []
+
+
 def _is_dataclass(cls):
-    return any(isinstance(d, ast.Name) and d.id == "dataclass"
-               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
-               for d in cls.decorator_list)
+    """A record: a dataclass, a NamedTuple, or a class with __slots__."""
+    return (any(isinstance(d, ast.Name) and d.id == "dataclass"
+                or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+                for d in cls.decorator_list)
+            or any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases)
+            or bool(_slots(cls)))
 
 
 def _dataclass_fields(tree):
@@ -45,6 +57,8 @@ def _dataclass_fields(tree):
             for stmt in cls.body:
                 if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
                     yield cls.name, stmt.lineno, stmt.target.id
+            for line, name in _slots(cls):
+                yield cls.name, line, name
 
 
 def _attributes_read(tree):
