@@ -10,12 +10,12 @@ from .exactalg import DenseMatrix, FieldSpec, RATIONALS, Scalar, mat_rank, prime
 from .monoid import (BadIdentity, CellmonoidError, FiniteMonoid, LoopTable, MonoidError,
                      NotAssociative, SizeCapExceeded, family, from_cayley_table,
                      generate_from_maps, generating_set, idempotents, load_cayley_json,
-                     load_loop_table, save_cayley_json, save_loop_table)
+                     save_cayley_json)
 from .green import (EggBox, GreenStructure, SchutzGroup, bijection_condition, build_eggbox,
                     compute_green, sandwich, schutzenberger)
-from .groupcell import (AxiomViolation, UnsupportedGroup, find_symmetric_iso,
-                        load_custom_datum, murphy_datum, partitions, save_custom_datum,
-                        standard_group_data, standard_tableaux, trivial_group_datum)
+from .groupcell import (AxiomViolation, UnsupportedGroup, find_symmetric_iso, murphy_datum,
+                        partitions, standard_group_data, standard_tableaux,
+                        trivial_group_datum)
 from .cellbasis import (AnalysisReport, CellDatum, GramSummary, GroupDatumAttachment,
                         MonoidAttachment, NotABasis, GroupMismatch, analyze, bracket_value,
                         build_cell_datum, gram_definition, gram_fast, gram_summary,

@@ -78,11 +78,11 @@ class CellDatum:
     its product in mult (see table_mult), weighted by weights under a twisting
     (None otherwise).  blocks partition both the carrier and the label set;
     within each block the labeled vectors must form a basis of the span of the
-    block's carrier elements.  The exact inverse of each block, shared by the
-    blocks with equal matrices, is kept as sparse columns, one per carrier
-    element, so a coordinate lookup touches only the nonzero terms.  Given
-    inv_cols, those columns are taken as they are and no block is inverted:
-    build_cell_datum passes its group data's columns, relabelled.
+    block's carrier elements.  The exact inverse of each block is kept as
+    sparse columns, one per carrier element, so a coordinate lookup touches
+    only the nonzero terms.  Given inv_cols, those columns are taken as they
+    are and no block is inverted: build_cell_datum passes its group data's
+    columns, relabelled.
     """
 
     def __init__(self, field: FieldSpec, table: List[List[int]],
@@ -119,7 +119,6 @@ class CellDatum:
 
         self._block_of_elem: Dict[int, int] = {}
         self._inv_cols = {} if inv_cols is None else inv_cols
-        inverses: Dict[Tuple[Tuple[Scalar, ...], ...], Optional[DenseMatrix]] = {}
         seen_keys: Set[Key] = set()
         for bi, (elems, keys) in enumerate(self.blocks):
             if len(elems) != len(keys):
@@ -137,10 +136,8 @@ class CellDatum:
                     raise NotABasis(f"vector {k} is not supported inside its block")
             if inv_cols is not None:
                 continue
-            grid = tuple(tuple(self.basis[k].get(e, 0) for k in keys) for e in elems)
-            if grid not in inverses:
-                inverses[grid] = mat_inverse(DenseMatrix.from_rows(field, grid))
-            inv = inverses[grid]
+            grid = [[self.basis[k].get(e, 0) for k in keys] for e in elems]
+            inv = mat_inverse(DenseMatrix.from_rows(field, grid))
             if inv is None:
                 raise NotABasis(f"labeled vectors of block {bi} are linearly dependent")
             for c, e in enumerate(elems):

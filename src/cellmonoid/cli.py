@@ -115,8 +115,6 @@ def _build_monoid(cfg: RunConfig) -> Tuple[FiniteMonoid, Optional[LoopTable]]:
 def _build_twisting(cfg: RunConfig, M: FiniteMonoid,
                     loops: Optional[LoopTable]) -> twist_mod.Twisting:
     if cfg.delta is not None:
-        if loops is None:
-            raise UsageError("--delta needs a loop-table-bearing source")
         delta = cfg.field.parse_scalar(cfg.delta)
         return twist_mod.make_loop_twisting(loops, delta, cfg.field)
     pi = twist_mod.load_twisting_json(cfg.twist_file, cfg.field)

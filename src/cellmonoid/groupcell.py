@@ -1,6 +1,6 @@
 """Cell data for the group algebras attached to D-classes: the tableau basis
-for symmetric groups, the one-node datum for trivial groups, and user-supplied
-data loaded from files.
+for symmetric groups, the one-node datum for trivial groups, and data a caller
+supplies from Python, verified where they enter.
 """
 
 from __future__ import annotations
@@ -9,11 +9,11 @@ import itertools
 import math
 from typing import Dict, List, Optional, Tuple
 
-from . import cellbasis, verify as verify_mod
+from . import verify as verify_mod
 from .cellbasis import CellDatum, GroupDatumAttachment
 from .exactalg import FieldSpec, Scalar
 from .green import SchutzGroup
-from .monoid import CellmonoidError, _dump_json, _is_int, _load_json_object
+from .monoid import CellmonoidError
 
 
 class GroupCellError(CellmonoidError):
@@ -211,90 +211,6 @@ def trivial_group_datum(field: FieldSpec) -> CellDatum:
 
 
 # ---------------------------------------------------------------------------
-# Custom datum files.
-#
-# Format: {"nodes": [...], "poset": [[higher, lower], ...] (strict covers),
-#          "L": {node: size}, "R": {node: size},
-#          "basis": {"node/s/t": [[group_index, scalar_string], ...]}}
-# ---------------------------------------------------------------------------
-
-def save_custom_datum(d: CellDatum, path) -> None:
-    node_labels = [cellbasis._lam_str(nd) for nd in d.nodes]
-    covers = []
-    for a, b in sorted(d.gt):
-        # keep only covering pairs for a compact file
-        if not any((a, c) in d.gt and (c, b) in d.gt for c in range(len(d.nodes))):
-            covers.append([node_labels[a], node_labels[b]])
-    payload = {
-        "nodes": node_labels,
-        "poset": covers,
-        "L": {node_labels[ni]: len(d.lsets[ni]) for ni in range(len(d.nodes))},
-        "R": {node_labels[ni]: len(d.rsets[ni]) for ni in range(len(d.nodes))},
-        "basis": {
-            f"{node_labels[ni]}/{si}/{ti}": sorted(
-                [g, str(c)] for g, c in d.basis[(ni, si, ti)].items()
-            )
-            for (ni, si, ti) in sorted(d.basis)
-        },
-    }
-    _dump_json(payload, path)
-
-
-def load_custom_datum(path, table: List[List[int]], field: FieldSpec) -> CellDatum:
-    """Load and fully validate a user-supplied datum on the group with this
-    Cayley table (a SchutzGroup's mult, say).
-
-    The labeled vectors must form a basis and the one-sided multiplication
-    conditions are verified over every group element before acceptance.
-    """
-    data = _load_json_object(path, "nodes", "poset", "L", "R", "basis")
-    if not (all(isinstance(data[k], list) for k in ("nodes", "poset"))
-            and all(isinstance(data[k], dict) for k in ("L", "R", "basis"))):
-        raise ValueError("nodes and poset must be lists; L, R and basis JSON objects")
-    node_labels = [str(x) for x in data["nodes"]]
-    if len(set(node_labels)) != len(node_labels):
-        raise ValueError("duplicate node labels")
-    at = {lab: i for i, lab in enumerate(node_labels)}
-    if not all(isinstance(p, list) and len(p) == 2 and all(str(v) in at for v in p)
-               for p in data["poset"]):
-        raise ValueError("poset must list [higher, lower] pairs of declared nodes")
-    gt_pairs = [(at[str(hi)], at[str(lo)]) for hi, lo in data["poset"]]
-    if not all(_is_int(v) for k in ("L", "R") for v in data[k].values()):
-        raise ValueError("L/R sizes must be integers")
-    lsizes = {str(k): v for k, v in data["L"].items()}
-    rsizes = {str(k): v for k, v in data["R"].items()}
-    if set(lsizes) != set(node_labels) or set(rsizes) != set(node_labels):
-        raise ValueError("L/R sizes must cover exactly the declared nodes")
-    lsets = [[str(i) for i in range(lsizes[lab])] for lab in node_labels]
-    rsets = [[str(i) for i in range(rsizes[lab])] for lab in node_labels]
-    basis: Dict[Tuple[int, int, int], Dict[int, Scalar]] = {}
-    for key, terms in data["basis"].items():
-        parts = key.rsplit("/", 2)
-        try:
-            vkey = (at[parts[0]], int(parts[1]), int(parts[2]))
-        except (KeyError, IndexError, ValueError):
-            raise ValueError(f"basis key {key!r} is not 'node/s/t' with a declared node") from None
-        if vkey in basis:
-            raise ValueError(f"basis key {key!r} names the same vector as an earlier key")
-        if not isinstance(terms, list) or not all(
-                isinstance(u, list) and len(u) == 2 and _is_int(u[0]) for u in terms):
-            raise ValueError(f"basis entry {key!r} is not a list of [g, c] pairs")
-        vec: Dict[int, Scalar] = {}
-        for g, cs in terms:
-            if not (0 <= g < len(table)):
-                raise ValueError(f"group index {g} out of range")
-            c = field.parse_scalar(str(cs))
-            if c:
-                vec[g] = c
-        basis[vkey] = vec
-    datum = _group_datum(table, field, node_labels, gt_pairs, lsets, rsets, basis)
-    report = verify_mod.verify_cell_axioms(datum, mode="full")
-    if not report.ok:
-        raise AxiomViolation(report.witness)
-    return datum
-
-
-# ---------------------------------------------------------------------------
 # Matching abstract symmetric groups onto Schutzenberger groups.
 # ---------------------------------------------------------------------------
 
@@ -367,20 +283,22 @@ def standard_group_data(schutzs: List[SchutzGroup], field: FieldSpec,
                         ) -> Dict[int, GroupDatumAttachment]:
     """Pick a verified group datum per D-class: a supplied custom datum (over
     the class's own translation group), the one-node datum for order-1 groups,
-    or the tableau datum for symmetric groups found by isomorphism search."""
+    or the tableau datum for symmetric groups found by isomorphism search.  A
+    custom datum is verified where it enters: UnsupportedGroup when its
+    dimension is not the group's order, AxiomViolation when the full axiom
+    check fails.  The built-in data are built once per group order."""
     custom = custom or {}
     out: Dict[int, GroupDatumAttachment] = {}
-    murphy_cache: Dict[int, CellDatum] = {}
+    builtin: Dict[int, CellDatum] = {}
     for d, sch in enumerate(schutzs):
         if d in custom:
             datum = custom[d]
             if datum.dim != sch.order:
                 raise UnsupportedGroup(f"D-class {d}: custom datum has the wrong dimension")
+            report = verify_mod.verify_cell_axioms(datum, mode="full")
+            if not report.ok:
+                raise AxiomViolation(report.witness)
             out[d] = GroupDatumAttachment(datum, list(range(sch.order)), "custom")
-            continue
-        if sch.order == 1:
-            datum = trivial_group_datum(field)
-            out[d] = GroupDatumAttachment(datum, [sch.identity], "trivial")
             continue
         n = _factorial_arg(sch.order)
         iso = find_symmetric_iso(n, sch) if n is not None else None
@@ -389,8 +307,7 @@ def standard_group_data(schutzs: List[SchutzGroup], field: FieldSpec,
                 f"D-class {d}: group of order {sch.order} has no built-in datum (only "
                 f"trivial and symmetric groups do); pass a custom datum from Python "
                 f"through standard_group_data(custom=...)")
-        if n not in murphy_cache:
-            murphy_cache[n] = murphy_datum(n, field)
-        datum = murphy_cache[n]
-        out[d] = GroupDatumAttachment(datum, iso, f"symmetric({n})")
+        if n not in builtin:
+            builtin[n] = trivial_group_datum(field) if n == 1 else murphy_datum(n, field)
+        out[d] = GroupDatumAttachment(builtin[n], iso, "trivial" if n == 1 else f"symmetric({n})")
     return out

@@ -480,17 +480,3 @@ def load_cayley_json(path, cap: Optional[int] = None) -> FiniteMonoid:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
-
-def save_loop_table(L: LoopTable, path) -> None:
-    _dump_json({"loops": L.loops}, path)
-
-
-def load_loop_table(path) -> LoopTable:
-    loops = _load_json_object(path, "loops")["loops"]
-    if not isinstance(loops, list) or any(not isinstance(row, list) for row in loops):
-        raise ValueError(f"{path}: loop table must be a list of rows")
-    if any(not _is_int(v) or v < 0 for row in loops for v in row):
-        raise ValueError(f"{path}: loop counts must be non-negative integers")
-    if any(len(row) != len(loops) for row in loops):
-        raise ValueError(f"{path}: loop table must be square")
-    return LoopTable(loops)

@@ -3,7 +3,7 @@ assembled cell datum."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from . import green as green_mod, groupcell
 from .cellbasis import CellDatum, build_cell_datum
@@ -20,11 +20,9 @@ def green_data(M: FiniteMonoid, section: str = "least"
     return gs, boxes, schutzs
 
 
-def standard_datum(M: FiniteMonoid, field: FieldSpec,
-                   custom: Optional[Dict[int, CellDatum]] = None,
-                   section: str = "least") -> CellDatum:
+def standard_datum(M: FiniteMonoid, field: FieldSpec, section: str = "least") -> CellDatum:
     """The assembled cell datum of the monoid algebra over the given field."""
     gs, boxes, schutzs = green_data(M, section=section)
-    group_data = groupcell.standard_group_data(schutzs, field, custom=custom)
+    group_data = groupcell.standard_group_data(schutzs, field)
     return build_cell_datum(M, gs, boxes, schutzs, group_data, field)
 

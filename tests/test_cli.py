@@ -264,6 +264,17 @@ def test_unsupported_group_names_the_library_route(tmp_path, capsys):
     assert "standard_group_data(custom=...)" in err
 
 
+@pytest.mark.parametrize("source", ["family", "cayley"])
+def test_delta_needs_the_jones_family(tmp_path, capsys, source):
+    # only family("jones", n) carries a loop table, so any other source is
+    # refused before the monoid is built
+    args = (["--family", "tfull", "--n", "2"] if source == "family"
+            else ["--cayley", _json_file(tmp_path / "c.json", T2_TABLE)])
+    assert main(["twist", *args, "--delta", "2", "--field", "q"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --delta needs a loop-table-bearing source (--family jones)\n"
+
+
 @pytest.mark.parametrize("field,delta", [("q", "abc"), ("q", "1/2/3"), ("fp:3", "abc"),
                                          ("fp:3", "1.5")])
 def test_bad_delta_names_the_scalar_and_the_field(field, delta, capsys):

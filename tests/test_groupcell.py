@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -100,70 +99,6 @@ def test_murphy_axioms_full():
             assert cm.verify_cell_axioms(d, mode="full").ok
 
 
-def test_custom_datum_round_trip(tmp_path):
-    d = murphy_datum(2, RATIONALS)
-    path = tmp_path / "s2.json"
-    cm.save_custom_datum(d, path)
-    loaded = cm.load_custom_datum(path, d.table, RATIONALS)
-    assert loaded.basis == d.basis
-    assert loaded.gt == d.gt
-    assert [len(s) for s in loaded.lsets] == [len(s) for s in d.lsets]
-
-
-def test_custom_datum_rejections(tmp_path):
-    d = murphy_datum(2, RATIONALS)
-    path = tmp_path / "s2.json"
-    cm.save_custom_datum(d, path)
-    data = json.loads(path.read_text())
-    data["basis"]["(2)/0/0"] = data["basis"]["(1,1)/0/0"]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
-    with pytest.raises(cm.NotABasis):
-        cm.load_custom_datum(bad, d.table, RATIONALS)
-    # scrambled basis vectors that still span: axiom violation
-    data2 = json.loads(path.read_text())
-    data2["basis"]["(2)/0/0"], data2["basis"]["(1,1)/0/0"] = (
-        data2["basis"]["(1,1)/0/0"], data2["basis"]["(2)/0/0"])
-    bad2 = tmp_path / "bad2.json"
-    bad2.write_text(json.dumps(data2))
-    with pytest.raises(AxiomViolation):
-        cm.load_custom_datum(bad2, d.table, RATIONALS)
-
-
-CUSTOM_DATUM_FAULTS = {
-    "nodes_not_a_list": lambda data: data.update(nodes="(2)"),
-    "L_not_an_object": lambda data: data.update(L=5),
-    "R_not_an_object": lambda data: data.update(R=["(2)", 1]),
-    "size_not_an_int": lambda data: data["L"].update({"(2)": "1"}),
-    "poset_pair_too_short": lambda data: data.update(poset=[["(2)"]]),
-    "poset_unknown_node": lambda data: data.update(poset=[["(2)", "(3)"]]),
-    "basis_not_an_object": lambda data: data.update(basis=[]),
-    "basis_terms_not_a_list": lambda data: data["basis"].update({"(2)/0/0": 5}),
-    "basis_term_not_a_pair": lambda data: data["basis"].update({"(2)/0/0": [[0]]}),
-    "basis_index_not_an_int": lambda data: data["basis"].update({"(2)/0/0": [["0", "1"]]}),
-    "basis_unknown_node": lambda data: data["basis"].update({"(3)/0/0": [[0, "1"]]}),
-    "basis_index_is_a_boolean": lambda data: data["basis"].update(
-        {"(2)/0/0": [[False, "1"], [True, "1"]]}),
-    "basis_alias_key": lambda data: data["basis"].update({"(2)/00/0": data["basis"]["(2)/0/0"]}),
-    "basis_key_malformed": lambda data: data["basis"].update({"(2)/0": [[0, "1"]]}),
-}
-# faults whose message must name the offending basis key
-NAMED_KEYS = {"basis_alias_key": "(2)/00/0", "basis_key_malformed": "(2)/0"}
-
-
-@pytest.mark.parametrize("fault", sorted(CUSTOM_DATUM_FAULTS))
-def test_custom_datum_wrong_types_raise_value_error(tmp_path, fault):
-    d = murphy_datum(2, RATIONALS)
-    path = tmp_path / "s2.json"
-    cm.save_custom_datum(d, path)
-    data = json.loads(path.read_text())
-    CUSTOM_DATUM_FAULTS[fault](data)
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValueError) as err:
-        cm.load_custom_datum(path, d.table, RATIONALS)
-    assert fault not in NAMED_KEYS or repr(NAMED_KEYS[fault]) in str(err.value)
-
-
 def test_find_symmetric_iso(store):
     gs, boxes, schutzs = store.green("tfull3")
     d_units = gs.dclass[0]
@@ -197,41 +132,31 @@ def test_unsupported_group():
         cm.standard_group_data(schutzs, RATIONALS)
 
 
-def test_custom_datum_rescues_unsupported_group(tmp_path):
+def _c4_datum(sch, vectors):
+    """A custom datum over F2 on the group's own table: one block, one 1x1
+    node per vector, nodes a > b > c > d."""
+    basis = {(ni, 0, 0): {g: 1 for g in vec} for ni, vec in enumerate(vectors)}
+    return cm.CellDatum(F2, sch.mult, list("abcd"), [(0, 1), (1, 2), (2, 3)],
+                        [["0"]] * 4, [["0"]] * 4, basis, [(tuple(range(4)), tuple(sorted(basis)))])
+
+
+def test_custom_datum_rescues_unsupported_group():
     table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
     M = cm.from_cayley_table(4, 0, table, ["0", "1", "2", "3"])
     gs, boxes, schutzs = cm.green_data(M)
     sch = schutzs[0]
+    # a datum of the wrong dimension is refused before any axiom check
+    with pytest.raises(cm.UnsupportedGroup, match="custom datum has the wrong dimension"):
+        cm.standard_group_data(schutzs, F2, custom={0: cm.trivial_group_datum(F2)})
     # spans of single group elements are not ideals, so this must be refused
-    payload = {
-        "nodes": ["a", "b", "c", "d"],
-        "poset": [["a", "b"], ["b", "c"], ["c", "d"]],
-        "L": {"a": 1, "b": 1, "c": 1, "d": 1},
-        "R": {"a": 1, "b": 1, "c": 1, "d": 1},
-        "basis": {f"{lab}/0/0": [[g, "1"]] for lab, g in zip("abcd", range(4))},
-    }
-    path = tmp_path / "c4.json"
-    path.write_text(json.dumps(payload))
+    bad = _c4_datum(sch, [[0], [1], [2], [3]])
     with pytest.raises(AxiomViolation):
-        cm.load_custom_datum(path, sch.mult, F2)
+        cm.standard_group_data(schutzs, F2, custom={0: bad})
     # over F2 the algebra of Z/4 is local and the (g+1)-power filtration is a
     # genuine cell datum: (g+1)^3 > (g+1)^2 > (g+1) > 1
-    payload2 = {
-        "nodes": ["a", "b", "c", "d"],
-        "poset": [["a", "b"], ["b", "c"], ["c", "d"]],
-        "L": {"a": 1, "b": 1, "c": 1, "d": 1},
-        "R": {"a": 1, "b": 1, "c": 1, "d": 1},
-        "basis": {
-            "a/0/0": [[0, "1"], [1, "1"], [2, "1"], [3, "1"]],
-            "b/0/0": [[0, "1"], [2, "1"]],
-            "c/0/0": [[0, "1"], [1, "1"]],
-            "d/0/0": [[0, "1"]],
-        },
-    }
-    path2 = tmp_path / "c4b.json"
-    path2.write_text(json.dumps(payload2))
-    datum = cm.load_custom_datum(path2, sch.mult, F2)
+    datum = _c4_datum(sch, [[0, 1, 2, 3], [0, 2], [0, 1], [0]])
     gd = cm.standard_group_data(schutzs, F2, custom={0: datum})
+    assert gd[0].datum is datum and gd[0].kind == "custom"
     full = cm.build_cell_datum(M, gs, boxes, schutzs, gd, F2)
     assert cm.verify_cell_axioms(full, mode="full").ok
     rep = cm.analyze(full)

@@ -315,38 +315,6 @@ def test_cayley_json_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_loop_json_round_trip(tmp_path):
-    _, loops = cm.family("jones", 3)
-    path = tmp_path / "l.json"
-    cm.save_loop_table(loops, path)
-    loops2 = cm.load_loop_table(path)
-    assert loops2.loops == loops.loops
-
-
-@pytest.mark.parametrize("loops", [5, [1, 2], [["0"]], [[0.5]], [[-1]], [[True]]],
-                         ids=["not_a_list", "row_not_a_list", "string_entry",
-                              "float_entry", "negative_entry", "boolean_entry"])
-def test_loop_table_wrong_types_raise_value_error(tmp_path, loops):
-    path = tmp_path / "l.json"
-    path.write_text(json.dumps({"loops": loops}))
-    with pytest.raises(ValueError):
-        cm.load_loop_table(path)
-
-
-@pytest.mark.parametrize("text,message", [
-    ("[", "Expecting value"),
-    (json.dumps({"loops": 5}), "loop table must be a list of rows"),
-    (json.dumps({"loops": [[-1]]}), "loop counts must be non-negative integers"),
-    (json.dumps({"loops": [[0, 0]]}), "loop table must be square"),
-], ids=["not_json", "not_a_list", "negative_entry", "not_square"])
-def test_loop_table_errors_name_the_file(tmp_path, text, message):
-    path = tmp_path / "l.json"
-    path.write_text(text)
-    with pytest.raises(ValueError) as err:
-        cm.load_loop_table(path)
-    assert str(err.value).startswith(f"{path}: {message}"), err.value
-
-
 @pytest.mark.parametrize("fields,message", [
     ({"table": 5}, "table must be a list of rows"),
     ({"labels": 7}, "labels must be a list"),
