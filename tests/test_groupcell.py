@@ -99,6 +99,24 @@ def test_murphy_axioms_full():
             assert cm.verify_cell_axioms(d, mode="full").ok
 
 
+def test_custom_datum_rejections():
+    d = murphy_datum(2, RATIONALS)
+    _, _, schutzs = cm.green_data(cm.from_cayley_table(2, 0, d.table))
+
+    def with_basis(basis):
+        return cm.CellDatum(RATIONALS, d.table, d.nodes, d.gt, d.lsets, d.rsets, basis, d.blocks)
+
+    top, bottom = sorted(d.basis)
+    assert cm.standard_group_data(schutzs, RATIONALS, custom={0: with_basis(d.basis)})[0].kind == "custom"
+    # the same vector under two labels
+    with pytest.raises(cm.NotABasis):
+        with_basis({top: d.basis[bottom], bottom: d.basis[bottom]})
+    # scrambled basis vectors that still span: axiom violation where the datum enters
+    scrambled = with_basis({top: d.basis[bottom], bottom: d.basis[top]})
+    with pytest.raises(AxiomViolation):
+        cm.standard_group_data(schutzs, RATIONALS, custom={0: scrambled})
+
+
 def test_find_symmetric_iso(store):
     gs, boxes, schutzs = store.green("tfull3")
     d_units = gs.dclass[0]
