@@ -68,7 +68,8 @@ class MonoidAttachment(NamedTuple):
     node_gnode: List[int]
     matched_g: List[Dict[Tuple[int, int], int]]
     group_summaries: List["GramSummary"]  # per D-class, of its group datum
-    twist: Any = None  # set by the twisting layer
+    # per sandwich entry (D-class, row, column): 1, or a twisting's match_scales
+    scales: Dict[Tuple[int, int, int], Scalar]
 
 
 class CellDatum:
@@ -335,8 +336,9 @@ def build_cell_datum(M: FiniteMonoid, gs: GreenStructure, boxes: List[EggBox],
 
     matched_g = [green_mod.sandwich(M, gs, boxes[d], schutzs[d]) for d in range(nd)]
     group_summaries = [gram_summary(group_data[d].datum) for d in range(nd)]
+    scales = {(d, i, j): 1 for d, mm in enumerate(matched_g) for i, j in mm}
     attach = MonoidAttachment(M, gs, boxes, schutzs, group_data, node_dclass,
-                              node_gnode, matched_g, group_summaries)
+                              node_gnode, matched_g, group_summaries, scales)
     return CellDatum(field, M.table, nodes, gt_pairs, lsets, rsets, basis, blocks, attach,
                      inv_cols)
 
@@ -393,22 +395,22 @@ def _left_coefficients(gdat: CellDatum, gn: int, ga: int) -> List[List[Scalar]]:
     return out
 
 
+def weighted_sandwich(at: MonoidAttachment, dcl: int) -> Dict[Tuple[int, int], int]:
+    """The sandwich entries of D-class dcl whose scale is nonzero: all of them
+    untwisted, and under a compatible twisting those it does not kill."""
+    return {(i, j): g for (i, j), g in at.matched_g[dcl].items() if at.scales[(dcl, i, j)]}
+
+
 def gram_fast(d: CellDatum, ni: int) -> DenseMatrix:
-    """Gram matrix via group-level brackets, read off the sandwich matrix:
-    zero on unmatched (row, column) pairs, and on a matched pair the group
-    bracket twisted by its sandwich entry.  Under a strongly compatible
-    twisting each matched block is also multiplied by its scale, the twisting's
-    value on the pair's representative product."""
+    """Gram matrix via group-level brackets, read off the weighted sandwich:
+    zero outside it, and on its entry (i, j) the group bracket twisted by the
+    entry's group element and multiplied by the entry's scale, the twisting's
+    value on the pair's representative product (1 untwisted).  A zero scale
+    zeroes its block, so this holds under every compatible twisting."""
     at = d.attach
     if at is None:
         raise ValueError("gram_fast needs an assembled monoid datum")
     f = d.field
-    scales = None
-    if at.twist is not None:
-        if at.twist.compat.level != "strong":
-            raise ValueError("the scaled fast path needs a strongly compatible twisting")
-        scales = at.twist.scales
-
     dcl, gn = at.node_dclass[ni], at.node_gnode[ni]
     gd = at.group_data[dcl]
     gdat = gd.datum
@@ -419,8 +421,8 @@ def gram_fast(d: CellDatum, ni: int) -> DenseMatrix:
 
     nrow, ncol = len(d.rsets[ni]), len(d.lsets[ni])
     entries = [[0] * ncol for _ in range(nrow)]
-    for (i, j), g in at.matched_g[dcl].items():
-        scale = None if scales is None else scales[(dcl, i, j)]
+    for (i, j), g in weighted_sandwich(at, dcl).items():
+        scale = at.scales[(dcl, i, j)]
         ga = inv_map[g]
         if ga not in act_cache:
             act_cache[ga] = _left_coefficients(gdat, gn, ga)
@@ -429,7 +431,7 @@ def gram_fast(d: CellDatum, ni: int) -> DenseMatrix:
             grow = ggram.entries[t]
             for s in range(ls):
                 acc = sum(lv * gv for lv, gv in zip(L[s], grow) if lv and gv)
-                entries[j * rs + t][i * ls + s] = f.norm(acc if scale is None else scale * acc)
+                entries[j * rs + t][i * ls + s] = f.norm(scale * acc)
     return DenseMatrix(f, nrow, ncol, entries)
 
 
@@ -469,18 +471,15 @@ def gram_summary(d: CellDatum) -> GramSummary:
                        not failing, failing, certificate is None, certificate)
 
 
-def _dual_path_applicable(d: CellDatum) -> bool:
-    at = d.attach
-    return at is not None and (at.twist is None or at.twist.compat.level == "strong")
-
-
 def lambda0_via_matching(d: CellDatum) -> Set[int]:
-    """Nodes with a matched pair in their D-class and a nonzero group bracket."""
+    """Nodes with an entry in their D-class's weighted sandwich and a nonzero
+    group bracket: the Gram's blocks are the group Gram times invertible
+    actions and nonzero scales there, and zero elsewhere."""
     at = d.attach
     if at is None:
         raise ValueError("matching path needs an assembled monoid datum")
     return {ni for ni, (dcl, gn) in enumerate(zip(at.node_dclass, at.node_gnode))
-            if at.matched_g[dcl] and gn in at.group_summaries[dcl].lambda0}
+            if weighted_sandwich(at, dcl) and gn in at.group_summaries[dcl].lambda0}
 
 
 # ---------------------------------------------------------------------------
@@ -528,23 +527,15 @@ def analyze(d: CellDatum) -> AnalysisReport:
     summary = gram_summary(d)
     grams, ranks, l0 = summary.grams, summary.ranks, summary.lambda0
     checks: List[Dict] = []
-    dual_ok = _dual_path_applicable(d)
 
     # dual-route node set
-    if dual_ok:
-        l0b = lambda0_via_matching(d)
-        checks.append(_check("lambda0_dual_path", l0 == l0b,
-                             "direct nonzero-bracket nodes vs matched-pair route"))
-    else:
-        checks.append(_entry("lambda0_dual_path", "skip", "twisting is not strongly compatible"))
+    checks.append(_check("lambda0_dual_path", l0 == lambda0_via_matching(d),
+                         "direct nonzero-bracket nodes vs matched-pair route"))
 
     # fast Gram route
-    if dual_ok:
-        bad = [d.node_label(ni) for ni in range(len(d.nodes))
-               if gram_fast(d, ni).entries != grams[ni].entries]
-        checks.append(_check("gram_fast_vs_definition", not bad, ";".join(bad)))
-    else:
-        checks.append(_entry("gram_fast_vs_definition", "skip", "twisting is not strongly compatible"))
+    bad = [d.node_label(ni) for ni in range(len(d.nodes))
+           if gram_fast(d, ni).entries != grams[ni].entries]
+    checks.append(_check("gram_fast_vs_definition", not bad, ";".join(bad)))
 
     # unmatched blocks vanish (holds for any twisting)
     bad_blocks = []
@@ -571,19 +562,16 @@ def analyze(d: CellDatum) -> AnalysisReport:
 
     # radical inheritance: a rank-deficient group Gram forces the same
     # deficiency on the assembled Gram (both column and row versions)
-    if dual_ok:
-        bad_rad = []
-        for ni in range(len(d.nodes)):
-            dcl, gn = at.node_dclass[ni], at.node_gnode[ni]
-            gg = at.group_summaries[dcl].grams[gn]
-            gr = at.group_summaries[dcl].ranks[gn]
-            if gr < gg.cols and ranks[ni] >= grams[ni].cols:
-                bad_rad.append(f"{d.node_label(ni)} (columns)")
-            if gr < gg.rows and ranks[ni] >= grams[ni].rows:
-                bad_rad.append(f"{d.node_label(ni)} (rows)")
-        checks.append(_check("radical_inheritance", not bad_rad, ";".join(bad_rad)))
-    else:
-        checks.append(_entry("radical_inheritance", "skip", "twisting is not strongly compatible"))
+    bad_rad = []
+    for ni in range(len(d.nodes)):
+        dcl, gn = at.node_dclass[ni], at.node_gnode[ni]
+        gg = at.group_summaries[dcl].grams[gn]
+        gr = at.group_summaries[dcl].ranks[gn]
+        if gr < gg.cols and ranks[ni] >= grams[ni].cols:
+            bad_rad.append(f"{d.node_label(ni)} (columns)")
+        if gr < gg.rows and ranks[ni] >= grams[ni].rows:
+            bad_rad.append(f"{d.node_label(ni)} (rows)")
+    checks.append(_check("radical_inheritance", not bad_rad, ";".join(bad_rad)))
 
     ss = summary.semisimple
     dim_sq = sum(v * v for v in summary.dims.values())
@@ -594,28 +582,29 @@ def analyze(d: CellDatum) -> AnalysisReport:
     regular, inverse = green_mod.regular_and_inverse(M, at.green)
     bijections = {dcl: green_mod.bijection_condition(at.boxes[dcl], at.matched_g[dcl])
                   for dcl in range(len(at.boxes))}
+    # the sandwich checks read the weighted sandwich, which is the sandwich
+    # itself when no scale is zero
+    weighted = [weighted_sandwich(at, dcl) for dcl in range(len(at.boxes))]
     all_group_ss = all(gsum.semisimple for gsum in at.group_summaries)
-    all_bijection = all(bij is not None for bij in bijections.values())
+    all_bijection = all(green_mod.bijection_condition(box, w) is not None
+                        for box, w in zip(at.boxes, weighted))
     all_group_l0_full = all(gsum.quasi_hereditary for gsum in at.group_summaries)
 
-    if dual_ok:
-        checks.append(_check("ss_groups_necessary", all_group_ss or not ss,
-                             "a non-semisimple group algebra forbids a semisimple verdict"))
-        if inverse:
-            checks.append(_check("ss_inverse_iff_groups", ss == all_group_ss,
-                                 f"verdict {ss} vs all groups semisimple {all_group_ss}"))
-        else:
-            checks.append(_entry("ss_inverse_iff_groups", "skip", "monoid is not inverse"))
-        checks.append(_check("ss_bijection_sufficient",
-                             ss or not (all_group_ss and all_bijection),
-                             "semisimple groups plus matched pairings force semisimplicity"))
-        checks.append(_check("qh_regular_sufficient",
-                             summary.quasi_hereditary or not (regular and all_group_l0_full),
-                             "regular monoid with full group node sets forces quasi-heredity"))
+    checks.append(_check("ss_groups_necessary", all_group_ss or not ss,
+                         "a non-semisimple group algebra forbids a semisimple verdict"))
+    if inverse:
+        checks.append(_check("ss_inverse_iff_groups", ss == (all_group_ss and all_bijection),
+                             f"verdict {ss} vs all groups semisimple {all_group_ss}"
+                             + ("" if all_bijection else ", weighted sandwich not a permutation")))
     else:
-        for name in ("ss_groups_necessary", "ss_inverse_iff_groups",
-                     "ss_bijection_sufficient", "qh_regular_sufficient"):
-            checks.append(_entry(name, "skip", "twisting is not strongly compatible"))
+        checks.append(_entry("ss_inverse_iff_groups", "skip", "monoid is not inverse"))
+    checks.append(_check("ss_bijection_sufficient",
+                         ss or not (all_group_ss and all_bijection),
+                         "semisimple groups plus matched pairings force semisimplicity"))
+    checks.append(_check("qh_regular_sufficient",
+                         summary.quasi_hereditary
+                         or not (regular and all_group_l0_full and all(weighted)),
+                         "regular monoid with full group node sets forces quasi-heredity"))
 
     dsummaries = []
     for dcl in range(len(at.boxes)):

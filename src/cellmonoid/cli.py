@@ -102,6 +102,8 @@ def _config_from_args(args) -> RunConfig:
         raise UsageError("verify needs --verify full or generators")
     if args.report and not Path(args.report).parent.is_dir():
         raise UsageError(f"--report: {Path(args.report).parent} is not a directory")
+    if args.report and Path(args.report).is_dir():
+        raise UsageError(f"--report: {args.report} is a directory")
     return RunConfig(args.command, args.family, args.n, args.cayley, field,
                      delta, twist_file, args.verify_mode, args.report, args.cap)
 
@@ -166,7 +168,9 @@ def _render_text(payload: Dict) -> str:
     checks = payload.get("cross_checks")
     if checks is not None:
         failed = [c for c in checks if c["status"] == "fail"]
-        lines.append(f"cross-checks: {len(checks)} run, {len(failed)} failed")
+        skipped = sum(c["status"] == "skip" for c in checks)
+        lines.append(f"cross-checks: {len(checks) - skipped} run, {skipped} skipped, "
+                     f"{len(failed)} failed")
         for c in failed:
             lines.append(f"  FAIL {c['name']}: {c['detail']}")
     return "\n".join(lines) + "\n"

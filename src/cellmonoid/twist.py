@@ -4,9 +4,11 @@ classification, and the cell datum of the twisted monoid algebra.
 The twisted product is x o y = pi(x, y) * (x y), extended bilinearly.  A
 compatible twisting, one whose values on D-class-preserving products a*x
 are constant as x runs over an R-class (and on x*a as x runs over an
-L-class), yields the same labeled basis as the untwisted algebra.  When it is
-also nowhere zero on those products, the twisted brackets are blockwise
-rescalings of the untwisted ones, one scale per sandwich-matrix entry.
+L-class), yields the same labeled basis as the untwisted algebra, and its
+brackets are blockwise rescalings of the untwisted ones, one scale per
+sandwich-matrix entry.  A scale may be 0 (a compatible twisting that is not
+strong); it then zeroes its block, and the entries with a nonzero scale form
+the weighted sandwich that the analysis reads.
 """
 
 from __future__ import annotations
@@ -100,7 +102,10 @@ class Compatibility(NamedTuple):
     """level is "strong", "compatible", or "incompatible" (see
     compatibility_class; the witness names the side, a, and two x, y that
     disagree); lr is the separate flag for pi(x, .) constant over each L-class
-    of x and pi(., y) over each R-class of y."""
+    of x and pi(., y) over each R-class of y.  A compatible twisting keeps
+    the labeled basis and the whole analysis; "strong" adds that pi is
+    nowhere zero on those products, so no sandwich scale is zero and the
+    weighted sandwich is the whole sandwich."""
 
     level: str
     witness: Optional[Dict]
@@ -151,11 +156,6 @@ def _is_lr(M: FiniteMonoid, gs: GreenStructure, pi: Twisting) -> bool:
     return True
 
 
-class TwistInfo(NamedTuple):
-    compat: Compatibility
-    scales: Dict[Tuple[int, int, int], Scalar]
-
-
 def match_scales(M: FiniteMonoid, boxes, matched_g, pi: Twisting) -> Dict[Tuple[int, int, int], Scalar]:
     """Per sandwich-matrix entry (d, row i, column j): pi on the representative
     product of column j against row i; constant across the classes when compatible."""
@@ -166,13 +166,14 @@ def match_scales(M: FiniteMonoid, boxes, matched_g, pi: Twisting) -> Dict[Tuple[
 
 def build_twisted_cell_datum(base: CellDatum, pi: Twisting,
                              compat: Optional[Compatibility] = None) -> CellDatum:
-    """Same labels and basis vectors over the twisted product.  Refuses an
+    """Same labels and basis vectors over the twisted product, with the
+    twisting's match_scales as the datum's sandwich scales.  Refuses an
     incompatible twisting (the labeled basis would not satisfy the one-sided
     conditions)."""
     at = base.attach
     if at is None:
         raise ValueError("twisting applies to an assembled monoid datum")
-    if at.twist is not None:
+    if base.weights is not None:
         raise ValueError("datum is already twisted")
     if pi.field != base.field:
         raise ValueError("twisting and datum fields differ")
@@ -181,9 +182,7 @@ def build_twisted_cell_datum(base: CellDatum, pi: Twisting,
     if compat.level == "incompatible":
         raise IncompatibleTwisting(compat.witness)
     scales = match_scales(at.monoid, at.boxes, at.matched_g, pi)
-    info = TwistInfo(compat, scales)
-    new_attach = at._replace(twist=info)
-    return base.twisted(pi.values, new_attach)
+    return base.twisted(pi.values, at._replace(scales=scales))
 
 
 def twist_summary(pi: Twisting, compat: Compatibility, cocycle_witness: Optional[Dict]) -> Dict:

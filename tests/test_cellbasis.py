@@ -155,6 +155,12 @@ def test_gram_fast_equals_definition(store):
             d = store.datum(key, field)
             for ni in range(len(d.nodes)):
                 assert cm.gram_fast(d, ni).entries == cm.gram_definition(d, ni).entries
+    # a compatible twisting with zero scales: Temperley-Lieb at delta = 0
+    for n in (2, 3, 4):
+        d = store.twisted(f"jones{n}", "0")
+        assert 0 in d.attach.scales.values()
+        for ni in range(len(d.nodes)):
+            assert cm.gram_fast(d, ni).entries == cm.gram_definition(d, ni).entries
 
 
 def test_lambda0_t2_and_null(store):

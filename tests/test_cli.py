@@ -143,13 +143,13 @@ def test_unsupported_group_exit(tmp_path):
 GOLDEN = [
     (["analyze", "--family", "tfull", "--n", "3", "--verify", "generators"], 0,
      "32a25ad75329c473bca8b41498bb858c6963089277998ea4895ed3d1b7b15030",
-     "17a60b755ea98063a1e6484332769333d0552e84b1eb1392eb2a5f4e383261b2"),
+     "396e3d5f3132a58820a30c68aae7c5c946dbc66bd8d6fd788b176bc075c3d8e3"),
     (["analyze", "--family", "syminv", "--n", "3", "--field", "fp:2"], 0,
      "d6c6857d3c85c8c4f5d7c8dd7ae019bfc53a2d7f219f5f640631eedfa8ac9d60",
-     "920ece02cfc519738c1fee190f3cb28112fe0faa037d2f3555f78a07c2089153"),
+     "0525778d8336a983e9230b29fe0731866d6c5fc14f65b9b82233b4ee898bca95"),
     (["twist", "--family", "jones", "--n", "4", "--delta", "0"], 0,
-     "23279ac57ae17120d0e78ba1ec2823e0201f5465204c7c1175b147a3504b0a6c",
-     "410cf548eccd7241afe7a86d849232ca72e7f1be0254c35c021e1b20ddeb85b6"),
+     "e24c6d46b26dd9da31b5c7c9c601baca2815224449f5c403a4966efec4e3ad36",
+     "9316e0f1e6b046cf4487affabe6a0bbbf9e01716bb816a542407eaa07ec13c9f"),
     (["verify", "--family", "jones", "--n", "4", "--delta", "2"], 0,
      "6f33d4a5a88aea3ff6961db001bffd4e4e8c588e0242f0607d9952c905e48a60",
      "4acb3ce45fa5384f7ec7826cbdb27d5608e50c5b3c3c4d5bbd6f08858c16e45d"),
@@ -166,7 +166,7 @@ GOLDEN = [
      "d6155a433d3f80f4fc71c87f225470d3b0cb9aadbe63e3c2bc91372ffce2b803"),
     (["twist", "--family", "jones", "--n", "3", "--delta", "2", "--verify", "off"], 0,
      "4e300e76066e45347ed68452b5ebb382dfd188514c80c58ea162d2090d56d470",
-     "a20063521df598fab21b7ac16b709642e291e7fd88fbbd0a579a7ce89eba114f"),
+     "f2867542d71911799b66ea1b3e20cfb0529806233511bf2020991cdbb3483ed7"),
 ]
 
 
@@ -217,6 +217,8 @@ INPUT_FAULTS = {
         "twist", "--cayley", _json_file(p / "c.json", T2_TABLE),
         "--twist-file", _json_file(p / "pi.json", {"values": 3})],
     "cayley_is_a_directory": lambda p: ["analyze", "--cayley", str(p)],
+    "report_is_a_directory": lambda p: [
+        "analyze", "--family", "tfull", "--n", "2", "--report", str(p)],
     "cayley_booleans": lambda p: [
         "analyze", "--cayley", _json_file(p / "c.json", {
             "size": 2, "identity": False, "table": [[False, True], [True, True]]})],
@@ -301,6 +303,13 @@ def test_report_outside_a_directory_fails_before_the_work(parent, tmp_path, caps
     assert out == ""
     assert err == f"error: --report: {report.parent} is not a directory\n"
     assert not report.exists()
+
+
+def test_report_naming_a_directory_fails_before_the_work(tmp_path, capsys):
+    assert main(["analyze", "--family", "tfull", "--n", "2", "--report", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --report: {tmp_path} is a directory\n"
 
 
 def test_cli_import_loads_no_record_machinery():

@@ -3,10 +3,11 @@ few random maps."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import cellmonoid as cm
-from cellmonoid.exactalg import RATIONALS
+from cellmonoid.exactalg import RATIONALS, prime_field
 
 from conftest import reference_trace_form, reference_witness
 
@@ -185,3 +186,50 @@ def test_axiom_check_matches_reference_scan():
 
     check()
     assert min(counts.values()) > 0, counts
+
+
+def _corank_twisting(M, n, delta, field):
+    """pi(x, y) = delta ** (n - rk x - rk y + rk xy), with rk x the image size
+    read off the family label and delta ** 0 = 1.  The exponent is the
+    coboundary of n - rk, so pi is a cocycle for every delta; at delta = 0
+    it kills products that stay in a D-class, so it is compatible, not strong."""
+    rk = [len(set(label.strip("[]").split(",")) - {"-"}) for label in M.labels]
+    T = M.table
+    return cm.Twisting(field, [[field.norm(delta ** (n - rk[x] - rk[y] + rk[T[x][y]]))
+                                for y in range(M.size)] for x in range(M.size)], "corank")
+
+
+@pytest.mark.parametrize("kind,n", [("tfull", 2), ("tfull", 3), ("tpartial", 2),
+                                    ("syminv", 3)])
+def test_corank_twisting_keeps_every_dual_path(kind, n):
+    # Zero sandwich scales reach every check that reads the sandwich: at
+    # delta = 0 over Q, syminv3 is not semisimple though its groups are (the
+    # weighted sandwich has no permutation pattern), and tfull3 is regular
+    # but not quasi-hereditary (a D-class keeps no nonzero-weighted entry).
+    M, _ = cm.family(kind, n)
+    for field in (RATIONALS, prime_field(2), prime_field(3)):
+        base = cm.standard_datum(M, field)
+        for delta in (0, 2):
+            pi = _corank_twisting(M, n, delta, field)
+            assert cm.verify_twisting(M, pi) is None
+            compat = cm.compatibility_class(M, base.attach.green, pi)
+            assert compat.level == ("strong" if field.norm(delta) else "compatible")
+            d = cm.build_twisted_cell_datum(base, pi, compat=compat)
+            assert cm.verify_cell_axioms(d, mode="full").ok
+            report = cm.analyze(d)
+            ledger = cm.cross_check(d, report)
+            assert [c for c in ledger if c["status"] == "fail"] == []
+            skipped = {c["name"] for c in ledger if c["status"] == "skip"}
+            assert skipped == (({"ss_inverse_iff_groups"} if not report.inverse else set())
+                               | ({"trace_form_agreement"} if field.kind != "q" else set()))
+            for ni in range(len(d.nodes)):
+                assert cm.gram_fast(d, ni).entries == cm.gram_definition(d, ni).entries
+            if field.kind == "q" and delta == 0 and (kind, n) == ("syminv", 3):
+                assert not report.semisimple
+                assert all(dc["group_semisimple"] for dc in report.dclasses)
+                assert next(c for c in ledger if c["name"] == "ss_inverse_iff_groups") == {
+                    "name": "ss_inverse_iff_groups", "status": "pass",
+                    "detail": "verdict False vs all groups semisimple True, "
+                              "weighted sandwich not a permutation"}
+            if field.kind == "q" and delta == 0 and (kind, n) == ("tfull", 3):
+                assert report.regular and not report.quasi_hereditary

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -134,11 +135,13 @@ def test_tl3_delta1_verdict_matches_trace_oracle(store):
 
 
 def test_scaled_bracket_identity(store):
-    for n in (2, 3, 4):
+    # at delta = 0 some scales are 0, and their blocks vanish
+    for n, delta in product((2, 3, 4), ("2", "0")):
         base = store.datum(f"jones{n}")
-        d = store.twisted(f"jones{n}", "2")
+        d = store.twisted(f"jones{n}", delta)
         at = d.attach
-        scales = at.twist.scales
+        scales = at.scales
+        assert (0 in scales.values()) == (delta == "0")
         for ni in range(len(d.nodes)):
             tw = cm.gram_definition(d, ni)
             un = cm.gram_definition(base, ni)
