@@ -19,10 +19,10 @@ from .groupcell import (AxiomViolation, UnsupportedGroup, find_symmetric_iso, mu
 from .cellbasis import (AnalysisReport, CellDatum, GramSummary, GroupDatumAttachment,
                         MonoidAttachment, NotABasis, GroupMismatch, analyze, bracket_value,
                         build_cell_datum, gram_definition, gram_fast, gram_summary,
-                        lambda0_via_matching, table_mult)
+                        lambda0_via_matching, table_mult, weighted_sandwich)
 from .twist import (Compatibility, IncompatibleTwisting, Twisting, build_twisted_cell_datum,
-                    compatibility_class, make_loop_twisting, match_scales, trivial_twisting,
-                    verify_twisting, load_twisting_json, save_twisting_json)
+                    compatibility_class, make_loop_twisting, trivial_twisting, verify_twisting,
+                    load_twisting_json, save_twisting_json)
 from .verify import (AxiomReport, WrongCharacteristic, cross_check, trace_form_semisimple,
                      verify_cell_axioms)
 from .pipeline import green_data, standard_datum

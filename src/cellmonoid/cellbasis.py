@@ -62,14 +62,11 @@ class MonoidAttachment(NamedTuple):
     monoid: FiniteMonoid
     green: GreenStructure
     boxes: List[EggBox]
-    schutzs: List[SchutzGroup]
     group_data: Dict[int, GroupDatumAttachment]
     node_dclass: List[int]
     node_gnode: List[int]
     matched_g: List[Dict[Tuple[int, int], int]]
     group_summaries: List["GramSummary"]  # per D-class, of its group datum
-    # per sandwich entry (D-class, row, column): 1, or a twisting's match_scales
-    scales: Dict[Tuple[int, int, int], Scalar]
 
 
 class CellDatum:
@@ -157,14 +154,13 @@ class CellDatum:
     def unit(self, e: int) -> SparseVec:
         return {e: 1}
 
-    def twisted(self, weights: List[List[Scalar]], attach) -> "CellDatum":
-        """Same labeled basis and solvers over the table's product weighted
-        by weights."""
+    def twisted(self, weights: List[List[Scalar]]) -> "CellDatum":
+        """Same labeled basis, solvers and attachment over the table's product
+        weighted by weights, the twisting's one copy (see weighted_sandwich)."""
         clone = object.__new__(CellDatum)
         clone.__dict__.update(self.__dict__)
         clone.weights = weights
         clone.mult = table_mult(self.table, self.field, weights)
-        clone.attach = attach
         return clone
 
     # -- coordinates -----------------------------------------------------
@@ -336,9 +332,8 @@ def build_cell_datum(M: FiniteMonoid, gs: GreenStructure, boxes: List[EggBox],
 
     matched_g = [green_mod.sandwich(M, gs, boxes[d], schutzs[d]) for d in range(nd)]
     group_summaries = [gram_summary(group_data[d].datum) for d in range(nd)]
-    scales = {(d, i, j): 1 for d, mm in enumerate(matched_g) for i, j in mm}
-    attach = MonoidAttachment(M, gs, boxes, schutzs, group_data, node_dclass,
-                              node_gnode, matched_g, group_summaries, scales)
+    attach = MonoidAttachment(M, gs, boxes, group_data, node_dclass, node_gnode,
+                              matched_g, group_summaries)
     return CellDatum(field, M.table, nodes, gt_pairs, lsets, rsets, basis, blocks, attach,
                      inv_cols)
 
@@ -395,10 +390,16 @@ def _left_coefficients(gdat: CellDatum, gn: int, ga: int) -> List[List[Scalar]]:
     return out
 
 
-def weighted_sandwich(at: MonoidAttachment, dcl: int) -> Dict[Tuple[int, int], int]:
-    """The sandwich entries of D-class dcl whose scale is nonzero: all of them
-    untwisted, and under a compatible twisting those it does not kill."""
-    return {(i, j): g for (i, j), g in at.matched_g[dcl].items() if at.scales[(dcl, i, j)]}
+def weighted_sandwich(d: CellDatum, dcl: int) -> Dict[Tuple[int, int], Tuple[int, Scalar]]:
+    """{(row i, column j): (group element, scale)} for the sandwich entries of
+    D-class dcl with a nonzero scale: the datum's weight on the entry's
+    representative product gamma*b[j] by a[i]*gamma, 1 untwisted.  A
+    compatible twisting has that weight on every cell pair of the entry."""
+    at, T, W = d.attach, d.table, d.weights
+    box = at.boxes[dcl]
+    scaled = {(i, j): (g, 1 if W is None else W[T[box.gamma][box.b[j]]][T[box.a[i]][box.gamma]])
+              for (i, j), g in at.matched_g[dcl].items()}
+    return {ij: entry for ij, entry in scaled.items() if entry[1]}
 
 
 def gram_fast(d: CellDatum, ni: int) -> DenseMatrix:
@@ -421,8 +422,7 @@ def gram_fast(d: CellDatum, ni: int) -> DenseMatrix:
 
     nrow, ncol = len(d.rsets[ni]), len(d.lsets[ni])
     entries = [[0] * ncol for _ in range(nrow)]
-    for (i, j), g in weighted_sandwich(at, dcl).items():
-        scale = at.scales[(dcl, i, j)]
+    for (i, j), (g, scale) in weighted_sandwich(d, dcl).items():
         ga = inv_map[g]
         if ga not in act_cache:
             act_cache[ga] = _left_coefficients(gdat, gn, ga)
@@ -479,7 +479,7 @@ def lambda0_via_matching(d: CellDatum) -> Set[int]:
     if at is None:
         raise ValueError("matching path needs an assembled monoid datum")
     return {ni for ni, (dcl, gn) in enumerate(zip(at.node_dclass, at.node_gnode))
-            if weighted_sandwich(at, dcl) and gn in at.group_summaries[dcl].lambda0}
+            if weighted_sandwich(d, dcl) and gn in at.group_summaries[dcl].lambda0}
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +584,7 @@ def analyze(d: CellDatum) -> AnalysisReport:
                   for dcl in range(len(at.boxes))}
     # the sandwich checks read the weighted sandwich, which is the sandwich
     # itself when no scale is zero
-    weighted = [weighted_sandwich(at, dcl) for dcl in range(len(at.boxes))]
+    weighted = [weighted_sandwich(d, dcl) for dcl in range(len(at.boxes))]
     all_group_ss = all(gsum.semisimple for gsum in at.group_summaries)
     all_bijection = all(green_mod.bijection_condition(box, w) is not None
                         for box, w in zip(at.boxes, weighted))
@@ -618,8 +618,8 @@ def analyze(d: CellDatum) -> AnalysisReport:
             "size": len(at.green.dclasses[dcl]),
             "rows": len(box.rows),
             "cols": len(box.cols),
-            "hsize": len(at.schutzs[dcl].hclass),
-            "group_order": at.schutzs[dcl].order,
+            "hsize": len(box.grid[0][0]),
+            "group_order": gd.datum.dim,
             "group_kind": gd.kind,
             "group_lambda0": [_lam_str(gd.datum.nodes[gn]) for gn in sorted(gsum.lambda0)],
             "group_semisimple": gsum.semisimple,

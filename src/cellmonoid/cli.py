@@ -219,8 +219,7 @@ def run(cfg: RunConfig) -> int:
         analysis = report.to_dict()
         ledger = verify_mod.cross_check(datum, report)
     if cfg.verify_mode != "off":
-        axioms = verify_mod.verify_cell_axioms(
-            datum, acting=_acting_set(cfg, M, pi), mode=cfg.verify_mode).to_dict()
+        axioms = verify_mod.verify_cell_axioms(datum, _acting_set(cfg, M, pi)).to_dict()
     _emit(_payload(cfg, analysis=analysis, twisting=summary, axioms=axioms, cross=ledger), cfg)
     bad = (any(c["status"] == "fail" for c in ledger or ())
            or (axioms is not None and not axioms["ok"]))

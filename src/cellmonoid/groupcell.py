@@ -295,7 +295,7 @@ def standard_group_data(schutzs: List[SchutzGroup], field: FieldSpec,
             datum = custom[d]
             if datum.dim != sch.order:
                 raise UnsupportedGroup(f"D-class {d}: custom datum has the wrong dimension")
-            report = verify_mod.verify_cell_axioms(datum, mode="full")
+            report = verify_mod.verify_cell_axioms(datum)
             if not report.ok:
                 raise AxiomViolation(report.witness)
             out[d] = GroupDatumAttachment(datum, list(range(sch.order)), "custom")

@@ -450,11 +450,13 @@ def _dump_json(obj, path) -> None:
 
 def _load_json_object(path, *keys: str) -> Dict:
     """The JSON object in a file; ValueError, naming the file, unless it has
-    every given key."""
+    every given key.  Nesting too deep for the decoder is a ValueError too."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to decode") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     for key in keys:

@@ -5,15 +5,17 @@ The twisted product is x o y = pi(x, y) * (x y), extended bilinearly.  A
 compatible twisting, one whose values on D-class-preserving products a*x
 are constant as x runs over an R-class (and on x*a as x runs over an
 L-class), yields the same labeled basis as the untwisted algebra, and its
-brackets are blockwise rescalings of the untwisted ones, one scale per
-sandwich-matrix entry.  A scale may be 0 (a compatible twisting that is not
-strong); it then zeroes its block, and the entries with a nonzero scale form
-the weighted sandwich that the analysis reads.
+brackets are blockwise rescalings of the untwisted ones: a sandwich-matrix
+entry's block is scaled by pi on the entry's representative product.  The
+twisted datum keeps pi's values as its weights, their one copy, and
+cellbasis.weighted_sandwich reads each scale from them.  A scale may be 0 (a
+compatible twisting that is not strong); it then zeroes its block, and the
+entries with a nonzero scale form the weighted sandwich the analysis reads.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
 from .cellbasis import CellDatum
 from .exactalg import FieldSpec, Scalar, clear_denominators
@@ -36,9 +38,6 @@ class Twisting(NamedTuple):
     field: FieldSpec
     values: List[List[Scalar]]
     provenance: str
-
-    def value(self, x: int, y: int) -> Scalar:
-        return self.values[x][y]
 
 
 def trivial_twisting(size: int, field: FieldSpec) -> Twisting:
@@ -103,9 +102,10 @@ class Compatibility(NamedTuple):
     compatibility_class; the witness names the side, a, and two x, y that
     disagree); lr is the separate flag for pi(x, .) constant over each L-class
     of x and pi(., y) over each R-class of y.  A compatible twisting keeps
-    the labeled basis and the whole analysis; "strong" adds that pi is
-    nowhere zero on those products, so no sandwich scale is zero and the
-    weighted sandwich is the whole sandwich."""
+    the labeled basis and the whole analysis, with each sandwich entry's
+    scale read off pi by cellbasis.weighted_sandwich; "strong" adds that pi
+    is nowhere zero on those products, so no scale is zero and the weighted
+    sandwich is the whole sandwich."""
 
     level: str
     witness: Optional[Dict]
@@ -156,20 +156,12 @@ def _is_lr(M: FiniteMonoid, gs: GreenStructure, pi: Twisting) -> bool:
     return True
 
 
-def match_scales(M: FiniteMonoid, boxes, matched_g, pi: Twisting) -> Dict[Tuple[int, int, int], Scalar]:
-    """Per sandwich-matrix entry (d, row i, column j): pi on the representative
-    product of column j against row i; constant across the classes when compatible."""
-    T = M.table
-    return {(d, i, j): pi.value(T[box.gamma][box.b[j]], T[box.a[i]][box.gamma])
-            for d, (box, mm) in enumerate(zip(boxes, matched_g)) for i, j in mm}
-
-
 def build_twisted_cell_datum(base: CellDatum, pi: Twisting,
                              compat: Optional[Compatibility] = None) -> CellDatum:
-    """Same labels and basis vectors over the twisted product, with the
-    twisting's match_scales as the datum's sandwich scales.  Refuses an
-    incompatible twisting (the labeled basis would not satisfy the one-sided
-    conditions)."""
+    """Same labels, basis vectors and attachment over the twisted product,
+    with the twisting's values as the datum's weights; the sandwich scales are
+    read from those weights.  Refuses an incompatible twisting (the labeled
+    basis would not satisfy the one-sided conditions)."""
     at = base.attach
     if at is None:
         raise ValueError("twisting applies to an assembled monoid datum")
@@ -181,8 +173,7 @@ def build_twisted_cell_datum(base: CellDatum, pi: Twisting,
         compat = compatibility_class(at.monoid, at.green, pi)
     if compat.level == "incompatible":
         raise IncompatibleTwisting(compat.witness)
-    scales = match_scales(at.monoid, at.boxes, at.matched_g, pi)
-    return base.twisted(pi.values, at._replace(scales=scales))
+    return base.twisted(pi.values)
 
 
 def twist_summary(pi: Twisting, compat: Compatibility, cocycle_witness: Optional[Dict]) -> Dict:

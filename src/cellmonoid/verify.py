@@ -26,19 +26,19 @@ class AxiomReport(NamedTuple):
         return self._asdict()
 
 
-def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None,
-                       mode: str = "full") -> AxiomReport:
+def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None) -> AxiomReport:
     """Check both one-sided multiplication conditions of the labeled basis.
 
     For every acting element a and node: the coordinates of a * C[s,t] must be
     supported on the node itself (same right index t, coefficients depending
-    only on (s, s')) plus strictly higher nodes; dually for C[s,t] * a.  In
-    "full" mode the acting set is every carrier element; "generators" mode
-    checks a supplied acting set, which suffices when that set generates the
-    algebra under datum.mult, because the coefficient matrices compose under
-    products and the higher span is an ideal.  Under a twisting with zero
-    weights, take monoid.generating_set with the twisting's values, as the CLI
-    does: the untwisted set can miss elements (18 of 42 on jones5, delta = 0).
+    only on (s, s')) plus strictly higher nodes; dually for C[s,t] * a.  With
+    no acting set every carrier element acts, and the report's mode is
+    "full".  A supplied acting set gives mode "generators"; it suffices when
+    it generates the algebra under datum.mult, because the coefficient
+    matrices compose under products and the higher span is an ideal.  Under
+    a twisting with zero weights, take monoid.generating_set with the
+    twisting's values, as the CLI does: the untwisted set can miss elements
+    (18 of 42 on jones5, delta = 0).
 
     The conditions are checked per unit: a left unit is (node, s) with all its
     right indices t, a right unit (node, t) with all its left indices s.  Let
@@ -80,17 +80,11 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None,
     The first failure is reported in the order acting, node, left before
     right, then (t, s) on the left and (s, t) on the right.
     """
-    if mode == "full":
-        acting = list(range(datum.dim))
-    elif mode == "generators":
-        if acting is None:
-            raise ValueError("generators mode needs an acting set")
-        acting = list(acting)
-        for a in acting:
-            if a not in range(datum.dim):
-                raise ValueError(f"acting index {a} is outside 0..{datum.dim - 1}")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    mode = "full" if acting is None else "generators"
+    acting = list(range(datum.dim) if acting is None else acting)
+    for a in acting:
+        if a not in range(datum.dim):
+            raise ValueError(f"acting index {a} is outside 0..{datum.dim - 1}")
 
     T, W = datum.table, datum.weights
     low = []  # per node: the carrier elements of blocks labelled only above it

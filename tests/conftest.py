@@ -21,6 +21,17 @@ def build_monoid(key: str):
     raise KeyError(key)
 
 
+def corank_twisting(M, n, delta, field):
+    """pi(x, y) = delta ** (n - rk x - rk y + rk xy), with rk x the image size
+    read off the family label and delta ** 0 = 1.  The exponent is the
+    coboundary of n - rk, so pi is a cocycle for every delta; at delta = 0
+    it kills products that stay in a D-class, so it is compatible, not strong."""
+    rk = [len(set(label.strip("[]").split(",")) - {"-"}) for label in M.labels]
+    T = M.table
+    return cm.Twisting(field, [[field.norm(delta ** (n - rk[x] - rk[y] + rk[T[x][y]]))
+                                for y in range(M.size)] for x in range(M.size)], "corank")
+
+
 def is_regular(M):
     """Every x has a y with xyx = x: the definition, over all n**2 pairs."""
     T = M.table

@@ -158,7 +158,8 @@ def test_gram_fast_equals_definition(store):
     # a compatible twisting with zero scales: Temperley-Lieb at delta = 0
     for n in (2, 3, 4):
         d = store.twisted(f"jones{n}", "0")
-        assert 0 in d.attach.scales.values()
+        assert any(len(cm.weighted_sandwich(d, dcl)) < len(mm)
+                   for dcl, mm in enumerate(d.attach.matched_g))
         for ni in range(len(d.nodes)):
             assert cm.gram_fast(d, ni).entries == cm.gram_definition(d, ni).entries
 

@@ -187,12 +187,17 @@ def test_reports_are_byte_stable(tmp_path, monkeypatch, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, args
 
 
-def _json_file(path, obj):
-    path.write_text(json.dumps(obj), encoding="utf-8")
+def _text_file(path, text):
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
+def _json_file(path, obj):
+    return _text_file(path, json.dumps(obj))
+
+
 T2_TABLE = {"size": 2, "identity": 0, "table": [[0, 1], [1, 1]]}  # {1, z} with z absorbing
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000  # deeper than the JSON decoder recurses
 
 INPUT_FAULTS = {
     "twist_file_wrong_size": lambda p: [
@@ -217,6 +222,11 @@ INPUT_FAULTS = {
         "twist", "--cayley", _json_file(p / "c.json", T2_TABLE),
         "--twist-file", _json_file(p / "pi.json", {"values": 3})],
     "cayley_is_a_directory": lambda p: ["analyze", "--cayley", str(p)],
+    "cayley_nested_too_deep": lambda p: [
+        "analyze", "--cayley", _text_file(p / "c.json", DEEP_ARRAY)],
+    "twist_file_nested_too_deep": lambda p: [
+        "twist", "--cayley", _json_file(p / "c.json", T2_TABLE),
+        "--twist-file", _text_file(p / "pi.json", f'{{"values": {DEEP_ARRAY}}}')],
     "report_is_a_directory": lambda p: [
         "analyze", "--family", "tfull", "--n", "2", "--report", str(p)],
     "cayley_booleans": lambda p: [

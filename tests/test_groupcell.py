@@ -38,7 +38,7 @@ def test_trivial_group_datum():
         d = cm.trivial_group_datum(field)
         assert d.dim == 1 and len(d.nodes) == 1
         assert cm.bracket_value(d, 0, 0, 0) == 1
-        rep = cm.verify_cell_axioms(d, mode="full")
+        rep = cm.verify_cell_axioms(d)
         assert rep.ok
 
 
@@ -96,7 +96,7 @@ def test_murphy_axioms_full():
     for n in (2, 3):
         for field in (RATIONALS, F2):
             d = murphy_datum(n, field)
-            assert cm.verify_cell_axioms(d, mode="full").ok
+            assert cm.verify_cell_axioms(d).ok
 
 
 def test_custom_datum_rejections():
@@ -176,6 +176,6 @@ def test_custom_datum_rescues_unsupported_group():
     gd = cm.standard_group_data(schutzs, F2, custom={0: datum})
     assert gd[0].datum is datum and gd[0].kind == "custom"
     full = cm.build_cell_datum(M, gs, boxes, schutzs, gd, F2)
-    assert cm.verify_cell_axioms(full, mode="full").ok
+    assert cm.verify_cell_axioms(full).ok
     rep = cm.analyze(full)
     assert not rep.semisimple and not rep.quasi_hereditary

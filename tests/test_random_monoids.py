@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import cellmonoid as cm
 from cellmonoid.exactalg import RATIONALS, prime_field
 
-from conftest import reference_trace_form, reference_witness
+from conftest import corank_twisting, reference_trace_form, reference_witness
 
 SIZE_BOUND = 40  # larger monoids are counted, not analysed, to keep this fast
 
@@ -35,7 +35,7 @@ def test_random_submonoids():
             return
         counts["analysed"] += 1
         report = cm.analyze(datum)
-        assert cm.verify_cell_axioms(datum, mode="full").ok
+        assert cm.verify_cell_axioms(datum).ok
         ledger = cm.cross_check(datum, report)
         assert [c for c in ledger if c["status"] == "fail"] == []
         assert (cm.trace_form_semisimple(datum.mult, datum.dim, datum.field)
@@ -104,7 +104,7 @@ def test_random_coboundary_twistings():
             return
         accepted = compat.level != "incompatible"
         counts["accepted" if accepted else "refused"] += 1
-        axioms = cm.verify_cell_axioms(base.twisted(pi.values, base.attach), mode="full")
+        axioms = cm.verify_cell_axioms(base.twisted(pi.values))
         assert axioms.ok == accepted
 
     check()
@@ -174,29 +174,18 @@ def test_axiom_check_matches_reference_scan():
             element = st.integers(0, M.size - 1)
             for x, y in data.draw(st.lists(st.tuples(element, element), max_size=2)):
                 pi.values[x][y] = Fraction(0)
-            datum = datum.twisted(pi.values, base.attach)
-        full = cm.verify_cell_axioms(datum, mode="full")
+            datum = datum.twisted(pi.values)
+        full = cm.verify_cell_axioms(datum)
         assert full.witness == reference_witness(datum, range(M.size))
         assert (full.ok, full.acting_count) == (full.witness is None, M.size)
         counts["ok" if full.ok else "failed"] += 1
         counts["order failed"] += sabotage == "order" and not full.ok
         acting = data.draw(st.lists(st.integers(0, M.size - 1), min_size=1, max_size=4))
-        by_gens = cm.verify_cell_axioms(datum, acting=acting, mode="generators")
+        by_gens = cm.verify_cell_axioms(datum, acting=acting)
         assert by_gens.witness == reference_witness(datum, acting)
 
     check()
     assert min(counts.values()) > 0, counts
-
-
-def _corank_twisting(M, n, delta, field):
-    """pi(x, y) = delta ** (n - rk x - rk y + rk xy), with rk x the image size
-    read off the family label and delta ** 0 = 1.  The exponent is the
-    coboundary of n - rk, so pi is a cocycle for every delta; at delta = 0
-    it kills products that stay in a D-class, so it is compatible, not strong."""
-    rk = [len(set(label.strip("[]").split(",")) - {"-"}) for label in M.labels]
-    T = M.table
-    return cm.Twisting(field, [[field.norm(delta ** (n - rk[x] - rk[y] + rk[T[x][y]]))
-                                for y in range(M.size)] for x in range(M.size)], "corank")
 
 
 @pytest.mark.parametrize("kind,n", [("tfull", 2), ("tfull", 3), ("tpartial", 2),
@@ -210,12 +199,12 @@ def test_corank_twisting_keeps_every_dual_path(kind, n):
     for field in (RATIONALS, prime_field(2), prime_field(3)):
         base = cm.standard_datum(M, field)
         for delta in (0, 2):
-            pi = _corank_twisting(M, n, delta, field)
+            pi = corank_twisting(M, n, delta, field)
             assert cm.verify_twisting(M, pi) is None
             compat = cm.compatibility_class(M, base.attach.green, pi)
             assert compat.level == ("strong" if field.norm(delta) else "compatible")
             d = cm.build_twisted_cell_datum(base, pi, compat=compat)
-            assert cm.verify_cell_axioms(d, mode="full").ok
+            assert cm.verify_cell_axioms(d).ok
             report = cm.analyze(d)
             ledger = cm.cross_check(d, report)
             assert [c for c in ledger if c["status"] == "fail"] == []

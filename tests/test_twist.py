@@ -5,9 +5,9 @@ import pytest
 
 import cellmonoid as cm
 from cellmonoid.exactalg import RATIONALS, prime_field
-from cellmonoid.twist import match_scales, twist_summary
+from cellmonoid.twist import twist_summary
 
-from conftest import assert_checks_clean
+from conftest import assert_checks_clean, corank_twisting
 
 Q = RATIONALS
 
@@ -16,12 +16,12 @@ def test_loop_twisting_values(store):
     M, loops = store.monoid("jones2")
     pi = cm.make_loop_twisting(loops, Fraction(2), Q)
     e1 = 1
-    assert pi.value(e1, e1) == 2
-    assert all(pi.value(x, M.identity) == 1 and pi.value(M.identity, x) == 1
+    assert pi.values[e1][e1] == 2
+    assert all(pi.values[x][M.identity] == 1 and pi.values[M.identity][x] == 1
                for x in range(M.size))
     pi0 = cm.make_loop_twisting(loops, Fraction(0), Q)
-    assert pi0.value(e1, e1) == 0
-    assert pi0.value(M.identity, M.identity) == 1  # 0^0 = 1 by convention
+    assert pi0.values[e1][e1] == 0
+    assert pi0.values[M.identity][M.identity] == 1  # 0^0 = 1 by convention
 
 
 def test_verify_twisting(store):
@@ -102,7 +102,7 @@ def test_twisted_axioms_full(store):
     for n in (2, 3, 4):
         for ds in ("2", "0"):
             d = store.twisted(f"jones{n}", ds)
-            assert cm.verify_cell_axioms(d, mode="full").ok
+            assert cm.verify_cell_axioms(d).ok
 
 
 def test_trivial_twisting_report_matches_untwisted(store):
@@ -140,8 +140,8 @@ def test_scaled_bracket_identity(store):
         base = store.datum(f"jones{n}")
         d = store.twisted(f"jones{n}", delta)
         at = d.attach
-        scales = at.scales
-        assert (0 in scales.values()) == (delta == "0")
+        weighted = [cm.weighted_sandwich(d, dcl) for dcl in range(len(at.boxes))]
+        assert any(len(w) < len(mm) for w, mm in zip(weighted, at.matched_g)) == (delta == "0")
         for ni in range(len(d.nodes)):
             tw = cm.gram_definition(d, ni)
             un = cm.gram_definition(base, ni)
@@ -152,27 +152,57 @@ def test_scaled_bracket_identity(store):
             ls, rs = len(gdat.lsets[gn]), len(gdat.rsets[gn])
             for j in range(len(box.cols)):
                 for i in range(len(box.rows)):
-                    c = scales.get((dcl, i, j), Fraction(0))
+                    _, c = weighted[dcl].get((i, j), (None, 0))
                     for t in range(rs):
                         for s in range(ls):
                             assert tw.entries[j * rs + t][i * ls + s] == \
                                 c * un.entries[j * rs + t][i * ls + s]
 
 
+def _compatible_twistings(store):
+    """(key, field, delta, twisting): the loop twisting on jones3-4 and the
+    corank twisting on tfull3 and syminv3, at delta 0 and 2 over Q and F3."""
+    for key, field, delta in product(("jones3", "jones4", "tfull3", "syminv3"), ("q", "fp:3"),
+                                     (0, 2)):
+        M, loops = store.monoid(key)
+        fs = store.datum(key, field).field
+        yield key, field, delta, (cm.make_loop_twisting(loops, delta, fs) if loops is not None
+                                  else corank_twisting(M, int(key[-1]), delta, fs))
+
+
 def test_match_scale_constancy(store):
-    # pi is constant on products of a column class by a row class
-    M, loops = store.monoid("jones3")
-    gs, boxes, schutzs = store.green("jones3")
-    pi = cm.make_loop_twisting(loops, Fraction(2), Q)
-    base = store.datum("jones3")
-    scales = match_scales(M, boxes, base.attach.matched_g, pi)
-    for (dcl, i, j), c in scales.items():
-        box = boxes[dcl]
-        for ii in range(len(box.rows)):
-            for x in box.grid[ii][j]:
-                for jj in range(len(box.cols)):
-                    for y in box.grid[i][jj]:
-                        assert pi.value(x, y) == c
+    # A kept entry's scale is pi on every product of a cell of its column by
+    # a cell of its row; on a dropped entry pi is 0 on all of them
+    for key, field, delta, pi in _compatible_twistings(store):
+        d = cm.build_twisted_cell_datum(store.datum(key, field), pi)
+        at = d.attach
+        dropped = False
+        for dcl, box in enumerate(at.boxes):
+            weighted = cm.weighted_sandwich(d, dcl)
+            for (i, j), g in at.matched_g[dcl].items():
+                kept, c = weighted.get((i, j), (g, 0))
+                assert kept == g and (c != 0) == ((i, j) in weighted)
+                dropped |= not c
+                xs = [x for row in box.grid for x in row[j]]
+                ys = [y for cell in box.grid[i] for y in cell]
+                assert {pi.values[x][y] for x in xs for y in ys} == {c}, (key, field, delta)
+        assert dropped == (delta == 0), (key, field, delta)
+
+
+def test_twisted_clone_reads_its_scales_off_the_weights(store):
+    # Twisting a datum directly, with no compatibility scan, analyses as the
+    # datum build_twisted_cell_datum makes: the weights are the twisting's one
+    # copy, and neither route rewrites the attachment.
+    _, loops = store.monoid("jones3")
+    tfull3, _ = store.monoid("tfull3")
+    for key, pi in (("jones3", cm.make_loop_twisting(loops, 0, Q)),
+                    ("tfull3", corank_twisting(tfull3, 3, 0, Q))):
+        base = store.datum(key)
+        direct = cm.analyze(base.twisted(pi.values))
+        assert [c for c in direct.checks if c["status"] == "fail"] == [], key
+        built = cm.build_twisted_cell_datum(base, pi)
+        assert built.attach is base.attach
+        assert direct.to_dict() == cm.analyze(built).to_dict()
 
 
 def test_twisted_fp_group_implication(store):

@@ -14,13 +14,13 @@ from conftest import assert_checks_clean, reference_axiom_report, reference_trac
 
 def test_axioms_murphy_s3_full():
     d = cm.murphy_datum(3, RATIONALS)
-    rep = cm.verify_cell_axioms(d, mode="full")
+    rep = cm.verify_cell_axioms(d)
     assert rep.ok and rep.acting_count == 6
 
 
 def test_axioms_t3_full(store):
     d = store.datum("tfull3")
-    rep = cm.verify_cell_axioms(d, mode="full")
+    rep = cm.verify_cell_axioms(d)
     assert rep.ok and rep.acting_count == 27
 
 
@@ -33,7 +33,7 @@ def test_axioms_sabotage_produces_witness(store):
     swapped[k_top], swapped[k_low] = swapped[k_low], swapped[k_top]
     datum = cm.CellDatum(d.field, d.table, d.nodes, d.gt,
                          d.lsets, d.rsets, swapped, d.blocks)
-    rep = cm.verify_cell_axioms(datum, mode="full")
+    rep = cm.verify_cell_axioms(datum)
     assert not rep.ok
     assert rep.witness == {"side": "left", "acting": 2, "node": "D0:(2)",
                            "detail": "a*C[0,0] hits (D0:(1,1),0,0)"}
@@ -73,7 +73,7 @@ def _swap_unit_labels(d):
 def test_axioms_sabotage_same_block(store):
     # the checker must notice the swap in the unit class of T2
     datum = _swap_unit_labels(store.datum("tfull2"))
-    rep = cm.verify_cell_axioms(datum, mode="full")
+    rep = cm.verify_cell_axioms(datum)
     assert not rep.ok
     assert rep.witness["side"] in ("left", "right")
 
@@ -84,7 +84,7 @@ def _h_coboundary(d, h):
     M, gs = d.attach.monoid, d.attach.green
     f = [Fraction(2) if gs.hclass[x] == h else Fraction(1) for x in range(M.size)]
     return d.twisted([[f[x] * f[y] / f[M.table[x][y]] for y in range(M.size)]
-                      for x in range(M.size)], d.attach)
+                      for x in range(M.size)])
 
 
 def _drop_order(d, pair):
@@ -100,7 +100,7 @@ def _zero_weight(d, x, y):
     # differ in their weights, so the weights belong to the skip key
     weights = [[1] * d.dim for _ in range(d.dim)]
     weights[x][y] = 0
-    return d.twisted(weights, d.attach)
+    return d.twisted(weights)
 
 
 # The first failure in the order acting, node, left before right, then (t, s)
@@ -150,9 +150,9 @@ PINNED_WITNESSES = [
                               "order"])
 def test_axiom_witnesses_pinned(store, key, sabotage, witness):
     datum = sabotage(store.datum(key))
-    rep = cm.verify_cell_axioms(datum, mode="full")
+    rep = cm.verify_cell_axioms(datum)
     assert (rep.ok, rep.witness, rep.acting_count) == (False, witness, datum.dim)
-    by_gens = cm.verify_cell_axioms(datum, acting=[witness["acting"]], mode="generators")
+    by_gens = cm.verify_cell_axioms(datum, acting=[witness["acting"]])
     assert (by_gens.witness, by_gens.acting_count) == (witness, 1)
 
 
@@ -163,9 +163,9 @@ def test_axiom_witnesses_pinned(store, key, sabotage, witness):
 def test_pinned_data_match_the_reference_scan(store, key, sabotage, witness):
     # the whole report, not just the witness, equals the plain scan's
     datum = sabotage(store.datum(key))
-    assert cm.verify_cell_axioms(datum, mode="full") == reference_axiom_report(datum)
+    assert cm.verify_cell_axioms(datum) == reference_axiom_report(datum)
     acting = [0, witness["acting"]]
-    assert (cm.verify_cell_axioms(datum, acting=acting, mode="generators")
+    assert (cm.verify_cell_axioms(datum, acting=acting)
             == reference_axiom_report(datum, acting))
 
 
@@ -198,12 +198,12 @@ def test_weight_keys_follow_the_relative_vectors():
     f = [Fraction(1)] * 7
     f[label[(2, 1)]] = Fraction(2)
     datum, weights = _coboundary_twist(cm.standard_datum(M, RATIONALS), f)
-    assert cm.verify_cell_axioms(datum.twisted(weights, None)).ok
+    assert cm.verify_cell_axioms(datum.twisted(weights)).ok
     a, b = label[(2, 0)], label[(2, 1)]
     row0 = [weights[a][label[(0, j)]] for j in (0, 1)]
     assert row0 == [1, Fraction(1, 2)]
     weights[b][label[(1, 1)]], weights[b][label[(1, 0)]] = row0
-    twisted = datum.twisted(weights, None)
+    twisted = datum.twisted(weights)
     rep = cm.verify_cell_axioms(twisted)
     assert rep == reference_axiom_report(twisted)
     assert rep.witness == {"side": "left", "acting": b, "node": "D1:*",
@@ -243,12 +243,12 @@ def test_random_twistings_match_the_reference_scan():
         for x, y in data.draw(st.lists(st.tuples(element, element), max_size=3)):
             weights[x][y] = 0
             counts["zero weights"] += 1
-        twisted = datum.twisted(weights, base.attach)
-        full = cm.verify_cell_axioms(twisted, mode="full")
+        twisted = datum.twisted(weights)
+        full = cm.verify_cell_axioms(twisted)
         assert full == reference_axiom_report(twisted)
         counts["ok" if full.ok else "failed"] += 1
         acting = data.draw(st.lists(element, min_size=1, max_size=4))
-        assert (cm.verify_cell_axioms(twisted, acting=acting, mode="generators")
+        assert (cm.verify_cell_axioms(twisted, acting=acting)
                 == reference_axiom_report(twisted, acting))
 
     check()
@@ -259,7 +259,7 @@ def test_bad_acting_indices_rejected(store):
     d = store.datum("tfull2")
     for bad in (-1, 99, d.dim):
         with pytest.raises(ValueError, match=f"acting index {bad} "):
-            cm.verify_cell_axioms(d, acting=[0, bad], mode="generators")
+            cm.verify_cell_axioms(d, acting=[0, bad])
 
 
 def _counting(datum):
@@ -295,7 +295,7 @@ def test_full_check_product_counts(store):
                                                  ("jones5", "q", "0", 166, 84)):
         datum, counts = _counting(store.datum(key, field) if delta is None
                                   else store.twisted(key, delta, field))
-        rep = cm.verify_cell_axioms(datum, mode="full")
+        rep = cm.verify_cell_axioms(datum)
         assert (rep.ok, rep.acting_count) == (True, datum.dim), key
         assert (counts["products"], counts["coordinates"]) == (products, lookups), key
 
@@ -306,7 +306,7 @@ def test_products_above_the_node_take_no_coordinates(store):
     # labelled above its node: 3 of its 62 products are dropped whole, and
     # the rest read 100 terms, not 106
     datum, counts = _counting(_merge_swap(store.datum("tfull3"), (4, 0, 2), (4, 1, 1)))
-    rep = cm.verify_cell_axioms(datum, mode="full")
+    rep = cm.verify_cell_axioms(datum)
     assert rep.witness == {"side": "left", "acting": 2, "node": "D2:(2)",
                            "detail": "left coefficients at right index 1 differ from index 0"}
     assert counts == {"products": 62, "coordinates": 59, "terms": 100}
@@ -317,17 +317,14 @@ def test_generators_mode_consistent_with_full(store):
     d = store.datum("tfull3")
     gens = generating_set(M)
     assert len(gens) == 3
-    rep = cm.verify_cell_axioms(d, acting=gens, mode="generators")
+    rep = cm.verify_cell_axioms(d, acting=gens)
     assert rep.ok and rep.acting_count == 3
-    with pytest.raises(ValueError):
-        cm.verify_cell_axioms(d, mode="generators")
     # a broken basis fails by its generators exactly when it fails in full
     for key in ("tfull2", "tfull3"):
         M, _ = store.monoid(key)
         datum = _swap_unit_labels(store.datum(key))
-        full = cm.verify_cell_axioms(datum, mode="full")
-        by_gens = cm.verify_cell_axioms(datum, acting=generating_set(M),
-                                        mode="generators")
+        full = cm.verify_cell_axioms(datum)
+        by_gens = cm.verify_cell_axioms(datum, acting=generating_set(M))
         assert not full.ok and not by_gens.ok
 
 
@@ -335,8 +332,8 @@ def test_axiom_report_identical_untwisted_vs_trivial_twist(store):
     M, _ = store.monoid("jones3")
     base = store.datum("jones3")
     twisted = cm.build_twisted_cell_datum(base, cm.trivial_twisting(M.size, RATIONALS))
-    r1 = cm.verify_cell_axioms(base, mode="full")
-    r2 = cm.verify_cell_axioms(twisted, mode="full")
+    r1 = cm.verify_cell_axioms(base)
+    r2 = cm.verify_cell_axioms(twisted)
     assert r1.to_dict() == r2.to_dict()
 
 
