@@ -47,32 +47,76 @@ class GreenStructure(NamedTuple):
     dless: FrozenSet[Tuple[int, int]]  # (a, b) present when D_a < D_b strictly
 
 
-def compute_green(M: FiniteMonoid) -> GreenStructure:
-    """L, R, H, D partitions via principal ideals, plus the strict D-order.
+def _sccs(succ: List[List[int]]) -> List[int]:
+    """Strongly connected component id per vertex of the graph x -> succ[x],
+    by Tarjan's algorithm on an explicit stack, so depth costs no recursion.
+    Ids are given as components complete: an edge x -> y has comp[x] >= comp[y]."""
+    n = len(succ)
+    index, low, comp = [0] * n, [0] * n, [-1] * n  # index 0: not yet reached
+    stack: List[int] = []
+    count = done = 0
+    for root in range(n):
+        if index[root]:
+            continue
+        count += 1
+        index[root] = low[root] = count
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if not index[w]:
+                    count += 1
+                    index[w] = low[w] = count
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:  # w is still on the stack
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        comp[w] = done
+                    done += 1
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return comp
 
-    xLy iff Mx = My and xRy iff xM = yM, with Mx and xM the entries of column
-    x and row x of the table.  D comes from L and R: x D y iff L_x meets R_y,
-    and inside a D-class every L-class meets every R-class, so the set of
-    R-classes that an element's L-class meets names its D-class.  MxM, the
-    union of zM over z in Mx, is built once per D-class, for the D-order.
+
+def compute_green(M: FiniteMonoid) -> GreenStructure:
+    """L, R, H, D partitions and the strict D-order from the Cayley graphs of
+    M.gens, reading |gens|*n table entries and holding no row or column as a set.
+
+    xM is what x reaches along x -> x*g, so the R-classes are the strongly
+    connected components of this right Cayley graph, and the L-classes those
+    of x -> g*x.  x D y iff L_x meets R_y, and inside a D-class every L-class
+    meets every R-class, so the R-classes an element's L-class meets name its
+    D-class.  MxM is what x reaches along both graphs, so D_a < D_b iff D_b
+    reaches D_a in the acyclic graph of D-classes.
     """
     n = M.size
     T = M.table
-    rsets = [frozenset(row) for row in T]
-    lsets = [frozenset(col) for col in zip(*T)]
+    right = [[row[g] for g in M.gens] for row in T]
+    left = [[T[g][x] for g in M.gens] for x in range(n)]
 
-    lclass, lclasses = _classes(lsets)
-    rclass, rclasses = _classes(rsets)
+    lclass, lclasses = _classes(_sccs(left))
+    rclass, rclasses = _classes(_sccs(right))
     hclass, hclasses = _classes([(lclass[x], rclass[x]) for x in range(n)])
     meets = [frozenset(rclass[y] for y in members) for members in lclasses]
     dclass, dclasses = _classes([meets[lclass[x]] for x in range(n)])
-    dideals = [frozenset().union(*(rsets[z] for z in lsets[members[0]])) for members in dclasses]
-    dless = frozenset(
-        (a, b)
-        for a in range(len(dclasses))
-        for b in range(len(dclasses))
-        if a != b and dideals[a] <= dideals[b]
-    )
+
+    k = len(dclasses)
+    down = [sorted({dclass[z] for x in members for z in right[x] + left[x]} - {d})
+            for d, members in enumerate(dclasses)]
+    dideals: List[FrozenSet[int]] = [frozenset()] * k
+    # the D-class graph is acyclic, so each class completes as its own
+    # component, after every class it reaches
+    for _, d in sorted(zip(_sccs(down), range(k))):
+        dideals[d] = frozenset(dclasses[d]).union(*(dideals[c] for c in down[d]))
+    dless = frozenset((dclass[x], d) for d in range(k) for x in dideals[d] if dclass[x] != d)
     return GreenStructure(lclass, rclass, hclass, dclass,
                           lclasses, rclasses, hclasses, dclasses, dideals, dless)
 

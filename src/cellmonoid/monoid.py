@@ -1,4 +1,5 @@
-"""Finite monoids as Cayley tables: built-in families, generator closure, file I/O.
+"""Finite monoids as Cayley tables with a generating set: built-in families,
+generator closure, file I/O.
 
 Composition convention, fixed globally: maps act on the right of points, so the
 product ``x*y`` means "apply x, then y".  For transformation families this makes
@@ -9,7 +10,8 @@ Tables are never built by composing every pair of elements.  Each constructor
 fixes its element order (identity first), composes each generator with each
 element once, and fills the table row by row along the left Cayley graph:
 row g*x is row x read through the row of g (see _left_walk).  Jones loop
-tables follow the same walk through the loop cocycle rule.
+tables follow the same walk through the loop cocycle rule.  Every monoid keeps
+its generators' indices, whose Cayley graphs give Green's relations.
 """
 
 from __future__ import annotations
@@ -53,12 +55,17 @@ def _is_int(v) -> bool:
 
 
 class FiniteMonoid(NamedTuple):
-    """Identity-bearing Cayley table with element labels.  Treated as immutable."""
+    """Identity-bearing Cayley table with element labels.  Treated as immutable.
+
+    gens generate the monoid, without the identity or repeats: the family's
+    maps (_MAP_GENERATORS) or e_1 ... e_{n-1}, generate_from_maps' maps, or
+    from_cayley_table's generating_set."""
 
     size: int
     identity: int
     table: List[List[int]]
     labels: List[str]
+    gens: List[int]
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -110,14 +117,14 @@ def from_cayley_table(size: int, identity: int, table: Sequence[Sequence[int]],
         labels = [str(s) for s in labels]
         if len(labels) != size:
             raise ValueError("label count does not match size")
-    M = FiniteMonoid(size, identity, tab, labels)
-    for g in generating_set(M):
+    gens = generating_set(FiniteMonoid(size, identity, tab, labels, []))
+    for g in gens:
         tg = tab[g]
         for x in range(size):
             tx, txg = tab[x], tab[tab[x][g]]
             if txg != [tx[v] for v in tg]:
                 raise NotAssociative(x, g, next(y for y in range(size) if txg[y] != tx[tg[y]]))
-    return M
+    return FiniteMonoid(size, identity, tab, labels, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +182,12 @@ def _left_walk(size: int, gen_rows: Sequence[List[int]],
 
 def _monoid_from_maps(elems: List[PMap], gens: Sequence[PMap]) -> FiniteMonoid:
     """The monoid on elems, in this order and identity first, from generators
-    that produce all of it."""
+    that produce all of it; it records them without the identity or repeats."""
     index = {m: i for i, m in enumerate(elems)}
     gen_rows = [[index[_compose_maps(g, m)] for m in elems] for g in gens]
     table, _ = _left_walk(len(elems), gen_rows)
-    return FiniteMonoid(len(elems), 0, table, [_map_label(m) for m in elems])
+    gen_ids = [i for i in dict.fromkeys(index[g] for g in gens) if i]
+    return FiniteMonoid(len(elems), 0, table, [_map_label(m) for m in elems], gen_ids)
 
 
 def generate_from_maps(r: int, generators: Sequence[Sequence[Optional[int]]]) -> FiniteMonoid:
@@ -354,16 +362,17 @@ def _jones_family(n: int) -> Tuple[FiniteMonoid, LoopTable]:
     index = {d: i for i, d in enumerate(diagrams)}
     # e_i joins top points i, i+1 and bottom points i, i+1; e_1 ... e_{n-1}
     # generate the planar diagrams
-    gen_rows, gen_loops = [], []
+    gen_rows, gen_loops, gens = [], [], []
     for i in range(n - 1):
         e = _canon_pairs([(i, i + 1), (n + i, n + i + 1)]
                          + [(j, n + j) for j in range(n) if j not in (i, i + 1)])
+        gens.append(index[e])
         products = [_compose_diagrams(n, e, d) for d in diagrams]
         gen_rows.append([index[z] for z, _ in products])
         gen_loops.append([nl for _, nl in products])
     table, loops = _left_walk(len(diagrams), gen_rows, gen_loops)
     labels = [_diagram_label(n, d) for d in diagrams]
-    return FiniteMonoid(len(diagrams), 0, table, labels), LoopTable(loops)
+    return FiniteMonoid(len(diagrams), 0, table, labels, gens), LoopTable(loops)
 
 
 def family(kind: str, n: int, cap: int = DEFAULT_SIZE_CAP) -> Tuple[FiniteMonoid, Optional[LoopTable]]:

@@ -15,7 +15,7 @@ entries with a nonzero scale form the weighted sandwich the analysis reads.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from .cellbasis import CellDatum
 from .exactalg import FieldSpec, Scalar, clear_denominators
@@ -34,10 +34,18 @@ class IncompatibleTwisting(TwistError):
         self.witness = witness
 
 
-class Twisting(NamedTuple):
-    field: FieldSpec
-    values: List[List[Scalar]]
-    provenance: str
+class Twisting:
+    """values[x][y] = pi(x, y) over field, reduced by field.norm when made, so
+    every reader compares and zero-tests canonical residues; provenance names
+    the twisting's source."""
+
+    __slots__ = ("field", "values", "provenance")
+
+    def __init__(self, field: FieldSpec, values: Sequence[Sequence[Scalar]],
+                 provenance: str) -> None:
+        self.field = field
+        self.values: List[List[Scalar]] = [[field.norm(v) for v in row] for row in values]
+        self.provenance = provenance
 
 
 def trivial_twisting(size: int, field: FieldSpec) -> Twisting:
@@ -48,7 +56,7 @@ def make_loop_twisting(loops: LoopTable, delta: Scalar, field: FieldSpec) -> Twi
     """pi(x, y) = delta ** loops[x][y], with delta ** 0 = 1 even for delta = 0
     (as Python's 0 ** 0 is)."""
     maxloops = max((v for row in loops.loops for v in row), default=0)
-    powers = [field.norm(delta ** k) for k in range(maxloops + 1)]
+    powers = [delta ** k for k in range(maxloops + 1)]
     values = [[powers[v] for v in row] for row in loops.loops]
     return Twisting(field, values, f"loop:{delta}")
 

@@ -28,8 +28,8 @@ def corank_twisting(M, n, delta, field):
     it kills products that stay in a D-class, so it is compatible, not strong."""
     rk = [len(set(label.strip("[]").split(",")) - {"-"}) for label in M.labels]
     T = M.table
-    return cm.Twisting(field, [[field.norm(delta ** (n - rk[x] - rk[y] + rk[T[x][y]]))
-                                for y in range(M.size)] for x in range(M.size)], "corank")
+    return cm.Twisting(field, [[delta ** (n - rk[x] - rk[y] + rk[T[x][y]]) for y in range(M.size)]
+                               for x in range(M.size)], "corank")
 
 
 def is_regular(M):

@@ -42,6 +42,27 @@ def _ideal_route(M):
     return dclass, dclasses, dideals, dless
 
 
+def _row_column_route(M):
+    """The whole GreenStructure from the table's rows and columns as sets:
+    xM is row x and Mx column x, H and D follow from L and R by least
+    members, and MxM is the union of zM over z in Mx."""
+    T = M.table
+    n = M.size
+    rsets = [frozenset(row) for row in T]
+    lsets = [frozenset(col) for col in zip(*T)]
+    lclass, lclasses = _by_key(lsets)
+    rclass, rclasses = _by_key(rsets)
+    hclass, hclasses = _by_key([(lclass[x], rclass[x]) for x in range(n)])
+    meets = [frozenset(rclass[y] for y in members) for members in lclasses]
+    dclass, dclasses = _by_key([meets[lclass[x]] for x in range(n)])
+    dideals = [frozenset().union(*(rsets[z] for z in lsets[members[0]])) for members in dclasses]
+    k = len(dclasses)
+    dless = frozenset((a, b) for a in range(k) for b in range(k)
+                      if a != b and dideals[a] <= dideals[b])
+    return cm.GreenStructure(lclass, rclass, hclass, dclass,
+                             lclasses, rclasses, hclasses, dclasses, dideals, dless)
+
+
 def _assert_ideal_route(M):
     gs = cm.compute_green(M)
     assert (gs.dclass, gs.dclasses, gs.dideals, gs.dless) == _ideal_route(M)
@@ -85,11 +106,39 @@ def test_dclasses_match_two_sided_ideals_relabeled(store, key, data):
             table[sigma[x]][sigma[y]] = sigma[M.table[x][y]]
     R = cm.from_cayley_table(M.size, sigma[M.identity], table)
     gs = _assert_ideal_route(R)
+    assert gs == _row_column_route(R)
     _assert_one_sided_route(R, gs)
     for d, members in enumerate(gs.dclasses):
         box = cm.build_eggbox(R, gs, d)
         assert box.gamma == members[0]
         assert box.rows[0] == gs.rclass[box.gamma] and box.cols[0] == gs.lclass[box.gamma]
+
+
+@pytest.mark.parametrize("key", ["tfull4", "tpartial4", "syminv4", "jones6"])
+def test_cayley_graphs_match_rows_and_columns(store, key):
+    M, _ = store.monoid(key)
+    assert cm.compute_green(M) == _row_column_route(M)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(maps=st.lists(st.lists(st.integers(1, 4), min_size=4, max_size=4), min_size=1, max_size=3))
+def test_cayley_graphs_match_rows_and_columns_on_random_submonoids(maps):
+    # the identity and a repeat among the generators are dropped from M.gens
+    M = cm.generate_from_maps(4, maps + [[1, 2, 3, 4]] + maps[:1])
+    assert M.gens == list(range(1, len(M.gens) + 1))
+    assert cm.compute_green(M) == _row_column_route(M)
+
+
+def test_deep_d_chain():
+    # {1, a, ..., a^1100} with a^1100 = a^1101: 1,101 D-classes in one chain,
+    # deeper than Python's recursion limit
+    n = 1101
+    M = cm.from_cayley_table(n, 0, [[min(i + j, n - 1) for j in range(n)] for i in range(n)])
+    assert M.gens == [1]
+    gs = cm.compute_green(M)
+    assert gs.dclasses == [[x] for x in range(n)]
+    assert gs.dless == frozenset((i, j) for i in range(n) for j in range(i))
+    assert gs.dideals == [frozenset(range(d, n)) for d in range(n)]
 
 
 def test_green_t2(store):

@@ -304,6 +304,26 @@ def test_generating_set_under_zero_weights(n, count):
     assert _table_closure(M, gens, weights) == set(range(M.size))
 
 
+def test_every_constructor_records_a_generating_set(tmp_path):
+    # Green's relations are read off the Cayley graphs of M.gens, so a right
+    # walk from the identity along them must reach every element.
+    monoids = [cm.family(kind, n)[0] for kind, top in
+               (("tfull", 3), ("tpartial", 3), ("syminv", 4), ("jones", 5))
+               for n in range(1, top + 1)]
+    from_maps = cm.generate_from_maps(3, [[2, 1, 3], [1, 2, 3], [1, 1, 3], [2, 1, 3]])
+    assert from_maps.gens == [1, 2]  # the identity and the repeat dropped
+    path = tmp_path / "m.json"
+    cm.save_cayley_json(cm.family("tpartial", 2)[0], path)
+    loaded = cm.load_cayley_json(path)
+    assert loaded.gens == generating_set(loaded)
+    monoids += [from_maps, build_monoid("null3")[0], loaded]
+    for M in monoids:
+        assert _table_closure(M, M.gens) == set(range(M.size)), M
+        assert M.identity not in M.gens and len(set(M.gens)) == len(M.gens), M
+    assert build_monoid("trivial")[0].gens == []
+    assert cm.family("jones", 1)[0].gens == cm.family("tfull", 1)[0].gens == []
+
+
 def test_cayley_json_round_trip(tmp_path):
     M, _ = cm.family("syminv", 2)
     path = tmp_path / "m.json"

@@ -66,6 +66,26 @@ def test_compatibility_classes(store):
     assert ct.level == "strong" and ct.lr
 
 
+@pytest.mark.parametrize("key", ["jones2", "jones4"])
+def test_unreduced_twisting_reads_as_reduced(store, key):
+    # 3 ** k is 0 mod 3 for k > 0: unreduced, it is nonzero to every test
+    # that compares it with 0, so the level read "strong" and the weighted
+    # sandwich kept entries whose scale is 0.
+    M, loops = store.monoid(key)
+    gs, _, _ = store.green(key)
+    F3 = prime_field(3)
+    raw = cm.Twisting(F3, [[3 ** k for k in row] for row in loops.loops], "raw")
+    reduced = cm.make_loop_twisting(loops, 3, F3)
+    assert cm.verify_twisting(M, raw) is None
+    level = cm.compatibility_class(M, gs, raw).level
+    assert level == cm.compatibility_class(M, gs, reduced).level == "compatible"
+    base = store.datum(key, "fp:3")
+    report = cm.analyze(cm.build_twisted_cell_datum(base, raw))
+    assert_checks_clean(report)
+    assert report.to_dict() == cm.analyze(cm.build_twisted_cell_datum(base, reduced)).to_dict()
+    assert raw.values == reduced.values
+
+
 def test_incompatible_coboundary_on_t2(store):
     M, _ = store.monoid("tfull2")
     gs, _, _ = store.green("tfull2")
