@@ -31,22 +31,6 @@ class GroupMismatch(CellBasisError):
     pass
 
 
-def _transitive_closure(pairs) -> FrozenSet[Tuple[int, int]]:
-    gt = {tuple(p) for p in pairs}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(gt):
-            for c, d in list(gt):
-                if b == c and (a, d) not in gt:
-                    gt.add((a, d))
-                    changed = True
-    for a, b in gt:
-        if a == b or (b, a) in gt:
-            raise ValueError("node order is not a strict partial order")
-    return frozenset(gt)
-
-
 class GroupDatumAttachment(NamedTuple):
     """A group-level cell datum together with its gluing onto one D-class:
     iso maps the datum's carrier elements onto Schutzenberger group elements."""
@@ -80,7 +64,10 @@ class CellDatum:
     sparse columns, one per carrier element, so a coordinate lookup touches
     only the nonzero terms.  Given inv_cols, those columns are taken as they
     are and no block is inverted: build_cell_datum passes its group data's
-    columns, relabelled.
+    columns, relabelled.  gt_pairs may be any pairs (a, b), node a above node
+    b, that generate the node order: the datum closes them into gt, with
+    higher[b] the nodes above b.  A cycle, a self-pair or a node outside
+    range(len(nodes)) raises ValueError.
     """
 
     def __init__(self, field: FieldSpec, table: List[List[int]],
@@ -95,7 +82,8 @@ class CellDatum:
         self.weights: Optional[List[List[Scalar]]] = None
         self.mult = table_mult(table, field)
         self.nodes = list(nodes)
-        self.gt = _transitive_closure(gt_pairs)
+        self.higher: List[FrozenSet[int]] = green_mod.strict_order(len(self.nodes), gt_pairs)
+        self.gt = frozenset((a, b) for b, above in enumerate(self.higher) for a in above)
         self.lsets = [list(s) for s in lsets]
         self.rsets = [list(s) for s in rsets]
         self.basis = dict(basis)
@@ -110,10 +98,6 @@ class CellDatum:
             raise ValueError("basis keys do not match the declared index sets")
         if len(expected) != dim:
             raise NotABasis(f"{len(expected)} labeled vectors cannot span a dimension-{dim} algebra")
-
-        self.higher: List[FrozenSet[int]] = [
-            frozenset(a for a, b in self.gt if b == ni) for ni in range(len(self.nodes))
-        ]
 
         self._block_of_elem: Dict[int, int] = {}
         self._inv_cols = {} if inv_cols is None else inv_cols

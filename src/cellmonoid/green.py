@@ -43,7 +43,6 @@ class GreenStructure(NamedTuple):
     rclasses: List[List[int]]
     hclasses: List[List[int]]
     dclasses: List[List[int]]
-    dideals: List[FrozenSet[int]]
     dless: FrozenSet[Tuple[int, int]]  # (a, b) present when D_a < D_b strictly
 
 
@@ -86,6 +85,26 @@ def _sccs(succ: List[List[int]]) -> List[int]:
     return comp
 
 
+def strict_order(k: int, pairs) -> List[FrozenSet[int]]:
+    """above[b]: the nodes a of range(k) that reach b along the edges a -> b
+    of pairs, by one pass in _sccs order with each reach an int bitset.  A
+    self-pair, a cycle or a node outside range(k) raises ValueError."""
+    preds: List[List[int]] = [[] for _ in range(k)]
+    for a, b in pairs:
+        if a == b or not (0 <= a < k and 0 <= b < k):
+            raise ValueError("node order is not a strict partial order")
+        preds[b].append(a)
+    comp = _sccs(preds)
+    if len(set(comp)) != k:
+        raise ValueError("node order is not a strict partial order")
+    reach = [0] * k
+    # each node completes as its own component, after every node above it
+    for _, b in sorted(zip(comp, range(k))):
+        for a in preds[b]:
+            reach[b] |= reach[a] | 1 << a
+    return [frozenset(a for a, bit in enumerate(bin(r)[:1:-1]) if bit == "1") for r in reach]
+
+
 def compute_green(M: FiniteMonoid) -> GreenStructure:
     """L, R, H, D partitions and the strict D-order from the Cayley graphs of
     M.gens, reading |gens|*n table entries and holding no row or column as a set.
@@ -109,16 +128,12 @@ def compute_green(M: FiniteMonoid) -> GreenStructure:
     dclass, dclasses = _classes([meets[lclass[x]] for x in range(n)])
 
     k = len(dclasses)
-    down = [sorted({dclass[z] for x in members for z in right[x] + left[x]} - {d})
+    down = [{dclass[z] for x in members for z in right[x] + left[x]} - {d}
             for d, members in enumerate(dclasses)]
-    dideals: List[FrozenSet[int]] = [frozenset()] * k
-    # the D-class graph is acyclic, so each class completes as its own
-    # component, after every class it reaches
-    for _, d in sorted(zip(_sccs(down), range(k))):
-        dideals[d] = frozenset(dclasses[d]).union(*(dideals[c] for c in down[d]))
-    dless = frozenset((dclass[x], d) for d in range(k) for x in dideals[d] if dclass[x] != d)
+    above = strict_order(k, [(d, c) for d in range(k) for c in down[d]])
+    dless = frozenset((c, d) for c in range(k) for d in above[c])
     return GreenStructure(lclass, rclass, hclass, dclass,
-                          lclasses, rclasses, hclasses, dclasses, dideals, dless)
+                          lclasses, rclasses, hclasses, dclasses, dless)
 
 
 class EggBox(NamedTuple):
@@ -239,7 +254,7 @@ class SchutzGroup(NamedTuple):
 
 
 def schutzenberger(M: FiniteMonoid, box: EggBox, section: str = "least") -> SchutzGroup:
-    """Scan all of M for right stabilizers of the base H-class.
+    """Right stabilizers of the base H-class, by one table read per element.
 
     section: "least" picks the smallest representative of each permutation,
     "greatest" the largest; analysis results must not depend on this choice.
@@ -248,7 +263,6 @@ def schutzenberger(M: FiniteMonoid, box: EggBox, section: str = "least") -> Schu
         raise ValueError("section must be 'least' or 'greatest'")
     T = M.table
     H = box.grid[0][0]
-    hset = set(H)
     pos = {h: i for i, h in enumerate(H)}
     gamma = box.gamma
 
@@ -257,18 +271,19 @@ def schutzenberger(M: FiniteMonoid, box: EggBox, section: str = "least") -> Schu
     reps: List[int] = []
     rm: Dict[int, int] = {}
     for m in range(M.size):
-        imgs = [T[h][m] for h in H]
-        if all(v in hset for v in imgs):
-            perm = tuple(pos[v] for v in imgs)
-            if len(set(perm)) != len(perm):
-                raise GreenError("right translation is not injective on the base class")
-            if perm not in pindex:
-                pindex[perm] = len(perms)
-                perms.append(perm)
-                reps.append(m)
-            elif section == "greatest":
-                reps[pindex[perm]] = m
-            rm[m] = pindex[perm]
+        # Green's lemma: m stabilizes H exactly when gamma*m lies in H
+        if T[gamma][m] not in pos:
+            continue
+        perm = tuple(pos.get(T[h][m]) for h in H)
+        if None in perm or len(set(perm)) != len(perm):
+            raise GreenError("right translation does not permute the base class")
+        if perm not in pindex:
+            pindex[perm] = len(perms)
+            perms.append(perm)
+            reps.append(m)
+        elif section == "greatest":
+            reps[pindex[perm]] = m
+        rm[m] = pindex[perm]
     if len(perms) != len(H):
         raise GreenError("translation group order differs from the base class size")
 

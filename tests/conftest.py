@@ -6,6 +6,7 @@ import pytest
 
 import cellmonoid as cm
 from cellmonoid.exactalg import FieldSpec, _bareiss_rank, clear_denominators
+from cellmonoid.groupcell import dominates
 
 
 def build_monoid(key: str):
@@ -187,6 +188,48 @@ def reference_axiom_report(datum, acting=None):
     acting = list(range(datum.dim) if acting is None else acting)
     witness = reference_witness(datum, acting)
     return cm.AxiomReport(mode, witness is None, witness, len(acting))
+
+
+def reference_closure(pairs):
+    """The transitive closure of pairs (a, b) by a fixpoint over all pairs of
+    pairs, refusing a closure that holds a self-pair or a 2-cycle: the node
+    order's reference for green.strict_order."""
+    gt = {tuple(p) for p in pairs}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(gt):
+            for c, d in list(gt):
+                if b == c and (a, d) not in gt:
+                    gt.add((a, d))
+                    changed = True
+    for a, b in gt:
+        if a == b or (b, a) in gt:
+            raise ValueError("node order is not a strict partial order")
+    return frozenset(gt)
+
+
+def assembled_order_pairs(datum):
+    """The assembled datum's node order by its definition: node a sits above
+    node b when a's D-class lies strictly below b's, or when both share a
+    D-class and a's partition strictly dominates b's."""
+    dless = datum.attach.green.dless
+    return [(a, b) for a, (da, lam) in enumerate(datum.nodes)
+            for b, (db, mu) in enumerate(datum.nodes)
+            if (da, db) in dless or (da == db and lam != mu and dominates(lam, mu))]
+
+
+def assert_node_order_matches_reference(datum, pairs):
+    """datum.gt and datum.higher are the reference closure of pairs, and a
+    datum given only the covering pairs of that order closes them back."""
+    gt = reference_closure(pairs)
+    k = len(datum.nodes)
+    assert datum.gt == gt
+    assert datum.higher == [frozenset(a for a, b in gt if b == ni) for ni in range(k)]
+    covers = [(a, b) for a, b in gt if not any((a, c) in gt and (c, b) in gt for c in range(k))]
+    again = cm.CellDatum(datum.field, datum.table, datum.nodes, covers, datum.lsets,
+                         datum.rsets, datum.basis, datum.blocks, inv_cols=datum._inv_cols)
+    assert (again.gt, again.higher) == (datum.gt, datum.higher)
 
 
 def assert_checks_clean(report):

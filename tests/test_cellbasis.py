@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,9 +7,12 @@ import pytest
 import cellmonoid as cm
 from cellmonoid import cellbasis
 from cellmonoid.cellbasis import CellBasisError, NotABasis
+from cellmonoid.cli import main
 from cellmonoid.exactalg import DenseMatrix, FieldSpec, RATIONALS, mat_inverse, prime_field
+from cellmonoid.groupcell import dominates
 
-from conftest import assert_checks_clean
+from conftest import (assembled_order_pairs, assert_checks_clean,
+                      assert_node_order_matches_reference)
 
 
 def node_by_label(d, label):
@@ -359,3 +363,53 @@ def test_singular_block_is_named_despite_shared_inverses(store):
         with pytest.raises(NotABasis, match=f"^labeled vectors of block {bis[0]} are linearly "
                                              f"dependent$"):
             sabotaged(*bis)
+
+
+@pytest.mark.parametrize("key", ["tfull3", "tfull4", "tpartial3", "syminv3", "syminv4", "jones5"])
+def test_node_order_matches_fixpoint_closure(store, key):
+    d = store.datum(key)
+    assert_node_order_matches_reference(d, assembled_order_pairs(d))
+
+
+def test_murphy_order_matches_fixpoint_closure():
+    d = cm.murphy_datum(4, RATIONALS)
+    assert_node_order_matches_reference(d, [(a, b) for a, lam in enumerate(d.nodes)
+                                            for b, mu in enumerate(d.nodes)
+                                            if lam != mu and dominates(lam, mu)])
+
+
+@pytest.mark.parametrize("extra", [
+    [(1, 1)],          # a self-pair
+    [(2, 1)],          # a 2-cycle with (1, 2)
+    [(2, 0)],          # a 3-cycle through the covering pairs (0, 1), (1, 2)
+    [(0, 3)],          # a node past the last one
+    [(-1, 0)],         # a negative node
+])
+def test_datum_rejects_a_node_order_that_is_not_strict(extra):
+    # murphy_datum(3) orders (3) > (2,1) > (1,1,1); given only the covering
+    # pairs, the 3-cycle shows only once the order is closed
+    d = cm.murphy_datum(3, RATIONALS)
+    assert cm.CellDatum(d.field, d.table, d.nodes, [(0, 1), (1, 2)], d.lsets, d.rsets,
+                        d.basis, d.blocks).gt == d.gt
+    with pytest.raises(ValueError, match="^node order is not a strict partial order$"):
+        cm.CellDatum(d.field, d.table, d.nodes, [(0, 1), (1, 2)] + extra, d.lsets, d.rsets,
+                     d.basis, d.blocks)
+
+
+def test_deep_d_chain_end_to_end(tmp_path, capsys):
+    # {1, a, ..., a^320} with a^320 = a^321: 321 singleton D-classes in one
+    # chain, one trivial-group node each, every node above those of the
+    # classes over it
+    n = 321
+    M = cm.from_cayley_table(n, 0, [[min(i + j, n - 1) for j in range(n)] for i in range(n)])
+    d = cm.standard_datum(M, FieldSpec.parse("fp:3"))
+    assert [dc for dc, _ in d.nodes] == list(range(n))
+    assert d.higher == [frozenset(range(ni + 1, n)) for ni in range(n)]
+    path = tmp_path / "chain.json"
+    cm.save_cayley_json(M, path)
+    report = tmp_path / "r.json"
+    assert main(["analyze", "--cayley", str(path), "--field", "fp:3",
+                    "--report", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    assert payload["axioms"]["ok"]
+    assert [c for c in payload["cross_checks"] if c["status"] == "fail"] == []

@@ -5,11 +5,12 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import cellmonoid as cm
 from cellmonoid.cli import main
-from cellmonoid.green import GreenError, regular_and_inverse
+from cellmonoid.green import GreenError, regular_and_inverse, strict_order
 from cellmonoid.groupcell import symmetric_group_table
 
 from conftest import (check_class_preservation, check_eggbox_rectangular, check_h_stability,
-                      check_matched_representative_independence, is_inverse, is_regular)
+                      check_matched_representative_independence, is_inverse, is_regular,
+                      reference_closure)
 
 SMALL_KEYS = ("trivial", "null3", "tfull2", "tfull3", "tpartial2", "syminv2", "jones3")
 
@@ -29,7 +30,8 @@ def _by_key(keys):
 
 def _ideal_route(M):
     """D-classes as elements with equal two-sided ideals MxM, ids by least
-    member; returns (dclass, dclasses, dideals, dless)."""
+    member, and D_a < D_b iff the ideal of D_a lies inside that of D_b;
+    returns (dclass, dclasses, dless)."""
     T = M.table
     n = M.size
     ideals = [frozenset(T[z][w] for z in {T[m][x] for m in range(n)} for w in range(n))
@@ -39,7 +41,7 @@ def _ideal_route(M):
     k = len(dclasses)
     dless = frozenset((a, b) for a in range(k) for b in range(k)
                       if a != b and dideals[a] <= dideals[b])
-    return dclass, dclasses, dideals, dless
+    return dclass, dclasses, dless
 
 
 def _row_column_route(M):
@@ -60,12 +62,12 @@ def _row_column_route(M):
     dless = frozenset((a, b) for a in range(k) for b in range(k)
                       if a != b and dideals[a] <= dideals[b])
     return cm.GreenStructure(lclass, rclass, hclass, dclass,
-                             lclasses, rclasses, hclasses, dclasses, dideals, dless)
+                             lclasses, rclasses, hclasses, dclasses, dless)
 
 
 def _assert_ideal_route(M):
     gs = cm.compute_green(M)
-    assert (gs.dclass, gs.dclasses, gs.dideals, gs.dless) == _ideal_route(M)
+    assert (gs.dclass, gs.dclasses, gs.dless) == _ideal_route(M)
     return gs
 
 
@@ -138,7 +140,31 @@ def test_deep_d_chain():
     gs = cm.compute_green(M)
     assert gs.dclasses == [[x] for x in range(n)]
     assert gs.dless == frozenset((i, j) for i in range(n) for j in range(i))
-    assert gs.dideals == [frozenset(range(d, n)) for d in range(n)]
+
+
+def test_strict_order_matches_fixpoint_closure():
+    # random pairs on a few nodes, cycles and self-pairs among them: the
+    # reachability pass refuses exactly the pairs the fixpoint refuses
+    counts = {"order": 0, "refused": 0}
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        k = data.draw(st.integers(1, 6))
+        node = st.integers(0, k - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node), max_size=8))
+        try:
+            gt = reference_closure(pairs)
+        except ValueError:
+            counts["refused"] += 1
+            with pytest.raises(ValueError, match="^node order is not a strict partial order$"):
+                strict_order(k, pairs)
+            return
+        counts["order"] += 1
+        assert strict_order(k, pairs) == [frozenset(a for a, b in gt if b == x) for x in range(k)]
+
+    check()
+    assert min(counts.values()) > 0, counts
 
 
 def test_green_t2(store):
@@ -236,6 +262,17 @@ def test_schutz_group_laws(store):
         for m in sch.rm:
             for n in sch.rm:
                 assert sch.mult[sch.rm[m]][sch.rm[n]] == sch.rm[T[m][n]]
+
+
+@pytest.mark.parametrize("H", [[0, 1], [0, 2]])
+def test_schutzenberger_refuses_a_translation_that_does_not_permute(store, H):
+    # null3 is {1, a, 0}.  Posing {1, a} as the base class, a passes the one
+    # read (1*a = a) but carries a to a*a = 0; posing {1, 0}, 0 carries both
+    # members to 0.
+    M, _ = store.monoid("null3")
+    box = cm.EggBox(0, [0], [0], [[H]], [0], [0])
+    with pytest.raises(GreenError, match="^right translation does not permute the base class$"):
+        cm.schutzenberger(M, box)
 
 
 def test_s6_cayley_input_exits_quickly(tmp_path, capsys):

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import cellmonoid as cm
 from cellmonoid.exactalg import RATIONALS, prime_field
 
-from conftest import corank_twisting, reference_trace_form, reference_witness
+from conftest import (assembled_order_pairs, assert_node_order_matches_reference,
+                      corank_twisting, reference_trace_form, reference_witness)
 
 SIZE_BOUND = 40  # larger monoids are counted, not analysed, to keep this fast
 
@@ -34,6 +35,7 @@ def test_random_submonoids():
             counts["unsupported group"] += 1
             return
         counts["analysed"] += 1
+        assert_node_order_matches_reference(datum, assembled_order_pairs(datum))
         report = cm.analyze(datum)
         assert cm.verify_cell_axioms(datum).ok
         ledger = cm.cross_check(datum, report)

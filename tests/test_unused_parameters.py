@@ -1,5 +1,6 @@
 """Source checks: every function parameter in the package is read by its
-body, and every record field is read as an attribute somewhere."""
+body, and every record field is read as an attribute by the package, or is
+named as one only the tests read."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,9 @@ TESTS = Path(__file__).resolve().parent
 
 # Serialized whole by NamedTuple._asdict, so each field is read by name.
 SERIALIZED_WHOLE = {"AnalysisReport", "AxiomReport"}
+
+# Fields no package code reads, kept as the structure the tests inspect.
+TESTS_ONLY = {"GreenStructure.hclass", "GreenStructure.hclasses", "SchutzGroup.hclass"}
 
 
 def _unread_parameters(tree):
@@ -67,12 +71,21 @@ def _attributes_read(tree):
 
 
 def test_every_dataclass_field_is_read():
+    # Reads count in the package only, so a field that only the tests read
+    # fails unless it is named in TESTS_ONLY; each name there must still be
+    # unread by the package and read by the tests.
     sources = sorted(SRC.glob("*.py"))
     read = set()
-    for path in sources + sorted(TESTS.glob("*.py")):
+    for path in sources:
         read |= _attributes_read(ast.parse(path.read_text(), str(path)))
+    tests_read = set()
+    for path in sorted(TESTS.glob("*.py")):
+        tests_read |= _attributes_read(ast.parse(path.read_text(), str(path)))
     unread = [f"{path.name}:{line} {cls}.{name}"
               for path in sources
               for cls, line, name in _dataclass_fields(ast.parse(path.read_text(), str(path)))
-              if cls not in SERIALIZED_WHOLE and name not in read]
+              if cls not in SERIALIZED_WHOLE and name not in read
+              and f"{cls}.{name}" not in TESTS_ONLY]
     assert unread == []
+    assert sorted(f for f in TESTS_ONLY
+                  if f.split(".")[1] in read or f.split(".")[1] not in tests_read) == []
