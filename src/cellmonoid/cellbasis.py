@@ -65,7 +65,7 @@ class CellDatum:
     only the nonzero terms.  Given inv_cols, those columns are taken as they
     are and no block is inverted: build_cell_datum passes its group data's
     columns, relabelled.  gt_pairs may be any pairs (a, b), node a above node
-    b, that generate the node order: the datum closes them into gt, with
+    b, that generate the node order: the datum closes them into higher, with
     higher[b] the nodes above b.  A cycle, a self-pair or a node outside
     range(len(nodes)) raises ValueError.
     """
@@ -83,7 +83,6 @@ class CellDatum:
         self.mult = table_mult(table, field)
         self.nodes = list(nodes)
         self.higher: List[FrozenSet[int]] = green_mod.strict_order(len(self.nodes), gt_pairs)
-        self.gt = frozenset((a, b) for b, above in enumerate(self.higher) for a in above)
         self.lsets = [list(s) for s in lsets]
         self.rsets = [list(s) for s in rsets]
         self.basis = dict(basis)
@@ -151,18 +150,48 @@ class CellDatum:
 
     def coordinates(self, vec: SparseVec) -> Dict[Key, Scalar]:
         """Exact coordinates of a carrier vector in the labeled basis: blocks
-        in the order the vector first touches them, labels in block order."""
-        norm = self.field.norm
-        touched: Dict[int, Dict[int, Scalar]] = {}
+        in the order its nonzero terms first touch them, labels in block order."""
+        return self._coordinates(vec, frozenset())
+
+    def product_coordinates(self, a: int, vec: SparseVec, left: bool,
+                            low: FrozenSet[int]) -> Dict[Key, Scalar]:
+        """The coordinates of the terms outside low of mult(unit(a), vec), or
+        of mult(vec, unit(a)) when not left, with no product built: the raw sums
+        per product element, read off table and weights in mult's order, go
+        straight to _coordinates."""
+        T, W, row = self.table, self.weights, self.table[a]
+        sums: Dict[int, Scalar] = {}
         for e, c in vec.items():
-            acc = touched.setdefault(self._block_of_elem[e], {})
-            for r, w in self._inv_cols[e]:
-                acc[r] = acc[r] + w * c if r in acc else w * c
+            if W is not None:
+                c = c * (W[a][e] if left else W[e][a])
+                if not c:
+                    continue
+            k = row[e] if left else T[e][a]
+            sums[k] = sums[k] + c if k in sums else c
+        return self._coordinates(sums, low)
+
+    def _coordinates(self, sums: SparseVec, low: FrozenSet[int]) -> Dict[Key, Scalar]:
+        """Coordinates of the terms of sums outside low: each term is reduced
+        once and, when nonzero, goes through its inverse column into its
+        block's sums, blocks in the order such terms first touch them; each
+        label's sum is reduced once and kept when nonzero, in block order."""
+        p, blocks, block_of, inv = self.field.p, self.blocks, self._block_of_elem, self._inv_cols
+        touched: Dict[int, List[Scalar]] = {}
+        for e, c in sums.items():
+            c = c if p is None else c % p
+            if not c or e in low:
+                continue
+            bi = block_of[e]
+            acc = touched.get(bi)
+            if acc is None:
+                acc = touched[bi] = [0] * len(blocks[bi][1])
+            for r, w in inv[e]:
+                acc[r] += w * c
         out: Dict[Key, Scalar] = {}
         for bi, acc in touched.items():
-            keys = self.blocks[bi][1]
-            for r in sorted(acc):
-                v = norm(acc[r])
+            keys = blocks[bi][1]
+            for r, v in enumerate(acc):
+                v = v if p is None else v % p
                 if v:
                     out[keys[r]] = v
         return out
@@ -254,23 +283,18 @@ def build_cell_datum(M: FiniteMonoid, gs: GreenStructure, boxes: List[EggBox],
     nodes: List[Tuple[int, Any]] = []
     node_dclass: List[int] = []
     node_gnode: List[int] = []
-    node_at: Dict[Tuple[int, int], int] = {}
+    dnodes: List[List[int]] = []  # per D-class: its nodes, in group node order
     for d in range(nd):
         gdat = group_data[d].datum
+        dnodes.append(list(range(len(nodes), len(nodes) + len(gdat.nodes))))
         for gn, lab in enumerate(gdat.nodes):
-            node_at[(d, gn)] = len(nodes)
             nodes.append((d, lab))
             node_dclass.append(d)
             node_gnode.append(gn)
 
-    gt_pairs = []
-    for na in range(len(nodes)):
-        for nb in range(len(nodes)):
-            da, db = node_dclass[na], node_dclass[nb]
-            if (da, db) in gs.dless:
-                gt_pairs.append((na, nb))
-            elif da == db and (node_gnode[na], node_gnode[nb]) in group_data[da].datum.gt:
-                gt_pairs.append((na, nb))
+    gt_pairs = [(na, nb) for da, db in gs.dless for na in dnodes[da] for nb in dnodes[db]]
+    gt_pairs += [(dnodes[d][ga], dnodes[d][gb]) for d in range(nd)
+                 for gb, above in enumerate(group_data[d].datum.higher) for ga in above]
 
     lsets: List[List] = []
     rsets: List[List] = []
@@ -303,7 +327,7 @@ def build_cell_datum(M: FiniteMonoid, gs: GreenStructure, boxes: List[EggBox],
                 inv_cols.update(zip(cell, gcols))
                 keys: List[Key] = []
                 for gn in range(len(gdat.nodes)):
-                    ni = node_at[(d, gn)]
+                    ni = dnodes[d][gn]
                     ls, rs = len(gdat.lsets[gn]), len(gdat.rsets[gn])
                     for sp in range(ls):
                         for tp in range(rs):

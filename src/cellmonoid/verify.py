@@ -5,8 +5,10 @@ dual-path cross-check ledger.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import lcm
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .exactalg import DenseMatrix, FieldSpec, Scalar, certified_nonsingular, mat_rank
 from .monoid import CellmonoidError
@@ -67,10 +69,12 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None) -> AxiomRe
     labels of its own block, so the terms of a product in low[ni] have
     coordinates only on higher nodes.  A key whose products table[y][u_e]
     (table[u_e][y] on the right) all lie in low[ni] passes without a
-    product; otherwise each product loses its terms in low[ni] before its
-    coordinates are taken, and none are taken when nothing is left.  Both
-    skips drop only coordinates the check would ignore, and dropping whole
-    blocks keeps the order of the rest, so verdicts and witnesses are exact.
+    product.  Otherwise datum.product_coordinates sums each product's raw
+    coefficients per element off the table and the weights, with no product
+    vector built, and returns exactly the coordinates of its terms outside
+    low[ni], in coordinates' order.  Both skips drop only coordinates the
+    check would ignore, and dropping whole blocks keeps the order of the
+    rest, so verdicts and witnesses are exact.
     low is read from datum.higher, never from Green's order, so a datum with
     a wrong node order still fails.  In the standard datum a block is one
     H-class, labelled by nodes of its own D-class, and those nodes sit above
@@ -89,45 +93,44 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None) -> AxiomRe
     T, W = datum.table, datum.weights
     low = []  # per node: the carrier elements of blocks labelled only above it
     sides = ([], [])  # per side: (node, fixed index, vectors) of each unit
+    labelled = [frozenset(k[0] for k in keys) for _, keys in datum.blocks]  # per block: nodes
     for ni in range(len(datum.nodes)):
         ls, rs = len(datum.lsets[ni]), len(datum.rsets[ni])
-        low.append(frozenset(e for elems, keys in datum.blocks
-                             if all(k[0] in datum.higher[ni] for k in keys) for e in elems))
+        low.append(frozenset(e for (elems, _), ns in zip(datum.blocks, labelled)
+                             if ns <= datum.higher[ni] for e in elems))
         sides[0].extend((ni, s, [datum.basis[(ni, s, t)] for t in range(rs)]) for s in range(ls))
         sides[1].extend((ni, t, [datum.basis[(ni, s, t)] for s in range(ls)]) for t in range(rs))
-    units = [([], []) for _ in datum.nodes]  # per node and side: (fixed, x0, us, U, passed)
+    units = [([], []) for _ in datum.nodes]  # per node, side: (fixed, vectors, x0, us, U, passed)
     shared: Dict = {}  # per node, side and relative vectors: the passed keys
     for left, side in zip((True, False), sides):
-        for (ni, fixed, _), (x0, us, support, rel) in zip(
+        for (ni, fixed, vectors), (x0, us, support, rel) in zip(
                 side, _anchors(T, [vectors for *_, vectors in side], left)):
             passed = shared.setdefault((ni, left, rel), set())
-            units[ni][not left].append((fixed, x0, us, support, passed))
+            units[ni][not left].append((fixed, vectors, x0, us, support, passed))
 
+    groups = [(ni, side, side == "left", side_units) for ni, sides in enumerate(units)
+              for side, side_units in zip(("left", "right"), sides) if side_units]
     for a in acting:
-        ua = datum.unit(a)
-        for ni, sides in enumerate(units):
-            for side, side_units in zip(("left", "right"), sides):
-                left = side == "left"
-                failures = []
-                for fixed, x0, us, support, passed in side_units:
-                    y = a if x0 is None else T[a][x0] if left else T[x0][a]
-                    key = y if W is None else (y, tuple(W[a][e] for e in support) if left
-                                               else tuple(W[e][a] for e in support))
-                    if key in passed:
-                        continue
-                    if low[ni].issuperset([T[y][u] for u in us] if left
-                                          else [T[u][y] for u in us]):
-                        passed.add(key)
-                        continue
-                    failure = _unit_failure(datum, ua, ni, left, fixed, low[ni])
-                    if failure is None:
-                        passed.add(key)
-                    else:
-                        failures.append(failure)
-                if failures:
-                    witness = {"side": side, "acting": a, "node": datum.node_label(ni),
-                               "detail": min(failures)[-1]}
-                    return AxiomReport(mode, False, witness, len(acting))
+        for ni, side, left, side_units in groups:
+            failures = []
+            for fixed, vectors, x0, us, support, passed in side_units:
+                y = a if x0 is None else T[a][x0] if left else T[x0][a]
+                key = y if W is None else (y, tuple(W[a][e] for e in support) if left
+                                           else tuple(W[e][a] for e in support))
+                if key in passed:
+                    continue
+                if low[ni].issuperset([T[y][u] for u in us] if left else [T[u][y] for u in us]):
+                    passed.add(key)
+                    continue
+                failure = _unit_failure(datum, a, ni, left, fixed, vectors, low[ni])
+                if failure is None:
+                    passed.add(key)
+                else:
+                    failures.append(failure)
+            if failures:
+                witness = {"side": side, "acting": a, "node": datum.node_label(ni),
+                           "detail": min(failures)[-1]}
+                return AxiomReport(mode, False, witness, len(acting))
 
     return AxiomReport(mode, True, None, len(acting))
 
@@ -145,9 +148,12 @@ def _anchors(table: List[List[int]], units: List[List[Dict]], left: bool) -> Lis
     for vectors, support in zip(units, supports):
         for x0 in vectors[0]:
             need.setdefault(x0, set()).update(support)
+    # the right side reads its candidates' columns off one transposed table;
+    # the leading 0 keeps itemgetter's result a tuple, its column is dropped
+    lines = (map(table.__getitem__, need) if left or not need
+             else islice(zip(*map(itemgetter(0, *need), table)), 1, None))
     least = {}
-    for x0, elems in need.items():
-        line = table[x0] if left else [row[x0] for row in table]
+    for (x0, elems), line in zip(need.items(), lines):
         first = dict(zip(reversed(line), range(len(line) - 1, -1, -1)))
         least[x0] = {e: first[e] for e in elems if e in first}
     out = []
@@ -161,23 +167,20 @@ def _anchors(table: List[List[int]], units: List[List[Dict]], left: bool) -> Lis
     return out
 
 
-def _unit_failure(datum, ua: Dict, ni: int, left: bool, fixed: int, low: FrozenSet[int]):
-    """First failure of one unit under the acting vector ua, as (position,
-    kind, fixed index, detail), or None.  Positions run over t for a left unit
-    and s for a right one; at one position a product leaving the node (kind 0)
-    precedes coefficients that differ from position 0 (kind 1), as in a scan
-    of each position over all units.  A product's terms in low, whose
-    coordinates all lie on higher nodes, are dropped before its coordinates
-    are taken."""
+def _unit_failure(datum, a: int, ni: int, left: bool, fixed: int, vectors: List[Dict], low):
+    """First failure of one unit, given as its vectors, under the acting
+    element a, as (position, kind, fixed index, detail), or None.  Positions
+    run over t for a left unit and s for a right one; at one position a
+    product leaving the node (kind 0) precedes coefficients that differ from
+    position 0 (kind 1), as in a scan of each position over all units.  A
+    product's terms in low, whose coordinates all lie on higher nodes, are
+    dropped before its coordinates are taken."""
     higher = datum.higher[ni]
     ref = None
-    for pos in range(len(datum.rsets[ni] if left else datum.lsets[ni])):
+    for pos, vec in enumerate(vectors):
         s, t = (fixed, pos) if left else (pos, fixed)
-        vec = datum.basis[(ni, s, t)]
-        kept = {e: c for e, c in (datum.mult(ua, vec) if left else datum.mult(vec, ua)).items()
-                if e not in low}
         row = {}
-        for (nj, sj, tj), c in (datum.coordinates(kept) if kept else {}).items():
+        for (nj, sj, tj), c in datum.product_coordinates(a, vec, left, low).items():
             if nj in higher:
                 continue
             if nj != ni or (tj if left else sj) != pos:

@@ -12,7 +12,7 @@ from cellmonoid.exactalg import DenseMatrix, FieldSpec, RATIONALS, mat_inverse, 
 from cellmonoid.groupcell import dominates
 
 from conftest import (assembled_order_pairs, assert_checks_clean,
-                      assert_node_order_matches_reference)
+                      assert_node_order_matches_reference, order_pairs)
 
 
 def node_by_label(d, label):
@@ -271,7 +271,7 @@ def test_datum_rejects_dependent_vectors():
     k0 = sorted(broken)[0]
     broken[k0] = {}  # zero vector makes its block singular
     with pytest.raises(NotABasis):
-        cm.CellDatum(datum.field, datum.table, datum.nodes, datum.gt,
+        cm.CellDatum(datum.field, datum.table, datum.nodes, order_pairs(datum),
                      datum.lsets, datum.rsets, broken, datum.blocks)
 
 
@@ -311,7 +311,8 @@ def test_rescaled_blocks_keep_their_own_inverses(store):
     basis = dict(d.basis)
     for elems, keys in d.blocks[::2]:
         basis[keys[0]] = {e: 2 * c for e, c in basis[keys[0]].items()}
-    rescaled = cm.CellDatum(d.field, d.table, d.nodes, d.gt, d.lsets, d.rsets, basis, d.blocks)
+    rescaled = cm.CellDatum(d.field, d.table, d.nodes, order_pairs(d), d.lsets, d.rsets, basis,
+                            d.blocks)
     _assert_per_block_inverses(rescaled)
     assert any(type(w) is Fraction for col in rescaled._inv_cols.values() for _, w in col)
 
@@ -357,7 +358,8 @@ def test_singular_block_is_named_despite_shared_inverses(store):
         for bi in bis:
             keys = d.blocks[bi][1]
             basis[keys[1]] = dict(basis[keys[0]])
-        return cm.CellDatum(d.field, d.table, d.nodes, d.gt, d.lsets, d.rsets, basis, d.blocks)
+        return cm.CellDatum(d.field, d.table, d.nodes, order_pairs(d), d.lsets, d.rsets, basis,
+                            d.blocks)
 
     for bis in ((repeats[-1],), (repeats[0], repeats[-1])):
         with pytest.raises(NotABasis, match=f"^labeled vectors of block {bis[0]} are linearly "
@@ -390,7 +392,7 @@ def test_datum_rejects_a_node_order_that_is_not_strict(extra):
     # pairs, the 3-cycle shows only once the order is closed
     d = cm.murphy_datum(3, RATIONALS)
     assert cm.CellDatum(d.field, d.table, d.nodes, [(0, 1), (1, 2)], d.lsets, d.rsets,
-                        d.basis, d.blocks).gt == d.gt
+                        d.basis, d.blocks).higher == d.higher
     with pytest.raises(ValueError, match="^node order is not a strict partial order$"):
         cm.CellDatum(d.field, d.table, d.nodes, [(0, 1), (1, 2)] + extra, d.lsets, d.rsets,
                      d.basis, d.blocks)

@@ -8,6 +8,8 @@ from cellmonoid.groupcell import (AxiomViolation, GroupCellError, _factorial_arg
                                   dominates, murphy_datum, partitions,
                                   standard_tableaux, symmetric_group_table)
 
+from conftest import order_pairs
+
 F2 = prime_field(2)
 F3 = prime_field(3)
 
@@ -48,7 +50,7 @@ def test_murphy_s2_basis():
     e, s = perms.index((0, 1)), perms.index((1, 0))
     assert d.basis[(0, 0, 0)] == {e: 1, s: 1}   # node (2)
     assert d.basis[(1, 0, 0)] == {e: 1}          # node (1,1)
-    assert (0, 1) in d.gt  # (2) sits above (1,1)
+    assert 0 in d.higher[1]  # (2) sits above (1,1)
 
 
 def test_murphy_s3_counts():
@@ -104,7 +106,8 @@ def test_custom_datum_rejections():
     _, _, schutzs = cm.green_data(cm.from_cayley_table(2, 0, d.table))
 
     def with_basis(basis):
-        return cm.CellDatum(RATIONALS, d.table, d.nodes, d.gt, d.lsets, d.rsets, basis, d.blocks)
+        return cm.CellDatum(RATIONALS, d.table, d.nodes, order_pairs(d), d.lsets, d.rsets, basis,
+                            d.blocks)
 
     top, bottom = sorted(d.basis)
     assert cm.standard_group_data(schutzs, RATIONALS, custom={0: with_basis(d.basis)})[0].kind == "custom"

@@ -9,7 +9,8 @@ from cellmonoid import exactalg, verify
 from cellmonoid.exactalg import RATIONALS, mat_rank, prime_field
 from cellmonoid.monoid import generating_set
 
-from conftest import assert_checks_clean, reference_axiom_report, reference_trace_form
+from conftest import (assert_checks_clean, order_pairs, reference_axiom_report,
+                      reference_trace_form)
 
 
 def test_axioms_murphy_s3_full():
@@ -31,7 +32,7 @@ def test_axioms_sabotage_produces_witness(store):
     k_top = (0, 0, 0)
     k_low = next(k for k in swapped if k[0] != 0)
     swapped[k_top], swapped[k_low] = swapped[k_low], swapped[k_top]
-    datum = cm.CellDatum(d.field, d.table, d.nodes, d.gt,
+    datum = cm.CellDatum(d.field, d.table, d.nodes, order_pairs(d),
                          d.lsets, d.rsets, swapped, d.blocks)
     rep = cm.verify_cell_axioms(datum)
     assert not rep.ok
@@ -42,7 +43,7 @@ def test_axioms_sabotage_produces_witness(store):
 def _rebuilt(d, changes, blocks=None):
     basis = dict(d.basis)
     basis.update(changes)
-    return cm.CellDatum(d.field, d.table, d.nodes, d.gt,
+    return cm.CellDatum(d.field, d.table, d.nodes, order_pairs(d),
                         d.lsets, d.rsets, basis, blocks or d.blocks, d.attach)
 
 
@@ -90,7 +91,7 @@ def _h_coboundary(d, h):
 def _drop_order(d, pair):
     # a node order without one of its covering pairs: the products the check
     # skips are read from this order, so the missing pair must be noticed
-    gt = d.gt - {pair}
+    gt = order_pairs(d) - {pair}
     return cm.CellDatum(d.field, d.table, d.nodes, gt, d.lsets, d.rsets, d.basis, d.blocks,
                         d.attach)
 
@@ -175,7 +176,8 @@ def _coboundary_twist(d, f):
     the new basis onto d's, so the axioms hold exactly when they hold for d."""
     T = d.table
     basis = {k: {e: c / f[e] for e, c in v.items()} for k, v in d.basis.items()}
-    datum = cm.CellDatum(d.field, T, d.nodes, d.gt, d.lsets, d.rsets, basis, d.blocks, d.attach)
+    datum = cm.CellDatum(d.field, T, d.nodes, order_pairs(d), d.lsets, d.rsets, basis, d.blocks,
+                         d.attach)
     return datum, [[f[x] * f[y] / f[T[x][y]] for y in range(d.dim)] for x in range(d.dim)]
 
 
@@ -262,23 +264,53 @@ def test_bad_acting_indices_rejected(store):
             cm.verify_cell_axioms(d, acting=[0, bad])
 
 
+def test_terms_cancelling_mod_p_open_no_block():
+    # Over F_2 the constant map a = [1,1,1] sends v = [1,2,1] + [1,2,2] +
+    # [2,1,1] + [3,1,1] to 2*[1,1,1] + [2,2,2] + [3,3,3], whose first term
+    # cancels.  [1,1,1] and [3,3,3] share a block, and every label is a node
+    # of its own, unordered, v's node first.  The identity fails nowhere, so
+    # a*v fails first, at the first label it hits: [2,2,2]'s, in the block
+    # its first nonzero term touches.  Opening [1,1,1]'s block on the
+    # cancelled term would put [3,3,3]'s label first.
+    M, _ = cm.family("tfull", 3)
+    at = {label: e for e, label in enumerate(M.labels)}
+    support = [at[x] for x in ("[1,2,1]", "[1,2,2]", "[2,1,1]", "[3,1,1]")]
+    pair = [at["[1,1,1]"], at["[3,3,3]"]]
+    singles = [e for e in range(M.size) if e not in support + pair]
+    others = support[1:] + pair + singles
+    k = 1 + len(others)
+    keys = [(ni, 0, 0) for ni in range(k)]
+    basis = dict(zip(keys, [dict.fromkeys(support, 1)] + [{e: 1} for e in others]))
+    blocks = ([(tuple(support), tuple(keys[:4])), (tuple(pair), tuple(keys[4:6]))]
+              + [((e,), (key,)) for e, key in zip(singles, keys[6:])])
+    datum = cm.CellDatum(prime_field(2), M.table, ["v"] + [M.labels[e] for e in others], [],
+                         [[0]] * k, [[0]] * k, basis, blocks)
+    rep = cm.verify_cell_axioms(datum)
+    assert rep == reference_axiom_report(datum)
+    assert rep.witness == {"side": "left", "acting": at["[1,1,1]"], "node": "v",
+                           "detail": "a*C[0,0] hits ([2,2,2],0,0)"}
+
+
 def _counting(datum):
-    """A copy of datum that counts its products, its coordinate lookups and
-    the terms they read, and refuses the coordinates of an empty vector."""
+    """A copy of datum whose fused product kernel counts its products, the
+    coordinate lookups the products' kept terms would take and the terms
+    they read.  The kept terms come from the reference product: datum.mult
+    with the terms in low dropped; the kernel must return coordinates() of
+    them, in order, and nothing when none are kept."""
     datum, counts = copy.copy(datum), {"products": 0, "coordinates": 0, "terms": 0}
-    mult, coordinates = datum.mult, datum.coordinates
+    kernel = datum.product_coordinates
 
-    def counting_mult(x, y):
+    def counting_kernel(a, vec, left, low):
         counts["products"] += 1
-        return mult(x, y)
+        product = datum.mult(datum.unit(a), vec) if left else datum.mult(vec, datum.unit(a))
+        kept = {e: c for e, c in product.items() if e not in low}
+        counts["coordinates"] += bool(kept)
+        counts["terms"] += len(kept)
+        coords = kernel(a, vec, left, low)
+        assert list(coords.items()) == list((datum.coordinates(kept) if kept else {}).items())
+        return coords
 
-    def counting_coordinates(vec):
-        assert vec, "coordinates of an empty vector"
-        counts["coordinates"] += 1
-        counts["terms"] += len(vec)
-        return coordinates(vec)
-
-    datum.mult, datum.coordinates = counting_mult, counting_coordinates
+    datum.product_coordinates = counting_kernel
     return datum, counts
 
 
