@@ -292,7 +292,8 @@ def build_cell_datum(M: FiniteMonoid, gs: GreenStructure, boxes: List[EggBox],
             node_dclass.append(d)
             node_gnode.append(gn)
 
-    gt_pairs = [(na, nb) for da, db in gs.dless for na in dnodes[da] for nb in dnodes[db]]
+    gt_pairs = [(na, nb) for db, below in enumerate(gs.ddown) for da in below
+                for na in dnodes[da] for nb in dnodes[db]]
     gt_pairs += [(dnodes[d][ga], dnodes[d][gb]) for d in range(nd)
                  for gb, above in enumerate(group_data[d].datum.higher) for ga in above]
 

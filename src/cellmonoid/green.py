@@ -43,7 +43,7 @@ class GreenStructure(NamedTuple):
     rclasses: List[List[int]]
     hclasses: List[List[int]]
     dclasses: List[List[int]]
-    dless: FrozenSet[Tuple[int, int]]  # (a, b) present when D_a < D_b strictly
+    ddown: List[List[int]]  # the D-classes one step of M.gens below D_d: the D-order's edges
 
 
 def _sccs(succ: List[List[int]]) -> List[int]:
@@ -85,10 +85,16 @@ def _sccs(succ: List[List[int]]) -> List[int]:
     return comp
 
 
+_BITS: List[Tuple[int, ...]] = [()]  # _BITS[v]: the set bits of the byte v, lowest first
+for _bit in range(8):
+    _BITS += [bits + (_bit,) for bits in _BITS]
+
+
 def strict_order(k: int, pairs) -> List[FrozenSet[int]]:
     """above[b]: the nodes a of range(k) that reach b along the edges a -> b
-    of pairs, by one pass in _sccs order with each reach an int bitset.  A
-    self-pair, a cycle or a node outside range(k) raises ValueError."""
+    of pairs, by one pass in _sccs order with each reach an int bitset, read a
+    byte at a time.  A self-pair, a cycle or a node outside range(k) raises
+    ValueError."""
     preds: List[List[int]] = [[] for _ in range(k)]
     for a, b in pairs:
         if a == b or not (0 <= a < k and 0 <= b < k):
@@ -102,11 +108,13 @@ def strict_order(k: int, pairs) -> List[FrozenSet[int]]:
     for _, b in sorted(zip(comp, range(k))):
         for a in preds[b]:
             reach[b] |= reach[a] | 1 << a
-    return [frozenset(a for a, bit in enumerate(bin(r)[:1:-1]) if bit == "1") for r in reach]
+    octets = (r.to_bytes((r.bit_length() + 7) // 8, "little") for r in reach)
+    return [frozenset(8 * i + j for i, byte in enumerate(o) if byte for j in _BITS[byte])
+            for o in octets]
 
 
 def compute_green(M: FiniteMonoid) -> GreenStructure:
-    """L, R, H, D partitions and the strict D-order from the Cayley graphs of
+    """L, R, H, D partitions and the D-order's edges from the Cayley graphs of
     M.gens, reading |gens|*n table entries and holding no row or column as a set.
 
     xM is what x reaches along x -> x*g, so the R-classes are the strongly
@@ -114,7 +122,8 @@ def compute_green(M: FiniteMonoid) -> GreenStructure:
     of x -> g*x.  x D y iff L_x meets R_y, and inside a D-class every L-class
     meets every R-class, so the R-classes an element's L-class meets name its
     D-class.  MxM is what x reaches along both graphs, so D_a < D_b iff D_b
-    reaches D_a in the acyclic graph of D-classes.
+    reaches D_a in the acyclic graph of D-classes, whose edges ddown lists;
+    strict_order closes them.
     """
     n = M.size
     T = M.table
@@ -127,13 +136,10 @@ def compute_green(M: FiniteMonoid) -> GreenStructure:
     meets = [frozenset(rclass[y] for y in members) for members in lclasses]
     dclass, dclasses = _classes([meets[lclass[x]] for x in range(n)])
 
-    k = len(dclasses)
-    down = [{dclass[z] for x in members for z in right[x] + left[x]} - {d}
-            for d, members in enumerate(dclasses)]
-    above = strict_order(k, [(d, c) for d in range(k) for c in down[d]])
-    dless = frozenset((c, d) for c in range(k) for d in above[c])
+    ddown = [sorted({dclass[z] for x in members for z in right[x] + left[x]} - {d})
+             for d, members in enumerate(dclasses)]
     return GreenStructure(lclass, rclass, hclass, dclass,
-                          lclasses, rclasses, hclasses, dclasses, dless)
+                          lclasses, rclasses, hclasses, dclasses, ddown)
 
 
 class EggBox(NamedTuple):

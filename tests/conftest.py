@@ -190,6 +190,22 @@ def reference_axiom_report(datum, acting=None):
     return cm.AxiomReport(mode, witness is None, witness, len(acting))
 
 
+def reference_twisting_witness(M, pi):
+    """verify_twisting's verdict by the exhaustive scan: the unit law on all of
+    M, then the cocycle law on all n**3 triples in lexicographic order, in
+    the field's own arithmetic."""
+    n, T, V, norm = M.size, M.table, pi.values, pi.field.norm
+    for x in range(n):
+        if V[x][M.identity] != 1 or V[M.identity][x] != 1:
+            return {"law": "unit", "x": x}
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if norm(V[x][y] * V[T[x][y]][z] - V[x][T[y][z]] * V[y][z]):
+                    return {"law": "cocycle", "triple": (x, y, z)}
+    return None
+
+
 def reference_closure(pairs):
     """The transitive closure of pairs (a, b) by a fixpoint over all pairs of
     pairs, refusing a closure that holds a self-pair or a 2-cycle: the node
@@ -209,14 +225,21 @@ def reference_closure(pairs):
     return frozenset(gt)
 
 
+def dless(gs):
+    """The strict D-order as the pairs (a, b) with D_a < D_b: the reference
+    closure of the edges gs.ddown."""
+    edges = [(d, c) for d, below in enumerate(gs.ddown) for c in below]
+    return frozenset((c, d) for d, c in reference_closure(edges))
+
+
 def assembled_order_pairs(datum):
     """The assembled datum's node order by its definition: node a sits above
     node b when a's D-class lies strictly below b's, or when both share a
     D-class and a's partition strictly dominates b's."""
-    dless = datum.attach.green.dless
+    less = dless(datum.attach.green)
     return [(a, b) for a, (da, lam) in enumerate(datum.nodes)
             for b, (db, mu) in enumerate(datum.nodes)
-            if (da, db) in dless or (da == db and lam != mu and dominates(lam, mu))]
+            if (da, db) in less or (da == db and lam != mu and dominates(lam, mu))]
 
 
 def order_pairs(datum):

@@ -9,7 +9,7 @@ from cellmonoid.green import GreenError, regular_and_inverse, strict_order
 from cellmonoid.groupcell import symmetric_group_table
 
 from conftest import (check_class_preservation, check_eggbox_rectangular, check_h_stability,
-                      check_matched_representative_independence, is_inverse, is_regular,
+                      check_matched_representative_independence, dless, is_inverse, is_regular,
                       reference_closure)
 
 SMALL_KEYS = ("trivial", "null3", "tfull2", "tfull3", "tpartial2", "syminv2", "jones3")
@@ -45,9 +45,10 @@ def _ideal_route(M):
 
 
 def _row_column_route(M):
-    """The whole GreenStructure from the table's rows and columns as sets:
-    xM is row x and Mx column x, H and D follow from L and R by least
-    members, and MxM is the union of zM over z in Mx."""
+    """The whole GreenStructure from the table's rows and columns as sets, and
+    the strict D-order: xM is row x and Mx column x, H and D follow from L and
+    R by least members, ddown is one step of M.gens on either side out of a
+    D-class, and MxM is the union of zM over z in Mx."""
     T = M.table
     n = M.size
     rsets = [frozenset(row) for row in T]
@@ -57,17 +58,19 @@ def _row_column_route(M):
     hclass, hclasses = _by_key([(lclass[x], rclass[x]) for x in range(n)])
     meets = [frozenset(rclass[y] for y in members) for members in lclasses]
     dclass, dclasses = _by_key([meets[lclass[x]] for x in range(n)])
+    ddown = [sorted({dclass[z] for x in members for g in M.gens for z in (T[x][g], T[g][x])} - {d})
+             for d, members in enumerate(dclasses)]
     dideals = [frozenset().union(*(rsets[z] for z in lsets[members[0]])) for members in dclasses]
     k = len(dclasses)
-    dless = frozenset((a, b) for a in range(k) for b in range(k)
-                      if a != b and dideals[a] <= dideals[b])
+    less = frozenset((a, b) for a in range(k) for b in range(k)
+                     if a != b and dideals[a] <= dideals[b])
     return cm.GreenStructure(lclass, rclass, hclass, dclass,
-                             lclasses, rclasses, hclasses, dclasses, dless)
+                             lclasses, rclasses, hclasses, dclasses, ddown), less
 
 
 def _assert_ideal_route(M):
     gs = cm.compute_green(M)
-    assert (gs.dclass, gs.dclasses, gs.dless) == _ideal_route(M)
+    assert (gs.dclass, gs.dclasses, dless(gs)) == _ideal_route(M)
     return gs
 
 
@@ -108,7 +111,7 @@ def test_dclasses_match_two_sided_ideals_relabeled(store, key, data):
             table[sigma[x]][sigma[y]] = sigma[M.table[x][y]]
     R = cm.from_cayley_table(M.size, sigma[M.identity], table)
     gs = _assert_ideal_route(R)
-    assert gs == _row_column_route(R)
+    assert (gs, dless(gs)) == _row_column_route(R)
     _assert_one_sided_route(R, gs)
     for d, members in enumerate(gs.dclasses):
         box = cm.build_eggbox(R, gs, d)
@@ -119,7 +122,8 @@ def test_dclasses_match_two_sided_ideals_relabeled(store, key, data):
 @pytest.mark.parametrize("key", ["tfull4", "tpartial4", "syminv4", "jones6"])
 def test_cayley_graphs_match_rows_and_columns(store, key):
     M, _ = store.monoid(key)
-    assert cm.compute_green(M) == _row_column_route(M)
+    gs = cm.compute_green(M)
+    assert (gs, dless(gs)) == _row_column_route(M)
 
 
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)
@@ -128,7 +132,8 @@ def test_cayley_graphs_match_rows_and_columns_on_random_submonoids(maps):
     # the identity and a repeat among the generators are dropped from M.gens
     M = cm.generate_from_maps(4, maps + [[1, 2, 3, 4]] + maps[:1])
     assert M.gens == list(range(1, len(M.gens) + 1))
-    assert cm.compute_green(M) == _row_column_route(M)
+    gs = cm.compute_green(M)
+    assert (gs, dless(gs)) == _row_column_route(M)
 
 
 def test_deep_d_chain():
@@ -139,7 +144,9 @@ def test_deep_d_chain():
     assert M.gens == [1]
     gs = cm.compute_green(M)
     assert gs.dclasses == [[x] for x in range(n)]
-    assert gs.dless == frozenset((i, j) for i in range(n) for j in range(i))
+    assert gs.ddown == [[i + 1] for i in range(n - 1)] + [[]]
+    above = strict_order(n, [(d, c) for d, below in enumerate(gs.ddown) for c in below])
+    assert above == [frozenset(range(i)) for i in range(n)]
 
 
 def test_strict_order_matches_fixpoint_closure():
@@ -195,9 +202,10 @@ def test_green_trivial(store):
 def test_dorder_is_strict(store):
     for key in SMALL_KEYS:
         gs, _, _ = store.green(key)
-        for a, b in gs.dless:
+        less = dless(gs)
+        for a, b in less:
             assert a != b
-            assert (b, a) not in gs.dless
+            assert (b, a) not in less
 
 
 def test_eggbox_t2_rank1(store):

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import cellmonoid as cm
 from cellmonoid.exactalg import RATIONALS, prime_field
+from cellmonoid.twist import cocycle_middles
 
 from conftest import (assembled_order_pairs, assert_node_order_matches_reference,
-                      corank_twisting, order_pairs, reference_trace_form, reference_witness)
+                      corank_twisting, order_pairs, reference_trace_form,
+                      reference_twisting_witness, reference_witness)
 
 SIZE_BOUND = 40  # larger monoids are counted, not analysed, to keep this fast
 
@@ -194,6 +196,57 @@ def test_axiom_check_matches_reference_scan():
         acting = data.draw(st.lists(st.integers(0, M.size - 1), min_size=1, max_size=4))
         by_gens = cm.verify_cell_axioms(datum, acting=acting)
         assert by_gens.witness == reference_witness(datum, acting)
+
+    check()
+    assert min(counts.values()) > 0, counts
+
+
+COCYCLE_MEMBERS = [("tfull", 2), ("tfull", 3), ("syminv", 2), ("syminv", 3), ("tpartial", 2),
+                   ("jones", 3), ("jones", 4)]
+
+
+def test_cocycle_check_matches_exhaustive_scan():
+    # Light's test over the middles, then the lexicographic rescan on a
+    # failure, must give the exhaustive scan's verdict and witness: on
+    # coboundaries, on loop (corank off the Jones family) twistings with
+    # delta in {0, 1, 2}, and on either with a few entries overwritten, zeros
+    # among them.  "extended" counts the draws whose middles go past M.gens.
+    counts = {"cocycle": 0, "not a cocycle": 0, "zero weights": 0, "extended": 0,
+              "q": 0, "fp:2": 0, "fp:3": 0}
+    scalars = {RATIONALS: [Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2)],
+               prime_field(2): [1], prime_field(3): [1, 2]}
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        field = data.draw(st.sampled_from(list(scalars)))
+        if data.draw(st.booleans()):
+            kind, r = data.draw(st.sampled_from(COCYCLE_MEMBERS))
+            M, loops = cm.family(kind, r)
+        else:
+            r, loops = data.draw(st.integers(3, 4)), None
+            point_map = st.lists(st.integers(1, r), min_size=r, max_size=r)
+            M = cm.generate_from_maps(r, data.draw(st.lists(point_map, min_size=1, max_size=3)))
+            if M.size > SIZE_BOUND:
+                return
+        if data.draw(st.booleans()):
+            values = st.sampled_from(scalars[field])
+            pi = _coboundary(M, list(range(M.size)),
+                             data.draw(st.lists(values, min_size=M.size, max_size=M.size)), field)
+        else:
+            delta = data.draw(st.sampled_from([0, 1, 2]))
+            pi = (cm.make_loop_twisting(loops, delta, field) if loops is not None
+                  else corank_twisting(M, r, delta, field))
+        element = st.integers(0, M.size - 1)
+        value = st.sampled_from([0] + scalars[field])
+        for x, y, v in data.draw(st.lists(st.tuples(element, element, value), max_size=2)):
+            pi.values[x][y] = v
+        witness = cm.verify_twisting(M, pi)
+        assert witness == reference_twisting_witness(M, pi)
+        counts["cocycle" if witness is None else "not a cocycle"] += 1
+        counts["zero weights"] += any(0 in row for row in pi.values)
+        counts["extended"] += cocycle_middles(M, pi) != M.gens
+        counts[field.spec_string()] += 1
 
     check()
     assert min(counts.values()) > 0, counts

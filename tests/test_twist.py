@@ -5,9 +5,9 @@ import pytest
 
 import cellmonoid as cm
 from cellmonoid.exactalg import RATIONALS, prime_field
-from cellmonoid.twist import twist_summary
+from cellmonoid.twist import cocycle_middles, twist_summary
 
-from conftest import assert_checks_clean, corank_twisting
+from conftest import assert_checks_clean, corank_twisting, reference_twisting_witness
 
 Q = RATIONALS
 
@@ -53,6 +53,72 @@ def test_cocycle_violation_witness(store):
     pi5 = cm.make_loop_twisting(loops, 2, F5)
     pi5.values[1][1] = 3
     assert cm.verify_twisting(M, pi5) == {"law": "cocycle", "triple": (1, 1, 2)}
+
+
+def _zero_twisting(M):
+    """1 on the pairs that hold the identity, 0 elsewhere: a cocycle that
+    kills every step of the middles' walk."""
+    return cm.Twisting(Q, [[int(M.identity in (x, y)) for y in range(M.size)]
+                           for x in range(M.size)], "zero")
+
+
+def _walk(M, pi, middles):
+    """What the weighted right walk along middles reaches from the identity:
+    a step x -> x*s needs pi(x, s) != 0."""
+    seen, todo = {M.identity}, [M.identity]
+    while todo:
+        x = todo.pop()
+        for s in middles:
+            y = M.table[x][s]
+            if pi.values[x][s] and y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_cocycle_middles_reach_every_element(store, n):
+    # At delta = 0 the walk along reduced words forms no loop, so the
+    # generators still reach everything; the zero twisting needs every
+    # element but the identity.
+    M, loops = store.monoid(f"jones{n}")
+    zero = _zero_twisting(M)
+    for pi in (cm.make_loop_twisting(loops, 0, Q), cm.make_loop_twisting(loops, 2, Q), zero):
+        middles = cocycle_middles(M, pi)
+        assert middles[:len(M.gens)] == M.gens and len(set(middles)) == len(middles)
+        assert _walk(M, pi, middles) == set(range(M.size)), pi.provenance
+        assert (middles == M.gens) == (pi is not zero)
+    assert sorted(cocycle_middles(M, zero)) == [x for x in range(M.size) if x != M.identity]
+
+
+@pytest.mark.parametrize("key", ["tfull3", "syminv3", "jones4"])
+def test_cocycle_middles_are_the_generators_when_no_weight_is_zero(store, key):
+    M, loops = store.monoid(key)
+    f = [Fraction(x + 1, 2) for x in range(M.size)]
+    f[M.identity] = Fraction(1)
+    cob = cm.Twisting(Q, [[f[x] * f[y] / f[M.table[x][y]] for y in range(M.size)]
+                          for x in range(M.size)], "coboundary")
+    for pi in (cm.trivial_twisting(M.size, Q), cob,
+               corank_twisting(M, 3, 2, Q) if loops is None
+               else cm.make_loop_twisting(loops, 2, Q)):
+        assert cocycle_middles(M, pi) == M.gens, pi.provenance
+
+
+def test_cocycle_check_reaches_past_the_generators(store):
+    # pi is 1 on the pairs that hold the identity and on (1, 2) and (1*2, 6),
+    # 0 elsewhere.  Every middle in M.gens passes, but 1*2 = 1, so
+    # pi(1, 2) pi(1*2, 2) = 1 while pi(1, 2*2) pi(2, 2) = 0.  The walk from
+    # the identity stops at the generators, so 2 joins the middles.
+    M, _ = store.monoid("tfull3")
+    assert M.gens == [11, 15, 3]
+    pi = _zero_twisting(M)
+    pi.values[1][2] = pi.values[M.table[1][2]][6] = 1
+    T, V, R = M.table, pi.values, range(M.size)
+    assert all(V[x][g] * V[T[x][g]][z] == V[x][T[g][z]] * V[g][z]
+               for x in R for g in M.gens for z in R)
+    assert 2 in cocycle_middles(M, pi)
+    assert cm.verify_twisting(M, pi) == {"law": "cocycle", "triple": (1, 2, 2)}
+    assert reference_twisting_witness(M, pi) == {"law": "cocycle", "triple": (1, 2, 2)}
 
 
 def test_compatibility_classes(store):
