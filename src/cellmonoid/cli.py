@@ -128,7 +128,8 @@ def _build_twisting(cfg: RunConfig, M: FiniteMonoid,
 def _acting_set(cfg: RunConfig, M: FiniteMonoid,
                 pi: Optional[twist_mod.Twisting]) -> Optional[List[int]]:
     if cfg.verify_mode == "generators":
-        return monoid_mod.generating_set(M, None if pi is None else pi.values)
+        return twist_mod.cocycle_middles(M.table, None if pi is None else pi.values,
+                                         M.gens, M.identity)
     return None
 
 

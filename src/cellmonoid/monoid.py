@@ -413,7 +413,7 @@ def idempotents(M: FiniteMonoid) -> List[int]:
     return [x for x in range(M.size) if M.table[x][x] == x]
 
 
-def generating_set(M: FiniteMonoid, weights: Optional[Sequence[Sequence]] = None) -> List[int]:
+def generating_set(M: FiniteMonoid) -> List[int]:
     """Deterministic greedy generating set, scanned from the top of the J-order.
 
     Candidates are taken in decreasing order of (|xM|, |Mx|), ties broken by
@@ -422,11 +422,8 @@ def generating_set(M: FiniteMonoid, weights: Optional[Sequence[Sequence]] = None
     |xM| <= |yM| and |Mx| <= |My|, with equality in both only when x D y.  So
     the group of units comes first and no element is added before the higher
     elements it may be a product of.  The set is not promised to be minimal
-    (jones7 gets 11 generators, though 6 would do).
-
-    Reached means by a right walk x -> x*g from the identity.  With weights (a
-    twisting's values) a step needs weights[x][g] nonzero: x o g is then a
-    nonzero multiple of x*g, so the set generates the twisted algebra too.
+    (jones7 gets 11 generators, though 6 would do).  Reached means by a right
+    walk x -> x*g from the identity.
     """
     T = M.table
     right = [len(set(row)) for row in T]
@@ -442,7 +439,7 @@ def generating_set(M: FiniteMonoid, weights: Optional[Sequence[Sequence]] = None
         while steps:
             x, g = steps.pop()
             z = T[x][g]
-            if z not in seen and (weights is None or weights[x][g] != 0):
+            if z not in seen:
                 seen.add(z)
                 steps.extend((z, h) for h in gens)
     return gens

@@ -84,55 +84,66 @@ def verify_twisting(M: FiniteMonoid, pi: Twisting) -> Optional[Dict]:
     naming the first violation in lexicographic order.  The unit law is
     checked on all of M.  The cocycle law says that the twisted product o is
     associative, so Light's test applies: it is checked on the triples
-    (x, s, z) with s in cocycle_middles(M, pi), |S| * n**2 of them, not n**3.
-    The m with (u o m) o w = u o (m o w) for all u, w form a subspace closed
-    under o that holds e_1 (unit law) and each e_s (the check), so it holds
-    the subalgebra they generate; each step x -> xg of the middles' walk
-    gives e_xg = pi(x, g)**-1 (e_x o e_g), so that is the whole algebra.
+    (x, s, z) with s in cocycle_middles from M.gens, |S| * n**2 of them, not
+    n**3.  The m with (u o m) o w = u o (m o w) for all u, w form a subspace
+    closed under o that holds e_1 (unit law) and each e_s (the check), so it
+    holds the subalgebra they generate; each step x -> xg of the middles'
+    walk gives e_xg = pi(x, g)**-1 (e_x o e_g), so that is the whole algebra.
     This relies on M.table being associative, as every FiniteMonoid's is.  On
     a failure all n**3 triples are scanned again, so the witness is the
-    first.  Over the rationals the grid is scaled by the lcm D of its
-    denominators (D = 1 over a prime field); both sides of the law have
-    degree 2 in pi, so both scale by D**2 and the check runs on ints."""
+    first."""
     if len(pi.values) != M.size:
         return {"law": "shape", "detail": f"{len(pi.values)} rows for {M.size} elements"}
-    e = M.identity
-    for x in range(M.size):
-        if pi.values[x][e] != 1 or pi.values[e][x] != 1:
-            return {"law": "unit", "x": x}
-    T, n, norm = M.table, M.size, pi.field.norm
-    flat = clear_denominators([v for row in pi.values for v in row])
-    W = [flat[x * n:(x + 1) * n] for x in range(n)]
-
-    def failure(middles) -> Optional[Dict]:
-        for x in range(n):
-            Wx, Tx = W[x], T[x]
-            for y in middles:
-                wxy, Wxy, Wy, Ty = Wx[y], W[Tx[y]], W[y], T[y]
-                for z in range(n):
-                    diff = wxy * Wxy[z] - Wx[Ty[z]] * Wy[z]
-                    if diff and norm(diff):
-                        return {"law": "cocycle", "triple": (x, y, z)}
-        return None
-
+    T, V, e, norm = M.table, pi.values, M.identity, pi.field.norm
     # a failure among the middles sends the check back over every middle
-    return failure(sorted(cocycle_middles(M, pi))) and failure(range(n))
+    return (law_failure(T, V, e, sorted(cocycle_middles(T, V, M.gens, e)), norm)
+            and law_failure(T, V, e, range(M.size), norm))
 
 
-def cocycle_middles(M: FiniteMonoid, pi: Twisting) -> List[int]:
-    """M.gens, then, in index order, each element that the weighted right walk
-    has not reached: the walk starts at the identity and at each element
-    added, and its step x -> x*g, for g in M.gens, needs pi(x, g) != 0.  With
-    pi nowhere zero this is M.gens; with every step killed, all of M but the
-    identity."""
-    T, V = M.table, pi.values
-    middles, seen, todo = list(M.gens), {M.identity}, [M.identity]
-    for m in range(M.size):
+def law_failure(T: List[List[int]], values, e: int, middles, norm) -> Optional[Dict]:
+    """The first violation of the unit law at identity e, or else of the
+    cocycle law on the triples (x, s, z) with s in middles, x outer and z
+    inner; None when none.  Over the rationals the grid is scaled by the lcm D
+    of its denominators (D = 1 over a prime field); both sides of the law have
+    degree 2 in pi, so both scale by D**2 and the check runs on ints."""
+    n = len(T)
+    for x in range(n):
+        if values[x][e] != 1 or values[e][x] != 1:
+            return {"law": "unit", "x": x}
+    flat = clear_denominators([v for row in values for v in row])
+    W = [flat[x * n:(x + 1) * n] for x in range(n)]
+    for x in range(n):
+        Wx, Tx = W[x], T[x]
+        for y in middles:
+            wxy, Wxy, Wy, Ty = Wx[y], W[Tx[y]], W[y], T[y]
+            for z in range(n):
+                diff = wxy * Wxy[z] - Wx[Ty[z]] * Wy[z]
+                if diff and norm(diff):
+                    return {"law": "cocycle", "triple": (x, y, z)}
+    return None
+
+
+def cocycle_middles(table: List[List[int]], weights, seeds: Sequence[int],
+                    identity: int) -> List[int]:
+    """seeds, then, in index order, each element that the weighted right walk
+    has not reached: the walk starts at identity, at each seed and at each
+    element added, and its step x -> x*g, for g in seeds, needs weights[x][g]
+    != 0 (any step when weights is None).  Its two callers walk from M.gens:
+    verify_twisting takes its middles here, verify_cell_axioms the set it
+    checks first in full mode (the CLI's --verify generators set too).  With
+    weights nowhere zero this is M.gens; with every step killed, all of M
+    but the identity."""
+    middles, seen = list(seeds), {identity, *seeds}
+    todo = list(seen)
+    for m in range(len(table)):
         while todo:
             x = todo.pop()
-            step = {T[x][g] for g in M.gens if V[x][g]} - seen
-            seen |= step
-            todo += step
+            row, wx = table[x], None if weights is None else weights[x]
+            for g in seeds:
+                y = row[g]
+                if y not in seen and (wx is None or wx[g]):
+                    seen.add(y)
+                    todo.append(y)
         if m not in seen:
             middles.append(m)
             seen.add(m)

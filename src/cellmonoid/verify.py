@@ -12,6 +12,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .exactalg import DenseMatrix, FieldSpec, Scalar, certified_nonsingular, mat_rank
 from .monoid import CellmonoidError
+from .twist import cocycle_middles, law_failure
 
 
 class WrongCharacteristic(CellmonoidError):
@@ -33,14 +34,22 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None) -> AxiomRe
 
     For every acting element a and node: the coordinates of a * C[s,t] must be
     supported on the node itself (same right index t, coefficients depending
-    only on (s, s')) plus strictly higher nodes; dually for C[s,t] * a.  With
-    no acting set every carrier element acts, and the report's mode is
-    "full".  A supplied acting set gives mode "generators"; it suffices when
-    it generates the algebra under datum.mult, because the coefficient
-    matrices compose under products and the higher span is an ideal.  Under
-    a twisting with zero weights, take monoid.generating_set with the
-    twisting's values, as the CLI does: the untwisted set can miss elements
-    (18 of 42 on jones5, delta = 0).
+    only on (s, s')) plus strictly higher nodes; dually for C[s,t] * a.  A
+    supplied acting set gives mode "generators"; it suffices when it generates
+    the algebra under datum.mult, as twist.cocycle_middles from M.gens does
+    (the CLI's set).  With none the mode is "full", and the check acts first
+    by S = cocycle_middles(table, weights, M.gens, identity) of the attached
+    monoid M (by every element with no monoid attached).  The conditions are
+    linear in the actor and pass to products: a walk step gives e_x =
+    weights[x'][g]**-1 (e_x' o e_g) with g in S, so (e_x' o e_g) o C = e_x' o
+    (e_g o C); an actor that passes keeps the span of each node's higher nodes
+    (the order is transitive), so the conditions pass to e_x by induction from
+    e_1, the unit; dually on the right.  This needs the product associative
+    and unital: the table is, as every CellDatum table is, and under weights
+    twist.law_failure checks the unit law and the cocycle law on the middles
+    in S, which give both by Light's test, in |S| * n**2 steps.  When S finds
+    a failure or the laws fail, every element acts again, in index order, so
+    verdict and witness are the plain scan's.
 
     The conditions are checked per unit: a left unit is (node, s) with all its
     right indices t, a right unit (node, t) with all its left indices s.  Let
@@ -85,8 +94,10 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None) -> AxiomRe
     right, then (t, s) on the left and (s, t) on the right.
     """
     mode = "full" if acting is None else "generators"
-    acting = list(range(datum.dim) if acting is None else acting)
-    for a in acting:
+    acting = None if acting is None else list(acting)
+    for a in acting or ():
+        if type(a) is not int:
+            raise ValueError(f"acting index {a!r} is not an int")
         if a not in range(datum.dim):
             raise ValueError(f"acting index {a} is outside 0..{datum.dim - 1}")
 
@@ -110,29 +121,39 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None) -> AxiomRe
 
     groups = [(ni, side, side == "left", side_units) for ni, sides in enumerate(units)
               for side, side_units in zip(("left", "right"), sides) if side_units]
-    for a in acting:
-        for ni, side, left, side_units in groups:
-            failures = []
-            for fixed, vectors, x0, us, support, passed in side_units:
-                y = a if x0 is None else T[a][x0] if left else T[x0][a]
-                key = y if W is None else (y, tuple(W[a][e] for e in support) if left
-                                           else tuple(W[e][a] for e in support))
-                if key in passed:
-                    continue
-                if low[ni].issuperset([T[y][u] for u in us] if left else [T[u][y] for u in us]):
-                    passed.add(key)
-                    continue
-                failure = _unit_failure(datum, a, ni, left, fixed, vectors, low[ni])
-                if failure is None:
-                    passed.add(key)
-                else:
-                    failures.append(failure)
-            if failures:
-                witness = {"side": side, "acting": a, "node": datum.node_label(ni),
-                           "detail": min(failures)[-1]}
-                return AxiomReport(mode, False, witness, len(acting))
 
-    return AxiomReport(mode, True, None, len(acting))
+    def scan(actors) -> Optional[Dict]:
+        for a in actors:
+            for ni, side, left, side_units in groups:
+                failures = []
+                for fixed, vectors, x0, us, support, passed in side_units:
+                    y = a if x0 is None else T[a][x0] if left else T[x0][a]
+                    key = y if W is None else (y, tuple(W[a][e] for e in support) if left
+                                               else tuple(W[e][a] for e in support))
+                    if key in passed:
+                        continue
+                    if low[ni].issuperset([T[y][u] for u in us] if left
+                                          else [T[u][y] for u in us]):
+                        passed.add(key)
+                        continue
+                    failure = _unit_failure(datum, a, ni, left, fixed, vectors, low[ni])
+                    if failure is None:
+                        passed.add(key)
+                    else:
+                        failures.append(failure)
+                if failures:
+                    return {"side": side, "acting": a, "node": datum.node_label(ni),
+                            "detail": min(failures)[-1]}
+        return None
+
+    at, dim = datum.attach, datum.dim
+    first = (acting if acting is not None else range(dim) if at is None
+             else sorted(cocycle_middles(T, W, at.monoid.gens, at.monoid.identity)))
+    witness = scan(first)
+    if len(first) < dim and acting is None and (witness or W is not None and law_failure(
+            T, W, at.monoid.identity, first, datum.field.norm)):
+        witness = scan(range(dim))
+    return AxiomReport(mode, witness is None, witness, dim if acting is None else len(acting))
 
 
 def _anchors(table: List[List[int]], units: List[List[Dict]], left: bool) -> List[Tuple]:

@@ -100,12 +100,14 @@ def test_verify_commands(tmp_path):
 
 def test_verify_generators_under_zero_weights(tmp_path):
     # the acting set generates the twisted algebra, whose delta = 0 products
-    # vanish on loops: eight generators, where the untwisted greedy set has seven
+    # vanish on loops: the weighted walk from M.gens reaches every element,
+    # since products along reduced words close no loop, so the set is M.gens,
+    # four generators (the untwisted greedy set has seven and reaches 18 of 42)
     code, payload, _ = run(["verify", "--family", "jones", "--n", "5", "--delta", "0",
                             "--verify", "generators"], tmp_path)
     assert code == 0
     assert payload["axioms"] == {"mode": "generators", "ok": True, "witness": None,
-                                 "acting_count": 8}
+                                 "acting_count": 4}
 
 
 def test_usage_errors(tmp_path):

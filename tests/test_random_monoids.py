@@ -245,7 +245,8 @@ def test_cocycle_check_matches_exhaustive_scan():
         assert witness == reference_twisting_witness(M, pi)
         counts["cocycle" if witness is None else "not a cocycle"] += 1
         counts["zero weights"] += any(0 in row for row in pi.values)
-        counts["extended"] += cocycle_middles(M, pi) != M.gens
+        counts["extended"] += (cocycle_middles(M.table, pi.values, M.gens, M.identity)
+                               != M.gens)
         counts[field.spec_string()] += 1
 
     check()

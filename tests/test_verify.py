@@ -8,6 +8,7 @@ import cellmonoid as cm
 from cellmonoid import exactalg, verify
 from cellmonoid.exactalg import RATIONALS, mat_rank, prime_field
 from cellmonoid.monoid import generating_set
+from cellmonoid.twist import cocycle_middles, law_failure
 
 from conftest import (assert_checks_clean, order_pairs, reference_axiom_report,
                       reference_trace_form)
@@ -96,11 +97,12 @@ def _drop_order(d, pair):
                         d.attach)
 
 
-def _zero_weight(d, x, y):
-    # all weights 1 but weights[x][y] = 0: actors with equal products a*x0
-    # differ in their weights, so the weights belong to the skip key
+def _weight(d, x, y, w):
+    # all weights 1 but weights[x][y] = w: with w = 0, actors with equal
+    # products a*x0 differ in their weights, so the weights belong to the
+    # skip key
     weights = [[1] * d.dim for _ in range(d.dim)]
-    weights[x][y] = 0
+    weights[x][y] = w
     return d.twisted(weights)
 
 
@@ -136,7 +138,7 @@ PINNED_WITNESSES = [
     ("tpartial3", lambda d: _merge_swap(d, (3, 0, 1), (3, 4, 0)),
      {"side": "left", "acting": 1, "node": "D1:*",
       "detail": "a*C[1,1] hits (D1:*,4,0)"}),
-    ("tfull3", lambda d: _zero_weight(d, 1, 1),
+    ("tfull3", lambda d: _weight(d, 1, 1, 0),
      {"side": "left", "acting": 1, "node": "D1:*",
       "detail": "left coefficients at right index 1 differ from index 0"}),
     ("tfull3", lambda d: _drop_order(d, (5, 0)),
@@ -219,6 +221,7 @@ def test_random_twistings_match_the_reference_scan():
     # with up to three weights set to zero: the check's report must be the
     # plain scan's, in full and in generators mode.
     counts = {"ok": 0, "failed": 0, "zero weights": 0}
+    guard = {"held": 0, "failed": 0}  # the unit and cocycle laws on S
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
@@ -249,18 +252,26 @@ def test_random_twistings_match_the_reference_scan():
         full = cm.verify_cell_axioms(twisted)
         assert full == reference_axiom_report(twisted)
         counts["ok" if full.ok else "failed"] += 1
+        held = law_failure(M.table, weights, M.identity, _generating_set(twisted),
+                           RATIONALS.norm) is None
+        guard["held" if held else "failed"] += 1
         acting = data.draw(st.lists(element, min_size=1, max_size=4))
         assert (cm.verify_cell_axioms(twisted, acting=acting)
                 == reference_axiom_report(twisted, acting))
 
     check()
     assert min(counts.values()) > 5, counts
+    assert min(guard.values()) > 0, guard
 
 
 def test_bad_acting_indices_rejected(store):
     d = store.datum("tfull2")
     for bad in (-1, 99, d.dim):
-        with pytest.raises(ValueError, match=f"acting index {bad} "):
+        with pytest.raises(ValueError, match=f"acting index {bad} is outside"):
+            cm.verify_cell_axioms(d, acting=[0, bad])
+    # indices that are not ints, bool included, are named by their repr
+    for bad, shown in ((1.0, "1.0"), ("1", "'1'"), (True, "True"), (None, "None")):
+        with pytest.raises(ValueError, match=f"acting index {shown} is not an int"):
             cm.verify_cell_axioms(d, acting=[0, bad])
 
 
@@ -294,14 +305,16 @@ def test_terms_cancelling_mod_p_open_no_block():
 def _counting(datum):
     """A copy of datum whose fused product kernel counts its products, the
     coordinate lookups the products' kept terms would take and the terms
-    they read.  The kept terms come from the reference product: datum.mult
-    with the terms in low dropped; the kernel must return coordinates() of
-    them, in order, and nothing when none are kept."""
+    they read, and collects the products' actors.  The kept terms come from
+    the reference product: datum.mult with the terms in low dropped; the
+    kernel must return coordinates() of them, in order, and nothing when
+    none are kept."""
     datum, counts = copy.copy(datum), {"products": 0, "coordinates": 0, "terms": 0}
-    kernel = datum.product_coordinates
+    kernel, actors = datum.product_coordinates, set()
 
     def counting_kernel(a, vec, left, low):
         counts["products"] += 1
+        actors.add(a)
         product = datum.mult(datum.unit(a), vec) if left else datum.mult(vec, datum.unit(a))
         kept = {e: c for e, c in product.items() if e not in low}
         counts["coordinates"] += bool(kept)
@@ -311,37 +324,90 @@ def _counting(datum):
         return coords
 
     datum.product_coordinates = counting_kernel
-    return datum, counts
+    return datum, counts, actors
+
+
+def _generating_set(datum):
+    """The full check's first acting set: the weighted walk from M.gens."""
+    M = datum.attach.monoid
+    return sorted(cocycle_middles(datum.table, datum.weights, M.gens, M.identity))
 
 
 def test_full_check_product_counts(store):
-    # each key of a unit's relative vectors is verified once across the units
-    # that share them, and only products that can reach a node not above the
-    # unit's are made: 126 of 2*27**2 = 1458 products on tfull3, 236 of 8192
-    # on tpartial3 and 1976 of 131072 on tfull4 over F_3.  jones5 twisted by
-    # delta = 0 has zero weights: 82 of its 166 products vanish and take no
-    # coordinates.
-    for key, field, delta, products, lookups in (("tfull3", "q", None, 126, 126),
-                                                 ("tpartial3", "q", None, 236, 236),
-                                                 ("tfull4", "fp:3", None, 1976, 1976),
-                                                 ("jones5", "q", "0", 166, 84)):
-        datum, counts = _counting(store.datum(key, field) if delta is None
-                                  else store.twisted(key, delta, field))
+    # A passing check acts by S = M.gens only (the walk from M.gens reaches
+    # every element): 3 actors on tfull3 and tfull4, 4 on tpartial3 and
+    # jones5.  Each actor makes at most one product per basis vector on each
+    # side, 2*dim; each key of a unit's relative vectors is verified once
+    # across the units that share them, and only products that can reach a
+    # node not above the unit's are made: 80 of 2*3*27 = 162 on tfull3, 178
+    # of 2*4*64 = 512 on tpartial3 and 840 of 2*3*256 = 1536 on tfull4 over
+    # F_3 (126, 236 and 1976 with every element acting).  jones5 twisted by
+    # delta = 0 has zero weights: 82 of its 164 products of 2*4*42 = 336
+    # vanish and take no coordinates (166 and 84 with every element acting).
+    for key, field, delta, products, lookups in (("tfull3", "q", None, 80, 80),
+                                                 ("tpartial3", "q", None, 178, 178),
+                                                 ("tfull4", "fp:3", None, 840, 840),
+                                                 ("jones5", "q", "0", 164, 82)):
+        datum, counts, actors = _counting(store.datum(key, field) if delta is None
+                                          else store.twisted(key, delta, field))
         rep = cm.verify_cell_axioms(datum)
         assert (rep.ok, rep.acting_count) == (True, datum.dim), key
         assert (counts["products"], counts["coordinates"]) == (products, lookups), key
+        assert actors <= set(_generating_set(datum)) == set(datum.attach.monoid.gens), key
 
 
 def test_products_above_the_node_take_no_coordinates(store):
     # with two cells merged, a unit's support spans two H-classes, so the
     # unit is checked even when some of its products land only on blocks
-    # labelled above its node: 3 of its 62 products are dropped whole, and
-    # the rest read 100 terms, not 106
-    datum, counts = _counting(_merge_swap(store.datum("tfull3"), (4, 0, 2), (4, 1, 1)))
+    # labelled above its node.  S = [3, 11, 15] fails at its first actor, 3,
+    # after 13 products; the scan over every element then makes 49 products
+    # under actor 0, none under 1 (its keys passed), and 8 under 2, where it
+    # fails: 70 products in all.  5 of them are dropped whole, and the rest
+    # read 112 terms, not 122
+    datum, counts, actors = _counting(_merge_swap(store.datum("tfull3"), (4, 0, 2), (4, 1, 1)))
     rep = cm.verify_cell_axioms(datum)
     assert rep.witness == {"side": "left", "acting": 2, "node": "D2:(2)",
                            "detail": "left coefficients at right index 1 differ from index 0"}
-    assert counts == {"products": 62, "coordinates": 59, "terms": 100}
+    assert counts == {"products": 70, "coordinates": 65, "terms": 112}
+    assert actors == {0, 2, 3}
+
+
+@pytest.mark.parametrize("x,y,w,law,witness", [
+    (0, 1, 2, {"law": "unit", "x": 1},
+     {"side": "left", "acting": 0, "node": "D1:*",
+      "detail": "left coefficients at right index 1 differ from index 0"}),
+    (1, 1, 0, {"law": "cocycle", "triple": (1, 3, 4)},
+     {"side": "left", "acting": 1, "node": "D1:*",
+      "detail": "left coefficients at right index 1 differ from index 0"}),
+], ids=["unit", "cocycle"])
+def test_broken_laws_send_the_full_check_past_the_generators(store, x, y, w, law, witness):
+    # tfull3's basis under weights 1 but weights[x][y] = w, x and y outside
+    # S = M.gens: every actor in S sees weights 1 and passes, but actor x
+    # fails, the identity 0 scaling e_y by 2 or actor 1 sending e_y to 0.
+    # The product is then not unital or not associative, so passing on S
+    # proves nothing, and the laws on S say so.
+    d = store.datum("tfull3")
+    twisted = _weight(d, x, y, w)
+    gens = _generating_set(twisted)
+    assert gens == [3, 11, 15] and x not in gens and y not in gens
+    assert cm.verify_cell_axioms(twisted, acting=gens).ok
+    assert law_failure(d.table, twisted.weights, 0, gens, RATIONALS.norm) == law
+    rep = cm.verify_cell_axioms(twisted)
+    assert rep == reference_axiom_report(twisted)
+    assert rep == cm.AxiomReport("full", False, witness, d.dim)
+
+
+def test_first_failure_outside_the_generators_is_named(store):
+    # the swapped basis first fails in S = [3, 11, 15] under actor 11, but
+    # actor 7, not in S, fails first in the scan over every element, and the
+    # report names it
+    datum = _swap(store.datum("tfull3"), (1, 0, 1), (1, 1, 0))
+    gens = _generating_set(datum)
+    by_gens = cm.verify_cell_axioms(datum, acting=gens)
+    assert gens == [3, 11, 15] and by_gens.witness["acting"] == 11
+    rep = cm.verify_cell_axioms(datum)
+    assert rep == reference_axiom_report(datum)
+    assert rep.witness["acting"] == 7 and 7 not in gens
 
 
 def test_generators_mode_consistent_with_full(store):
