@@ -5,10 +5,8 @@ dual-path cross-check ledger.
 
 from __future__ import annotations
 
-from itertools import islice
 from math import lcm
-from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from .exactalg import DenseMatrix, FieldSpec, Scalar, certified_nonsingular, mat_rank
 from .monoid import CellmonoidError
@@ -53,35 +51,29 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None) -> AxiomRe
 
     The conditions are checked per unit: a left unit is (node, s) with all its
     right indices t, a right unit (node, t) with all its left indices s.  Let
-    U be the union of a unit's supports and x0 an element of U with U inside
-    x0*M (M*x0 for a right unit), found from the table.  Each e in U is then
-    x0*u_e (u_e*x0), u_e the least such u, and the unit's relative vectors
-    are its vectors with each term c_e*e written as the pair (u_e, c_e).  By
-    associativity a*e = (a*x0)*u_e, so under actor a the unit's products are
-    the sums of c_e*w_e*table[y][u_e] with y = table[a][x0] and w_e =
-    weights[a][e] (1 untwisted); on the right, e*a = u_e*(x0*a).  Units of one
-    node and side with equal relative vectors therefore make equal products
-    for equal keys (y, the w_e in relative order), whichever anchors they
-    have, and they share one set of passed keys: an actor whose key already
-    passed is skipped, exactly, and a key not yet passed is checked on the
-    unit itself, so a failure names that unit.  The anchor is the element of
-    the first vector's support reaching U with the least u_e in vector order,
-    so a row or column translate of a unit, whose vectors are the translates
-    of its vectors, gets the translated anchor and the same relative vectors.
-    A unit with no such x0 takes y = a and u_e = e.  The skip relies on the
-    table being associative, as every CellDatum table is.
+    U list the union of a unit's supports in vector order, and let its
+    pattern be its vectors with each term c_e*e written as the pair (position
+    of e in U, c_e).  Under actor a the unit's products are the sums of
+    c_e*w_e*p_e with p_e = table[a][e] and w_e = weights[a][e] (1 untwisted);
+    on the right p_e = table[e][a] and w_e = weights[e][a].  So units of one
+    node and side with equal patterns make equal product vectors for equal
+    keys (the p_e, then the w_e, in U's order), hence equal coordinates; a
+    unit's fixed index enters only the failure text.  Such units share one
+    set of passed keys: an actor whose key already passed is skipped,
+    exactly, and a key not yet passed is checked on the unit itself, so a
+    failure is computed on, and names, that unit.  Row and column translates
+    of a unit have its pattern, so they share its keys.
 
     Coordinates on strictly higher nodes are ignored, so the check skips the
     products that can only land there.  Let low[ni] be the carrier elements
     of the blocks whose labels all belong to nodes in datum.higher[ni].
     Coordinates are block-local: a carrier element's coordinates lie on the
     labels of its own block, so the terms of a product in low[ni] have
-    coordinates only on higher nodes.  A key whose products table[y][u_e]
-    (table[u_e][y] on the right) all lie in low[ni] passes without a
-    product.  Otherwise datum.product_coordinates sums each product's raw
-    coefficients per element off the table and the weights, with no product
-    vector built, and returns exactly the coordinates of its terms outside
-    low[ni], in coordinates' order.  Both skips drop only coordinates the
+    coordinates only on higher nodes.  A key whose p_e all lie in low[ni]
+    passes without a product.  Otherwise datum.product_coordinates sums each
+    product's raw coefficients per element off the table and the weights,
+    with no product vector built, and returns exactly the coordinates of its
+    terms outside low[ni], in coordinates' order.  Both skips drop only coordinates the
     check would ignore, and dropping whole blocks keeps the order of the
     rest, so verdicts and witnesses are exact.
     low is read from datum.higher, never from Green's order, so a datum with
@@ -103,38 +95,40 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None) -> AxiomRe
 
     T, W = datum.table, datum.weights
     low = []  # per node: the carrier elements of blocks labelled only above it
-    sides = ([], [])  # per side: (node, fixed index, vectors) of each unit
+    groups = []  # per node and side: (node, side, left, units)
     labelled = [frozenset(k[0] for k in keys) for _, keys in datum.blocks]  # per block: nodes
     for ni in range(len(datum.nodes)):
         ls, rs = len(datum.lsets[ni]), len(datum.rsets[ni])
         low.append(frozenset(e for (elems, _), ns in zip(datum.blocks, labelled)
                              if ns <= datum.higher[ni] for e in elems))
-        sides[0].extend((ni, s, [datum.basis[(ni, s, t)] for t in range(rs)]) for s in range(ls))
-        sides[1].extend((ni, t, [datum.basis[(ni, s, t)] for s in range(ls)]) for t in range(rs))
-    units = [([], []) for _ in datum.nodes]  # per node, side: (fixed, vectors, x0, us, U, passed)
-    shared: Dict = {}  # per node, side and relative vectors: the passed keys
-    for left, side in zip((True, False), sides):
-        for (ni, fixed, vectors), (x0, us, support, rel) in zip(
-                side, _anchors(T, [vectors for *_, vectors in side], left)):
-            passed = shared.setdefault((ni, left, rel), set())
-            units[ni][not left].append((fixed, vectors, x0, us, support, passed))
-
-    groups = [(ni, side, side == "left", side_units) for ni, sides in enumerate(units)
-              for side, side_units in zip(("left", "right"), sides) if side_units]
+        for side, units in (("left", [(s, [datum.basis[(ni, s, t)] for t in range(rs)])
+                                      for s in range(ls)]),
+                            ("right", [(t, [datum.basis[(ni, s, t)] for s in range(ls)])
+                                       for t in range(rs)])):
+            shared: Dict = {}  # per pattern: the passed keys
+            keyed = []  # per unit: (fixed, vectors, U, passed keys)
+            for fixed, vectors in units:
+                support = list(dict.fromkeys(e for vec in vectors for e in vec))
+                position = {e: i for i, e in enumerate(support)}
+                pattern = tuple(tuple((position[e], c) for e, c in vec.items()) for vec in vectors)
+                keyed.append((fixed, vectors, support, shared.setdefault(pattern, set())))
+            if keyed:
+                groups.append((ni, side, side == "left", keyed))
 
     def scan(actors) -> Optional[Dict]:
         for a in actors:
-            for ni, side, left, side_units in groups:
+            lines = T[a], [row[a] for row in T]
+            wlines = (None, None) if W is None else (W[a], [row[a] for row in W])
+            for ni, side, left, units in groups:
+                line, wline = lines[not left], wlines[not left]
                 failures = []
-                for fixed, vectors, x0, us, support, passed in side_units:
-                    y = a if x0 is None else T[a][x0] if left else T[x0][a]
-                    key = y if W is None else (y, tuple(W[a][e] for e in support) if left
-                                               else tuple(W[e][a] for e in support))
-                    if key in passed:
+                for fixed, vectors, support, passed in units:
+                    key = tuple(map(line.__getitem__, support))
+                    if low[ni].issuperset(key):
                         continue
-                    if low[ni].issuperset([T[y][u] for u in us] if left
-                                          else [T[u][y] for u in us]):
-                        passed.add(key)
+                    if W is not None:
+                        key = key, tuple(map(wline.__getitem__, support))
+                    if key in passed:
                         continue
                     failure = _unit_failure(datum, a, ni, left, fixed, vectors, low[ni])
                     if failure is None:
@@ -154,38 +148,6 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None) -> AxiomRe
             T, W, at.monoid.identity, first, datum.field.norm)):
         witness = scan(range(dim))
     return AxiomReport(mode, witness is None, witness, dim if acting is None else len(acting))
-
-
-def _anchors(table: List[List[int]], units: List[List[Dict]], left: bool) -> List[Tuple]:
-    """(x0, us, U, rel) for each unit, given as its vectors.  U lists the
-    vectors' support in vector order, us the least u with x0*u = e (u*x0 on
-    the right) for each e in U, and rel the vectors relative to x0: the pairs
-    (u_e, c_e) of each vector.  x0 is the element of the first vector's
-    support reaching all of U with the least us, or None, with u_e = e, when
-    none does.  One pass over the row (column) of each candidate x0 finds
-    its least u's, kept only for the supports of the units it may anchor."""
-    supports = [list(dict.fromkeys(e for vec in vectors for e in vec)) for vectors in units]
-    need: Dict[int, Set[int]] = {}
-    for vectors, support in zip(units, supports):
-        for x0 in vectors[0]:
-            need.setdefault(x0, set()).update(support)
-    # the right side reads its candidates' columns off one transposed table;
-    # the leading 0 keeps itemgetter's result a tuple, its column is dropped
-    lines = (map(table.__getitem__, need) if left or not need
-             else islice(zip(*map(itemgetter(0, *need), table)), 1, None))
-    least = {}
-    for (x0, elems), line in zip(need.items(), lines):
-        first = dict(zip(reversed(line), range(len(line) - 1, -1, -1)))
-        least[x0] = {e: first[e] for e in elems if e in first}
-    out = []
-    for vectors, support in zip(units, supports):
-        within = set(support)
-        x0 = min((x for x in vectors[0] if least[x].keys() >= within), default=None,
-                 key=lambda x: list(map(least[x].__getitem__, support)))
-        u = least[x0] if x0 is not None else dict(zip(support, support))
-        out.append((x0, [u[e] for e in support], support,
-                    tuple(tuple((u[e], c) for e, c in vec.items()) for vec in vectors)))
-    return out
 
 
 def _unit_failure(datum, a: int, ni: int, left: bool, fixed: int, vectors: List[Dict], low):

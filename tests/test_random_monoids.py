@@ -119,10 +119,12 @@ def test_axiom_check_matches_reference_scan():
     # Sabotaged and twisted data on family members and random submonoids of
     # T3 and T4: the check, which
     # verifies each translate of a row or column once, must report the verdict
-    # and the witness of the plain scan, in full and generators mode.  Merged
-    # blocks give units with no anchor; zero weights make actors with the same
-    # products a*x0 differ.  A node order with pairs taken out makes the check
-    # compute products it would otherwise skip as landing above the node.
+    # and the witness of the plain scan, in full and generators mode, and with
+    # every element acting, where the product keys are shared across actors.
+    # Merged blocks give units whose supports span two H-classes; zero weights
+    # make actors with the same products on a unit's support differ.  A node
+    # order with pairs taken out makes the check compute products it would
+    # otherwise skip as landing above the node.
     # Over F_2 and F_3 a product's terms can cancel mod p.  The rescale and
     # coboundary scalars are nonzero in the field: over F_2 only 1, so a
     # rescale there leaves the basis as it is.
@@ -196,6 +198,8 @@ def test_axiom_check_matches_reference_scan():
         acting = data.draw(st.lists(st.integers(0, M.size - 1), min_size=1, max_size=4))
         by_gens = cm.verify_cell_axioms(datum, acting=acting)
         assert by_gens.witness == reference_witness(datum, acting)
+        every = cm.verify_cell_axioms(datum, acting=range(M.size))
+        assert every.witness == reference_witness(datum, range(M.size))
 
     check()
     assert min(counts.values()) > 0, counts

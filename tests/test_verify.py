@@ -54,7 +54,7 @@ def _swap(d, k1, k2, blocks=None):
 
 def _merge_swap(d, k1, k2):
     # swap vectors of two cells and merge the cells' blocks: a unit's support
-    # then spans two R-classes (or L-classes), with no anchor in it
+    # then spans two R-classes (or L-classes)
     b1, b2 = (next(b for b in d.blocks if k in b[1]) for k in (k1, k2))
     blocks = [b for b in d.blocks if b not in (b1, b2)] + [(b1[0] + b2[0], b1[1] + b2[1])]
     return _swap(d, k1, k2, blocks)
@@ -99,8 +99,8 @@ def _drop_order(d, pair):
 
 def _weight(d, x, y, w):
     # all weights 1 but weights[x][y] = w: with w = 0, actors with equal
-    # products a*x0 differ in their weights, so the weights belong to the
-    # skip key
+    # products on a unit's support differ in their weights, so the weights
+    # belong to the skip key
     weights = [[1] * d.dim for _ in range(d.dim)]
     weights[x][y] = w
     return d.twisted(weights)
@@ -110,9 +110,10 @@ def _weight(d, x, y, w):
 # on the left and (s, t) on the right, as the plain scan over every acting
 # element reports it.  The swaps fail at several entries inside the reported
 # (acting, node, side): a*C[0,1] and a*C[1,1] both leave the node on tfull3,
-# and C[4,1]*a and C[4,2]*a both do on tpartial3.  The merged swaps leave a
-# unit with no anchor, report a later unit than the first failing one, and
-# report a hit at the same t as another unit's differing row, in that order.
+# and C[4,1]*a and C[4,2]*a both do on tpartial3.  The merged swaps give a
+# unit whose support spans two H-classes, report a later unit than the first
+# failing one, and report a hit at the same t as another unit's differing
+# row, in that order.
 # Without the pair D2:(1,1) > D0:(3), the D2 blocks carry a label not above
 # D0:(3), so products into them are no longer skipped, though Green's order
 # still puts D2 below D0.
@@ -186,14 +187,15 @@ def _coboundary_twist(d, f):
 def test_weight_keys_follow_the_relative_vectors():
     # An identity plus the 3x2 rectangular band (i, j)(k, l) = (i, l), with
     # trivial groups: row i's left unit has the vectors (i, 0), (i, 1), and
-    # rows 0 and 1 have equal relative vectors.  Row 1 is numbered against
-    # its columns, so its support sorts as ((1, 1), (1, 0)) and row 0's as
+    # rows 0 and 1 have equal patterns.  Row 1 is numbered against its
+    # columns, so its support sorts as ((1, 1), (1, 0)) and row 0's as
     # ((0, 0), (0, 1)).  Twisted by the coboundary of f = 2 on (2, 1) only
     # (see _coboundary_twist), the datum passes; a = (2, 0) weights row 0 by
-    # (1, 1/2), and b = (2, 1) sends row 1 to the same products a*(0, j).
-    # Giving b row 0's weights in sorted order weights row 1 by (1/2, 1)
-    # along its vectors, so row 1 fails under b.  Weights keyed in sorted
-    # order would take row 1 under b for row 0 under a and skip it.
+    # (1, 1/2), and b = (2, 1) sends row 1 to the same products (2, j) in
+    # vector order.  Giving b row 0's weights in sorted order weights row 1
+    # by (1/2, 1) along its vectors, so row 1 fails under b.  Weights keyed
+    # in sorted order, not the support's vector order, would take row 1
+    # under b for row 0 under a and skip it.
     label = {(2, 0): 1, (2, 1): 2, (0, 0): 3, (0, 1): 4, (1, 0): 6, (1, 1): 5}
     pair = {v: k for k, v in label.items()}
     table = [[y if x == 0 else x if y == 0 else label[(pair[x][0], pair[y][1])]
@@ -337,23 +339,31 @@ def test_full_check_product_counts(store):
     # A passing check acts by S = M.gens only (the walk from M.gens reaches
     # every element): 3 actors on tfull3 and tfull4, 4 on tpartial3 and
     # jones5.  Each actor makes at most one product per basis vector on each
-    # side, 2*dim; each key of a unit's relative vectors is verified once
-    # across the units that share them, and only products that can reach a
-    # node not above the unit's are made: 80 of 2*3*27 = 162 on tfull3, 178
+    # side, 2*dim; each product key is verified once across the units of one
+    # node and side with the same pattern, and only products that can reach
+    # a node not above the unit's are made: 80 of 2*3*27 = 162 on tfull3, 178
     # of 2*4*64 = 512 on tpartial3 and 840 of 2*3*256 = 1536 on tfull4 over
-    # F_3 (126, 236 and 1976 with every element acting).  jones5 twisted by
-    # delta = 0 has zero weights: 82 of its 164 products of 2*4*42 = 336
-    # vanish and take no coordinates (166 and 84 with every element acting).
-    for key, field, delta, products, lookups in (("tfull3", "q", None, 80, 80),
-                                                 ("tpartial3", "q", None, 178, 178),
-                                                 ("tfull4", "fp:3", None, 840, 840),
-                                                 ("jones5", "q", "0", 164, 82)):
+    # F_3.  jones5 twisted by delta = 0 has zero weights: 82 of its 164
+    # products of 2*4*42 = 336 vanish and take no coordinates.  With every
+    # element acting the keys are shared across actors as well as units:
+    # 126, 236, 1976 and 166 products, 84 of jones5's taking coordinates.
+    # A key kept per unit, not per pattern, makes 111 products on tfull3.
+    for key, field, delta, products, lookups, every in (
+            ("tfull3", "q", None, 80, 80, (126, 126)),
+            ("tpartial3", "q", None, 178, 178, (236, 236)),
+            ("tfull4", "fp:3", None, 840, 840, (1976, 1976)),
+            ("jones5", "q", "0", 164, 82, (166, 84))):
         datum, counts, actors = _counting(store.datum(key, field) if delta is None
                                           else store.twisted(key, delta, field))
         rep = cm.verify_cell_axioms(datum)
         assert (rep.ok, rep.acting_count) == (True, datum.dim), key
         assert (counts["products"], counts["coordinates"]) == (products, lookups), key
         assert actors <= set(_generating_set(datum)) == set(datum.attach.monoid.gens), key
+        datum, counts, _ = _counting(store.datum(key, field) if delta is None
+                                     else store.twisted(key, delta, field))
+        rep = cm.verify_cell_axioms(datum, acting=list(range(datum.dim)))
+        assert (rep.ok, rep.acting_count) == (True, datum.dim), key
+        assert (counts["products"], counts["coordinates"]) == every, key
 
 
 def test_products_above_the_node_take_no_coordinates(store):
