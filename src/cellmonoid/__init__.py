@@ -22,7 +22,7 @@ from .cellbasis import (AnalysisReport, CellDatum, GramSummary, GroupDatumAttach
                         lambda0_via_matching, table_mult, weighted_sandwich)
 from .twist import (Compatibility, IncompatibleTwisting, Twisting, build_twisted_cell_datum,
                     compatibility_class, make_loop_twisting, trivial_twisting, verify_twisting,
-                    load_twisting_json, save_twisting_json)
+                    load_twisting_json, NotACocycle, save_twisting_json)
 from .verify import (AxiomReport, WrongCharacteristic, cross_check, trace_form_semisimple,
                      verify_cell_axioms)
 from .pipeline import green_data, standard_datum

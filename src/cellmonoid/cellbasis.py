@@ -58,16 +58,16 @@ class CellDatum:
 
     The carrier is the algebra spanned by the elements of a Cayley table, with
     its product in mult (see table_mult), weighted by weights under a twisting
-    (None otherwise).  blocks partition both the carrier and the label set;
-    within each block the labeled vectors must form a basis of the span of the
-    block's carrier elements.  The exact inverse of each block is kept as
-    sparse columns, one per carrier element, so a coordinate lookup touches
-    only the nonzero terms.  Given inv_cols, those columns are taken as they
-    are and no block is inverted: build_cell_datum passes its group data's
-    columns, relabelled.  gt_pairs may be any pairs (a, b), node a above node
-    b, that generate the node order: the datum closes them into higher, with
-    higher[b] the nodes above b.  A cycle, a self-pair or a node outside
-    range(len(nodes)) raises ValueError.
+    (None otherwise); lawful marks them a proven unital 2-cocycle.  blocks
+    partition both the carrier and the label set; within each block the labeled
+    vectors must form a basis of the span of the block's carrier elements.  The
+    exact inverse of each block is kept as sparse columns, one per carrier
+    element, so a coordinate lookup touches only the nonzero terms.  Given
+    inv_cols, those columns are taken as they are and no block is inverted:
+    build_cell_datum passes its group data's columns, relabelled.  gt_pairs may
+    be any pairs (a, b), node a above node b, that generate the node order: the
+    datum closes them into higher, with higher[b] the nodes above b.  A cycle,
+    a self-pair or a node outside range(len(nodes)) raises ValueError.
     """
 
     def __init__(self, field: FieldSpec, table: List[List[int]],
@@ -80,6 +80,7 @@ class CellDatum:
         self.table = table
         self.dim = dim = len(table)
         self.weights: Optional[List[List[Scalar]]] = None
+        self.lawful = False
         self.mult = table_mult(table, field)
         self.nodes = list(nodes)
         self.higher: List[FrozenSet[int]] = green_mod.strict_order(len(self.nodes), gt_pairs)
@@ -142,7 +143,7 @@ class CellDatum:
         weighted by weights, the twisting's one copy (see weighted_sandwich)."""
         clone = object.__new__(CellDatum)
         clone.__dict__.update(self.__dict__)
-        clone.weights = weights
+        clone.weights, clone.lawful = weights, False
         clone.mult = table_mult(self.table, self.field, weights)
         return clone
 

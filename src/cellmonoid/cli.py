@@ -69,8 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int)
         p.add_argument("--cayley", metavar="PATH")
         p.add_argument("--field", default="q", metavar="q|fp:P")
-        p.add_argument("--verify", default="full", choices=("full", "generators", "off"),
-                       dest="verify_mode")
+        p.add_argument("--verify", default="full", choices=("full", "off"), dest="verify_mode")
         p.add_argument("--report", metavar="PATH")
         p.add_argument("--cap", type=int, default=monoid_mod.DEFAULT_SIZE_CAP)
         if name in ("twist", "verify"):
@@ -99,7 +98,7 @@ def _config_from_args(args) -> RunConfig:
     if args.command == "twist" and delta is None and twist_file is None:
         raise UsageError("twist needs --delta or --twist-file")
     if args.command == "verify" and args.verify_mode == "off":
-        raise UsageError("verify needs --verify full or generators")
+        raise UsageError("verify needs --verify full")
     if args.report and not Path(args.report).parent.is_dir():
         raise UsageError(f"--report: {Path(args.report).parent} is not a directory")
     if args.report and Path(args.report).is_dir():
@@ -123,14 +122,6 @@ def _build_twisting(cfg: RunConfig, M: FiniteMonoid,
     if len(pi.values) != M.size:
         raise UsageError(f"twisting grid has {len(pi.values)} rows for {M.size} elements")
     return pi
-
-
-def _acting_set(cfg: RunConfig, M: FiniteMonoid,
-                pi: Optional[twist_mod.Twisting]) -> Optional[List[int]]:
-    if cfg.verify_mode == "generators":
-        return twist_mod.cocycle_middles(M.table, None if pi is None else pi.values,
-                                         M.gens, M.identity)
-    return None
 
 
 def _render_text(payload: Dict) -> str:
@@ -199,28 +190,29 @@ def _payload(cfg: RunConfig, analysis=None, twisting=None, axioms=None, cross=No
 def run(cfg: RunConfig) -> int:
     """Build the monoid and its datum, twist it when a twisting is given, then
     analyze it (not under verify) and check the basis axioms (unless --verify
-    off).  A twisting that fails its cocycle or compatibility check ends the
-    run with a twisting-only report."""
+    off).  A twisting that build_twisted_cell_datum refuses, as not a cocycle
+    or as incompatible, ends the run with a twisting-only report."""
     M, loops = _build_monoid(cfg)
-    pi = summary = cocycle_witness = None
+    pi = summary = None
     if cfg.delta is not None or cfg.twist_file is not None:
         pi = _build_twisting(cfg, M, loops)
-        cocycle_witness = twist_mod.verify_twisting(M, pi)
     datum = pipeline.standard_datum(M, cfg.field)
     if pi is not None:
         compat = twist_mod.compatibility_class(M, datum.attach.green, pi)
-        summary = twist_mod.twist_summary(pi, compat, cocycle_witness)
-        if cocycle_witness is not None or compat.level == "incompatible":
-            _emit(_payload(cfg, twisting=summary), cfg)
+        try:
+            datum = twist_mod.build_twisted_cell_datum(datum, pi, compat=compat)
+        except twist_mod.TwistError as exc:
+            witness = exc.witness if isinstance(exc, twist_mod.NotACocycle) else None
+            _emit(_payload(cfg, twisting=twist_mod.twist_summary(pi, compat, witness)), cfg)
             return 2
-        datum = twist_mod.build_twisted_cell_datum(datum, pi, compat=compat)
+        summary = twist_mod.twist_summary(pi, compat, None)
     analysis = ledger = axioms = None
     if cfg.command != "verify":
         report = cellbasis.analyze(datum)
         analysis = report.to_dict()
         ledger = verify_mod.cross_check(datum, report)
     if cfg.verify_mode != "off":
-        axioms = verify_mod.verify_cell_axioms(datum, _acting_set(cfg, M, pi)).to_dict()
+        axioms = verify_mod.verify_cell_axioms(datum).to_dict()
     _emit(_payload(cfg, analysis=analysis, twisting=summary, axioms=axioms, cross=ledger), cfg)
     bad = (any(c["status"] == "fail" for c in ledger or ())
            or (axioms is not None and not axioms["ok"]))

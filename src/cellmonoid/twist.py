@@ -25,13 +25,19 @@ from .monoid import (CellmonoidError, FiniteMonoid, LoopTable, _dump_json,
 
 
 class TwistError(CellmonoidError):
-    pass
+    refusal = "refused"
+
+    def __init__(self, witness):
+        super().__init__(f"twisting is {self.refusal}: {witness}")
+        self.witness = witness
 
 
 class IncompatibleTwisting(TwistError):
-    def __init__(self, witness):
-        super().__init__(f"twisting is incompatible: {witness}")
-        self.witness = witness
+    refusal = "incompatible"
+
+
+class NotACocycle(TwistError):
+    refusal = "not a unital 2-cocycle"
 
 
 class Twisting:
@@ -130,9 +136,8 @@ def cocycle_middles(table: List[List[int]], weights, seeds: Sequence[int],
     element added, and its step x -> x*g, for g in seeds, needs weights[x][g]
     != 0 (any step when weights is None).  Its two callers walk from M.gens:
     verify_twisting takes its middles here, verify_cell_axioms the set it
-    checks first in full mode (the CLI's --verify generators set too).  With
-    weights nowhere zero this is M.gens; with every step killed, all of M
-    but the identity."""
+    checks first in full mode.  With weights nowhere zero this is M.gens;
+    with every step killed, all of M but the identity."""
     middles, seen = list(seeds), {identity, *seeds}
     todo = list(seen)
     for m in range(len(table)):
@@ -173,13 +178,14 @@ def compatibility_class(M: FiniteMonoid, gs: GreenStructure, pi: Twisting) -> Co
     coefficients of a must not depend on the right index, which runs along an
     R-class; dually on the right.  a*x stays in D_x for all x of an R-class
     or for none."""
-    T = M.table
-    V = pi.values
+    T, V = M.table, pi.values
+    VT = list(zip(*V))  # VT[a][x] = pi(x, a)
+    lr = _is_lr(gs, V, VT)
     strong = True
     for a in range(M.size):
         for side, classes, prods, weights in (
                 ("left", gs.rclasses, T[a], V[a]),
-                ("right", gs.lclasses, [row[a] for row in T], [row[a] for row in V])):
+                ("right", gs.lclasses, [row[a] for row in T], VT[a])):
             for members in classes:
                 x0 = members[0]
                 if gs.dclass[prods[x0]] != gs.dclass[x0]:
@@ -188,34 +194,27 @@ def compatibility_class(M: FiniteMonoid, gs: GreenStructure, pi: Twisting) -> Co
                 for y in members[1:]:
                     if weights[y] != v:
                         return Compatibility("incompatible",
-                                             {"side": side, "a": a, "x": x0, "y": y},
-                                             _is_lr(M, gs, pi))
+                                             {"side": side, "a": a, "x": x0, "y": y}, lr)
                 if not v:
                     strong = False
-    return Compatibility("strong" if strong else "compatible", None, _is_lr(M, gs, pi))
+    return Compatibility("strong" if strong else "compatible", None, lr)
 
 
-def _is_lr(M: FiniteMonoid, gs: GreenStructure, pi: Twisting) -> bool:
-    V = pi.values
-    for members in gs.lclasses:
-        x0 = members[0]
-        for y in members[1:]:
-            if any(V[x0][z] != V[y][z] for z in range(M.size)):
-                return False
-    for members in gs.rclasses:
-        y0 = members[0]
-        for z in members[1:]:
-            if any(V[x][y0] != V[x][z] for x in range(M.size)):
-                return False
-    return True
+def _is_lr(gs: GreenStructure, V, VT) -> bool:
+    return (all(V[y] == V[m[0]] for m in gs.lclasses for y in m[1:])
+            and all(VT[z] == VT[m[0]] for m in gs.rclasses for z in m[1:]))
 
 
 def build_twisted_cell_datum(base: CellDatum, pi: Twisting,
                              compat: Optional[Compatibility] = None) -> CellDatum:
     """Same labels, basis vectors and attachment over the twisted product,
     with the twisting's values as the datum's weights; the sandwich scales are
-    read from those weights.  Refuses an incompatible twisting (the labeled
-    basis would not satisfy the one-sided conditions)."""
+    read from those weights.  NotACocycle, with verify_twisting's witness,
+    refuses a pi that breaks the unit law pi(1, x) = pi(x, 1) = 1 or the
+    cocycle law pi(x, y) pi(xy, z) = pi(x, yz) pi(y, z); IncompatibleTwisting
+    then refuses one whose labeled basis would fail the one-sided conditions.
+    The datum is marked lawful: verify_cell_axioms trusts the laws while its
+    weights, pi.values itself, are left unchanged."""
     at = base.attach
     if at is None:
         raise ValueError("twisting applies to an assembled monoid datum")
@@ -223,11 +222,16 @@ def build_twisted_cell_datum(base: CellDatum, pi: Twisting,
         raise ValueError("datum is already twisted")
     if pi.field != base.field:
         raise ValueError("twisting and datum fields differ")
+    witness = verify_twisting(at.monoid, pi)
+    if witness is not None:
+        raise NotACocycle(witness)
     if compat is None:
         compat = compatibility_class(at.monoid, at.green, pi)
     if compat.level == "incompatible":
         raise IncompatibleTwisting(compat.witness)
-    return base.twisted(pi.values)
+    datum = base.twisted(pi.values)
+    datum.lawful = True
+    return datum
 
 
 def twist_summary(pi: Twisting, compat: Compatibility, cocycle_witness: Optional[Dict]) -> Dict:

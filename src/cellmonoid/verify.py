@@ -34,20 +34,21 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None) -> AxiomRe
     supported on the node itself (same right index t, coefficients depending
     only on (s, s')) plus strictly higher nodes; dually for C[s,t] * a.  A
     supplied acting set gives mode "generators"; it suffices when it generates
-    the algebra under datum.mult, as twist.cocycle_middles from M.gens does
-    (the CLI's set).  With none the mode is "full", and the check acts first
-    by S = cocycle_middles(table, weights, M.gens, identity) of the attached
-    monoid M (by every element with no monoid attached).  The conditions are
-    linear in the actor and pass to products: a walk step gives e_x =
+    the algebra under datum.mult, as twist.cocycle_middles from M.gens does.
+    With none the mode is "full", and the check acts first by S =
+    cocycle_middles(table, weights, M.gens, identity) of the attached monoid
+    M (by every element with no monoid attached).  The conditions are linear
+    in the actor and pass to products: a walk step gives e_x =
     weights[x'][g]**-1 (e_x' o e_g) with g in S, so (e_x' o e_g) o C = e_x' o
     (e_g o C); an actor that passes keeps the span of each node's higher nodes
     (the order is transitive), so the conditions pass to e_x by induction from
     e_1, the unit; dually on the right.  This needs the product associative
-    and unital: the table is, as every CellDatum table is, and under weights
+    and unital: the table is, as every CellDatum table is.  Under weights
     twist.law_failure checks the unit law and the cocycle law on the middles
-    in S, which give both by Light's test, in |S| * n**2 steps.  When S finds
-    a failure or the laws fail, every element acts again, in index order, so
-    verdict and witness are the plain scan's.
+    in S, which give both by Light's test, in |S| * n**2 steps, unless the
+    datum is marked lawful (see twist.build_twisted_cell_datum).  When S
+    finds a failure or the laws fail, every element acts again, in index
+    order, so verdict and witness are the plain scan's.
 
     The conditions are checked per unit: a left unit is (node, s) with all its
     right indices t, a right unit (node, t) with all its left indices s.  Let
@@ -144,7 +145,8 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None) -> AxiomRe
     first = (acting if acting is not None else range(dim) if at is None
              else sorted(cocycle_middles(T, W, at.monoid.gens, at.monoid.identity)))
     witness = scan(first)
-    if len(first) < dim and acting is None and (witness or W is not None and law_failure(
+    unproven = W is not None and not datum.lawful  # the laws on S still to check
+    if len(first) < dim and acting is None and (witness or unproven and law_failure(
             T, W, at.monoid.identity, first, datum.field.norm)):
         witness = scan(range(dim))
     return AxiomReport(mode, witness is None, witness, dim if acting is None else len(acting))

@@ -206,6 +206,46 @@ def reference_twisting_witness(M, pi):
     return None
 
 
+def reference_is_lr(M, gs, pi):
+    """pi(x, .) constant over each L-class of x and pi(., y) over each R-class
+    of y, compared entry by entry."""
+    V = pi.values
+    for members in gs.lclasses:
+        x0 = members[0]
+        for y in members[1:]:
+            if any(V[x0][z] != V[y][z] for z in range(M.size)):
+                return False
+    for members in gs.rclasses:
+        y0 = members[0]
+        for z in members[1:]:
+            if any(V[x][y0] != V[x][z] for x in range(M.size)):
+                return False
+    return True
+
+
+def reference_compatibility(M, gs, pi):
+    """compatibility_class with each column of the table and of pi built per
+    acting element, and reference_is_lr."""
+    T, V = M.table, pi.values
+    strong = True
+    for a in range(M.size):
+        for side, classes, prods, weights in (
+                ("left", gs.rclasses, T[a], V[a]),
+                ("right", gs.lclasses, [row[a] for row in T], [row[a] for row in V])):
+            for members in classes:
+                x0 = members[0]
+                if gs.dclass[prods[x0]] != gs.dclass[x0]:
+                    continue
+                for y in members[1:]:
+                    if weights[y] != weights[x0]:
+                        return cm.Compatibility("incompatible",
+                                                {"side": side, "a": a, "x": x0, "y": y},
+                                                reference_is_lr(M, gs, pi))
+                strong = strong and bool(weights[x0])
+    return cm.Compatibility("strong" if strong else "compatible", None,
+                            reference_is_lr(M, gs, pi))
+
+
 def reference_closure(pairs):
     """The transitive closure of pairs (a, b) by a fixpoint over all pairs of
     pairs, refusing a closure that holds a self-pair or a 2-cycle: the node

@@ -36,12 +36,12 @@ def test_analyze_syminv3(tmp_path, capsys):
 
 def test_analyze_tfull3(tmp_path):
     code, payload, _ = run(["analyze", "--family", "tfull", "--n", "3", "--field", "q",
-                            "--verify", "generators"], tmp_path)
+                            "--verify", "full"], tmp_path)
     assert code == 0
     ana = payload["analysis"]
     assert ana["quasi_hereditary"] and not ana["semisimple"]
-    assert payload["axioms"]["mode"] == "generators"
-    assert payload["axioms"]["acting_count"] == 3
+    assert payload["axioms"]["mode"] == "full"
+    assert payload["axioms"]["acting_count"] == 27
     jsonschema.validate(payload, report_schema())
 
 
@@ -98,16 +98,47 @@ def test_verify_commands(tmp_path):
     jsonschema.validate(payload, report_schema())
 
 
-def test_verify_generators_under_zero_weights(tmp_path):
-    # the acting set generates the twisted algebra, whose delta = 0 products
-    # vanish on loops: the weighted walk from M.gens reaches every element,
-    # since products along reduced words close no loop, so the set is M.gens,
-    # four generators (the untwisted greedy set has seven and reaches 18 of 42)
-    code, payload, _ = run(["verify", "--family", "jones", "--n", "5", "--delta", "0",
-                            "--verify", "generators"], tmp_path)
-    assert code == 0
-    assert payload["axioms"] == {"mode": "generators", "ok": True, "witness": None,
-                                 "acting_count": 4}
+def test_verify_accepts_only_full_and_off(capsys):
+    # the generators mode is gone: argparse refuses it as an invalid choice,
+    # and verify with the check off names the one mode left
+    assert main(["verify", "--family", "tfull", "--n", "2", "--verify", "generators"]) == 1
+    err = capsys.readouterr().err
+    assert "invalid choice: 'generators' (choose from 'full', 'off')" in err
+    assert "Traceback" not in err
+    assert main(["verify", "--family", "tfull", "--n", "2", "--verify", "off"]) == 1
+    assert capsys.readouterr().err == "error: verify needs --verify full\n"
+
+
+def test_twist_run_proves_the_laws_once(tmp_path, monkeypatch, capsys):
+    # build_twisted_cell_datum proves the unit and cocycle laws and marks its
+    # datum, so the full axiom check does not prove them again.  bad_pi.json
+    # of the golden runs fails on the middles, and the rescan over every
+    # middle names the witness: two calls there, and no axiom check.
+    calls = []
+    law_failure = cm.twist.law_failure
+
+    def counted(*args):
+        calls.append(sorted(args[3]))
+        return law_failure(*args)
+
+    for mod in (cm.twist, cm.verify):  # every module binding of law_failure
+        if hasattr(mod, "law_failure"):
+            monkeypatch.setattr(mod, "law_failure", counted)
+    code, payload, _ = run(["twist", "--family", "jones", "--n", "4", "--delta", "2"], tmp_path)
+    assert code == 0 and payload["axioms"]["ok"] and payload["axioms"]["mode"] == "full"
+    assert len(calls) == 1
+    monkeypatch.chdir(tmp_path)
+    M, _ = cm.family("tfull", 2)
+    cm.save_cayley_json(M, "t2.json")
+    pi = cm.trivial_twisting(M.size, cm.RATIONALS)
+    pi.values[1][1] = Fraction(2)
+    cm.save_twisting_json(pi, "bad_pi.json")
+    calls.clear()
+    code, payload, _ = run(["twist", "--cayley", "t2.json", "--twist-file", "bad_pi.json"],
+                           tmp_path)
+    assert code == 2 and payload["axioms"] is None
+    assert payload["twisting"]["cocycle_witness"] == {"law": "cocycle", "triple": [1, 1, 2]}
+    assert calls == [sorted(M.gens), list(range(M.size))]
 
 
 def test_usage_errors(tmp_path):
@@ -143,9 +174,9 @@ def test_unsupported_group_exit(tmp_path):
 
 # Each run: arguments, exit code, sha256 of the --report bytes and of stdout.
 GOLDEN = [
-    (["analyze", "--family", "tfull", "--n", "3", "--verify", "generators"], 0,
-     "32a25ad75329c473bca8b41498bb858c6963089277998ea4895ed3d1b7b15030",
-     "396e3d5f3132a58820a30c68aae7c5c946dbc66bd8d6fd788b176bc075c3d8e3"),
+    (["analyze", "--family", "tfull", "--n", "3", "--verify", "full"], 0,
+     "a6582379c1d64d6ea7e5076f271e32f7eb5360f1c80a6d8389aa24e9e342cbb6",
+     "f1cf533d681f31dab94f8972aa6e1c08ac34dbdba39b8abe9c34c0e5dd26eb33"),
     (["analyze", "--family", "syminv", "--n", "3", "--field", "fp:2"], 0,
      "d6c6857d3c85c8c4f5d7c8dd7ae019bfc53a2d7f219f5f640631eedfa8ac9d60",
      "0525778d8336a983e9230b29fe0731866d6c5fc14f65b9b82233b4ee898bca95"),
@@ -155,9 +186,9 @@ GOLDEN = [
     (["verify", "--family", "jones", "--n", "4", "--delta", "2"], 0,
      "6f33d4a5a88aea3ff6961db001bffd4e4e8c588e0242f0607d9952c905e48a60",
      "4acb3ce45fa5384f7ec7826cbdb27d5608e50c5b3c3c4d5bbd6f08858c16e45d"),
-    (["verify", "--family", "tfull", "--n", "3", "--verify", "generators"], 0,
-     "3d0ebfd234892efbb2b2dd44df419bd129d4988680a00adba820dcedac24f38f",
-     "4de6eefd015be1a6ad59cdbed1d0486451e59698dcce37be7e2a8e310dd43716"),
+    (["verify", "--family", "tfull", "--n", "3", "--verify", "full"], 0,
+     "423ad0496189ddb6650ea3692debf472ca7277fe4864ea59416287aec19994ee",
+     "df5df5a0623b31fd9f759c556adb9656925da58b6442c7c0b567fe2149e2dc21"),
     # a twisting file that breaks the cocycle law (and is incompatible: pi(1, .)
     # varies on the R-class {1, 3}): exit 2 with a twisting-only report
     (["twist", "--cayley", "t2.json", "--twist-file", "bad_pi.json"], 2,

@@ -297,9 +297,9 @@ def test_generating_set_matches_two_sided_closure():
 def test_generating_set_under_zero_weights(n, count):
     # with delta = 0 a product that removes a loop is zero, so the untwisted
     # greedy generators miss elements of the twisted algebra; the weighted
-    # walk from M.gens (the CLI's acting set under --verify generators)
-    # reaches them all with M.gens alone, whose products along reduced words
-    # close no loop
+    # walk from M.gens (the set the full axiom check acts by first) reaches
+    # them all with M.gens alone, whose products along reduced words close no
+    # loop
     M, loops = cm.family("jones", n)
     weights = cm.make_loop_twisting(loops, Fraction(0), cm.RATIONALS).values
     assert len(_table_closure(M, generating_set(M), weights)) < M.size

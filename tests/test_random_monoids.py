@@ -209,49 +209,108 @@ COCYCLE_MEMBERS = [("tfull", 2), ("tfull", 3), ("syminv", 2), ("syminv", 3), ("t
                    ("jones", 3), ("jones", 4)]
 
 
+COCYCLE_SCALARS = {RATIONALS: [Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2)],
+                   prime_field(2): [1], prime_field(3): [1, 2]}
+
+
+def _draw_twisting(data):
+    """A drawn field, monoid and twisting: a family member or a random
+    submonoid of T3 or T4 (None past SIZE_BOUND), twisted by a coboundary or
+    by the loop (corank off the Jones family) twisting at delta in {0, 1, 2},
+    with up to 2 entries overwritten, zeros among them."""
+    field = data.draw(st.sampled_from(list(COCYCLE_SCALARS)))
+    if data.draw(st.booleans()):
+        kind, r = data.draw(st.sampled_from(COCYCLE_MEMBERS))
+        M, loops = cm.family(kind, r)
+    else:
+        r, loops = data.draw(st.integers(3, 4)), None
+        point_map = st.lists(st.integers(1, r), min_size=r, max_size=r)
+        M = cm.generate_from_maps(r, data.draw(st.lists(point_map, min_size=1, max_size=3)))
+        if M.size > SIZE_BOUND:
+            return None
+    if data.draw(st.booleans()):
+        values = st.sampled_from(COCYCLE_SCALARS[field])
+        pi = _coboundary(M, list(range(M.size)),
+                         data.draw(st.lists(values, min_size=M.size, max_size=M.size)), field)
+    else:
+        delta = data.draw(st.sampled_from([0, 1, 2]))
+        pi = (cm.make_loop_twisting(loops, delta, field) if loops is not None
+              else corank_twisting(M, r, delta, field))
+    element = st.integers(0, M.size - 1)
+    value = st.sampled_from([0] + COCYCLE_SCALARS[field])
+    for x, y, v in data.draw(st.lists(st.tuples(element, element, value), max_size=2)):
+        pi.values[x][y] = v
+    return M, pi
+
+
 def test_cocycle_check_matches_exhaustive_scan():
     # Light's test over the middles, then the lexicographic rescan on a
-    # failure, must give the exhaustive scan's verdict and witness: on
-    # coboundaries, on loop (corank off the Jones family) twistings with
-    # delta in {0, 1, 2}, and on either with a few entries overwritten, zeros
-    # among them.  "extended" counts the draws whose middles go past M.gens.
+    # failure, must give the exhaustive scan's verdict and witness on the
+    # drawn twistings.  "extended" counts the draws whose middles go past
+    # M.gens.
     counts = {"cocycle": 0, "not a cocycle": 0, "zero weights": 0, "extended": 0,
               "q": 0, "fp:2": 0, "fp:3": 0}
-    scalars = {RATIONALS: [Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2)],
-               prime_field(2): [1], prime_field(3): [1, 2]}
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
     def check(data):
-        field = data.draw(st.sampled_from(list(scalars)))
-        if data.draw(st.booleans()):
-            kind, r = data.draw(st.sampled_from(COCYCLE_MEMBERS))
-            M, loops = cm.family(kind, r)
-        else:
-            r, loops = data.draw(st.integers(3, 4)), None
-            point_map = st.lists(st.integers(1, r), min_size=r, max_size=r)
-            M = cm.generate_from_maps(r, data.draw(st.lists(point_map, min_size=1, max_size=3)))
-            if M.size > SIZE_BOUND:
-                return
-        if data.draw(st.booleans()):
-            values = st.sampled_from(scalars[field])
-            pi = _coboundary(M, list(range(M.size)),
-                             data.draw(st.lists(values, min_size=M.size, max_size=M.size)), field)
-        else:
-            delta = data.draw(st.sampled_from([0, 1, 2]))
-            pi = (cm.make_loop_twisting(loops, delta, field) if loops is not None
-                  else corank_twisting(M, r, delta, field))
-        element = st.integers(0, M.size - 1)
-        value = st.sampled_from([0] + scalars[field])
-        for x, y, v in data.draw(st.lists(st.tuples(element, element, value), max_size=2)):
-            pi.values[x][y] = v
+        drawn = _draw_twisting(data)
+        if drawn is None:
+            return
+        M, pi = drawn
         witness = cm.verify_twisting(M, pi)
         assert witness == reference_twisting_witness(M, pi)
         counts["cocycle" if witness is None else "not a cocycle"] += 1
         counts["zero weights"] += any(0 in row for row in pi.values)
         counts["extended"] += (cocycle_middles(M.table, pi.values, M.gens, M.identity)
                                != M.gens)
-        counts[field.spec_string()] += 1
+        counts[pi.field.spec_string()] += 1
+
+    check()
+    assert min(counts.values()) > 0, counts
+
+
+def test_twisted_datum_is_built_exactly_for_cocycles():
+    # build_twisted_cell_datum refuses the drawn twistings that verify_twisting
+    # rejects, with its witness, and no other for that reason.  On a datum it
+    # builds, marked lawful, the full check skips the laws and must report
+    # what it reports on the unmarked base.twisted(pi.values), where
+    # law_failure runs; "extended" counts the built data whose middles go
+    # past M.gens.
+    counts = {"not a cocycle": 0, "incompatible": 0, "built": 0, "zero weights": 0,
+              "extended": 0, "q": 0, "fp:2": 0, "fp:3": 0}
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        drawn = _draw_twisting(data)
+        if drawn is None:
+            return
+        M, pi = drawn
+        try:
+            base = cm.standard_datum(M, pi.field)
+        except cm.UnsupportedGroup:
+            return
+        witness = cm.verify_twisting(M, pi)
+        counts[pi.field.spec_string()] += 1
+        try:
+            built = cm.build_twisted_cell_datum(base, pi)
+        except cm.NotACocycle as exc:
+            assert witness is not None and exc.witness == witness
+            counts["not a cocycle"] += 1
+            return
+        except cm.IncompatibleTwisting:
+            assert witness is None
+            counts["incompatible"] += 1
+            return
+        assert witness is None and built.lawful
+        unmarked = base.twisted(pi.values)
+        assert not unmarked.lawful and not built.twisted(pi.values).lawful
+        assert cm.verify_cell_axioms(built) == cm.verify_cell_axioms(unmarked)
+        counts["built"] += 1
+        counts["zero weights"] += any(0 in row for row in pi.values)
+        counts["extended"] += (cocycle_middles(M.table, pi.values, M.gens, M.identity)
+                               != M.gens)
 
     check()
     assert min(counts.values()) > 0, counts

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -7,7 +8,8 @@ import cellmonoid as cm
 from cellmonoid.exactalg import RATIONALS, prime_field
 from cellmonoid.twist import cocycle_middles, twist_summary
 
-from conftest import assert_checks_clean, corank_twisting, reference_twisting_witness
+from conftest import (assert_checks_clean, corank_twisting, reference_compatibility,
+                      reference_twisting_witness)
 
 Q = RATIONALS
 
@@ -108,6 +110,19 @@ def test_cocycle_middles_are_the_generators_when_no_weight_is_zero(store, key):
         assert _middles(M, pi) == M.gens, pi.provenance
 
 
+def test_generators_act_alone_under_zero_weights(store):
+    # at delta = 0 products that close a loop vanish, yet the weighted walk
+    # from M.gens reaches every element of jones5, since products along
+    # reduced words close no loop: the middles are M.gens, four of them, and
+    # they alone generate the twisted algebra, so the check by them passes
+    M, _ = store.monoid("jones5")
+    d = store.twisted("jones5", "0")
+    middles = cocycle_middles(M.table, d.weights, M.gens, M.identity)
+    assert middles == M.gens and len(middles) == 4
+    assert cm.verify_cell_axioms(d, acting=middles) == cm.AxiomReport("generators", True, None, 4)
+    assert cm.verify_cell_axioms(d) == cm.AxiomReport("full", True, None, M.size)
+
+
 def test_cocycle_check_reaches_past_the_generators(store):
     # pi is 1 on the pairs that hold the identity and on (1, 2) and (1*2, 6),
     # 0 elsewhere.  Every middle in M.gens passes, but 1*2 = 1, so
@@ -134,6 +149,40 @@ def test_compatibility_classes(store):
     assert c0.level == "compatible"
     ct = cm.compatibility_class(M, gs, cm.trivial_twisting(M.size, Q))
     assert ct.level == "strong" and ct.lr
+
+
+def test_compatibility_matches_the_entrywise_reference(store):
+    # lr by whole rows of pi and of its transpose, and the compatibility
+    # scan's columns read off that transpose, against the entrywise scan:
+    # loop twistings on jones3-6 and corank twistings on tfull3 and syminv3 at
+    # delta in {0, 1, 2}, then each with one entry of an L-class row or an
+    # R-class column changed, and with random entries changed
+    rng = random.Random(11)
+    lr = {True: 0, False: 0}
+    levels = {"strong": 0, "compatible": 0, "incompatible": 0}
+    for key in ("jones3", "jones4", "jones5", "jones6", "tfull3", "syminv3"):
+        M, loops = store.monoid(key)
+        gs = store.green(key)[0]
+        for delta in (0, 1, 2):
+            pi = (cm.make_loop_twisting(loops, delta, Q) if loops is not None
+                  else corank_twisting(M, 3, delta, Q))
+            lclass = next(m for m in gs.lclasses if len(m) > 1)
+            rclass = next(m for m in gs.rclasses if len(m) > 1)
+            z = rng.randrange(M.size)
+            perturbed = []
+            for x, y in ((lclass[1], z), (z, rclass[1]),
+                         *((rng.randrange(M.size), rng.randrange(M.size)) for _ in range(3))):
+                values = [list(row) for row in pi.values]
+                values[x][y] += 1
+                perturbed.append(cm.Twisting(Q, values, "perturbed"))
+            for k, tw in enumerate([pi] + perturbed):
+                compat = cm.compatibility_class(M, gs, tw)
+                assert compat == reference_compatibility(M, gs, tw), (key, delta, k)
+                assert compat.lr or k > 0
+                assert not compat.lr or k not in (1, 2)
+                lr[compat.lr] += 1
+                levels[compat.level] += 1
+    assert min(lr.values()) > 0 and min(levels.values()) > 0, (lr, levels)
 
 
 @pytest.mark.parametrize("key", ["jones2", "jones4"])
