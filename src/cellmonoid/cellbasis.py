@@ -8,7 +8,7 @@ are sparse dicts {basis element index: scalar}.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import green as green_mod
 from .exactalg import DenseMatrix, FieldSpec, Scalar, mat_inverse, mat_rank
@@ -79,7 +79,7 @@ class CellDatum:
         self.field = field
         self.table = table
         self.dim = dim = len(table)
-        self.weights: Optional[List[List[Scalar]]] = None
+        self.weights: Optional[Sequence[Sequence[Scalar]]] = None
         self.lawful = False
         self.mult = table_mult(table, field)
         self.nodes = list(nodes)
@@ -138,7 +138,7 @@ class CellDatum:
     def unit(self, e: int) -> SparseVec:
         return {e: 1}
 
-    def twisted(self, weights: List[List[Scalar]]) -> "CellDatum":
+    def twisted(self, weights: Sequence[Sequence[Scalar]]) -> "CellDatum":
         """Same labeled basis, solvers and attachment over the table's product
         weighted by weights, the twisting's one copy (see weighted_sandwich)."""
         clone = object.__new__(CellDatum)
@@ -205,7 +205,7 @@ def _lam_str(lam) -> str:
 
 
 def table_mult(table: List[List[int]], field: FieldSpec,
-               weights: Optional[List[List[Scalar]]] = None
+               weights: Optional[Sequence[Sequence[Scalar]]] = None
                ) -> Callable[[SparseVec, SparseVec], SparseVec]:
     """The product of the algebra spanned by the table's elements, on sparse
     vectors: x*y carries the coefficient of ex, ey to table[ex][ey], times

@@ -10,11 +10,14 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
-from . import cellbasis, monoid as monoid_mod, pipeline, twist as twist_mod, verify as verify_mod
+from . import cellbasis, monoid as monoid_mod, pipeline, verify as verify_mod
 from .exactalg import FieldSpec
 from .monoid import CellmonoidError, FiniteMonoid, LoopTable
+
+if TYPE_CHECKING:
+    from .twist import Twisting
 
 FAMILIES = ("tfull", "tpartial", "syminv", "jones")
 
@@ -39,17 +42,10 @@ class RunConfig(NamedTuple):
     cap: int
 
     def to_dict(self) -> Dict:
-        return {
-            "command": self.command,
-            "family": self.family,
-            "n": self.n,
-            "cayley": self.cayley,
-            "field": self.field.spec_string(),
-            "delta": self.delta,
-            "twist_file": self.twist_file,
-            "verify": self.verify_mode,
-            "cap": self.cap,
-        }
+        """The report's config: each field but report, verify_mode as verify."""
+        out = {**self._asdict(), "field": self.field.spec_string(), "verify": self.verify_mode}
+        del out["verify_mode"], out["report"]
+        return out
 
 
 class UsageError(Exception):
@@ -114,7 +110,8 @@ def _build_monoid(cfg: RunConfig) -> Tuple[FiniteMonoid, Optional[LoopTable]]:
 
 
 def _build_twisting(cfg: RunConfig, M: FiniteMonoid,
-                    loops: Optional[LoopTable]) -> twist_mod.Twisting:
+                    loops: Optional[LoopTable]) -> Twisting:
+    from . import twist as twist_mod  # untwisted runs never load the twisting code
     if cfg.delta is not None:
         delta = cfg.field.parse_scalar(cfg.delta)
         return twist_mod.make_loop_twisting(loops, delta, cfg.field)
@@ -198,6 +195,7 @@ def run(cfg: RunConfig) -> int:
         pi = _build_twisting(cfg, M, loops)
     datum = pipeline.standard_datum(M, cfg.field)
     if pi is not None:
+        from . import twist as twist_mod
         compat = twist_mod.compatibility_class(M, datum.attach.green, pi)
         try:
             datum = twist_mod.build_twisted_cell_datum(datum, pi, compat=compat)

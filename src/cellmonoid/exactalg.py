@@ -22,17 +22,23 @@ from reduced row echelon form over Fractions.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
-Scalar = Union[Fraction, int]
+if TYPE_CHECKING:
+    from fractions import Fraction
+Scalar = Union["Fraction", int]
+
+
+def _fraction(*args) -> Fraction:
+    from fractions import Fraction  # loaded only where a Fraction is made
+    return Fraction(*args)
 
 
 def _rational(num: int, den: int) -> Scalar:
     """num/den for den > 0: an int when den divides num, a Fraction otherwise."""
-    return num // den if num % den == 0 else Fraction(num, den)
+    return num // den if num % den == 0 else _fraction(num, den)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -124,7 +130,7 @@ class FieldSpec:
         if not a:
             raise ZeroDivisionError("inverse of zero")
         if self.kind == "q":
-            return Fraction(1) / a
+            return _fraction(1) / a
         return pow(a, self.p - 2, self.p)
 
     def parse_scalar(self, s: str) -> Scalar:
@@ -134,7 +140,7 @@ class FieldSpec:
         s = s.strip()
         try:
             if self.kind == "q":
-                return _rational(*Fraction(s).as_integer_ratio())
+                return _rational(*_fraction(s).as_integer_ratio())
             if "/" in s:
                 num, den = s.split("/", 1)
                 return int(num) * self.inv(int(den) % self.p) % self.p

@@ -9,7 +9,6 @@ import itertools
 import math
 from typing import Dict, List, Optional, Tuple
 
-from . import verify as verify_mod
 from .cellbasis import CellDatum, GroupDatumAttachment
 from .exactalg import FieldSpec, Scalar
 from .green import SchutzGroup
@@ -295,7 +294,8 @@ def standard_group_data(schutzs: List[SchutzGroup], field: FieldSpec,
             datum = custom[d]
             if datum.dim != sch.order:
                 raise UnsupportedGroup(f"D-class {d}: custom datum has the wrong dimension")
-            report = verify_mod.verify_cell_axioms(datum)
+            from .verify import verify_cell_axioms  # loaded only for a custom datum
+            report = verify_cell_axioms(datum)
             if not report.ok:
                 raise AxiomViolation(report.witness)
             out[d] = GroupDatumAttachment(datum, list(range(sch.order)), "custom")

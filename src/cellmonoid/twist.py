@@ -15,13 +15,14 @@ entries with a nonzero scale form the weighted sandwich the analysis reads.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, NamedTuple, Optional, Sequence
 
 from .cellbasis import CellDatum
-from .exactalg import FieldSpec, Scalar, clear_denominators
+from .exactalg import FieldSpec, Scalar
 from .green import GreenStructure
 from .monoid import (CellmonoidError, FiniteMonoid, LoopTable, _dump_json,
                      _load_json_object)
+from .verify import cocycle_middles, law_failure
 
 
 class TwistError(CellmonoidError):
@@ -41,16 +42,17 @@ class NotACocycle(TwistError):
 
 
 class Twisting:
-    """values[x][y] = pi(x, y) over field, reduced by field.norm when made, so
-    every reader compares and zero-tests canonical residues; provenance names
-    the twisting's source."""
+    """values[x][y] = pi(x, y) over field, in tuple rows reduced by field.norm
+    when made: every reader compares and zero-tests canonical residues, and a
+    datum that shares them as its weights keeps its lawful mark true (see
+    build_twisted_cell_datum).  provenance names the twisting's source."""
 
     __slots__ = ("field", "values", "provenance")
 
     def __init__(self, field: FieldSpec, values: Sequence[Sequence[Scalar]],
                  provenance: str) -> None:
         self.field = field
-        self.values: List[List[Scalar]] = [[field.norm(v) for v in row] for row in values]
+        self.values = tuple(tuple(field.norm(v) for v in row) for row in values)
         self.provenance = provenance
 
 
@@ -86,74 +88,24 @@ def load_twisting_json(path, field: FieldSpec) -> Twisting:
 
 
 def verify_twisting(M: FiniteMonoid, pi: Twisting) -> Optional[Dict]:
-    """Unit and cocycle check; None when both laws hold, otherwise a witness
-    naming the first violation in lexicographic order.  The unit law is
-    checked on all of M.  The cocycle law says that the twisted product o is
-    associative, so Light's test applies: it is checked on the triples
-    (x, s, z) with s in cocycle_middles from M.gens, |S| * n**2 of them, not
-    n**3.  The m with (u o m) o w = u o (m o w) for all u, w form a subspace
-    closed under o that holds e_1 (unit law) and each e_s (the check), so it
-    holds the subalgebra they generate; each step x -> xg of the middles'
-    walk gives e_xg = pi(x, g)**-1 (e_x o e_g), so that is the whole algebra.
-    This relies on M.table being associative, as every FiniteMonoid's is.  On
-    a failure all n**3 triples are scanned again, so the witness is the
-    first."""
+    """Unit and cocycle check by verify.law_failure; None when both laws hold,
+    otherwise a witness naming the first violation in lexicographic order.
+    The unit law is checked on all of M.  The cocycle law says that the
+    twisted product o is associative, so Light's test applies: it is checked
+    on the triples (x, s, z) with s in verify.cocycle_middles from M.gens,
+    |S| * n**2 of them, not n**3.  The m with (u o m) o w = u o (m o w) for
+    all u, w form a subspace closed under o that holds e_1 (unit law) and each
+    e_s (the check), so it holds the subalgebra they generate; each step
+    x -> xg of the middles' walk gives e_xg = pi(x, g)**-1 (e_x o e_g), so
+    that is the whole algebra.  This relies on M.table being associative, as
+    every FiniteMonoid's is.  On a failure all n**3 triples are scanned again,
+    so the witness is the first."""
     if len(pi.values) != M.size:
         return {"law": "shape", "detail": f"{len(pi.values)} rows for {M.size} elements"}
     T, V, e, norm = M.table, pi.values, M.identity, pi.field.norm
     # a failure among the middles sends the check back over every middle
     return (law_failure(T, V, e, sorted(cocycle_middles(T, V, M.gens, e)), norm)
             and law_failure(T, V, e, range(M.size), norm))
-
-
-def law_failure(T: List[List[int]], values, e: int, middles, norm) -> Optional[Dict]:
-    """The first violation of the unit law at identity e, or else of the
-    cocycle law on the triples (x, s, z) with s in middles, x outer and z
-    inner; None when none.  Over the rationals the grid is scaled by the lcm D
-    of its denominators (D = 1 over a prime field); both sides of the law have
-    degree 2 in pi, so both scale by D**2 and the check runs on ints."""
-    n = len(T)
-    for x in range(n):
-        if values[x][e] != 1 or values[e][x] != 1:
-            return {"law": "unit", "x": x}
-    flat = clear_denominators([v for row in values for v in row])
-    W = [flat[x * n:(x + 1) * n] for x in range(n)]
-    for x in range(n):
-        Wx, Tx = W[x], T[x]
-        for y in middles:
-            wxy, Wxy, Wy, Ty = Wx[y], W[Tx[y]], W[y], T[y]
-            for z in range(n):
-                diff = wxy * Wxy[z] - Wx[Ty[z]] * Wy[z]
-                if diff and norm(diff):
-                    return {"law": "cocycle", "triple": (x, y, z)}
-    return None
-
-
-def cocycle_middles(table: List[List[int]], weights, seeds: Sequence[int],
-                    identity: int) -> List[int]:
-    """seeds, then, in index order, each element that the weighted right walk
-    has not reached: the walk starts at identity, at each seed and at each
-    element added, and its step x -> x*g, for g in seeds, needs weights[x][g]
-    != 0 (any step when weights is None).  Its two callers walk from M.gens:
-    verify_twisting takes its middles here, verify_cell_axioms the set it
-    checks first in full mode.  With weights nowhere zero this is M.gens;
-    with every step killed, all of M but the identity."""
-    middles, seen = list(seeds), {identity, *seeds}
-    todo = list(seen)
-    for m in range(len(table)):
-        while todo:
-            x = todo.pop()
-            row, wx = table[x], None if weights is None else weights[x]
-            for g in seeds:
-                y = row[g]
-                if y not in seen and (wx is None or wx[g]):
-                    seen.add(y)
-                    todo.append(y)
-        if m not in seen:
-            middles.append(m)
-            seen.add(m)
-            todo.append(m)
-    return middles
 
 
 class Compatibility(NamedTuple):
@@ -179,13 +131,14 @@ def compatibility_class(M: FiniteMonoid, gs: GreenStructure, pi: Twisting) -> Co
     R-class; dually on the right.  a*x stays in D_x for all x of an R-class
     or for none."""
     T, V = M.table, pi.values
-    VT = list(zip(*V))  # VT[a][x] = pi(x, a)
-    lr = _is_lr(gs, V, VT)
+    TT, VT = list(zip(*T)), list(zip(*V))  # TT[a][x] = x*a, VT[a][x] = pi(x, a)
+    lr = (all(V[y] == V[m[0]] for m in gs.lclasses for y in m[1:])
+          and all(VT[z] == VT[m[0]] for m in gs.rclasses for z in m[1:]))
     strong = True
     for a in range(M.size):
         for side, classes, prods, weights in (
                 ("left", gs.rclasses, T[a], V[a]),
-                ("right", gs.lclasses, [row[a] for row in T], VT[a])):
+                ("right", gs.lclasses, TT[a], VT[a])):
             for members in classes:
                 x0 = members[0]
                 if gs.dclass[prods[x0]] != gs.dclass[x0]:
@@ -198,11 +151,6 @@ def compatibility_class(M: FiniteMonoid, gs: GreenStructure, pi: Twisting) -> Co
                 if not v:
                     strong = False
     return Compatibility("strong" if strong else "compatible", None, lr)
-
-
-def _is_lr(gs: GreenStructure, V, VT) -> bool:
-    return (all(V[y] == V[m[0]] for m in gs.lclasses for y in m[1:])
-            and all(VT[z] == VT[m[0]] for m in gs.rclasses for z in m[1:]))
 
 
 def build_twisted_cell_datum(base: CellDatum, pi: Twisting,

@@ -1,6 +1,7 @@
 """Independent verification: the one-sided multiplication axiom checker for
-cell data, a trace-form semisimplicity oracle for characteristic zero, and the
-dual-path cross-check ledger.
+cell data, with the twisting laws it shares with twist.verify_twisting, a
+trace-form semisimplicity oracle for characteristic zero, and the dual-path
+cross-check ledger.
 """
 
 from __future__ import annotations
@@ -8,9 +9,9 @@ from __future__ import annotations
 from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
-from .exactalg import DenseMatrix, FieldSpec, Scalar, certified_nonsingular, mat_rank
+from .exactalg import (DenseMatrix, FieldSpec, Scalar, certified_nonsingular,
+                       clear_denominators, mat_rank)
 from .monoid import CellmonoidError
-from .twist import cocycle_middles, law_failure
 
 
 class WrongCharacteristic(CellmonoidError):
@@ -34,7 +35,7 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None) -> AxiomRe
     supported on the node itself (same right index t, coefficients depending
     only on (s, s')) plus strictly higher nodes; dually for C[s,t] * a.  A
     supplied acting set gives mode "generators"; it suffices when it generates
-    the algebra under datum.mult, as twist.cocycle_middles from M.gens does.
+    the algebra under datum.mult, as cocycle_middles from M.gens does.
     With none the mode is "full", and the check acts first by S =
     cocycle_middles(table, weights, M.gens, identity) of the attached monoid
     M (by every element with no monoid attached).  The conditions are linear
@@ -44,7 +45,7 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None) -> AxiomRe
     (the order is transitive), so the conditions pass to e_x by induction from
     e_1, the unit; dually on the right.  This needs the product associative
     and unital: the table is, as every CellDatum table is.  Under weights
-    twist.law_failure checks the unit law and the cocycle law on the middles
+    law_failure checks the unit law and the cocycle law on the middles
     in S, which give both by Light's test, in |S| * n**2 steps, unless the
     datum is marked lawful (see twist.build_twisted_cell_datum).  When S
     finds a failure or the laws fail, every element acts again, in index
@@ -150,6 +151,56 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None) -> AxiomRe
             T, W, at.monoid.identity, first, datum.field.norm)):
         witness = scan(range(dim))
     return AxiomReport(mode, witness is None, witness, dim if acting is None else len(acting))
+
+
+def law_failure(T: List[List[int]], values, e: int, middles, norm) -> Optional[Dict]:
+    """The first violation of the unit law at identity e, or else of the
+    cocycle law on the triples (x, s, z) with s in middles, x outer and z
+    inner; None when none.  Over the rationals the grid is scaled by the lcm D
+    of its denominators (D = 1 over a prime field); both sides of the law have
+    degree 2 in pi, so both scale by D**2 and the check runs on ints."""
+    n = len(T)
+    for x in range(n):
+        if values[x][e] != 1 or values[e][x] != 1:
+            return {"law": "unit", "x": x}
+    flat = clear_denominators([v for row in values for v in row])
+    W = [flat[x * n:(x + 1) * n] for x in range(n)]
+    for x in range(n):
+        Wx, Tx = W[x], T[x]
+        for y in middles:
+            wxy, Wxy, Wy, Ty = Wx[y], W[Tx[y]], W[y], T[y]
+            for z in range(n):
+                diff = wxy * Wxy[z] - Wx[Ty[z]] * Wy[z]
+                if diff and norm(diff):
+                    return {"law": "cocycle", "triple": (x, y, z)}
+    return None
+
+
+def cocycle_middles(table: List[List[int]], weights, seeds: Sequence[int],
+                    identity: int) -> List[int]:
+    """seeds, then, in index order, each element that the weighted right walk
+    has not reached: the walk starts at identity, at each seed and at each
+    element added, and its step x -> x*g, for g in seeds, needs weights[x][g]
+    != 0 (any step when weights is None).  Its two callers walk from M.gens:
+    twist.verify_twisting takes its middles here, verify_cell_axioms the set
+    it checks first in full mode.  With weights nowhere zero this is M.gens;
+    with every step killed, all of M but the identity."""
+    middles, seen = list(seeds), {identity, *seeds}
+    todo = list(seen)
+    for m in range(len(table)):
+        while todo:
+            x = todo.pop()
+            row, wx = table[x], None if weights is None else weights[x]
+            for g in seeds:
+                y = row[g]
+                if y not in seen and (wx is None or wx[g]):
+                    seen.add(y)
+                    todo.append(y)
+        if m not in seen:
+            middles.append(m)
+            seen.add(m)
+            todo.append(m)
+    return middles
 
 
 def _unit_failure(datum, a: int, ni: int, left: bool, fixed: int, vectors: List[Dict], low):

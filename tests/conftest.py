@@ -33,6 +33,16 @@ def corank_twisting(M, n, delta, field):
                                for x in range(M.size)], "corank")
 
 
+def edited(pi, *edits):
+    """A new Twisting with pi's field, values and provenance, and value v at
+    (x, y) for each (x, y, v) in edits: Twisting.values are tuples, so a
+    twisting is changed by making another."""
+    grid = [list(row) for row in pi.values]
+    for x, y, v in edits:
+        grid[x][y] = v
+    return cm.Twisting(pi.field, grid, pi.provenance)
+
+
 def is_regular(M):
     """Every x has a y with xyx = x: the definition, over all n**2 pairs."""
     T = M.table
@@ -224,8 +234,8 @@ def reference_is_lr(M, gs, pi):
 
 
 def reference_compatibility(M, gs, pi):
-    """compatibility_class with each column of the table and of pi built per
-    acting element, and reference_is_lr."""
+    """compatibility_class's reference: the same scan with each column of the
+    table and of pi built per acting element, and reference_is_lr."""
     T, V = M.table, pi.values
     strong = True
     for a in range(M.size):

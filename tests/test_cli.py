@@ -13,6 +13,8 @@ import pytest
 import cellmonoid as cm
 from cellmonoid.cli import main, report_schema
 
+from conftest import edited
+
 jsonschema = pytest.importorskip("jsonschema")
 
 
@@ -130,8 +132,7 @@ def test_twist_run_proves_the_laws_once(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     M, _ = cm.family("tfull", 2)
     cm.save_cayley_json(M, "t2.json")
-    pi = cm.trivial_twisting(M.size, cm.RATIONALS)
-    pi.values[1][1] = Fraction(2)
+    pi = edited(cm.trivial_twisting(M.size, cm.RATIONALS), (1, 1, Fraction(2)))
     cm.save_twisting_json(pi, "bad_pi.json")
     calls.clear()
     code, payload, _ = run(["twist", "--cayley", "t2.json", "--twist-file", "bad_pi.json"],
@@ -200,6 +201,10 @@ GOLDEN = [
     (["twist", "--family", "jones", "--n", "3", "--delta", "2", "--verify", "off"], 0,
      "4e300e76066e45347ed68452b5ebb382dfd188514c80c58ea162d2090d56d470",
      "f2867542d71911799b66ea1b3e20cfb0529806233511bf2020991cdbb3483ed7"),
+    # a non-integral delta: the loop twisting's values are Fractions
+    (["twist", "--family", "jones", "--n", "3", "--delta", "1/2"], 0,
+     "a69d18f5ecd56796e53c74837dcdb203e81820a7ed7436e5f1fc9d6c08aa176a",
+     "71ed3d0592af529a2a398dff0e76da5195733df2b004a3d5b8de7fc8db78d91b"),
 ]
 
 
@@ -209,8 +214,7 @@ def test_reports_are_byte_stable(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     M, _ = cm.family("tfull", 2)
     cm.save_cayley_json(M, "t2.json")
-    pi = cm.trivial_twisting(M.size, cm.RATIONALS)
-    pi.values[1][1] = Fraction(2)
+    pi = edited(cm.trivial_twisting(M.size, cm.RATIONALS), (1, 1, Fraction(2)))
     cm.save_twisting_json(pi, "bad_pi.json")
     for k, (args, code, report_sha, stdout_sha) in enumerate(GOLDEN):
         report = tmp_path / f"golden{k}.json"

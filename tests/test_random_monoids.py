@@ -11,7 +11,7 @@ from cellmonoid.exactalg import RATIONALS, prime_field
 from cellmonoid.twist import cocycle_middles
 
 from conftest import (assembled_order_pairs, assert_node_order_matches_reference,
-                      corank_twisting, order_pairs, reference_trace_form,
+                      corank_twisting, edited, order_pairs, reference_trace_form,
                       reference_twisting_witness, reference_witness)
 
 SIZE_BOUND = 40  # larger monoids are counted, not analysed, to keep this fast
@@ -186,8 +186,8 @@ def test_axiom_check_matches_reference_scan():
             pi = _coboundary(M, cls, data.draw(st.lists(scalar, min_size=max(cls) + 1,
                                                         max_size=max(cls) + 1)), field)
             element = st.integers(0, M.size - 1)
-            for x, y in data.draw(st.lists(st.tuples(element, element), max_size=2)):
-                pi.values[x][y] = 0
+            pi = edited(pi, *((x, y, 0) for x, y in
+                              data.draw(st.lists(st.tuples(element, element), max_size=2))))
             datum = datum.twisted(pi.values)
         full = cm.verify_cell_axioms(datum)
         assert full.witness == reference_witness(datum, range(M.size))
@@ -238,8 +238,7 @@ def _draw_twisting(data):
               else corank_twisting(M, r, delta, field))
     element = st.integers(0, M.size - 1)
     value = st.sampled_from([0] + COCYCLE_SCALARS[field])
-    for x, y, v in data.draw(st.lists(st.tuples(element, element, value), max_size=2)):
-        pi.values[x][y] = v
+    pi = edited(pi, *data.draw(st.lists(st.tuples(element, element, value), max_size=2)))
     return M, pi
 
 

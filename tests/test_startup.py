@@ -1,0 +1,128 @@
+"""Start-up: a run loads only the modules it executes.  The package exports
+its public names lazily (PEP 562), untwisted runs load neither the twisting
+code nor fractions, and each path that makes a Fraction loads fractions
+itself.  Each check runs in a fresh interpreter, started with -S so that site
+hooks load nothing on their own behalf."""
+
+import ast
+import importlib
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import cellmonoid as cm
+
+SRC = Path(cm.__file__).resolve().parent.parent
+
+WATCHED = ("sorted(m for m in sys.modules"
+           " if m.startswith('cellmonoid.') or m in ('fractions', 'decimal'))")
+
+# The package's exports when it imported every submodule, by defining module.
+EXPORTS = {
+    "exactalg": ["DenseMatrix", "FieldSpec", "RATIONALS", "Scalar", "mat_rank", "prime_field"],
+    "monoid": ["BadIdentity", "CellmonoidError", "FiniteMonoid", "LoopTable", "MonoidError",
+               "NotAssociative", "SizeCapExceeded", "family", "from_cayley_table",
+               "generate_from_maps", "generating_set", "idempotents", "load_cayley_json",
+               "save_cayley_json"],
+    "green": ["EggBox", "GreenStructure", "SchutzGroup", "bijection_condition", "build_eggbox",
+              "compute_green", "sandwich", "schutzenberger"],
+    "groupcell": ["AxiomViolation", "UnsupportedGroup", "find_symmetric_iso", "murphy_datum",
+                  "partitions", "standard_group_data", "standard_tableaux",
+                  "trivial_group_datum"],
+    "cellbasis": ["AnalysisReport", "CellDatum", "GramSummary", "GroupDatumAttachment",
+                  "MonoidAttachment", "NotABasis", "GroupMismatch", "analyze", "bracket_value",
+                  "build_cell_datum", "gram_definition", "gram_fast", "gram_summary",
+                  "lambda0_via_matching", "table_mult", "weighted_sandwich"],
+    "twist": ["Compatibility", "IncompatibleTwisting", "Twisting", "build_twisted_cell_datum",
+              "compatibility_class", "make_loop_twisting", "trivial_twisting", "verify_twisting",
+              "load_twisting_json", "NotACocycle", "save_twisting_json"],
+    "verify": ["AxiomReport", "WrongCharacteristic", "cross_check", "trace_form_semisimple",
+               "verify_cell_axioms"],
+    "pipeline": ["green_data", "standard_datum"],
+}
+
+
+def fresh(code):
+    """The last line that code prints in a fresh interpreter importing from src."""
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, check=True).stdout
+    return out.splitlines()[-1]
+
+
+def loaded(code):
+    """The cellmonoid submodules, fractions and decimal held after code runs."""
+    return set(ast.literal_eval(fresh(f"import sys\n{code}\nprint({WATCHED})")))
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded("import cellmonoid") == set()
+
+
+@pytest.mark.parametrize("code", [
+    "import cellmonoid.cli",
+    "from cellmonoid import cli; cli.main(['analyze', '--family', 'tfull', '--n', '3'])",
+])
+def test_untwisted_cli_loads_no_twisting_code(code):
+    mods = loaded(code)
+    assert "cellmonoid.cli" in mods
+    assert not mods & {"cellmonoid.twist", "fractions", "decimal"}
+
+
+def test_library_datum_loads_no_checks():
+    mods = loaded("from cellmonoid import cellbasis, monoid, pipeline\n"
+                  "from cellmonoid.exactalg import RATIONALS\n"
+                  "M, _ = monoid.family('tpartial', 3)\n"
+                  "cellbasis.analyze(pipeline.standard_datum(M, RATIONALS))")
+    assert "cellmonoid.cellbasis" in mods
+    assert not mods & {"cellmonoid.verify", "cellmonoid.twist", "cellmonoid.cli"}
+
+
+def test_twist_run_loads_twist():
+    mods = loaded("from cellmonoid import cli\n"
+                  "cli.main(['twist', '--family', 'jones', '--n', '3', '--delta', '2'])")
+    assert "cellmonoid.twist" in mods
+
+
+def test_exports_are_the_defining_modules_objects():
+    exported = [name for names in EXPORTS.values() for name in names]
+    assert sorted(cm.__all__) == sorted(set(exported)) and len(exported) == 70
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"cellmonoid.{module}")
+        for name in names:
+            assert getattr(cm, name) is getattr(home, name), name
+    assert set(exported) | set(EXPORTS) <= set(dir(cm))
+
+
+def test_unknown_names_raise_attribute_error():
+    for name in ("no_such_name", "law_failure"):  # law_failure is not exported
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(cm, name)
+    with pytest.raises(ImportError):
+        from cellmonoid import no_such_name  # noqa: F401
+
+
+def test_submodule_attribute_imports_the_submodule():
+    assert fresh("import cellmonoid as cm\n"
+                 "print(cm.twist.law_failure is cm.verify.law_failure)") == "True"
+
+
+@pytest.mark.parametrize("call, value", [
+    ("RATIONALS.parse_scalar('1/2')", Fraction(1, 2)),
+    ("RATIONALS.inv(3)", Fraction(1, 3)),
+    ("mat_inverse(DenseMatrix.from_rows(RATIONALS, [[2]])).entries[0][0]", Fraction(1, 2)),
+    ("_rational(4, 2)", 2),
+])
+def test_fraction_paths_load_fractions_themselves(call, value):
+    # each call is the process's first use of exact rationals
+    out = fresh("import sys\n"
+                "from cellmonoid.exactalg import DenseMatrix, RATIONALS, _rational, mat_inverse\n"
+                "before = 'fractions' in sys.modules\n"
+                f"v = {call}\n"
+                "print(repr((before, type(v).__name__, str(v), 'fractions' in sys.modules)))")
+    before, kind, text, after = ast.literal_eval(out)
+    assert (before, kind, text) == (False, type(value).__name__, str(value))
+    assert after == (kind == "Fraction")

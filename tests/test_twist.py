@@ -8,8 +8,8 @@ import cellmonoid as cm
 from cellmonoid.exactalg import RATIONALS, prime_field
 from cellmonoid.twist import cocycle_middles, twist_summary
 
-from conftest import (assert_checks_clean, corank_twisting, reference_compatibility,
-                      reference_twisting_witness)
+from conftest import (assert_checks_clean, corank_twisting, edited, reference_axiom_report,
+                      reference_compatibility, reference_twisting_witness)
 
 Q = RATIONALS
 
@@ -32,8 +32,7 @@ def test_verify_twisting(store):
     assert cm.verify_twisting(M, pi) is None
     triv = cm.trivial_twisting(M.size, Q)
     assert cm.verify_twisting(M, triv) is None
-    bad = cm.trivial_twisting(M.size, Q)
-    bad.values[1][M.identity] = Fraction(2)
+    bad = edited(cm.trivial_twisting(M.size, Q), (1, M.identity, Fraction(2)))
     w = cm.verify_twisting(M, bad)
     assert w is not None and w["law"] == "unit"
     # a coboundary f(x)f(y)/f(xy) with non-integer f is a cocycle; the integer
@@ -42,18 +41,17 @@ def test_verify_twisting(store):
     vals = [[f[x] * f[y] / f[M.table[x][y]] for y in range(5)] for x in range(5)]
     cob = cm.Twisting(Q, vals, "coboundary")
     assert cm.verify_twisting(M, cob) is None
-    cob.values[2][3] *= 3
+    cob = edited(cob, (2, 3, cob.values[2][3] * 3))
     assert cm.verify_twisting(M, cob) == {"law": "cocycle", "triple": (1, 4, 3)}
 
 
 def test_cocycle_violation_witness(store):
     M, loops = store.monoid("jones3")
-    pi = cm.make_loop_twisting(loops, Fraction(2), Q)
-    pi.values[1][1] = Fraction(7)  # break one entry off the loop count
+    # break one entry off the loop count
+    pi = edited(cm.make_loop_twisting(loops, Fraction(2), Q), (1, 1, Fraction(7)))
     assert cm.verify_twisting(M, pi) == {"law": "cocycle", "triple": (1, 1, 2)}
     F5 = prime_field(5)
-    pi5 = cm.make_loop_twisting(loops, 2, F5)
-    pi5.values[1][1] = 3
+    pi5 = edited(cm.make_loop_twisting(loops, 2, F5), (1, 1, 3))
     assert cm.verify_twisting(M, pi5) == {"law": "cocycle", "triple": (1, 1, 2)}
 
 
@@ -130,8 +128,7 @@ def test_cocycle_check_reaches_past_the_generators(store):
     # the identity stops at the generators, so 2 joins the middles.
     M, _ = store.monoid("tfull3")
     assert M.gens == [11, 15, 3]
-    pi = _zero_twisting(M)
-    pi.values[1][2] = pi.values[M.table[1][2]][6] = 1
+    pi = edited(_zero_twisting(M), (1, 2, 1), (M.table[1][2], 6, 1))
     T, V, R = M.table, pi.values, range(M.size)
     assert all(V[x][g] * V[T[x][g]][z] == V[x][T[g][z]] * V[g][z]
                for x in R for g in M.gens for z in R)
@@ -378,8 +375,7 @@ def test_compatibility_scans_r_and_l_classes(store):
     # left scan refuses it; on the opposite monoid with the transposed grid the
     # same values vary along an L-class and the right scan refuses them
     M, _ = store.monoid("tfull2")
-    pi = cm.trivial_twisting(M.size, Q)
-    pi.values[1][1] = Fraction(2)
+    pi = edited(cm.trivial_twisting(M.size, Q), (1, 1, Fraction(2)))
     compat = cm.compatibility_class(M, store.green("tfull2")[0], pi)
     assert (compat.level, compat.witness) == ("incompatible",
                                               {"side": "left", "a": 1, "x": 1, "y": 3})
@@ -402,3 +398,26 @@ def test_twisting_file_errors_name_the_file(tmp_path, text, message):
     with pytest.raises(ValueError) as err:
         cm.load_twisting_json(path, Q)
     assert str(err.value).startswith(f"{path}: {message}"), err.value
+
+
+def test_lawful_mark_cannot_go_stale(store):
+    # The built datum shares pi.values as its weights and trusts the laws on
+    # them.  An in-place edit of pi after the build used to keep the mark
+    # while breaking the unit law, and the full check then passed a datum the
+    # plain scan fails.  Tuple rows refuse that edit; a changed twisting is a
+    # new one, which the build refuses and the unmarked check fails.
+    M, _ = store.monoid("tfull3")
+    base = store.datum("tfull3")
+    pi = cm.trivial_twisting(M.size, Q)
+    built = cm.build_twisted_cell_datum(base, pi)
+    assert built.lawful and built.weights is pi.values
+    with pytest.raises(TypeError):
+        pi.values[0][1] = 2
+    assert cm.verify_cell_axioms(built) == cm.AxiomReport("full", True, None, 27)
+    bad = edited(pi, (0, 1, 2))
+    with pytest.raises(cm.NotACocycle):
+        cm.build_twisted_cell_datum(base, bad)
+    unmarked = base.twisted(bad.values)
+    report = cm.verify_cell_axioms(unmarked)
+    assert report == reference_axiom_report(unmarked)
+    assert (report.ok, report.witness["acting"], report.witness["node"]) == (False, 0, "D1:*")
