@@ -1,12 +1,17 @@
 """Command-line interface: analyze / twist / verify with byte-stable reports.
 
+Grammar: ``cellmonoid COMMAND [--option VALUE | --option=VALUE]...``, COMMAND
+one of ``analyze``, ``twist``, ``verify`` and each option from its table in
+``_OPTIONS``.  A unique prefix names an option (``--fam``), the last repeat
+wins, and a separate VALUE may begin with ``-`` but not ``--`` (``--delta -1/2``).
+``-h`` or ``--help`` anywhere prints the usage; any other refusal is one ``error:`` line.
+
 Exit codes: 0 success, 1 usage or input error, 2 a mathematical check failed
 (the report is still written).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
@@ -52,55 +57,70 @@ class UsageError(Exception):
     pass
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cellmonoid",
-        description="Cell-structure analysis of finite monoid algebras.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (("analyze", "analyze the monoid algebra"),
-                      ("twist", "analyze a twisted monoid algebra"),
-                      ("verify", "run the basis axiom checker only")):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--family", choices=FAMILIES)
-        p.add_argument("--n", type=int)
-        p.add_argument("--cayley", metavar="PATH")
-        p.add_argument("--field", default="q", metavar="q|fp:P")
-        p.add_argument("--verify", default="full", choices=("full", "off"), dest="verify_mode")
-        p.add_argument("--report", metavar="PATH")
-        p.add_argument("--cap", type=int, default=monoid_mod.DEFAULT_SIZE_CAP)
-        if name in ("twist", "verify"):
-            p.add_argument("--delta", metavar="SCALAR")
-            p.add_argument("--twist-file", metavar="PATH", dest="twist_file")
-    return parser
+USAGE = f"""usage: cellmonoid analyze|twist|verify [--option VALUE | --option=VALUE]...
+analyze the monoid algebra, a twisted one (twist), or check its basis axioms (verify)
+  --family {'|'.join(FAMILIES)} --n N, or --cayley PATH
+  --field q|fp:P (q)  --verify full|off (full)  --report PATH  --cap N ({monoid_mod.DEFAULT_SIZE_CAP})
+  twist and verify only: --delta SCALAR, or --twist-file PATH
+"""
+
+# Each command's options: name -> (RunConfig field, int, str or the choices, default).
+_COMMON = {"--family": ("family", FAMILIES, None), "--n": ("n", int, None),
+           "--cayley": ("cayley", str, None), "--field": ("field", str, "q"),
+           "--verify": ("verify_mode", ("full", "off"), "full"), "--report": ("report", str, None),
+           "--cap": ("cap", int, monoid_mod.DEFAULT_SIZE_CAP)}
+_TWISTED = {**_COMMON, "--delta": ("delta", str, None), "--twist-file": ("twist_file", str, None)}
+_OPTIONS = {"analyze": _COMMON, "twist": _TWISTED, "verify": _TWISTED}
 
 
-def _config_from_args(args) -> RunConfig:
-    if (args.family is None) == (args.cayley is None):
+def _config_from_args(argv: List[str]) -> RunConfig:
+    if not argv or argv[0] not in _OPTIONS:
+        raise UsageError(f"the first word must be a command: {', '.join(_OPTIONS)}")
+    table = _OPTIONS[argv[0]]
+    args = {"command": argv[0], **{dest: dflt for dest, _, dflt in _TWISTED.values()}}
+    words = iter(argv[1:])
+    for word in words:
+        name, eq, value = word.partition("=")
+        names = [name] if name in table else [
+            o for o in table if o.startswith(name) and name.startswith("--")]
+        if len(names) != 1:
+            raise UsageError(f"{'ambiguous' if names else 'unrecognized'} option {name!r} for {argv[0]}")
+        if not eq:
+            value = next(words, "--")
+            if value.startswith("--"):
+                raise UsageError(f"argument {names[0]}: expected one value")
+        dest, kind, _ = table[names[0]]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"argument {names[0]}: invalid int value: {value!r}") from None
+        elif kind is not str and value not in kind:
+            raise UsageError(f"argument {names[0]}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, kind))})")
+        args[dest] = value
+    family, delta, twist_file, report = map(args.get, ("family", "delta", "twist_file", "report"))
+    if (family is None) == (args["cayley"] is None):
         raise UsageError("exactly one monoid source: --family with --n, or --cayley")
-    if args.family is not None and args.n is None:
-        raise UsageError("--family needs --n")
-    if args.family is None and args.n is not None:
-        raise UsageError("--n needs --family")
+    if (family is None) != (args["n"] is None):
+        raise UsageError("--n needs --family" if family is None else "--family needs --n")
     try:
-        field = FieldSpec.parse(args.field)
+        field = FieldSpec.parse(args["field"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    delta = getattr(args, "delta", None)
-    twist_file = getattr(args, "twist_file", None)
     if delta is not None and twist_file is not None:
         raise UsageError("--delta and --twist-file are mutually exclusive")
-    if delta is not None and args.family != "jones":
+    if delta is not None and family != "jones":
         raise UsageError("--delta needs a loop-table-bearing source (--family jones)")
-    if args.command == "twist" and delta is None and twist_file is None:
+    if args["command"] == "twist" and delta is None and twist_file is None:
         raise UsageError("twist needs --delta or --twist-file")
-    if args.command == "verify" and args.verify_mode == "off":
+    if args["command"] == "verify" and args["verify_mode"] == "off":
         raise UsageError("verify needs --verify full")
-    if args.report and not Path(args.report).parent.is_dir():
-        raise UsageError(f"--report: {Path(args.report).parent} is not a directory")
-    if args.report and Path(args.report).is_dir():
-        raise UsageError(f"--report: {args.report} is a directory")
-    return RunConfig(args.command, args.family, args.n, args.cayley, field,
-                     delta, twist_file, args.verify_mode, args.report, args.cap)
+    if report and not Path(report).parent.is_dir():
+        raise UsageError(f"--report: {Path(report).parent} is not a directory")
+    if report and Path(report).is_dir():
+        raise UsageError(f"--report: {report} is a directory")
+    return RunConfig(**{**args, "field": field})
 
 
 def _build_monoid(cfg: RunConfig) -> Tuple[FiniteMonoid, Optional[LoopTable]]:
@@ -218,13 +238,12 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
-        return run(_config_from_args(args))
+        return run(_config_from_args(argv))
     except (UsageError, CellmonoidError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

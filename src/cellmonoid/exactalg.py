@@ -134,17 +134,18 @@ class FieldSpec:
         return pow(a, self.p - 2, self.p)
 
     def parse_scalar(self, s: str) -> Scalar:
-        """Parse "n" or "n/d" (any Fraction literal over the rationals, an int
-        when integral; reduced mod p over a prime field).  A string that is
-        not one, or divides by zero, raises a ValueError naming it and the field."""
+        """Parse "n" or "n/d": an int literal by int, any other Fraction literal
+        over the rationals by Fraction, reduced mod p over a prime field.  A string
+        that is not one, or divides by zero, raises a ValueError naming it and the field."""
         s = s.strip()
         try:
-            if self.kind == "q":
-                return _rational(*_fraction(s).as_integer_ratio())
-            if "/" in s:
-                num, den = s.split("/", 1)
-                return int(num) * self.inv(int(den) % self.p) % self.p
-            return int(s) % self.p
+            try:
+                return self.norm(int(s))
+            except ValueError:
+                if self.kind == "q":
+                    return _rational(*_fraction(s).as_integer_ratio())
+            num, den = s.split("/", 1)  # a ValueError without one "/"
+            return int(num) * self.inv(int(den) % self.p) % self.p
         except ZeroDivisionError:
             raise ValueError(f"scalar {s!r} divides by zero in {self.spec_string()}") from None
         except ValueError:

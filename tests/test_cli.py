@@ -101,7 +101,7 @@ def test_verify_commands(tmp_path):
 
 
 def test_verify_accepts_only_full_and_off(capsys):
-    # the generators mode is gone: argparse refuses it as an invalid choice,
+    # the generators mode is gone: the parser refuses it as an invalid choice,
     # and verify with the check off names the one mode left
     assert main(["verify", "--family", "tfull", "--n", "2", "--verify", "generators"]) == 1
     err = capsys.readouterr().err
@@ -151,6 +151,78 @@ def test_usage_errors(tmp_path):
                  "--field", "q"]) == 1                                  # no loop table
     assert main(["analyze", "--family", "tfull", "--n", "6", "--field", "q"]) == 1  # cap
     assert main(["analyze", "--cayley", str(tmp_path / "missing.json"), "--field", "q"]) == 1
+
+
+# Each refusal of the command line: its arguments and a part of its message.
+REFUSALS = {
+    "no_command": ([], "the first word must be a command: analyze, twist, verify"),
+    "unknown_command": (["frob", "--family", "tfull", "--n", "2"], "a command"),
+    "unknown_option": (["analyze", "--family", "tfull", "--n", "2", "--frob", "1"],
+                       "unrecognized option '--frob' for analyze"),
+    "option_of_another_command": (["analyze", "--family", "jones", "--n", "3", "--delta", "2"],
+                                  "unrecognized option '--delta' for analyze"),
+    "single_dash_option": (["analyze", "-n", "2"], "unrecognized option '-n'"),
+    "missing_value": (["analyze", "--family", "tfull", "--n"], "--n: expected one value"),
+    "value_starts_with_dashes": (["analyze", "--family", "--n", "2"],
+                                 "--family: expected one value"),
+    "n_not_an_int": (["analyze", "--family", "tfull", "--n", "x"], "invalid int value: 'x'"),
+    "unknown_family": (["analyze", "--family", "foo", "--n", "2"], "invalid choice: 'foo'"),
+    "verify_generators": (["verify", "--family", "tfull", "--n", "2", "--verify", "generators"],
+                          "invalid choice: 'generators' (choose from 'full', 'off')"),
+    "ambiguous_prefix": (["analyze", "--family", "tfull", "--n", "2", "--ca", "3"],
+                         "ambiguous option '--ca' for analyze"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_usage_refusal_is_one_line(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    args, message = REFUSALS[case]
+    assert main(args[:1] + ["--report", "r.json"] + args[1:]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+    assert list(tmp_path.iterdir()) == []  # no report
+
+
+def test_usage_refusal_exits_1_from_the_module():
+    src = Path(cm.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "cellmonoid.cli", "analyze", "--n", "x"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: argument --n: invalid int value: 'x'\n"
+
+
+def _report_bytes(args, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert main(args + ["--report", str(report)]) == 0, args
+    return report.read_bytes(), capsys.readouterr().out
+
+
+def test_option_spellings_give_the_same_report(tmp_path, capsys):
+    # --delta -1/2 is a value (a separate value may start with one dash), a
+    # unique prefix names its option, and the last repeated option wins
+    plain = ["twist", "--family", "jones", "--n", "3", "--delta", "-1/2"]
+    expected = _report_bytes(plain, tmp_path, capsys)
+    assert b'"delta": "-1/2"' in expected[0]
+    for args in (["twist", "--family=jones", "--n=3", "--delta=-1/2"],
+                 ["twist", "--fam", "jones", "--n", "3", "--del", "-1/2"],
+                 ["twist", "--family", "tfull", "--n", "2", "--delta", "5", *plain[1:]]):
+        assert _report_bytes(args, tmp_path, capsys) == expected, args
+    tfull = ["analyze", "--family", "tfull", "--n", "2", "--field", "fp:3"]
+    assert (_report_bytes(["analyze", "--fam", "tfull", "--n=2", "--fi=fp:3"], tmp_path, capsys)
+            == _report_bytes(tfull, tmp_path, capsys))
+
+
+@pytest.mark.parametrize("args", [["--help"], ["twist", "-h"],
+                                  ["analyze", "--family", "foo", "--help"]])
+def test_help_names_every_command_and_option(args, capsys):
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: cellmonoid ")
+    for word in ("analyze", "twist", "verify", "--family", "--n", "--cayley", "--field",
+                 "--verify", "--report", "--cap", "--delta", "--twist-file"):
+        assert word in out, word
 
 
 def test_report_determinism(tmp_path):
@@ -359,19 +431,22 @@ def test_report_naming_a_directory_fails_before_the_work(tmp_path, capsys):
     assert err == f"error: --report: {tmp_path} is a directory\n"
 
 
+HEAVY = ("dataclasses", "argparse")  # no module in src imports these
+
+
 def test_cli_import_loads_no_record_machinery():
     # Each CLI run is a fresh process that pays for every module it imports:
-    # dataclasses alone pulls in inspect, ast, dis and tokenize.  -S keeps
-    # site hooks from loading them on their own behalf.
+    # dataclasses alone pulls in inspect, ast, dis and tokenize, and argparse
+    # gettext, locale and shutil.  -S keeps site hooks from loading them on
+    # their own behalf.
     src = Path(cm.__file__).resolve().parent.parent
     probe = ("import sys, cellmonoid.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'argparse'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
     assert out == "[]\n"
     importers = [path.name for path in sorted((src / "cellmonoid").glob("*.py"))
                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
-                 if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
-                 or isinstance(node, ast.Import) and any(a.name == "dataclasses"
-                                                         for a in node.names)]
+                 if isinstance(node, ast.ImportFrom) and node.module in HEAVY
+                 or isinstance(node, ast.Import) and any(a.name in HEAVY for a in node.names)]
     assert importers == []

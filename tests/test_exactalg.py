@@ -85,6 +85,43 @@ def test_scalar_serialization_round_trip():
             field.parse_scalar(s)
 
 
+SPELLINGS = ["2", "+2", "-0", " 3 ", "2_0", "٣", "１２", "4/2", "-3/2", "1.5", "2.0", "1e3",
+             "abc", "1/0", "", "1/2/3", "0x10"]
+
+
+def _fraction_reading(s):
+    """The rational that Fraction reads from s, or None where it refuses s."""
+    try:
+        return exactalg._rational(*Fraction(s).as_integer_ratio())
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _split_reading(field, s):
+    """Over a prime field: n % p, or n/d by d's inverse, or None where refused."""
+    s = s.strip()
+    try:
+        if "/" not in s:
+            return int(s) % field.p
+        num, den = (int(t) for t in s.split("/", 1))
+        return num * pow(den, field.p - 2, field.p) % field.p if den % field.p else None
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("s", SPELLINGS)
+def test_parse_scalar_reads_integers_by_int_as_fraction_would(s):
+    # over Q an int literal skips Fraction; the value, its type and every
+    # refusal match the Fraction reading
+    for field, expected in ((RATIONALS, _fraction_reading(s)), (F5, _split_reading(F5, s))):
+        if expected is None:
+            with pytest.raises(ValueError, match=f" in {field.spec_string()}$"):
+                field.parse_scalar(s)
+        else:
+            value = field.parse_scalar(s)
+            assert (value, type(value)) == (expected, type(expected)), (field, s)
+
+
 def test_rank_examples():
     assert mat_rank(DenseMatrix.identity(RATIONALS, 2)) == 2
     assert mat_rank(M(F2, [[2]])) == 0

@@ -1,7 +1,7 @@
 """Start-up: a run loads only the modules it executes.  The package exports
 its public names lazily (PEP 562), untwisted runs load neither the twisting
-code nor fractions, and each path that makes a Fraction loads fractions
-itself.  Each check runs in a fresh interpreter, started with -S so that site
+code nor fractions, no run loads an argument parser, and each path that makes
+a Fraction loads fractions itself.  Each check runs in a fresh interpreter, started with -S so that site
 hooks load nothing on their own behalf."""
 
 import ast
@@ -18,8 +18,9 @@ import cellmonoid as cm
 
 SRC = Path(cm.__file__).resolve().parent.parent
 
-WATCHED = ("sorted(m for m in sys.modules"
-           " if m.startswith('cellmonoid.') or m in ('fractions', 'decimal'))")
+PARSER = {"argparse", "gettext", "locale", "shutil"}  # argparse and what it loads
+WATCHED = ("sorted(m for m in sys.modules if m.startswith('cellmonoid.')"
+           f" or m in {('fractions', 'decimal', *sorted(PARSER))})")
 
 # The package's exports when it imported every submodule, by defining module.
 EXPORTS = {
@@ -54,7 +55,7 @@ def fresh(code):
 
 
 def loaded(code):
-    """The cellmonoid submodules, fractions and decimal held after code runs."""
+    """The cellmonoid submodules, fractions, decimal and PARSER held after code runs."""
     return set(ast.literal_eval(fresh(f"import sys\n{code}\nprint({WATCHED})")))
 
 
@@ -81,10 +82,29 @@ def test_library_datum_loads_no_checks():
     assert not mods & {"cellmonoid.verify", "cellmonoid.twist", "cellmonoid.cli"}
 
 
+def cli_run(*args):
+    return f"from cellmonoid import cli\ncli.main({list(args)!r})"
+
+
 def test_twist_run_loads_twist():
-    mods = loaded("from cellmonoid import cli\n"
-                  "cli.main(['twist', '--family', 'jones', '--n', '3', '--delta', '2'])")
+    mods = loaded(cli_run("twist", "--family", "jones", "--n", "3", "--delta", "2"))
     assert "cellmonoid.twist" in mods
+    assert not mods & {"fractions", "decimal"}  # an integral delta is read by int
+
+
+def test_non_integral_delta_loads_fractions():
+    mods = loaded(cli_run("twist", "--family", "jones", "--n", "3", "--delta", "1/2"))
+    assert "fractions" in mods
+
+
+@pytest.mark.parametrize("code", [
+    "import cellmonoid.cli",
+    cli_run("analyze", "--family", "tfull", "--n", "3"),
+    cli_run("twist", "--family", "jones", "--n", "3", "--delta", "2"),
+    cli_run("verify", "--family", "tfull", "--n", "2"),
+], ids=["import", "analyze", "twist", "verify"])
+def test_cli_loads_no_argument_parser(code):
+    assert not loaded(code) & PARSER
 
 
 def test_exports_are_the_defining_modules_objects():
@@ -115,6 +135,7 @@ def test_submodule_attribute_imports_the_submodule():
     ("RATIONALS.inv(3)", Fraction(1, 3)),
     ("mat_inverse(DenseMatrix.from_rows(RATIONALS, [[2]])).entries[0][0]", Fraction(1, 2)),
     ("_rational(4, 2)", 2),
+    ("RATIONALS.parse_scalar('2')", 2),
 ])
 def test_fraction_paths_load_fractions_themselves(call, value):
     # each call is the process's first use of exact rationals
