@@ -212,11 +212,12 @@ def table_mult(table: List[List[int]], field: FieldSpec,
     weights[ex][ey] when weights are given (the twisted product).  Terms a
     zero weight kills are skipped, so key order follows the first nonzero
     contribution; the unweighted loop is kept free of a weight multiply.
-    Sums are taken on the raw products and reduced by field.norm once per
-    key.  The weighted loop may test the raw product for zero: a product of
-    canonical residues mod a prime is 0 only when a factor is 0, so the raw
-    product is 0 exactly when its reduction is."""
-    norm = field.norm
+    Sums are taken on the raw products and reduced inline once per key: mod
+    p over a prime field, and zeros dropped (over the rationals the sums are
+    returned as they are when none is 0).  The weighted loop may test the raw
+    product for zero: a product of canonical residues mod a prime is 0 only
+    when a factor is 0, so the raw product is 0 exactly when its reduction is."""
+    p = field.p
     if weights is None:
         def mult(x: SparseVec, y: SparseVec) -> SparseVec:
             out: Dict[int, Scalar] = {}
@@ -225,7 +226,9 @@ def table_mult(table: List[List[int]], field: FieldSpec,
                 for ey, cy in y.items():
                     k = row[ey]
                     out[k] = out[k] + cx * cy if k in out else cx * cy
-            return {k: v for k, v in zip(out, map(norm, out.values())) if v}
+            if p is None:
+                return out if all(out.values()) else {k: v for k, v in out.items() if v}
+            return {k: r for k, v in out.items() if (r := v % p)}
 
         return mult
 
@@ -240,7 +243,9 @@ def table_mult(table: List[List[int]], field: FieldSpec,
                     continue
                 k = row[ey]
                 out[k] = out[k] + c if k in out else c
-        return {k: v for k, v in zip(out, map(norm, out.values())) if v}
+        if p is None:
+            return out if all(out.values()) else {k: v for k, v in out.items() if v}
+        return {k: r for k, v in out.items() if (r := v % p)}
 
     return weighted
 

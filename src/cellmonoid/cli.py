@@ -13,8 +13,8 @@ Exit codes: 0 success, 1 usage or input error, 2 a mathematical check failed
 from __future__ import annotations
 
 import json
+import os
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from . import cellbasis, monoid as monoid_mod, pipeline, verify as verify_mod
@@ -116,9 +116,9 @@ def _config_from_args(argv: List[str]) -> RunConfig:
         raise UsageError("twist needs --delta or --twist-file")
     if args["command"] == "verify" and args["verify_mode"] == "off":
         raise UsageError("verify needs --verify full")
-    if report and not Path(report).parent.is_dir():
-        raise UsageError(f"--report: {Path(report).parent} is not a directory")
-    if report and Path(report).is_dir():
+    if report and not os.path.isdir(parent := os.path.dirname(report) or "."):
+        raise UsageError(f"--report: {parent} is not a directory")
+    if report and os.path.isdir(report):
         raise UsageError(f"--report: {report} is a directory")
     return RunConfig(**{**args, "field": field})
 

@@ -7,8 +7,9 @@ and FieldSpec.norm reduces a result to its stored form once, where it is
 stored.  Rank decisions therefore never depend on tolerances.  Parsed and
 inverted rationals are ints when integral, so integral data stay on ints.
 
-Ranks, nonsingularity and inverses share one kernel: Gauss-Jordan elimination
-on Python ints mod a prime p.  Over a prime field p is the field's own and the
+Ranks, nonsingularity and inverses share one kernel: elimination on Python
+ints mod a prime p (Gauss-Jordan; for nonsingularity, column by column up to
+the first without a pivot).  Over a prime field p is the field's own and the
 answer is exact.  Over the rationals (where ints are accepted as scalars) each
 row is scaled to ints by clear_denominators and eliminated mod _MODULUS, and
 no answer is taken from the prime alone (Dixon 1982): a full rank mod p is a
@@ -247,18 +248,17 @@ def _bareiss_rank(rows: List[List[int]]) -> int:
 
 def clear_denominators(values: Sequence[Scalar]) -> List[int]:
     """Rationals times the lcm of their denominators: ints in the same ratios."""
+    if all(type(v) is int for v in values):
+        return list(values)
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values]
 
 
-def _rref_mod(rows: List[List[int]], ncols: int, p: int, stop_at_free: bool,
-              reduced: bool = True) -> List[int]:
+def _rref_mod(rows: List[List[int]], ncols: int, p: int, stop_at_free: bool) -> List[int]:
     """In-place reduced row echelon form of rows of residues mod p; returns
     the pivot columns.  Same pivot rule as _rref, so over a prime field it
     gives _rref's result.  With stop_at_free the elimination stops at the
-    first column without a pivot, whose index is then len(pivots).  Without
-    reduced only the entries below each pivot are cleared: a row echelon
-    form with pivots 1."""
+    first column without a pivot, whose index is then len(pivots)."""
     pivots: List[int] = []
     pr = 0
     nrows = len(rows)
@@ -274,7 +274,7 @@ def _rref_mod(rows: List[List[int]], ncols: int, p: int, stop_at_free: bool,
             inv = pow(prow[c], -1, p)
             prow = rows[pr] = [v * inv % p for v in prow]
         tail = prow[c:]  # prow is zero left of c
-        for r in range(0 if reduced else pr + 1, nrows):
+        for r in range(nrows):
             row = rows[r]
             f0 = row[c]
             if f0 and r != pr:
@@ -309,13 +309,13 @@ def _lift(residues: Sequence[int], p: int) -> Optional[Tuple[List[int], int]]:
     return nums, den
 
 
-def _certified_kernel_vector(rows: List[List[int]], red: List[List[int]], pivots: List[int],
+def _certified_kernel_vector(rows: List[List[int]], column: List[int], pivots: List[int],
                              free: int, p: int) -> Optional[List[Tuple[int, int]]]:
-    """The kernel vector of the reduced residue rows red at the free column
-    free (1 there, minus column free's entries at the pivots, 0 elsewhere),
-    lifted to ints, as (column, entry) pairs of its support; None unless it
-    lifts and the int rows annihilate the lift exactly."""
-    lifted = _lift([1] + [-red[r][free] % p for r in range(len(pivots))], p)
+    """The kernel vector at the free column free of a reduced form mod p,
+    whose column free holds column at the pivot rows (1 at free, minus column
+    at the pivots, 0 elsewhere), lifted to ints, as (column, entry) pairs of
+    its support; None unless it lifts and the int rows annihilate it exactly."""
+    lifted = _lift([1] + [-v % p for v in column], p)
     if lifted is None:
         return None
     support = list(zip([free] + pivots, lifted[0]))
@@ -324,18 +324,20 @@ def _certified_kernel_vector(rows: List[List[int]], red: List[List[int]], pivots
     return support
 
 
-def _eliminate(m: DenseMatrix, stop_at_free: bool, reduced: bool = True):
-    """(int rows, reduced residue rows, pivots, p): m's rows as ints (over
-    the rationals each row scaled by clear_denominators) and their (reduced,
-    by default) row echelon form mod p, the field's own prime or _MODULUS."""
+def _int_rows(m: DenseMatrix) -> Tuple[List[List[int]], int]:
+    """(int rows, p): m's rows as ints, over the rationals each scaled by
+    clear_denominators, and the prime to eliminate them mod."""
     if m.field.kind == "q":
-        p = _MODULUS
-        rows = [clear_denominators(r) for r in m.entries]
-    else:
-        p = m.field.p
-        rows = m.entries
+        return [clear_denominators(r) for r in m.entries], _MODULUS
+    return m.entries, m.field.p
+
+
+def _eliminate(m: DenseMatrix, stop_at_free: bool):
+    """(int rows, reduced residue rows, pivots, p): _int_rows and the reduced
+    row echelon form mod p of the int rows."""
+    rows, p = _int_rows(m)
     red = [[v % p for v in r] for r in rows]
-    return rows, red, _rref_mod(red, m.cols, p, stop_at_free, reduced), p
+    return rows, red, _rref_mod(red, m.cols, p, stop_at_free), p
 
 
 def mat_rank(m: DenseMatrix) -> int:
@@ -348,30 +350,52 @@ def mat_rank(m: DenseMatrix) -> int:
     if m.field.kind == "fp" or r == min(m.rows, m.cols):
         return r
     pivot_set = set(pivots)
-    if all(_certified_kernel_vector(rows, red, pivots, c, p) is not None
+    if all(_certified_kernel_vector(rows, [v[c] for v in red[:r]], pivots, c, p) is not None
            for c in range(m.cols) if c not in pivot_set):
         return r
     return _bareiss_rank(rows)
 
 
 def certified_nonsingular(m: DenseMatrix) -> Optional[bool]:
-    """Whether the square matrix m is nonsingular.  Over the rationals a
-    full rank mod _MODULUS proves it, and one certified kernel vector proves
-    m singular; None when neither holds, for the caller's exact fallback.
-    Only a row echelon form is computed, up to the first free column; when
-    there is one, back substitution reduces that column alone."""
-    rows, red, pivots, p = _eliminate(m, True, reduced=False)
-    free = len(pivots)
-    if free == m.rows:
+    """Whether m is square and nonsingular.  Over the rationals a full rank
+    mod _MODULUS proves it, and one certified kernel vector proves m
+    singular; None when neither holds, for the caller's exact fallback.
+    Each column is reduced when the scan reaches it, by dot products with
+    the multipliers earlier pivots left on each row (left-looking, with
+    _rref_mod's pivot rule); the scan stops at the first column without a
+    pivot and reads no later one.  That column and its kernel vector do not
+    depend on the elimination order."""
+    n = m.rows
+    if m.cols != n:
+        return False
+    rows, p = _int_rows(m)
+    order = list(range(n))  # the row at each position, swapped as pivots are taken
+    mults = [[] for _ in range(n)]  # per row: its multiplier at each pivot before it
+    invs, uppers = [], []  # per pivot c: its inverse, and column c's entries above row c
+    for c, col in enumerate(zip(*rows)):
+        u: List[int] = []  # column c at the pivot rows, each reduced by those above it
+        for r in range(c):
+            i = order[r]
+            u.append((col[i] - sum(map(mul, mults[i], u))) * invs[r] % p)
+        rest = [(col[i] - sum(map(mul, mults[i], u))) % p for i in order[c:]]
+        pv = next((r for r, v in enumerate(rest) if v), None)
+        if pv is None:
+            break
+        order[c], order[c + pv] = order[c + pv], order[c]
+        rest[0], rest[pv] = rest[pv], rest[0]
+        invs.append(pow(rest[0], -1, p))
+        uppers.append(u)
+        for i, v in zip(order[c + 1:], rest[1:]):
+            mults[i].append(v)
+    else:
         return True
     if m.field.kind == "fp":
         return False
-    for c in range(free - 1, 0, -1):  # pivot c sits at row c
-        for r in range(c):
-            red[r][free] = (red[r][free] - red[r][c] * red[c][free]) % p
-    if _certified_kernel_vector(rows, red, pivots, free, p) is not None:
-        return False
-    return None
+    for k in range(c - 1, 0, -1):  # back substitution: pivot k sits at row k
+        x = u[k]
+        if x:
+            u[:k] = [(v - w * x) % p for v, w in zip(u, uppers[k])]
+    return False if _certified_kernel_vector(rows, u, list(range(c)), c, p) is not None else None
 
 
 def mat_inverse(m: DenseMatrix) -> Optional[DenseMatrix]:

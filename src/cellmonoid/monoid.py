@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 DEFAULT_SIZE_CAP = 5000
@@ -451,14 +450,16 @@ def generating_set(M: FiniteMonoid) -> List[int]:
 # ---------------------------------------------------------------------------
 
 def _dump_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _load_json_object(path, *keys: str) -> Dict:
     """The JSON object in a file; ValueError, naming the file, unless it has
     every given key.  Nesting too deep for the decoder is a ValueError too."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     except RecursionError:

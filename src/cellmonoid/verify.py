@@ -239,11 +239,12 @@ def trace_form_semisimple(mult, dim: int, field: FieldSpec,
     the rationals.  Positive characteristic is refused (the criterion is
     unreliable there).
 
-    Each unit product e_i*e_j is computed once, with the int 1 as its
-    coefficient, and its terms are kept in three flat lists per row, not as
-    dicts.  The traces tr(e_k) are read off the same products.  With D the
-    lcm of the coefficients' denominators, D*coefficients and D*traces are
-    ints, and the form built is D**2 * B, nonsingular exactly when B is.
+    The unit vectors, with the int 1 as coefficient, are built once, and
+    each unit product e_i*e_j is computed once (dim**2 calls of mult); its
+    terms are kept in three flat lists per row, not as dicts.  The traces
+    tr(e_k) are read off the same products.  With D the lcm of the
+    coefficients' denominators, D*coefficients and D*traces are ints, and
+    the form built is D**2 * B, nonsingular exactly when B is.
     certified_nonsingular decides it; when its certificate fails, the exact
     rank does, and a line saying so is appended to notes when given."""
     if field.kind != "q":
@@ -251,11 +252,11 @@ def trace_form_semisimple(mult, dim: int, field: FieldSpec,
     products = []  # per i: j, k and c of each term c*e_k of e_i*e_j
     traces: List[Scalar] = []
     den = 1
-    for i in range(dim):
-        ui = {i: 1}
+    units = [{i: 1} for i in range(dim)]
+    for ui in units:
         js, ks, cs = [], [], []
-        for j in range(dim):
-            for k, c in mult(ui, {j: 1}).items():
+        for j, uj in enumerate(units):
+            for k, c in mult(ui, uj).items():
                 js.append(j)
                 ks.append(k)
                 cs.append(c)

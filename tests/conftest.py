@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import cellmonoid as cm
+from cellmonoid import exactalg
 from cellmonoid.exactalg import FieldSpec, _bareiss_rank, clear_denominators
 from cellmonoid.groupcell import dominates
 
@@ -140,6 +141,64 @@ def reference_trace_form(mult, dim):
             row.append(acc)
         entries.append(clear_denominators(row))
     return _bareiss_rank(entries) == dim
+
+
+def reference_nonsingular(m):
+    """certified_nonsingular by a row echelon form of every column: rows
+    scaled to ints over the rationals, residues mod exactalg._MODULUS (read
+    at call time, so a test may change it) or the field's prime, pivots 1
+    and the entries below each cleared, up to the first free column; back
+    substitution reduces that column alone, and its kernel vector is lifted
+    and checked by _certified_kernel_vector.  m must be square."""
+    if m.field.kind == "q":
+        p, rows = exactalg._MODULUS, [clear_denominators(r) for r in m.entries]
+    else:
+        p, rows = m.field.p, m.entries
+    red = [[v % p for v in r] for r in rows]
+    n = len(red)
+    free = 0  # the pivots so far; the pivot of column c sits at row c
+    while free < n:
+        pv = next((r for r in range(free, n) if red[r][free]), None)
+        if pv is None:
+            break
+        red[free], red[pv] = red[pv], red[free]
+        inv = pow(red[free][free], -1, p)
+        prow = red[free] = [v * inv % p for v in red[free]]
+        for r in range(free + 1, n):
+            f0 = red[r][free]
+            if f0:
+                red[r] = [(v - f0 * w) % p for v, w in zip(red[r], prow)]
+        free += 1
+    if free == n:
+        return True
+    if m.field.kind == "fp":
+        return False
+    for c in range(free - 1, 0, -1):
+        for r in range(c):
+            red[r][free] = (red[r][free] - red[r][c] * red[c][free]) % p
+    column = [red[r][free] for r in range(free)]
+    support = exactalg._certified_kernel_vector(rows, column, list(range(free)), free, p)
+    return False if support is not None else None
+
+
+def reference_table_mult(table, field, weights=None):
+    """table_mult's product by the loop that reduced each key's sum by
+    field.norm: raw sums per key in the order of the first nonzero
+    contribution, then one norm call per key and the zeros dropped."""
+    norm = field.norm
+
+    def mult(x, y):
+        out = {}
+        for ex, cx in x.items():
+            for ey, cy in y.items():
+                c = cx * cy if weights is None else cx * cy * weights[ex][ey]
+                if weights is not None and not c:
+                    continue
+                k = table[ex][ey]
+                out[k] = out[k] + c if k in out else c
+        return {k: v for k, v in zip(out, map(norm, out.values())) if v}
+
+    return mult
 
 
 def reference_witness(datum, acting):

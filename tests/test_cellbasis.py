@@ -11,7 +11,7 @@ from cellmonoid.cli import main
 from cellmonoid.exactalg import DenseMatrix, FieldSpec, RATIONALS, mat_inverse, prime_field
 from cellmonoid.groupcell import dominates
 
-from conftest import (assembled_order_pairs, assert_checks_clean,
+from conftest import (assembled_order_pairs, assert_checks_clean, reference_table_mult,
                       assert_node_order_matches_reference, order_pairs)
 
 
@@ -123,6 +123,34 @@ def test_stored_scalars_are_canonical(store, field):
         bad = [v for v in values if not canonical(v)]
         assert not bad, bad[:5]
         assert any(v != 0 for v in values)
+
+
+@pytest.mark.parametrize("field", ["q", "fp:3", "fp:5"])
+def test_table_mult_matches_the_norm_per_key_reference(store, field):
+    # table_mult reduces each key inline; conftest.reference_table_mult calls
+    # field.norm once per key.  Random sparse vectors on jones4's table, with
+    # and without random weights (zeros among them), must give the same
+    # items in the same key order, with the same scalar types.  Small
+    # coefficients make terms cancel, over Q also between Fractions.
+    fs = FieldSpec.parse(field)
+    rng = random.Random(field)
+    M, _ = store.monoid("jones4")
+    T, n = M.table, M.size
+    pool = ([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)] if fs.kind == "q"
+            else list(range(1, fs.p)))
+    weights = [[rng.choice([0] + pool) for _ in range(n)] for _ in range(n)]
+    pairs = [(cellbasis.table_mult(T, fs), reference_table_mult(T, fs)),
+             (cellbasis.table_mult(T, fs, weights), reference_table_mult(T, fs, weights))]
+    cancelled = 0
+    for _ in range(400):
+        x, y = ({k: rng.choice(pool) for k in rng.sample(range(n), rng.randint(0, 6))}
+                for _ in range(2))
+        for mult, reference in pairs:
+            got, want = mult(x, y), reference(x, y)
+            assert [(k, v, type(v)) for k, v in got.items()] == [
+                (k, v, type(v)) for k, v in want.items()], (x, y)
+        cancelled += len(got) < len({T[a][b] for a in x for b in y if weights[a][b]})
+    assert cancelled > 20, cancelled
 
 
 def test_gram_definition_examples(store):

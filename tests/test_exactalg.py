@@ -10,6 +10,8 @@ from cellmonoid.exactalg import (DenseMatrix, FieldSpec, RATIONALS, _bareiss_ran
                                  certified_nonsingular, clear_denominators, mat_inverse,
                                  mat_rank, prime_field)
 
+from conftest import reference_nonsingular
+
 F2 = prime_field(2)
 F3 = prime_field(3)
 F5 = prime_field(5)
@@ -137,7 +139,8 @@ def nullspace(m):
     basis = []
     for free in (c for c in range(m.cols) if c not in pivots):
         if m.field.kind == "q":
-            support = _certified_kernel_vector(rows, red, pivots, free, p)
+            support = _certified_kernel_vector(rows, [r[free] for r in red[:len(pivots)]],
+                                               pivots, free, p)
             if support is None:
                 return None
         else:
@@ -295,34 +298,86 @@ def test_kernel_matches_reference_eliminations():
     assert singular > 20
 
 
+def square_int_rows(rng, n, kind):
+    """A random n x n int matrix (kind 0), a product of rank k < n (kind 1),
+    or one whose column j is a combination of the columns before it (kind
+    2), so that the first free column falls anywhere."""
+    rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    if kind == 1:
+        k = rng.randint(0, n - 1)
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        rows = [[sum(lr[i] * right[i][j] for i in range(k)) for j in range(n)]
+                for lr in left]
+    elif kind == 2:
+        j = rng.randint(0, n - 1)
+        coeffs = [rng.randint(-3, 3) for _ in range(j)]
+        for row in rows:
+            row[j] = sum(c * v for c, v in zip(coeffs, row))
+    return rows
+
+
 def test_nonsingular_verdict_matches_the_rank():
-    # certified_nonsingular takes a row echelon form only, and back
-    # substitutes the first free column alone.  Its verdict must be
-    # mat_rank(m) == n on square int matrices over Q and F_p: random ones,
-    # products of rank k < n, and ones whose column j is a combination of
-    # the columns before it, so the first free column falls anywhere.
+    # certified_nonsingular reduces columns only up to the first free one,
+    # and back substitutes that column alone.  Its verdict must be
+    # mat_rank(m) == n on square int matrices over Q and F_p (square_int_rows).
     rng = random.Random(4127)
     counts = {"nonsingular": 0, "singular": 0}
     for field in (RATIONALS, F2, F3, F5, prime_field(7)):
         for trial in range(120):
-            n = rng.randint(1, 9)
-            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-            if trial % 3 == 1:
-                k = rng.randint(0, n - 1)
-                left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
-                right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
-                rows = [[sum(lr[i] * right[i][j] for i in range(k)) for j in range(n)]
-                        for lr in left]
-            elif trial % 3 == 2:
-                j = rng.randint(0, n - 1)
-                coeffs = [rng.randint(-3, 3) for _ in range(j)]
-                for row in rows:
-                    row[j] = sum(c * v for c, v in zip(coeffs, row))
+            rows = square_int_rows(rng, rng.randint(1, 9), trial % 3)
             m = M(field, rows)
-            expected = mat_rank(m) == n
+            expected = mat_rank(m) == len(rows)
             assert certified_nonsingular(m) is expected, (field, rows)
             counts["nonsingular" if expected else "singular"] += 1
     assert min(counts.values()) > 100, counts
+
+
+@pytest.mark.parametrize("modulus", [None, 2, 3])
+def test_nonsingular_matches_the_row_echelon_reference(modulus, monkeypatch):
+    # The left-looking scan against a row echelon form of every column
+    # (conftest.reference_nonsingular): the same verdict on square_int_rows'
+    # matrices and on random_matrix's squares (Fractions, products of low
+    # rank, zero columns), None included: a kernel vector too large to
+    # reconstruct, and with the kernel's prime set to 2 or 3 a rank that is
+    # low mod p only, fail the certificate.
+    if modulus is not None:
+        monkeypatch.setattr(exactalg, "_MODULUS", modulus)
+    rng = random.Random(5209)
+    verdicts = set()
+    for field in (RATIONALS, F2, F3, F5, prime_field(7)):
+        for trial in range(160):
+            if trial % 4:
+                m = M(field, square_int_rows(rng, rng.randint(1, 9), trial % 4 - 1))
+            else:
+                m, _ = random_matrix(rng, field, *[rng.randint(0, 8)] * 2)
+            expected = reference_nonsingular(m)
+            assert certified_nonsingular(m) is expected, (field, m.entries)
+            verdicts.add((field.kind, expected))
+    assert {("fp", True), ("fp", False), ("q", True), ("q", False)} <= verdicts
+    assert modulus is None or ("q", None) in verdicts, verdicts
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F3])
+def test_non_square_matrix_is_not_nonsingular(field):
+    # as mat_inverse returns None for one: a 2 x 3 matrix has a pivot in
+    # each row, and a 3 x 2 one has no third column to scan
+    for rows in ([[1, 0, 2], [0, 1, 1]], [[1, 0], [0, 1], [1, 1]]):
+        m = M(field, rows)
+        assert certified_nonsingular(m) is False
+        assert mat_inverse(m) is None
+    assert certified_nonsingular(DenseMatrix(field, 0, 3, [])) is False
+
+
+def test_nonsingular_reads_no_column_after_the_first_free_one():
+    # Over F_5 the entries after the first free column are None, so reading
+    # any of them would raise TypeError.  Column 2 is column 0 plus twice
+    # column 1; a zero column 0 is free at once.
+    col0, col1 = [1, 0, 2, 3, 1], [0, 1, 4, 1, 2]
+    planted = [[a, b, (a + 2 * b) % 5, None, None] for a, b in zip(col0, col1)]
+    assert certified_nonsingular(DenseMatrix(F5, 5, 5, planted)) is False
+    zero_first = [[0] + [None] * 4 for _ in range(5)]
+    assert certified_nonsingular(DenseMatrix(F5, 5, 5, zero_first)) is False
 
 
 def test_tiny_prime_falls_back_to_exact_eliminations(monkeypatch):

@@ -1,11 +1,13 @@
 """Start-up: a run loads only the modules it executes.  The package exports
 its public names lazily (PEP 562), untwisted runs load neither the twisting
-code nor fractions, no run loads an argument parser, and each path that makes
-a Fraction loads fractions itself.  Each check runs in a fresh interpreter, started with -S so that site
-hooks load nothing on their own behalf."""
+code nor fractions, no run loads an argument parser or pathlib, and each path
+that makes a Fraction loads fractions itself.  Each check runs in a fresh
+interpreter, started with -S so that site hooks load nothing on their own
+behalf."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -147,3 +149,17 @@ def test_fraction_paths_load_fractions_themselves(call, value):
     before, kind, text, after = ast.literal_eval(out)
     assert (before, kind, text) == (False, type(value).__name__, str(value))
     assert after == (kind == "Fraction")
+
+
+def test_cli_file_paths_load_no_pathlib(tmp_path):
+    # pathlib, with the urllib.parse and ipaddress it loads, costs a run
+    # milliseconds of imports: the --report checks use os.path, and the JSON
+    # files are read and written by open.
+    table, report = str(tmp_path / "c.json"), str(tmp_path / "r.json")
+    out = fresh("import sys\n"
+                "from cellmonoid import cli, monoid\n"
+                f"monoid.save_cayley_json(monoid.family('tfull', 2)[0], {table!r})\n"
+                f"cli.main(['analyze', '--cayley', {table!r}, '--report', {report!r}])\n"
+                "print('pathlib' in sys.modules)")
+    assert out == "False"
+    assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["analysis"]["size"] == 4

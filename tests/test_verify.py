@@ -11,7 +11,7 @@ from cellmonoid.monoid import generating_set
 from cellmonoid.twist import cocycle_middles, law_failure
 
 from conftest import (assert_checks_clean, order_pairs, reference_axiom_report,
-                      reference_trace_form)
+                      reference_nonsingular, reference_trace_form)
 
 
 def test_axioms_murphy_s3_full():
@@ -491,6 +491,27 @@ def test_trace_form_matches_reference_loop(store):
         mult = _polynomial_algebra(c0, c1)
         assert cm.trace_form_semisimple(mult, 2, RATIONALS) == expected
         assert reference_trace_form(mult, 2) == expected
+
+
+@pytest.mark.parametrize("modulus", [None, 2, 3])
+def test_trace_form_verdicts_match_the_row_echelon_reference(store, monkeypatch, modulus):
+    # The kernel's verdict on each trace form it is handed equals that of a
+    # row echelon form of every column (conftest.reference_nonsingular),
+    # also with the kernel's prime set to 2 or 3, where certificates fail.
+    forms = []
+    monkeypatch.setattr(verify, "certified_nonsingular",
+                        lambda m: forms.append(m) or exactalg.certified_nonsingular(m))
+    if modulus is not None:
+        monkeypatch.setattr(exactalg, "_MODULUS", modulus)
+    cases = [store.datum(key) for key in ("tfull3", "tpartial3", "syminv3")]
+    cases += [store.twisted(key, delta) for key in ("jones4", "jones5")
+              for delta in ("0", "1/2", "-1", "2")]
+    for d in cases:
+        cm.trace_form_semisimple(d.mult, d.dim, d.field)
+    verdicts = [exactalg.certified_nonsingular(m) for m in forms]
+    assert len(forms) == 11
+    assert verdicts == [reference_nonsingular(m) for m in forms]
+    assert ({True, False} if modulus is None else {None}) <= set(verdicts), verdicts
 
 
 def test_trace_form_makes_each_unit_product_once(store, monkeypatch):
