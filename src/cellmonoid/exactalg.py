@@ -7,16 +7,18 @@ and FieldSpec.norm reduces a result to its stored form once, where it is
 stored.  Rank decisions therefore never depend on tolerances.  Parsed and
 inverted rationals are ints when integral, so integral data stay on ints.
 
-Ranks, nonsingularity and inverses share one kernel: elimination on Python
-ints mod a prime p (Gauss-Jordan; for nonsingularity, column by column up to
-the first without a pivot).  Over a prime field p is the field's own and the
-answer is exact.  Over the rationals (where ints are accepted as scalars) each
-row is scaled to ints by clear_denominators and eliminated mod _MODULUS, and
-no answer is taken from the prime alone (Dixon 1982): a full rank mod p is a
-full rank; a rank r below full is certified by lifting the reduced form's
-kernel vectors by rational reconstruction and checking A v = 0 on ints; an
-inverse B is certified by A B = I on ints, with one common denominator.  When
-a certificate fails (p divides a minor, or an entry is too large to
+Ranks, nonsingularity and inverses share one kernel, _scan: a left-looking
+elimination on Python ints mod a prime p, which reduces each column when it
+reaches it and yields the columns without a pivot, each with its coefficients
+on the pivot columns before it.  A caller that needs only the first such
+column stops there.  Over a prime field p is the field's own and the answer is
+exact.  Over the rationals (where ints are accepted as scalars) each row is
+scaled to ints by clear_denominators and eliminated mod _MODULUS, and no
+answer is taken from the prime alone (Dixon 1982): a full rank mod p is a full
+rank; a rank r below full is certified by lifting each free column's kernel
+vector by rational reconstruction and checking A v = 0 on ints; an inverse B
+is certified by A B = I on ints, with one common denominator.  When a
+certificate fails (p divides a minor, or an entry is too large to
 reconstruct), ranks come from fraction-free Bareiss elimination and inverses
 from reduced row echelon form over Fractions.
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from math import isqrt, lcm
 from operator import mul
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -254,38 +256,6 @@ def clear_denominators(values: Sequence[Scalar]) -> List[int]:
     return [v.numerator * (den // v.denominator) for v in values]
 
 
-def _rref_mod(rows: List[List[int]], ncols: int, p: int, stop_at_free: bool) -> List[int]:
-    """In-place reduced row echelon form of rows of residues mod p; returns
-    the pivot columns.  Same pivot rule as _rref, so over a prime field it
-    gives _rref's result.  With stop_at_free the elimination stops at the
-    first column without a pivot, whose index is then len(pivots)."""
-    pivots: List[int] = []
-    pr = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pv = next((r for r in range(pr, nrows) if rows[r][c]), None)
-        if pv is None:
-            if stop_at_free:
-                break
-            continue
-        rows[pr], rows[pv] = rows[pv], rows[pr]
-        prow = rows[pr]
-        if prow[c] != 1:
-            inv = pow(prow[c], -1, p)
-            prow = rows[pr] = [v * inv % p for v in prow]
-        tail = prow[c:]  # prow is zero left of c
-        for r in range(nrows):
-            row = rows[r]
-            f0 = row[c]
-            if f0 and r != pr:
-                rows[r] = row[:c] + [(v - f0 * w) % p for v, w in zip(row[c:], tail)]
-        pivots.append(c)
-        pr += 1
-        if pr == nrows:
-            break
-    return pivots
-
-
 def _lift(residues: Sequence[int], p: int) -> Optional[Tuple[List[int], int]]:
     """Ints N and d > 0 with N/d = residues mod p, entry by entry, by rational
     reconstruction (Wang 1981) under one common denominator d; None when an
@@ -311,10 +281,10 @@ def _lift(residues: Sequence[int], p: int) -> Optional[Tuple[List[int], int]]:
 
 def _certified_kernel_vector(rows: List[List[int]], column: List[int], pivots: List[int],
                              free: int, p: int) -> Optional[List[Tuple[int, int]]]:
-    """The kernel vector at the free column free of a reduced form mod p,
-    whose column free holds column at the pivot rows (1 at free, minus column
-    at the pivots, 0 elsewhere), lifted to ints, as (column, entry) pairs of
-    its support; None unless it lifts and the int rows annihilate it exactly."""
+    """The kernel vector of the free column free whose coefficients mod p on
+    the pivot columns are column (1 at free, minus column at the pivots, 0
+    elsewhere), lifted to ints, as (column, entry) pairs of its support; None
+    unless it lifts and the int rows annihilate it exactly."""
     lifted = _lift([1] + [-v % p for v in column], p)
     if lifted is None:
         return None
@@ -332,92 +302,111 @@ def _int_rows(m: DenseMatrix) -> Tuple[List[List[int]], int]:
     return m.entries, m.field.p
 
 
-def _eliminate(m: DenseMatrix, stop_at_free: bool):
-    """(int rows, reduced residue rows, pivots, p): _int_rows and the reduced
-    row echelon form mod p of the int rows."""
-    rows, p = _int_rows(m)
-    red = [[v % p for v in r] for r in rows]
-    return rows, red, _rref_mod(red, m.cols, p, stop_at_free), p
+def _scan(rows: List[List[int]], ncols: int, p: int) -> Iterator[Tuple[int, List[int], List[int]]]:
+    """The columns of int rows (ncols of them) without a pivot mod p, left to
+    right, each as (c, pivots, x): x holds column c's coefficients on the
+    pivot columns before it, so column c = sum of x[k] times column pivots[k]
+    mod p.  Each column is reduced when the scan reaches it (left-looking), by
+    dot products with the multipliers earlier pivots left on each row; its
+    pivot is the first nonzero entry from the next pivot row down.  No column
+    after the one a caller stops at is read.  Column c has a pivot exactly
+    when it is not a combination of the columns before it, so neither the
+    pivots nor x depend on the elimination order."""
+    order = list(range(len(rows)))  # the row at each position, swapped as pivots are taken
+    mults = [[] for _ in rows]  # per row: its multiplier at each pivot before it
+    pivots, invs, uppers = [], [], []  # per pivot: its column, its inverse, its entries above it
+    for c, col in enumerate(zip(*rows) if rows else [()] * ncols):
+        r = len(pivots)
+        # u: column c at the pivot rows, each reduced by those above it; 0 above
+        # the first pivot row where col is not 0
+        z = next((k for k, i in enumerate(order[:r]) if col[i]), r)
+        u = [0] * z
+        for k in range(z, r):
+            i = order[k]
+            u.append((col[i] - sum(map(mul, mults[i], u))) * invs[k] % p)
+        rest = [(col[i] - sum(map(mul, mults[i], u))) % p for i in order[r:]]
+        pv = next((k for k, v in enumerate(rest) if v), None)
+        if pv is None:
+            for k in range(r - 1, 0, -1):  # back substitution, reduced mod p at the end
+                x = u[k] % p
+                if x:
+                    u[:k] = [v - w * x for v, w in zip(u, uppers[k])]
+            yield c, pivots[:], [v % p for v in u]
+            continue
+        order[r], order[r + pv] = order[r + pv], order[r]
+        rest[0], rest[pv] = rest[pv], rest[0]
+        pivots.append(c)
+        invs.append(pow(rest[0], -1, p))
+        uppers.append(u)
+        for i, v in zip(order[r + 1:], rest[1:]):
+            mults[i].append(v)
 
 
 def mat_rank(m: DenseMatrix) -> int:
-    """Exact rank.  Over the rationals the rank r mod _MODULUS is a lower
-    bound; it stands when it is full, or when each of the cols - r kernel
-    vectors lifts to a certified one (so the nullity is at least cols - r).
-    Otherwise the rank comes from Bareiss elimination."""
-    rows, red, pivots, p = _eliminate(m, False)
-    r = len(pivots)
+    """Exact rank: the number of columns less the free ones _scan yields.
+    Over the rationals the rank r mod _MODULUS is a lower bound; it stands
+    when it is full, or when each free column's kernel vector lifts to a
+    certified one (so the nullity is at least cols - r).  Otherwise the rank
+    comes from Bareiss elimination."""
+    rows, p = _int_rows(m)
+    free = []
+    for c, pivots, x in _scan(rows, m.cols, p):
+        if len(pivots) == m.rows:  # a pivot in every row: the columns from c on are free
+            return m.rows
+        free.append((c, pivots, x))
+    r = m.cols - len(free)
     if m.field.kind == "fp" or r == min(m.rows, m.cols):
         return r
-    pivot_set = set(pivots)
-    if all(_certified_kernel_vector(rows, [v[c] for v in red[:r]], pivots, c, p) is not None
-           for c in range(m.cols) if c not in pivot_set):
+    if all(_certified_kernel_vector(rows, x, pivots, c, p) is not None for c, pivots, x in free):
         return r
     return _bareiss_rank(rows)
 
 
 def certified_nonsingular(m: DenseMatrix) -> Optional[bool]:
-    """Whether m is square and nonsingular.  Over the rationals a full rank
-    mod _MODULUS proves it, and one certified kernel vector proves m
-    singular; None when neither holds, for the caller's exact fallback.
-    Each column is reduced when the scan reaches it, by dot products with
-    the multipliers earlier pivots left on each row (left-looking, with
-    _rref_mod's pivot rule); the scan stops at the first column without a
-    pivot and reads no later one.  That column and its kernel vector do not
-    depend on the elimination order."""
-    n = m.rows
-    if m.cols != n:
+    """Whether m is square and nonsingular: whether _scan finds no free
+    column.  It stops at the first one and reads no later column.  Over the
+    rationals a full rank mod _MODULUS proves m nonsingular, and the first
+    free column's certified kernel vector proves it singular; None when
+    neither holds, for the caller's exact fallback."""
+    if m.cols != m.rows:
         return False
     rows, p = _int_rows(m)
-    order = list(range(n))  # the row at each position, swapped as pivots are taken
-    mults = [[] for _ in range(n)]  # per row: its multiplier at each pivot before it
-    invs, uppers = [], []  # per pivot c: its inverse, and column c's entries above row c
-    for c, col in enumerate(zip(*rows)):
-        u: List[int] = []  # column c at the pivot rows, each reduced by those above it
-        for r in range(c):
-            i = order[r]
-            u.append((col[i] - sum(map(mul, mults[i], u))) * invs[r] % p)
-        rest = [(col[i] - sum(map(mul, mults[i], u))) % p for i in order[c:]]
-        pv = next((r for r, v in enumerate(rest) if v), None)
-        if pv is None:
-            break
-        order[c], order[c + pv] = order[c + pv], order[c]
-        rest[0], rest[pv] = rest[pv], rest[0]
-        invs.append(pow(rest[0], -1, p))
-        uppers.append(u)
-        for i, v in zip(order[c + 1:], rest[1:]):
-            mults[i].append(v)
-    else:
+    free = next(_scan(rows, m.cols, p), None)
+    if free is None:
         return True
-    if m.field.kind == "fp":
+    c, pivots, x = free
+    if m.field.kind == "fp" or _certified_kernel_vector(rows, x, pivots, c, p) is not None:
         return False
-    for k in range(c - 1, 0, -1):  # back substitution: pivot k sits at row k
-        x = u[k]
-        if x:
-            u[:k] = [(v - w * x) % p for v, w in zip(u, uppers[k])]
-    return False if _certified_kernel_vector(rows, u, list(range(c)), c, p) is not None else None
+    return None
 
 
 def mat_inverse(m: DenseMatrix) -> Optional[DenseMatrix]:
     """Inverse of a square matrix, or None when singular.
 
-    [m | I] is eliminated as one matrix; over the rationals its rows are
-    scaled to ints [A | S] = S [m | I] (S diagonal), whose reduced form mod
-    _MODULUS is [I | m^-1].  The right half is lifted to N/d under one
-    common denominator, and A N = d S, checked on ints, proves m^-1 = N/d.
-    A matrix singular mod _MODULUS, or a lift that fails the check, is
-    inverted by reduced row echelon form over Fractions.  Integral entries
-    are ints."""
+    _scan runs over [m | I] as one matrix; over the rationals its rows are
+    scaled to ints [A | S] = S [m | I] (S diagonal).  m is nonsingular mod p
+    exactly when the first free column is column n; then columns n to 2n - 1
+    are all free, and their coefficients on A's columns are the columns of
+    A^-1 S = m^-1 mod p.  Over the rationals these are lifted to N/d under
+    one common denominator, and A N = d S, checked on ints, proves
+    m^-1 = N/d.  A matrix singular mod _MODULUS, or a lift that fails the
+    check, is inverted by reduced row echelon form over Fractions.  Integral
+    entries are ints."""
     if m.rows != m.cols:
         return None
     f, n = m.field, m.rows
     aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(m.entries)]
-    rows, red, pivots, p = _eliminate(DenseMatrix(f, n, 2 * n, aug), True)
-    nonsingular = len(pivots) == n
+    rows, p = _int_rows(DenseMatrix(f, n, 2 * n, aug))
+    columns = []  # of m^-1 mod p
+    for c, _, x in _scan(rows, 2 * n, p):
+        if c < n:  # singular mod p
+            break
+        columns.append(x)
+    nonsingular = len(columns) == n
     if f.kind == "fp":
-        return DenseMatrix(f, n, n, [r[n:] for r in red]) if nonsingular else None
+        return DenseMatrix(f, n, n, [list(r) for r in zip(*columns)]) if nonsingular else None
     if nonsingular:
-        lifted = _lift([v for r in red for v in r[n:]], p)
+        lifted = _lift([v for r in zip(*columns) for v in r], p)
         if lifted is not None:
             flat, d = lifted
             inv = [flat[i * n:(i + 1) * n] for i in range(n)]

@@ -6,7 +6,7 @@ import pytest
 
 from cellmonoid import exactalg
 from cellmonoid.exactalg import (DenseMatrix, FieldSpec, RATIONALS, _bareiss_rank,
-                                 _certified_kernel_vector, _is_prime, _eliminate, _rref,
+                                 _certified_kernel_vector, _int_rows, _is_prime, _rref, _scan,
                                  certified_nonsingular, clear_denominators, mat_inverse,
                                  mat_rank, prime_field)
 
@@ -132,19 +132,18 @@ def test_rank_examples():
 
 
 def nullspace(m):
-    """The kernel's nullspace basis of m: over a prime field the free-column
-    vectors of the reduced form, over Q the certified lifts of those vectors
+    """The kernel's nullspace basis of m: over a prime field the vectors of
+    the free columns _scan yields, over Q the certified lifts of those vectors
     (as Fractions), or None when one of them does not certify."""
-    rows, red, pivots, p = _eliminate(m, False)
+    rows, p = _int_rows(m)
     basis = []
-    for free in (c for c in range(m.cols) if c not in pivots):
+    for free, pivots, column in _scan(rows, m.cols, p):
         if m.field.kind == "q":
-            support = _certified_kernel_vector(rows, [r[free] for r in red[:len(pivots)]],
-                                               pivots, free, p)
+            support = _certified_kernel_vector(rows, column, pivots, free, p)
             if support is None:
                 return None
         else:
-            support = [(free, 1)] + [(c, -red[r][free] % p) for r, c in enumerate(pivots)]
+            support = [(free, 1)] + [(c, -x % p) for c, x in zip(pivots, column)]
         scalar = Fraction if m.field.kind == "q" else int
         v = [scalar(0)] * m.cols
         for c, x in support:
@@ -335,7 +334,7 @@ def test_nonsingular_verdict_matches_the_rank():
 
 @pytest.mark.parametrize("modulus", [None, 2, 3])
 def test_nonsingular_matches_the_row_echelon_reference(modulus, monkeypatch):
-    # The left-looking scan against a row echelon form of every column
+    # certified_nonsingular's scan against a row echelon form of every column
     # (conftest.reference_nonsingular): the same verdict on square_int_rows'
     # matrices and on random_matrix's squares (Fractions, products of low
     # rank, zero columns), None included: a kernel vector too large to
@@ -356,6 +355,97 @@ def test_nonsingular_matches_the_row_echelon_reference(modulus, monkeypatch):
             verdicts.add((field.kind, expected))
     assert {("fp", True), ("fp", False), ("q", True), ("q", False)} <= verdicts
     assert modulus is None or ("q", None) in verdicts, verdicts
+
+
+def shaped_matrix(rng, field, nr, nc, k, planted):
+    """An nr x nc product L R of rank at most k.  When planted, about one
+    column in ten of R is zero and one in four combines the columns before
+    it, so that free columns fall between the pivot columns.  L has
+    small-denominator Fractions over Q."""
+    def entry(den=1):
+        return field.norm(Fraction(rng.randint(-4, 4), den) if field.kind == "q"
+                          else rng.randint(-4, 4))
+
+    left = [[entry(rng.choice((1, 2, 3, 6))) for _ in range(k)] for _ in range(nr)]
+    right = []  # the columns of R
+    for _ in range(nc):
+        kind = rng.random() if planted else 1
+        if kind < 0.1:
+            right.append([0] * k)
+        elif kind < 0.35 and right:
+            picks = rng.sample(right, min(len(right), 3))
+            coeffs = [entry() for _ in picks]
+            right.append([sum_entries(field, coeffs, [col[i] for col in picks]) for i in range(k)])
+        else:
+            right.append([entry() for _ in range(k)])
+    return DenseMatrix(field, nr, nc, [[sum_entries(field, lr, col) for col in right]
+                                       for lr in left])
+
+
+SHAPES = [(5, 40, 5, True), (5, 40, 3, True), (40, 5, 5, True), (40, 5, 3, True),
+          (12, 12, 8, True), (20, 20, 15, True), (30, 30, 24, True), (12, 12, 12, False),
+          (30, 30, 30, False)]
+
+
+@pytest.mark.parametrize("modulus", [None, 2, 3])
+def test_kernel_matches_the_references_on_larger_shapes(modulus, monkeypatch):
+    # mat_rank, certified_nonsingular and mat_inverse against Bareiss or RREF
+    # ranks, reference_nonsingular and RREF inverses, on shaped_matrix's wide
+    # 5 x 40, tall 40 x 5, low-rank squares up to 30 x 30 with free columns
+    # between the pivots, and squares of full rank.  With the kernel's prime
+    # set to 2 or 3 rational answers fail their certificates and take the
+    # exact routes.
+    if modulus is not None:
+        monkeypatch.setattr(exactalg, "_MODULUS", modulus)
+    rng = random.Random(3121)
+    seen, interleaved = set(), 0
+    for field in (RATIONALS, F2, F3, prime_field(7)):
+        for nr, nc, k, planted in SHAPES:
+            m = shaped_matrix(rng, field, nr, nc, k, planted)
+            assert mat_rank(m) == _reference_rank(m), (field, m.entries)
+            if field.kind == "fp":
+                pivots = _rref(field, [list(r) for r in m.entries], nc)
+                interleaved += any(c not in pivots for c in range(pivots[-1])) if pivots else 0
+            if nr != nc:
+                continue
+            verdict = certified_nonsingular(m)
+            assert verdict is reference_nonsingular(m), (field, m.entries)
+            expected, inv = _reference_inverse(m), mat_inverse(m)
+            assert (inv and inv.entries) == expected, (field, m.entries)
+            assert verdict in (expected is not None, None)
+            seen.add((field.kind, verdict, expected is not None))
+    assert interleaved > 10, interleaved
+    assert {("fp", True, True), ("fp", False, False), ("q", False, False)} <= seen, seen
+    assert ("q", True if modulus is None else None, True) in seen, seen
+
+
+# The 8 x 8 rational matrix of rank 7 that random_matrix draws for
+# test_nonsingular_matches_the_row_echelon_reference[None] (seed 5209): its
+# kernel vector's entries are 7 x 7 minors, too large to reconstruct mod
+# _MODULUS, so no answer is certified by the prime alone.
+UNCERTIFIED_RANK_7 = """
+    -188/15  59/15    4957/300  -134/15  -922/15   731/30    -476/75   -71/30
+    218/45   -31/8    -497/120  7/3      253/18    -29/18    69/20     -511/72
+    -35/12   107/40   1501/300  331/30   692/45    -8369/360 1429/150  -271/60
+    13/30    -263/72  -37/60    -11/9    343/18    -179/18   23/10     -157/12
+    733/360  -16/9    -91/90    14/9     1043/180  -83/120   131/36    -139/40
+    1469/120 -49/3    -97/30    29/6     673/30    -13/20    601/60    -421/60
+    1391/180 -293/36  -35/4     8/9      29/3      -25/4     -27/2     211/9
+    -917/150 293/15   -887/90   2/3      1579/45   -98/5     619/225   -407/30
+"""
+
+
+def test_a_kernel_vector_too_large_to_lift_ends_in_the_exact_routes(monkeypatch):
+    m = DenseMatrix.from_rows(RATIONALS, [[Fraction(v) for v in line.split()]
+                                          for line in UNCERTIFIED_RANK_7.strip().splitlines()])
+    calls = []
+    monkeypatch.setattr(exactalg, "_bareiss_rank",
+                        lambda rows: calls.append(len(rows)) or _bareiss_rank(rows))
+    assert certified_nonsingular(m) is None
+    assert calls == []
+    assert mat_rank(m) == 7
+    assert calls == [8]
+    assert mat_inverse(m) is None
 
 
 @pytest.mark.parametrize("field", [RATIONALS, F3])
