@@ -9,15 +9,17 @@ kernel/domain partition.
 Tables are never built by composing every pair of elements.  Each constructor
 fixes its element order (identity first), composes each generator with each
 element once, and fills the table row by row along the left Cayley graph:
-row g*x is row x read through the row of g (see _left_walk).  Jones loop
-tables follow the same walk through the loop cocycle rule.  Every monoid keeps
-its generators' indices, whose Cayley graphs give Green's relations.
+row g*x is the row of g read at the entries of row x, one C-level gather per
+row (see _left_walk).  Jones loop tables follow the same walk through the loop
+cocycle rule.  Every table row is a tuple.  Every monoid keeps its generators'
+indices, whose Cayley graphs give Green's relations.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from operator import add, itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 DEFAULT_SIZE_CAP = 5000
@@ -54,7 +56,8 @@ def _is_int(v) -> bool:
 
 
 class FiniteMonoid(NamedTuple):
-    """Identity-bearing Cayley table with element labels.  Treated as immutable.
+    """Identity-bearing Cayley table with element labels.  Treated as immutable:
+    each row is a tuple, so no row can be edited under a datum built on it.
 
     gens generate the monoid, without the identity or repeats: the family's
     maps (_MAP_GENERATORS) or e_1 ... e_{n-1}, generate_from_maps' maps, or
@@ -62,7 +65,7 @@ class FiniteMonoid(NamedTuple):
 
     size: int
     identity: int
-    table: List[List[int]]
+    table: List[Tuple[int, ...]]
     labels: List[str]
     gens: List[int]
 
@@ -100,11 +103,14 @@ def from_cayley_table(size: int, identity: int, table: Sequence[Sequence[int]],
         raise ValueError("table must be a list of rows")
     if len(table) != size or any(len(row) != size for row in table):
         raise ValueError("table shape does not match size")
-    tab = [list(row) for row in table]
+    tab = [tuple(row) for row in table]
     for row in tab:
-        for v in row:
-            if not _is_int(v) or not (0 <= v < size):
-                raise ValueError(f"table entry {v!r} out of range")
+        # rows of plain ints in range pass in C; the entry scan names the
+        # first bad entry and accepts int subclasses other than bool
+        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= size:
+            for v in row:
+                if not _is_int(v) or not (0 <= v < size):
+                    raise ValueError(f"table entry {v!r} out of range")
     for x in range(size):
         if tab[identity][x] != x or tab[x][identity] != x:
             raise BadIdentity(x)
@@ -118,10 +124,10 @@ def from_cayley_table(size: int, identity: int, table: Sequence[Sequence[int]],
             raise ValueError("label count does not match size")
     gens = generating_set(FiniteMonoid(size, identity, tab, labels, []))
     for g in gens:
-        tg = tab[g]
+        tg, get = tab[g], itemgetter(*tab[g])  # size >= 2, as g is not the identity
         for x in range(size):
             tx, txg = tab[x], tab[tab[x][g]]
-            if txg != [tx[v] for v in tg]:
+            if get(tx) != txg:
                 raise NotAssociative(x, g, next(y for y in range(size) if txg[y] != tx[tg[y]]))
     return FiniteMonoid(size, identity, tab, labels, gens)
 
@@ -140,39 +146,39 @@ def _compose_maps(x: PMap, y: PMap) -> PMap:
     return tuple(None if xi is None else y[xi] for xi in x)
 
 
-def _map_label(m: PMap) -> str:
-    return "[" + ",".join("-" if v is None else str(v + 1) for v in m) + "]"
-
-
-def _left_walk(size: int, gen_rows: Sequence[List[int]],
-               gen_loops: Optional[Sequence[List[int]]] = None
-               ) -> Tuple[List[List[int]], Optional[List[List[int]]]]:
+def _left_walk(size: int, gen_rows: Sequence[Sequence[int]],
+               gen_loops: Optional[Sequence[Sequence[int]]] = None
+               ) -> Tuple[List[Tuple[int, ...]], Optional[List[List[int]]]]:
     """Cayley table from the left Cayley graph of a generating set.
 
     The identity has index 0, and Lg = gen_rows[k] holds Lg[v] = index of
     g_k * v.  Breadth first from the identity, an element x = g * x' first
-    reached from x' gets row x = [Lg[v] for v in row x'], because
-    (g x') y = g (x' y).  With gen_loops[k][v], the loops removed stacking g_k
-    on v, loop rows follow from the cocycle rule
-    L(g x', y) = L(x', y) + L(g, x' y) - L(g, x').  Every row is written at
-    its element's index; MonoidError when the generators miss an element.
+    reached from x' gets row x = (Lg[v] for v in row x'), because
+    (g x') y = g (x' y): one gather of Lg, through a getter built once per
+    row x' and only when that row reaches a new element: then size >= 2, so
+    the getter has two indices or more and returns a tuple.  With
+    gen_loops[k][v], the loops removed stacking g_k on v, loop rows follow
+    from the cocycle rule L(g x', y) = L(x', y) + L(g, x' y) - L(g, x'),
+    the same getter gathering L(g, x' y).  Every row is written at its
+    element's index; MonoidError when the generators miss an element.
     """
-    table: List[Optional[List[int]]] = [None] * size
+    table: List[Optional[Tuple[int, ...]]] = [None] * size
     loops: Optional[List[Optional[List[int]]]] = None if gen_loops is None else [None] * size
-    table[0] = list(range(size))
+    table[0] = tuple(range(size))
     if loops is not None:
         loops[0] = [0] * size
     reached = [0]
     for x in reached:
-        row = table[x]
+        get = None
         for k, Lg in enumerate(gen_rows):
             z = Lg[x]
             if table[z] is None:
-                table[z] = [Lg[v] for v in row]
+                get = get or itemgetter(*table[x])
+                table[z] = get(Lg)
                 if loops is not None:
                     lg = gen_loops[k]
-                    c = lg[x]
-                    loops[z] = [a + lg[v] - c for a, v in zip(loops[x], row)]
+                    c, sums = lg[x], map(add, loops[x], get(lg))
+                    loops[z] = [v - c for v in sums] if c else list(sums)
                 reached.append(z)
     if len(reached) != size:
         raise MonoidError(f"generators reach {len(reached)} of {size} elements")
@@ -181,12 +187,20 @@ def _left_walk(size: int, gen_rows: Sequence[List[int]],
 
 def _monoid_from_maps(elems: List[PMap], gens: Sequence[PMap]) -> FiniteMonoid:
     """The monoid on elems, in this order and identity first, from generators
-    that produce all of it; it records them without the identity or repeats."""
-    index = {m: i for i, m in enumerate(elems)}
-    gen_rows = [[index[_compose_maps(g, m)] for m in elems] for g in gens]
+    that produce all of it; it records them without the identity or repeats.
+    Maps are padded with None at point r, and padded g*m is padded m gathered
+    at g's images (r where g is undefined) and at r: one getter per
+    generator, never on one index, and one gather per map."""
+    r = len(elems[0])
+    padded = [m + (None,) for m in elems]
+    index = {m: i for i, m in enumerate(padded)}
+    gen_rows = [tuple(map(index.__getitem__, map(
+        itemgetter(*[r if v is None else v for v in g], r), padded))) for g in gens]
     table, _ = _left_walk(len(elems), gen_rows)
-    gen_ids = [i for i in dict.fromkeys(index[g] for g in gens) if i]
-    return FiniteMonoid(len(elems), 0, table, [_map_label(m) for m in elems], gen_ids)
+    gen_ids = [i for i in dict.fromkeys(index[g + (None,)] for g in gens) if i]
+    names = {v: str(v + 1) for v in range(r)} | {None: "-"}
+    labels = ["[" + ",".join(map(names.__getitem__, m)) + "]" for m in elems]
+    return FiniteMonoid(len(elems), 0, table, labels, gen_ids)
 
 
 def generate_from_maps(r: int, generators: Sequence[Sequence[Optional[int]]]) -> FiniteMonoid:

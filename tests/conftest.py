@@ -143,6 +143,16 @@ def reference_trace_form(mult, dim):
     return _bareiss_rank(entries) == dim
 
 
+def reference_entry_check(size, table):
+    """from_cayley_table's entry validation by the per-entry scan: the first
+    entry in row-major order that is not an int in 0..size-1 (bools refused,
+    other int subclasses accepted) raises the ValueError naming it."""
+    for row in table:
+        for v in row:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < size:
+                raise ValueError(f"table entry {v!r} out of range")
+
+
 def reference_nonsingular(m):
     """certified_nonsingular by a row echelon form of every column: rows
     scaled to ints over the rationals, residues mod exactalg._MODULUS (read

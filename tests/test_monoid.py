@@ -15,7 +15,7 @@ from cellmonoid.monoid import (BadIdentity, NotAssociative, SizeCapExceeded,
                                generating_set)
 from cellmonoid.twist import cocycle_middles
 
-from conftest import build_monoid, is_inverse, is_regular
+from conftest import build_monoid, is_inverse, is_regular, reference_entry_check
 
 
 def test_from_cayley_table_trivial_and_z2():
@@ -129,7 +129,8 @@ def test_family_tables_match_all_pairs_composition(kind, top):
     for n in range(1, top + 1):
         M, loops = cm.family(kind, n)
         table, ref_loops = _all_pairs_reference(kind, n, M)
-        assert M.identity == 0 and M.table == table, (kind, n)
+        assert all(type(row) is tuple for row in M.table), (kind, n)
+        assert M.identity == 0 and [list(row) for row in M.table] == table, (kind, n)
         assert (loops is None) == (ref_loops is None)
         assert loops is None or loops.loops == ref_loops, (kind, n)
 
@@ -333,10 +334,72 @@ def test_cayley_json_round_trip(tmp_path):
     path = tmp_path / "m.json"
     cm.save_cayley_json(M, path)
     M2 = cm.load_cayley_json(path)
+    assert all(type(row) is tuple for row in M.table + M2.table)
     assert (M2.size, M2.identity, M2.table, M2.labels) == (M.size, M.identity, M.table, M.labels)
     path2 = tmp_path / "m2.json"
     cm.save_cayley_json(M2, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _assert_tuple_rows(M, reference):
+    """Every row of M's table is a tuple, holding reference's values."""
+    assert all(type(row) is tuple for row in M.table)
+    assert [list(row) for row in M.table] == [list(row) for row in reference]
+
+
+def test_every_constructor_returns_tuple_rows_with_reference_values(tmp_path):
+    # maps on one point: itemgetter on one index would return an item, not a tuple
+    for kind, n in itertools.product(("tfull", "tpartial", "syminv", "jones"), range(1, 5)):
+        M, _ = cm.family(kind, n)
+        _assert_tuple_rows(M, _all_pairs_reference(kind, n, M)[0])
+    for r, gens in ((1, [[None]]), (1, [[1]]), (2, [[None, 1], [2, 1]]), (2, [[None, None]]),
+                    (3, [[2, 3, 1], [None, 2, 3], [1, 1, None]]),
+                    (4, [[2, 1, 3, 4], [2, 3, 4, 1], [None, 2, 3, 4]])):
+        M = cm.generate_from_maps(r, gens)
+        maps = [tuple(_as_map(M, x)) for x in range(M.size)]
+        _assert_tuple_rows(M, [[maps.index(_compose_maps(x, y)) for y in maps] for x in maps])
+    chain = [[min(i + j, 5) for j in range(6)] for i in range(6)]
+    for table in ([[0]], [[0, 1], [1, 1]], [[0, 1], [1, 0]], chain):
+        _assert_tuple_rows(cm.from_cayley_table(len(table), 0, table), table)
+    M, _ = cm.family("tpartial", 2)
+    cm.save_cayley_json(M, tmp_path / "m.json")
+    _assert_tuple_rows(cm.load_cayley_json(tmp_path / "m.json"), M.table)
+
+
+class _Index(int):
+    """An int subclass other than bool: a valid table entry."""
+
+
+_NULL3 = [[0, 1, 2], [1, 2, 2], [2, 2, 2]]  # {1, a, 0} with a*a = 0
+
+
+@pytest.mark.parametrize("table", [
+    [[0, 1, 2], [1, True, 2], [2, 2, 2]],
+    [[0, 1, 2], [1, 2, 2], [False, 2, 2]],
+    [[0, 1, 2.0], [1, 2, 2], [2, 2, 2]],
+    [[0, 1, 2], [1, 1.5, 2], [2, 2, 2]],
+    [[0, 1, 2], [1, 2, 2], ["2", 2, 2]],
+    [[0, 1, 2], [1, -1, 2], [2, 2, 2]],
+    [[0, 1, 2], [1, 2, 3], [2, 2, 2]],
+    [[0, 1, 2], [1, 2, 2], [2, 2, 10 ** 30]],
+    [[0, 1, 2], [1, 9, True], [2, 2, 2]],
+    [[0, 1, _Index(2)], [1, _Index(2), -3], [2, None, 2]],
+], ids=["true", "false", "integral_float", "float", "string", "negative", "equal_to_size",
+        "after_good_rows", "first_of_two", "after_subclass_entries"])
+def test_row_validation_refuses_what_the_entry_scan_refuses(table):
+    with pytest.raises(ValueError) as ref:
+        reference_entry_check(3, table)
+    with pytest.raises(ValueError) as got:
+        cm.from_cayley_table(3, 0, table)
+    assert type(got.value) is type(ref.value) and str(got.value) == str(ref.value)
+
+
+def test_row_validation_accepts_int_subclasses():
+    for table in ([[_Index(v) for v in row] for row in _NULL3],
+                  [_NULL3[0], [_Index(1), 2, _Index(2)], _NULL3[2]]):
+        reference_entry_check(3, table)
+        M = cm.from_cayley_table(3, 0, table)
+        _assert_tuple_rows(M, _NULL3)
 
 
 @pytest.mark.parametrize("fields,message", [
