@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 DEFAULT_SIZE_CAP = 5000
@@ -105,12 +105,9 @@ def from_cayley_table(size: int, identity: int, table: Sequence[Sequence[int]],
         raise ValueError("table shape does not match size")
     tab = [tuple(row) for row in table]
     for row in tab:
-        # rows of plain ints in range pass in C; the entry scan names the
-        # first bad entry and accepts int subclasses other than bool
-        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= size:
-            for v in row:
-                if not _is_int(v) or not (0 <= v < size):
-                    raise ValueError(f"table entry {v!r} out of range")
+        for v in row:
+            if not _is_int(v) or not (0 <= v < size):
+                raise ValueError(f"table entry {v!r} out of range")
     for x in range(size):
         if tab[identity][x] != x or tab[x][identity] != x:
             raise BadIdentity(x)
@@ -158,9 +155,9 @@ def _left_walk(size: int, gen_rows: Sequence[Sequence[int]],
     row x' and only when that row reaches a new element: then size >= 2, so
     the getter has two indices or more and returns a tuple.  With
     gen_loops[k][v], the loops removed stacking g_k on v, loop rows follow
-    from the cocycle rule L(g x', y) = L(x', y) + L(g, x' y) - L(g, x'),
-    the same getter gathering L(g, x' y).  Every row is written at its
-    element's index; MonoidError when the generators miss an element.
+    from the cocycle rule L(g x', y) = L(x', y) + L(g, x' y) - L(g, x').
+    Every row is written at its element's index; MonoidError when the
+    generators miss an element.
     """
     table: List[Optional[Tuple[int, ...]]] = [None] * size
     loops: Optional[List[Optional[List[int]]]] = None if gen_loops is None else [None] * size
@@ -169,16 +166,16 @@ def _left_walk(size: int, gen_rows: Sequence[Sequence[int]],
         loops[0] = [0] * size
     reached = [0]
     for x in reached:
-        get = None
+        row, get = table[x], None
         for k, Lg in enumerate(gen_rows):
             z = Lg[x]
             if table[z] is None:
-                get = get or itemgetter(*table[x])
+                get = get or itemgetter(*row)
                 table[z] = get(Lg)
                 if loops is not None:
                     lg = gen_loops[k]
-                    c, sums = lg[x], map(add, loops[x], get(lg))
-                    loops[z] = [v - c for v in sums] if c else list(sums)
+                    c = lg[x]
+                    loops[z] = [a + lg[v] - c for a, v in zip(loops[x], row)]
                 reached.append(z)
     if len(reached) != size:
         raise MonoidError(f"generators reach {len(reached)} of {size} elements")
