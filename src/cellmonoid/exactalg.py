@@ -19,8 +19,9 @@ rank; a rank r below full is certified by lifting each free column's kernel
 vector by rational reconstruction and checking A v = 0 on ints; an inverse B
 is certified by A B = I on ints, with one common denominator.  When a
 certificate fails (p divides a minor, or an entry is too large to
-reconstruct), ranks come from fraction-free Bareiss elimination and inverses
-from reduced row echelon form over Fractions.
+reconstruct), the answer comes from the one exact elimination, _bareiss: a
+fraction-free row echelon form on the same int rows, whose pivots give the
+rank and whose back substitution gives the inverse.
 """
 
 from __future__ import annotations
@@ -191,61 +192,29 @@ class DenseMatrix:
         return DenseMatrix(field, n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
-def _rref(field: FieldSpec, rows: List[List[Scalar]], ncols: int):
-    """In-place reduced row echelon form; returns pivot column list.
-
-    Pivot choice: columns scanned left to right, within a column the first
-    nonzero entry from the current row down; deterministic output.
-    """
-    norm = field.norm
-    pivots: List[int] = []
-    pr = 0
-    nrows = len(rows)
+def _bareiss(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[List[int], List[List[int]]]:
+    """(pivots, echelon): int rows (ncols of them) in row echelon form by
+    fraction-free elimination (Bareiss 1968).  The pivot is the first row
+    without one that is nonzero in the column.  Each update divides exactly by
+    the previous pivot and touches only the columns right of it, so entries
+    stay ints (minors of the input); a column without a pivot keeps the
+    divisor.  The last pivot of a nonsingular square is +-its determinant."""
+    rest = [list(r) for r in rows]  # the rows without a pivot, from column c on
+    echelon, pivots, prev = [], [], 1
     for c in range(ncols):
-        pv = None
-        for r in range(pr, nrows):
-            if rows[r][c]:
-                pv = r
-                break
-        if pv is None:
-            continue
-        if pv != pr:
-            rows[pr], rows[pv] = rows[pv], rows[pr]
-        piv = rows[pr][c]
-        if piv != 1:
-            inv = field.inv(piv)
-            rows[pr] = [norm(inv * v) for v in rows[pr]]
-        prow = rows[pr]
-        for r in range(nrows):
-            if r == pr:
-                continue
-            f0 = rows[r][c]
-            if not f0:
-                continue
-            rows[r] = [norm(v - f0 * w) for v, w in zip(rows[r], prow)]
-        pivots.append(c)
-        pr += 1
-        if pr == nrows:
-            break
-    return pivots
-
-
-def _bareiss_rank(rows: List[List[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination (Bareiss 1968):
-    each update divides exactly by the previous pivot, so entries stay ints
-    (they are minors of the input).  Eliminated rows and columns are dropped."""
-    rank, prev = 0, 1
-    while rows and rows[0]:
-        i = next((i for i, r in enumerate(rows) if r[0]), None)
+        i = next((i for i, r in enumerate(rest) if r[0]), None)
         if i is None:
-            rows = [r[1:] for r in rows]
+            rest = [r[1:] for r in rest]
             continue
-        pv = rows.pop(i)
-        p, tail = pv[0], pv[1:]
-        rows = [[(p * v - r[0] * w) // prev for v, w in zip(r[1:], tail)] for r in rows]
+        row = rest.pop(i)
+        p, tail = row[0], row[1:]
+        rest = [[(p * v - r[0] * w) // prev for v, w in zip(r[1:], tail)] for r in rest]
+        echelon.append([0] * c + row)
+        pivots.append(c)
         prev = p
-        rank += 1
-    return rank
+        if not rest:
+            break
+    return pivots, echelon + [[0] * ncols for _ in rest]
 
 
 def clear_denominators(values: Sequence[Scalar]) -> List[int]:
@@ -347,7 +316,7 @@ def mat_rank(m: DenseMatrix) -> int:
     Over the rationals the rank r mod _MODULUS is a lower bound; it stands
     when it is full, or when each free column's kernel vector lifts to a
     certified one (so the nullity is at least cols - r).  Otherwise the rank
-    comes from Bareiss elimination."""
+    is the number of pivots of _bareiss."""
     rows, p = _int_rows(m)
     free = []
     for c, pivots, x in _scan(rows, m.cols, p):
@@ -359,7 +328,7 @@ def mat_rank(m: DenseMatrix) -> int:
         return r
     if all(_certified_kernel_vector(rows, x, pivots, c, p) is not None for c, pivots, x in free):
         return r
-    return _bareiss_rank(rows)
+    return len(_bareiss(rows, m.cols)[0])
 
 
 def certified_nonsingular(m: DenseMatrix) -> Optional[bool]:
@@ -390,8 +359,10 @@ def mat_inverse(m: DenseMatrix) -> Optional[DenseMatrix]:
     A^-1 S = m^-1 mod p.  Over the rationals these are lifted to N/d under
     one common denominator, and A N = d S, checked on ints, proves
     m^-1 = N/d.  A matrix singular mod _MODULUS, or a lift that fails the
-    check, is inverted by reduced row echelon form over Fractions.  Integral
-    entries are ints."""
+    check, goes to _bareiss on [A | S]: m is singular unless columns 0 to
+    n - 1 are its first pivots, and otherwise back substitution through the
+    echelon form, with every division exact, gives d m^-1 for d = +-det A,
+    its last pivot.  Integral entries are ints."""
     if m.rows != m.cols:
         return None
     f, n = m.field, m.rows
@@ -415,6 +386,16 @@ def mat_inverse(m: DenseMatrix) -> Optional[DenseMatrix]:
             if all(sum(map(mul, row, col)) == (d * row[n + i] if i == j else 0)
                    for i, row in enumerate(rows) for j, col in enumerate(cols)):
                 return DenseMatrix(f, n, n, [[_rational(v, d) for v in r] for r in inv])
-    if _rref(f, aug, 2 * n)[:n] != list(range(n)):
+    pivots, echelon = _bareiss(rows, 2 * n)
+    if pivots[:n] != list(range(n)):
         return None
-    return DenseMatrix(f, n, n, [[_rational(*v.as_integer_ratio()) for v in r[n:]] for r in aug])
+    d, x = echelon[n - 1][n - 1], [None] * n
+    for k in range(n - 1, -1, -1):
+        u = echelon[k]
+        acc = [d * v for v in u[n:]]
+        for i in range(k + 1, n):
+            if u[i]:
+                acc = [a - u[i] * w for a, w in zip(acc, x[i])]
+        x[k] = [a // u[k] for a in acc]
+    sign = -1 if d < 0 else 1
+    return DenseMatrix(f, n, n, [[_rational(sign * v, sign * d) for v in r] for r in x])

@@ -244,7 +244,8 @@ class SchutzGroup(NamedTuple):
 
     ``perms[g]`` permutes positions of the sorted base class; ``rm`` maps every
     m that stabilizes H on the right to its group element; ``phiR[g]`` is
-    gamma*m for the chosen representative m of g (see ``schutzenberger``).
+    gamma*m for every m in g: gamma lies in H, so gamma*m is fixed by m's
+    permutation of H.
     """
 
     hclass: List[int]
@@ -259,14 +260,9 @@ class SchutzGroup(NamedTuple):
         return len(self.perms)
 
 
-def schutzenberger(M: FiniteMonoid, box: EggBox, section: str = "least") -> SchutzGroup:
-    """Right stabilizers of the base H-class, by one table read per element.
-
-    section: "least" picks the smallest representative of each permutation,
-    "greatest" the largest; analysis results must not depend on this choice.
-    """
-    if section not in ("least", "greatest"):
-        raise ValueError("section must be 'least' or 'greatest'")
+def schutzenberger(M: FiniteMonoid, box: EggBox) -> SchutzGroup:
+    """Right stabilizers of the base H-class, by one table read per element;
+    each group element is represented by the least m that acts as it."""
     T = M.table
     H = box.grid[0][0]
     pos = {h: i for i, h in enumerate(H)}
@@ -287,8 +283,6 @@ def schutzenberger(M: FiniteMonoid, box: EggBox, section: str = "least") -> Schu
             pindex[perm] = len(perms)
             perms.append(perm)
             reps.append(m)
-        elif section == "greatest":
-            reps[pindex[perm]] = m
         rm[m] = pindex[perm]
     if len(perms) != len(H):
         raise GreenError("translation group order differs from the base class size")

@@ -12,17 +12,16 @@ from .green import EggBox, GreenStructure, SchutzGroup
 from .monoid import FiniteMonoid
 
 
-def green_data(M: FiniteMonoid, section: str = "least"
-               ) -> Tuple[GreenStructure, List[EggBox], List[SchutzGroup]]:
+def green_data(M: FiniteMonoid) -> Tuple[GreenStructure, List[EggBox], List[SchutzGroup]]:
     gs = green_mod.compute_green(M)
     boxes = [green_mod.build_eggbox(M, gs, d) for d in range(len(gs.dclasses))]
-    schutzs = [green_mod.schutzenberger(M, box, section=section) for box in boxes]
+    schutzs = [green_mod.schutzenberger(M, box) for box in boxes]
     return gs, boxes, schutzs
 
 
-def standard_datum(M: FiniteMonoid, field: FieldSpec, section: str = "least") -> CellDatum:
+def standard_datum(M: FiniteMonoid, field: FieldSpec) -> CellDatum:
     """The assembled cell datum of the monoid algebra over the given field."""
-    gs, boxes, schutzs = green_data(M, section=section)
+    gs, boxes, schutzs = green_data(M)
     group_data = groupcell.standard_group_data(schutzs, field)
     return build_cell_datum(M, gs, boxes, schutzs, group_data, field)
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from typing import List
+
 import pytest
 
 import cellmonoid as cm
 from cellmonoid import exactalg
-from cellmonoid.exactalg import FieldSpec, _bareiss_rank, clear_denominators
+from cellmonoid.exactalg import FieldSpec, Scalar, _bareiss, clear_denominators
 from cellmonoid.groupcell import dominates
 
 
@@ -42,6 +44,22 @@ def edited(pi, *edits):
     for x, y, v in edits:
         grid[x][y] = v
     return cm.Twisting(pi.field, grid, pi.provenance)
+
+
+def assert_phi_r_reads_every_member(M, boxes, schutzs):
+    """phiR[g] is gamma*m for every m in rm that acts as g, not only for the
+    representative schutzenberger picks: gamma lies in H, so gamma*m is fixed
+    by m's permutation of H.  Likewise mult[g][h] is the element of m*m' for
+    every m acting as g and m' as h.  Returns how many m are not
+    representatives."""
+    T = M.table
+    others = 0
+    for box, sch in zip(boxes, schutzs):
+        rm = sch.rm
+        assert {m: T[box.gamma][m] for m in rm} == {m: sch.phiR[g] for m, g in rm.items()}
+        assert all(rm[T[m][m2]] == sch.mult[g][h] for m, g in rm.items() for m2, h in rm.items())
+        others += len(rm) - sch.order
+    return others
 
 
 def is_regular(M):
@@ -124,7 +142,8 @@ def store():
 def reference_trace_form(mult, dim):
     """The trace-form verdict over the rationals by the plain loop the oracle
     must agree with: dim**2 products for the traces, dim**2 more for the form,
-    exact rational arithmetic, and the rank by Bareiss elimination."""
+    exact rational arithmetic, and the rank by Bareiss elimination (the
+    oracle itself eliminates mod a prime)."""
     traces = []
     for m in range(dim):
         acc = 0
@@ -140,7 +159,46 @@ def reference_trace_form(mult, dim):
                 acc += c * traces[k]
             row.append(acc)
         entries.append(clear_denominators(row))
-    return _bareiss_rank(entries) == dim
+    return len(_bareiss(entries, dim)[0]) == dim
+
+
+def _rref(field: FieldSpec, rows: List[List[Scalar]], ncols: int):
+    """In-place reduced row echelon form; returns pivot column list.
+
+    Pivot choice: columns scanned left to right, within a column the first
+    nonzero entry from the current row down; deterministic output.
+    """
+    norm = field.norm
+    pivots: List[int] = []
+    pr = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        pv = None
+        for r in range(pr, nrows):
+            if rows[r][c]:
+                pv = r
+                break
+        if pv is None:
+            continue
+        if pv != pr:
+            rows[pr], rows[pv] = rows[pv], rows[pr]
+        piv = rows[pr][c]
+        if piv != 1:
+            inv = field.inv(piv)
+            rows[pr] = [norm(inv * v) for v in rows[pr]]
+        prow = rows[pr]
+        for r in range(nrows):
+            if r == pr:
+                continue
+            f0 = rows[r][c]
+            if not f0:
+                continue
+            rows[r] = [norm(v - f0 * w) for v, w in zip(rows[r], prow)]
+        pivots.append(c)
+        pr += 1
+        if pr == nrows:
+            break
+    return pivots
 
 
 def reference_entry_check(size, table):

@@ -12,7 +12,8 @@ from cellmonoid.exactalg import DenseMatrix, FieldSpec, RATIONALS, mat_inverse, 
 from cellmonoid.groupcell import dominates
 
 from conftest import (assembled_order_pairs, assert_checks_clean, reference_table_mult,
-                      assert_node_order_matches_reference, order_pairs)
+                      assert_node_order_matches_reference, assert_phi_r_reads_every_member,
+                      order_pairs)
 
 
 def node_by_label(d, label):
@@ -278,16 +279,13 @@ def test_group_mismatch():
             cm.build_cell_datum(M, gs, boxes, schutzs, gd, RATIONALS)
 
 
-def test_section_choice_does_not_change_results(store):
-    M, _ = store.monoid("syminv2")
-    base = cm.analyze(cm.standard_datum(M, RATIONALS, section="least"))
-    other = cm.analyze(cm.standard_datum(M, RATIONALS, section="greatest"))
-    assert base.to_dict() == other.to_dict()
-    M3, _ = store.monoid("tfull3")
-    b3 = cm.analyze(cm.standard_datum(M3, RATIONALS, section="least"))
-    o3 = cm.analyze(cm.standard_datum(M3, RATIONALS, section="greatest"))
-    assert b3.lambda0 == o3.lambda0
-    assert [n["gram_rank"] for n in b3.nodes] == [n["gram_rank"] for n in o3.nodes]
+@pytest.mark.parametrize("key", ["syminv2", "tfull3", "tfull4", "tpartial3", "syminv4", "jones5"])
+def test_phi_r_is_gamma_times_every_member_of_its_element(store, key):
+    # so no choice of representative can change phiR, mult or the datum built on them
+    M, _ = store.monoid(key)
+    _, boxes, schutzs = store.green(key)
+    others = assert_phi_r_reads_every_member(M, boxes, schutzs)
+    assert others > 0
 
 
 def test_datum_rejects_dependent_vectors():

@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 
 from cellmonoid import exactalg
-from cellmonoid.exactalg import (DenseMatrix, FieldSpec, RATIONALS, _bareiss_rank,
-                                 _certified_kernel_vector, _int_rows, _is_prime, _rref, _scan,
-                                 certified_nonsingular, clear_denominators, mat_inverse,
-                                 mat_rank, prime_field)
+from cellmonoid.exactalg import (DenseMatrix, FieldSpec, RATIONALS, _bareiss,
+                                 _certified_kernel_vector, _int_rows, _is_prime, _scan,
+                                 certified_nonsingular, mat_inverse, mat_rank, prime_field)
 
-from conftest import reference_nonsingular
+from conftest import _rref, reference_nonsingular
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -258,8 +257,7 @@ def _reference_inverse(m):
 
 
 def _reference_rank(m):
-    if m.field.kind == "q":
-        return _bareiss_rank([clear_denominators(r) for r in m.entries])
+    """Rank by reduced row echelon form over the field's own arithmetic."""
     return len(_rref(m.field, [list(r) for r in m.entries], m.cols))
 
 
@@ -270,9 +268,60 @@ def integral_as_int(entries):
                for row in entries for x in row)
 
 
+def _det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * v * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, v in enumerate(rows[0]) if v)
+
+
+def test_bareiss_is_a_row_echelon_form_of_int_minors():
+    # On literal shapes (zero columns, wide, tall, negative determinants)
+    # and random int matrices: the pivots are the RREF's over Q, the rows
+    # are ints in row echelon form spanning the input's row space, the
+    # input is not changed, and with a pivot in every row the last pivot is
+    # +-the minor on the pivot columns (+-det for a nonsingular square).
+    assert _bareiss([[2, 1], [1, -3]], 2) == ([0, 1], [[2, 1], [0, -7]])  # det -7
+    assert _bareiss([[0, 1], [1, 0]], 2)[1][1][1] == 1  # det -1, after a swap
+    assert _bareiss([[0, 2, 4], [0, 1, 2], [0, 3, 7]], 3)[0] == [1, 2]
+    # column 1 has no pivot and keeps the divisor 2, so the last pivot is the
+    # minor 21 on columns 0, 2 and 3
+    assert _bareiss([[2, 0, 1, 1], [1, 0, 3, 2], [1, 0, 1, 5]], 4) == (
+        [0, 2, 3], [[2, 0, 1, 1], [0, 0, 5, 3], [0, 0, 0, 21]])
+    assert _bareiss([[0, 0], [0, 0]], 2) == ([], [[0, 0], [0, 0]])
+    assert _bareiss([], 3) == ([], [])
+    assert _bareiss([[], []], 0) == ([], [[], []])
+    rng = random.Random(4409)
+    shapes = [(1, 5), (2, 6), (6, 2), (7, 3), (5, 1)] + [(3, 7), (4, 8)] * 4 + [
+        (n, n) for n in range(1, 6)] * 6
+    signs = set()  # of the minors on the pivot columns
+    for nr, nc in shapes:
+        rows = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(nc)] for _ in range(nr)]
+        if rng.random() < 0.3:
+            rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[-1])]  # a dependent row
+        if nc > 2 and rng.random() < 0.5:
+            for r in rows:
+                r[1] = 0  # a zero column after the first pivot
+        copy = [list(r) for r in rows]
+        pivots, echelon = _bareiss(rows, nc)
+        assert rows == copy
+        assert pivots == _rref(RATIONALS, [list(r) for r in rows], nc)
+        assert all(type(v) is int for r in echelon for v in r)
+        for i, r in enumerate(echelon):
+            lead = next((c for c, v in enumerate(r) if v), None)
+            assert lead == (pivots[i] if i < len(pivots) else None)
+        assert len(_rref(RATIONALS, rows + echelon, nc)) == len(pivots)
+        if len(pivots) == nr:  # the last pivot is +-the minor on the pivot columns
+            last, det = echelon[-1][pivots[-1]], _det([[r[c] for c in pivots] for r in rows])
+            assert last in (det, -det)
+            signs.add(det > 0)
+    assert signs == {False, True}
+
+
 def test_kernel_matches_reference_eliminations():
-    # The mod-p kernel against fraction-free Bareiss (ranks over Q) and RREF
-    # in the field's own arithmetic (ranks over F_p, inverses), on
+    # The mod-p kernel and its Bareiss fallback against RREF in the field's
+    # own arithmetic (ranks and inverses, over Q in Fractions), on
     # random_matrix's matrices: products of low rank, zero columns, singular
     # squares.  An inverse entry over Q is an int exactly when it is
     # integral, a Fraction otherwise; str() of a scalar is the same either way.
@@ -389,8 +438,8 @@ SHAPES = [(5, 40, 5, True), (5, 40, 3, True), (40, 5, 5, True), (40, 5, 3, True)
 
 @pytest.mark.parametrize("modulus", [None, 2, 3])
 def test_kernel_matches_the_references_on_larger_shapes(modulus, monkeypatch):
-    # mat_rank, certified_nonsingular and mat_inverse against Bareiss or RREF
-    # ranks, reference_nonsingular and RREF inverses, on shaped_matrix's wide
+    # mat_rank, certified_nonsingular and mat_inverse against RREF ranks,
+    # reference_nonsingular and RREF inverses, on shaped_matrix's wide
     # 5 x 40, tall 40 x 5, low-rank squares up to 30 x 30 with free columns
     # between the pivots, and squares of full rank.  With the kernel's prime
     # set to 2 or 3 rational answers fail their certificates and take the
@@ -439,13 +488,14 @@ def test_a_kernel_vector_too_large_to_lift_ends_in_the_exact_routes(monkeypatch)
     m = DenseMatrix.from_rows(RATIONALS, [[Fraction(v) for v in line.split()]
                                           for line in UNCERTIFIED_RANK_7.strip().splitlines()])
     calls = []
-    monkeypatch.setattr(exactalg, "_bareiss_rank",
-                        lambda rows: calls.append(len(rows)) or _bareiss_rank(rows))
+    monkeypatch.setattr(exactalg, "_bareiss",
+                        lambda rows, ncols: calls.append(ncols) or _bareiss(rows, ncols))
     assert certified_nonsingular(m) is None
     assert calls == []
     assert mat_rank(m) == 7
     assert calls == [8]
     assert mat_inverse(m) is None
+    assert calls == [8, 16]
 
 
 @pytest.mark.parametrize("field", [RATIONALS, F3])
@@ -472,21 +522,19 @@ def test_nonsingular_reads_no_column_after_the_first_free_one():
 
 def test_tiny_prime_falls_back_to_exact_eliminations(monkeypatch):
     # With the kernel's prime set to 3, answers mod 3 that are wrong must
-    # fail their certificate and end in the exact route.
-    calls = {"bareiss": 0, "rref": 0}
+    # fail their certificate and end in the exact route, one _bareiss call
+    # each: on m.cols columns for a rank, on 2n for an inverse.
+    calls = []
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return _bareiss(rows, ncols)
 
     monkeypatch.setattr(exactalg, "_MODULUS", 3)
-    monkeypatch.setattr(exactalg, "_bareiss_rank", counted("bareiss", exactalg._bareiss_rank))
-    monkeypatch.setattr(exactalg, "_rref", counted("rref", exactalg._rref))
+    monkeypatch.setattr(exactalg, "_bareiss", counted)
     assert mat_rank(M(RATIONALS, [[3]])) == 1
     assert mat_rank(M(RATIONALS, [[1, 2], [2, 1]])) == 2  # det -3
-    assert calls == {"bareiss": 2, "rref": 0}
+    assert calls == [1, 2]
     inv = mat_inverse(M(RATIONALS, [[3]]))
     assert inv.entries == [[Fraction(1, 3)]] and type(inv.entries[0][0]) is Fraction
     assert mat_inverse(M(RATIONALS, [[1, 2], [2, 1]])).entries == [
@@ -494,23 +542,23 @@ def test_tiny_prime_falls_back_to_exact_eliminations(monkeypatch):
     # [[2]] is invertible mod 3, but its inverse 2 = -1 mod 3 lifts to -1,
     # which fails the check A B = I
     assert mat_inverse(M(RATIONALS, [[2]])).entries == [[Fraction(1, 2)]]
-    # [[1, 2], [0, 1]] has 1 in its pivots, so the fallback elimination never
-    # divides; its inverse -2 = 1 mod 3 lifts to 1 and fails the check
+    # [[1, 2], [0, 1]] has det 1, so the fallback's last pivot is 1 and its
+    # inverse is all ints; its inverse -2 = 1 mod 3 lifts to 1 and fails the check
     inv = mat_inverse(M(RATIONALS, [[1, 2], [0, 1]]))
     assert inv.entries == [[1, -2], [0, 1]]
     assert integral_as_int(inv.entries)
-    assert calls == {"bareiss": 2, "rref": 4}
+    assert calls == [1, 2, 2, 4, 2, 4]
     assert certified_nonsingular(M(RATIONALS, [[1, 2], [2, 1]])) is None
     # answers the prime gets right are still certified without a fallback
     assert mat_rank(M(RATIONALS, [[1, 1], [1, 1]])) == 1
     assert certified_nonsingular(M(RATIONALS, [[1, 1], [1, 1]])) is False
     assert mat_inverse(M(RATIONALS, [[1, 1], [0, 1]])).entries == [[1, -1], [0, 1]]
-    assert calls == {"bareiss": 2, "rref": 4}
+    assert calls == [1, 2, 2, 4, 2, 4]
     # 1/2 = 2 = -1 mod 3 fails the check; the fallback's inverse has
     # Fractions where it is not integral and ints elsewhere
     inv = mat_inverse(M(RATIONALS, [[2, 0], [0, 1]]))
     assert inv.entries == [[Fraction(1, 2), 0], [0, 1]] and integral_as_int(inv.entries)
-    assert calls["rref"] == 5
+    assert calls == [1, 2, 2, 4, 2, 4, 4]
 
 
 def test_scalar_arithmetic_laws_randomized():

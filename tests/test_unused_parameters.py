@@ -1,6 +1,7 @@
 """Source checks: every function parameter in the package is read by its
-body, and every record field is read as an attribute by the package, or is
-named as one only the tests read."""
+body, every parameter with a default is overridden by some package call or
+named as a knob that stays, and every record field is read as an attribute
+by the package, or is named as one only the tests read."""
 
 import ast
 from pathlib import Path
@@ -35,6 +36,68 @@ def test_every_parameter_is_read():
               for path in sorted(SRC.glob("*.py"))
               for func, line, name in _unread_parameters(ast.parse(path.read_text(), str(path)))]
     assert unread == []
+
+
+# Parameters with a default that no package call overrides, each kept for
+# the reason given; any other such parameter is a knob only the tests turn.
+KNOBS = {
+    # the definition route with every reference pair, the test of the cell
+    # axiom that the bracket does not depend on the reference label
+    "cellbasis.gram_definition.check",
+    # the console script reads sys.argv; a caller passes its own arguments
+    "cli.main.argv",
+    # a caller's own group datum for a group with no built-in one
+    "groupcell.standard_group_data.custom",
+    # a generating set of actors, sound when it generates the algebra
+    "verify.verify_cell_axioms.acting",
+}
+
+
+def _defaulted_parameters(tree, module):
+    """(qualified name, name a call uses, position at that call or None,
+    parameter) for each parameter with a default.  A method is called through
+    its instance, one position before its place in the signature, and
+    __init__ through its class's name."""
+    def visit(body, prefix, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, f"{prefix}{node.name}.", node.name)
+            elif isinstance(node, ast.FunctionDef):
+                args = node.args
+                pos = args.posonlyargs + args.args
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                shift = 1 if cls and not static else 0
+                called = cls if node.name == "__init__" else node.name
+                first = len(pos) - len(args.defaults)
+                for i, a in enumerate(pos[first:], first):
+                    yield f"{prefix}{node.name}.{a.arg}", called, i - shift, a.arg
+                for a, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield f"{prefix}{node.name}.{a.arg}", called, None, a.arg
+                yield from visit(node.body, f"{prefix}{node.name}.", None)
+    yield from visit(tree.body, f"{module}.", None)
+
+
+def _overrides(call, index, param):
+    """Whether call passes param: by keyword, by **, at its position, or by
+    a * at or before it."""
+    if any(k.arg in (None, param) for k in call.keywords):
+        return True
+    return index is not None and any(
+        i == index or isinstance(a, ast.Starred) and i <= index for i, a in enumerate(call.args))
+
+
+def test_every_default_is_overridden_by_the_package():
+    # Calls are matched by name only, so a call of another function with the
+    # same name also counts: the check can miss a knob, never invent one.
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    calls = [(getattr(c.func, "id", None) or getattr(c.func, "attr", None), c)
+             for tree in trees.values() for c in ast.walk(tree) if isinstance(c, ast.Call)]
+    unturned = {name for module, tree in trees.items()
+                for name, called, index, param in _defaulted_parameters(tree, module)
+                if not any(f == called and _overrides(c, index, param) for f, c in calls)}
+    assert sorted(unturned - KNOBS) == []
+    assert sorted(KNOBS - unturned) == []
 
 
 def _slots(cls):
