@@ -130,8 +130,10 @@ class CellDatum:
     # -- basic views -----------------------------------------------------
 
     def node_label(self, ni: int) -> str:
+        """D<d>:<label> for an assembled node, a pair (D-class d, group label)
+        whose label is not an int; otherwise the node itself, as (2,1)."""
         d = self.nodes[ni]
-        if isinstance(d, tuple) and len(d) == 2 and isinstance(d[0], int):
+        if isinstance(d, tuple) and len(d) == 2 and isinstance(d[0], int) and not isinstance(d[1], int):
             return f"D{d[0]}:{_lam_str(d[1])}"
         return _lam_str(d)
 

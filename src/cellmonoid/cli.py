@@ -116,6 +116,8 @@ def _config_from_args(argv: List[str]) -> RunConfig:
         raise UsageError("twist needs --delta or --twist-file")
     if args["command"] == "verify" and args["verify_mode"] == "off":
         raise UsageError("verify needs --verify full")
+    if report == "":
+        raise UsageError("--report: the path is empty")
     if report and not os.path.isdir(parent := os.path.dirname(report) or "."):
         raise UsageError(f"--report: {parent} is not a directory")
     if report and os.path.isdir(report):

@@ -7,21 +7,20 @@ and FieldSpec.norm reduces a result to its stored form once, where it is
 stored.  Rank decisions therefore never depend on tolerances.  Parsed and
 inverted rationals are ints when integral, so integral data stay on ints.
 
-Ranks, nonsingularity and inverses share one kernel, _scan: a left-looking
-elimination on Python ints mod a prime p, which reduces each column when it
-reaches it and yields the columns without a pivot, each with its coefficients
-on the pivot columns before it.  A caller that needs only the first such
-column stops there.  Over a prime field p is the field's own and the answer is
-exact.  Over the rationals (where ints are accepted as scalars) each row is
-scaled to ints by clear_denominators and eliminated mod _MODULUS, and no
-answer is taken from the prime alone (Dixon 1982): a full rank mod p is a full
-rank; a rank r below full is certified by lifting each free column's kernel
-vector by rational reconstruction and checking A v = 0 on ints; an inverse B
-is certified by A B = I on ints, with one common denominator.  When a
-certificate fails (p divides a minor, or an entry is too large to
-reconstruct), the answer comes from the one exact elimination, _bareiss: a
-fraction-free row echelon form on the same int rows, whose pivots give the
-rank and whose back substitution gives the inverse.
+Over a prime field, ranks, nonsingularity and inverses share one kernel,
+_scan: a left-looking elimination on Python ints mod the field's prime p,
+which reduces each column when it reaches it and yields the columns without a
+pivot, each with its coefficients on the pivot columns before it.  A caller
+that needs only the first such column stops there.  Over the rationals (where
+ints are accepted as scalars) each row is scaled to ints by
+clear_denominators, and ranks and inverses come from the one exact
+elimination, _bareiss: a fraction-free row echelon form on those int rows,
+whose pivots give the rank and whose back substitution gives the inverse.
+The nonsingularity certificate alone eliminates them mod _MODULUS, since it
+stops at the first dependent column, and takes no answer from the prime
+alone (Dixon 1982): a full rank mod p is a full rank, and a first free column
+is certified by lifting its kernel vector by rational reconstruction and
+checking A v = 0 on ints.
 """
 
 from __future__ import annotations
@@ -158,9 +157,9 @@ class FieldSpec:
 
 RATIONALS = FieldSpec("q")
 
-# The prime of the rational kernel, the Mersenne prime 2**61 - 1.  Residues
-# stay small enough for fast Python ints; every answer taken mod this prime is
-# certified over the integers before it is returned.
+# The prime of the rational nonsingularity certificate, the Mersenne prime
+# 2**61 - 1.  Residues stay small enough for fast Python ints; every answer
+# taken mod this prime is certified over the integers before it is returned.
 _MODULUS = (1 << 61) - 1
 
 
@@ -229,7 +228,7 @@ def _lift(residues: Sequence[int], p: int) -> Optional[Tuple[List[int], int]]:
     """Ints N and d > 0 with N/d = residues mod p, entry by entry, by rational
     reconstruction (Wang 1981) under one common denominator d; None when an
     entry has no reconstruction with numerator and denominator below
-    sqrt(p/2)."""
+    sqrt(p/2).  Its one caller lifts a kernel vector, one entry per column."""
     bound = isqrt(p >> 1)
     den, nums = 1, []
     for x in residues:
@@ -312,23 +311,18 @@ def _scan(rows: List[List[int]], ncols: int, p: int) -> Iterator[Tuple[int, List
 
 
 def mat_rank(m: DenseMatrix) -> int:
-    """Exact rank: the number of columns less the free ones _scan yields.
-    Over the rationals the rank r mod _MODULUS is a lower bound; it stands
-    when it is full, or when each free column's kernel vector lifts to a
-    certified one (so the nullity is at least cols - r).  Otherwise the rank
-    is the number of pivots of _bareiss."""
+    """Exact rank.  Over a prime field: the number of columns less the free
+    ones _scan yields.  Over the rationals: the number of pivots of _bareiss
+    on the int rows."""
     rows, p = _int_rows(m)
-    free = []
-    for c, pivots, x in _scan(rows, m.cols, p):
-        if len(pivots) == m.rows:  # a pivot in every row: the columns from c on are free
+    if m.field.kind == "q":
+        return len(_bareiss(rows, m.cols)[0])
+    free = 0
+    for _, pivots, _ in _scan(rows, m.cols, p):
+        if len(pivots) == m.rows:  # a pivot in every row: every later column is free
             return m.rows
-        free.append((c, pivots, x))
-    r = m.cols - len(free)
-    if m.field.kind == "fp" or r == min(m.rows, m.cols):
-        return r
-    if all(_certified_kernel_vector(rows, x, pivots, c, p) is not None for c, pivots, x in free):
-        return r
-    return len(_bareiss(rows, m.cols)[0])
+        free += 1
+    return m.cols - free
 
 
 def certified_nonsingular(m: DenseMatrix) -> Optional[bool]:
@@ -352,44 +346,30 @@ def certified_nonsingular(m: DenseMatrix) -> Optional[bool]:
 def mat_inverse(m: DenseMatrix) -> Optional[DenseMatrix]:
     """Inverse of a square matrix, or None when singular.
 
-    _scan runs over [m | I] as one matrix; over the rationals its rows are
-    scaled to ints [A | S] = S [m | I] (S diagonal).  m is nonsingular mod p
-    exactly when the first free column is column n; then columns n to 2n - 1
-    are all free, and their coefficients on A's columns are the columns of
-    A^-1 S = m^-1 mod p.  Over the rationals these are lifted to N/d under
-    one common denominator, and A N = d S, checked on ints, proves
-    m^-1 = N/d.  A matrix singular mod _MODULUS, or a lift that fails the
-    check, goes to _bareiss on [A | S]: m is singular unless columns 0 to
-    n - 1 are its first pivots, and otherwise back substitution through the
-    echelon form, with every division exact, gives d m^-1 for d = +-det A,
-    its last pivot.  Integral entries are ints."""
+    Both routes run over [m | I] as one matrix.  Over a prime field _scan
+    finds m nonsingular exactly when the first free column is column n; then
+    columns n to 2n - 1 are all free, and their coefficients on m's columns
+    are the columns of m^-1.  Over the rationals the rows are scaled to ints
+    [A | S] = S [m | I] (S diagonal) and go to _bareiss: m is singular unless
+    columns 0 to n - 1 are its first pivots, and otherwise back substitution
+    through the echelon form, with every division exact, gives d m^-1 for
+    d = +-det A, its last pivot.  Integral entries are ints."""
     if m.rows != m.cols:
         return None
     f, n = m.field, m.rows
     aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(m.entries)]
     rows, p = _int_rows(DenseMatrix(f, n, 2 * n, aug))
-    columns = []  # of m^-1 mod p
-    for c, _, x in _scan(rows, 2 * n, p):
-        if c < n:  # singular mod p
-            break
-        columns.append(x)
-    nonsingular = len(columns) == n
     if f.kind == "fp":
-        return DenseMatrix(f, n, n, [list(r) for r in zip(*columns)]) if nonsingular else None
-    if nonsingular:
-        lifted = _lift([v for r in zip(*columns) for v in r], p)
-        if lifted is not None:
-            flat, d = lifted
-            inv = [flat[i * n:(i + 1) * n] for i in range(n)]
-            cols = list(zip(*inv))
-            # map stops at n, so each product reads only A's half of the row
-            if all(sum(map(mul, row, col)) == (d * row[n + i] if i == j else 0)
-                   for i, row in enumerate(rows) for j, col in enumerate(cols)):
-                return DenseMatrix(f, n, n, [[_rational(v, d) for v in r] for r in inv])
+        columns = []  # of m^-1
+        for c, _, x in _scan(rows, 2 * n, p):
+            if c < n:
+                return None
+            columns.append(x)
+        return DenseMatrix(f, n, n, [list(r) for r in zip(*columns)])
     pivots, echelon = _bareiss(rows, 2 * n)
     if pivots[:n] != list(range(n)):
         return None
-    d, x = echelon[n - 1][n - 1], [None] * n
+    d, x = echelon[n - 1][n - 1] if n else 1, [None] * n
     for k in range(n - 1, -1, -1):
         u = echelon[k]
         acc = [d * v for v in u[n:]]

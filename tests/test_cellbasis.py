@@ -32,6 +32,19 @@ def test_build_t2(store):
     assert sum(sizes) == 4
 
 
+def test_a_group_datum_labels_each_node_by_its_partition():
+    # A two-part partition such as (2,1) is a group node, not an assembled
+    # (D-class, group label) pair, so it reads (2,1), not D2:1; the Gram
+    # summary's failing nodes use the same labels.
+    for n in (2, 3, 4):
+        d = cm.murphy_datum(n, RATIONALS)
+        assert [d.node_label(ni) for ni in range(len(d.nodes))] == [
+            cellbasis._lam_str(lam) for lam in d.nodes]
+    assert cm.murphy_datum(3, RATIONALS).node_label(1) == "(2,1)"
+    summary = cellbasis.gram_summary(cm.murphy_datum(4, prime_field(2)))
+    assert summary.qh_failing == ["(4)", "(3,1)", "(2,2)"]
+
+
 def test_build_trivial(store):
     d = store.datum("trivial")
     assert len(d.nodes) == 1 and d.dim == 1

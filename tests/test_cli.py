@@ -431,6 +431,17 @@ def test_report_naming_a_directory_fails_before_the_work(tmp_path, capsys):
     assert err == f"error: --report: {tmp_path} is a directory\n"
 
 
+@pytest.mark.parametrize("spelling", [["--report", ""], ["--report="]])
+def test_an_empty_report_path_fails_before_the_work(spelling, tmp_path, monkeypatch, capsys):
+    # an empty path names no file, so no report could be written
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "--family", "tfull", "--n", "2", *spelling]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --report: the path is empty\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 HEAVY = ("dataclasses", "argparse")  # no module in src imports these
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cellmonoid import exactalg
+from cellmonoid.cellbasis import gram_summary
 from cellmonoid.exactalg import (DenseMatrix, FieldSpec, RATIONALS, _bareiss,
                                  _certified_kernel_vector, _int_rows, _is_prime, _scan,
                                  certified_nonsingular, mat_inverse, mat_rank, prime_field)
@@ -167,8 +168,8 @@ def test_rank_nullity_and_exact_solve_randomized():
     # 40 small integer matrices per field, then 60 from random_matrix; the
     # rank is checked against the nullspace route, the kernel vectors that
     # certify it over Q.  Large kernel entries do not reconstruct mod the
-    # kernel's prime; such matrices are counted, and their rank comes from
-    # Bareiss elimination (see test_kernel_matches_reference_eliminations).
+    # kernel's prime; such matrices are counted, and only their rank's bound
+    # is checked here (see test_kernel_matches_reference_eliminations).
     rng = random.Random(20240611)
     counts = {"certified": 0, "not certified": 0}
     for field in (RATIONALS, F2, F3, F5):
@@ -320,7 +321,7 @@ def test_bareiss_is_a_row_echelon_form_of_int_minors():
 
 
 def test_kernel_matches_reference_eliminations():
-    # The mod-p kernel and its Bareiss fallback against RREF in the field's
+    # The mod-p kernel over F_p and Bareiss over Q against RREF in the field's
     # own arithmetic (ranks and inverses, over Q in Fractions), on
     # random_matrix's matrices: products of low rank, zero columns, singular
     # squares.  An inverse entry over Q is an int exactly when it is
@@ -437,32 +438,38 @@ SHAPES = [(5, 40, 5, True), (5, 40, 3, True), (40, 5, 5, True), (40, 5, 3, True)
 
 
 @pytest.mark.parametrize("modulus", [None, 2, 3])
-def test_kernel_matches_the_references_on_larger_shapes(modulus, monkeypatch):
+def test_kernel_matches_the_references_on_larger_shapes(modulus, store, monkeypatch):
     # mat_rank, certified_nonsingular and mat_inverse against RREF ranks,
     # reference_nonsingular and RREF inverses, on shaped_matrix's wide
     # 5 x 40, tall 40 x 5, low-rank squares up to 30 x 30 with free columns
-    # between the pivots, and squares of full rank.  With the kernel's prime
-    # set to 2 or 3 rational answers fail their certificates and take the
-    # exact routes.
+    # between the pivots, and squares of full rank; and on the Grams of
+    # jones5 twisted by delta = 3/2 and -7/3, whose denominators grow the
+    # ints of the fraction-free elimination.  With the kernel's prime set to 2
+    # or 3 the nonsingularity certificate fails on rational answers.
+    grams = [g for delta in ("3/2", "-7/3")
+             for g in gram_summary(store.twisted("jones5", delta)).grams]
+    assert any(type(v) is Fraction and v.denominator > 1
+               for g in grams for r in g.entries for v in r)
     if modulus is not None:
         monkeypatch.setattr(exactalg, "_MODULUS", modulus)
     rng = random.Random(3121)
+    shaped = [shaped_matrix(rng, field, *shape)
+              for field in (RATIONALS, F2, F3, prime_field(7)) for shape in SHAPES]
     seen, interleaved = set(), 0
-    for field in (RATIONALS, F2, F3, prime_field(7)):
-        for nr, nc, k, planted in SHAPES:
-            m = shaped_matrix(rng, field, nr, nc, k, planted)
-            assert mat_rank(m) == _reference_rank(m), (field, m.entries)
-            if field.kind == "fp":
-                pivots = _rref(field, [list(r) for r in m.entries], nc)
-                interleaved += any(c not in pivots for c in range(pivots[-1])) if pivots else 0
-            if nr != nc:
-                continue
-            verdict = certified_nonsingular(m)
-            assert verdict is reference_nonsingular(m), (field, m.entries)
-            expected, inv = _reference_inverse(m), mat_inverse(m)
-            assert (inv and inv.entries) == expected, (field, m.entries)
-            assert verdict in (expected is not None, None)
-            seen.add((field.kind, verdict, expected is not None))
+    for m in shaped + grams:
+        field = m.field
+        assert mat_rank(m) == _reference_rank(m), (field, m.entries)
+        if field.kind == "fp":
+            pivots = _rref(field, [list(r) for r in m.entries], m.cols)
+            interleaved += any(c not in pivots for c in range(pivots[-1])) if pivots else 0
+        if m.rows != m.cols:
+            continue
+        verdict = certified_nonsingular(m)
+        assert verdict is reference_nonsingular(m), (field, m.entries)
+        expected, inv = _reference_inverse(m), mat_inverse(m)
+        assert (inv and inv.entries) == expected, (field, m.entries)
+        assert verdict in (expected is not None, None)
+        seen.add((field.kind, verdict, expected is not None))
     assert interleaved > 10, interleaved
     assert {("fp", True, True), ("fp", False, False), ("q", False, False)} <= seen, seen
     assert ("q", True if modulus is None else None, True) in seen, seen
@@ -521,9 +528,11 @@ def test_nonsingular_reads_no_column_after_the_first_free_one():
 
 
 def test_tiny_prime_falls_back_to_exact_eliminations(monkeypatch):
-    # With the kernel's prime set to 3, answers mod 3 that are wrong must
-    # fail their certificate and end in the exact route, one _bareiss call
-    # each: on m.cols columns for a rank, on 2n for an inverse.
+    # With the kernel's prime set to 3, which divides some of these minors,
+    # each rational rank and inverse is still one _bareiss call: on m.cols
+    # columns for a rank, on 2n for an inverse.  The nonsingularity
+    # certificate still eliminates mod 3, makes no _bareiss call, and fails
+    # (None) where the prime is wrong.
     calls = []
 
     def counted(rows, ncols):
@@ -539,26 +548,69 @@ def test_tiny_prime_falls_back_to_exact_eliminations(monkeypatch):
     assert inv.entries == [[Fraction(1, 3)]] and type(inv.entries[0][0]) is Fraction
     assert mat_inverse(M(RATIONALS, [[1, 2], [2, 1]])).entries == [
         [Fraction(-1, 3), Fraction(2, 3)], [Fraction(2, 3), Fraction(-1, 3)]]
-    # [[2]] is invertible mod 3, but its inverse 2 = -1 mod 3 lifts to -1,
-    # which fails the check A B = I
     assert mat_inverse(M(RATIONALS, [[2]])).entries == [[Fraction(1, 2)]]
-    # [[1, 2], [0, 1]] has det 1, so the fallback's last pivot is 1 and its
-    # inverse is all ints; its inverse -2 = 1 mod 3 lifts to 1 and fails the check
+    # [[1, 2], [0, 1]] has det 1, so the last pivot is 1 and the inverse is all ints
     inv = mat_inverse(M(RATIONALS, [[1, 2], [0, 1]]))
     assert inv.entries == [[1, -2], [0, 1]]
     assert integral_as_int(inv.entries)
     assert calls == [1, 2, 2, 4, 2, 4]
     assert certified_nonsingular(M(RATIONALS, [[1, 2], [2, 1]])) is None
-    # answers the prime gets right are still certified without a fallback
+    assert calls == [1, 2, 2, 4, 2, 4]
+    # answers the prime gets right take the same one call; the certificate
+    # proves a singular matrix singular by its kernel vector
     assert mat_rank(M(RATIONALS, [[1, 1], [1, 1]])) == 1
     assert certified_nonsingular(M(RATIONALS, [[1, 1], [1, 1]])) is False
     assert mat_inverse(M(RATIONALS, [[1, 1], [0, 1]])).entries == [[1, -1], [0, 1]]
-    assert calls == [1, 2, 2, 4, 2, 4]
-    # 1/2 = 2 = -1 mod 3 fails the check; the fallback's inverse has
-    # Fractions where it is not integral and ints elsewhere
+    assert calls == [1, 2, 2, 4, 2, 4, 2, 4]
+    # Fractions where the inverse is not integral and ints elsewhere
     inv = mat_inverse(M(RATIONALS, [[2, 0], [0, 1]]))
     assert inv.entries == [[Fraction(1, 2), 0], [0, 1]] and integral_as_int(inv.entries)
-    assert calls == [1, 2, 2, 4, 2, 4, 4]
+    assert calls == [1, 2, 2, 4, 2, 4, 2, 4, 4]
+
+
+@pytest.mark.parametrize("modulus", [None, 2, 3])
+def test_rational_ranks_and_inverses_take_one_bareiss_and_no_scan(modulus, monkeypatch):
+    # Over Q, mat_rank and mat_inverse make one _bareiss call and no _scan
+    # call under any kernel prime, also on a 40 x 40 int square whose last
+    # column is the sum of the first two: a matrix singular mod every prime
+    # takes no full modular scan first.  Over F_p both make one _scan call
+    # and no _bareiss call, and so does certified_nonsingular over Q.
+    if modulus is not None:
+        monkeypatch.setattr(exactalg, "_MODULUS", modulus)
+    calls = []
+    monkeypatch.setattr(exactalg, "_bareiss",
+                        lambda rows, ncols: calls.append("bareiss") or _bareiss(rows, ncols))
+    monkeypatch.setattr(exactalg, "_scan",
+                        lambda rows, ncols, p: calls.append("scan") or _scan(rows, ncols, p))
+    rng = random.Random(6007)
+    rows = [[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)]
+    for r in rows:
+        r[-1] = r[0] + r[1]
+    dependent = M(RATIONALS, rows)
+    halves = M(RATIONALS, [[Fraction(v, 2) for v in r[:-1]] for r in rows[:-1]])
+    cases = [(dependent, 39, False), (halves, 39, True), (M(RATIONALS, [[1, 2], [3, 4]]), 2, True),
+             (M(RATIONALS, [[0, 0], [0, 0]]), 0, False)]
+    for m, rank, nonsingular in cases:
+        calls.clear()
+        assert mat_rank(m) == rank
+        assert calls == ["bareiss"]
+        calls.clear()
+        inv = mat_inverse(m)
+        assert calls == ["bareiss"]
+        assert (inv is not None) is nonsingular
+        if nonsingular:  # m m^-1 = I
+            assert [[sum_entries(RATIONALS, r, c) for c in zip(*inv.entries)]
+                    for r in m.entries] == DenseMatrix.identity(RATIONALS, m.rows).entries
+        calls.clear()
+        assert certified_nonsingular(m) in (nonsingular, None)
+        assert calls == ["scan"]
+    for field in (F3, prime_field(7)):
+        for m in (M(field, rows), M(field, [[1, 2], [3, 4]])):
+            calls.clear()
+            assert mat_rank(m) == _reference_rank(m)
+            inv = mat_inverse(m)
+            assert (inv and inv.entries) == _reference_inverse(m)
+            assert calls == ["scan", "scan"]
 
 
 def test_scalar_arithmetic_laws_randomized():
