@@ -142,7 +142,8 @@ class CellDatum:
 
     def twisted(self, weights: Sequence[Sequence[Scalar]]) -> "CellDatum":
         """Same labeled basis, solvers and attachment over the table's product
-        weighted by weights, the twisting's one copy (see weighted_sandwich)."""
+        weighted by weights, the twisting's one copy (see weighted_sandwich),
+        unmarked: verify_cell_axioms acts on it by every element."""
         clone = object.__new__(CellDatum)
         clone.__dict__.update(self.__dict__)
         clone.weights, clone.lawful = weights, False
@@ -359,37 +360,20 @@ def build_cell_datum(M: FiniteMonoid, gs: GreenStructure, boxes: List[EggBox],
 # Brackets and Gram matrices.
 # ---------------------------------------------------------------------------
 
-def bracket_value(d: CellDatum, ni: int, rpos: int, cpos: int, check: bool = False) -> Scalar:
-    """Pairing of right index rpos against left index cpos at node ni.
-
-    The scalar is the coefficient of the (ni, 0, 0) basis vector in X*Y, where
-    X carries labels (0, rpos) and Y carries (cpos, 0).  With check, it is
-    recomputed with every reference pair (rl, rt) in place of (0, 0), and each
-    product must be pure: supported on (ni, rl, rt) and strictly higher nodes.
-    """
-    value = None
-    for rl in range(len(d.lsets[ni])) if check else (0,):
-        for rt in range(len(d.rsets[ni])) if check else (0,):
-            coords = d.coordinates(d.mult(d.basis[(ni, rl, rpos)], d.basis[(ni, cpos, rt)]))
-            v = coords.get((ni, rl, rt), 0)
-            for nj, sj, tj in coords if check else ():
-                if nj not in d.higher[ni] and (nj != ni or (sj, tj) != (rl, rt)):
-                    raise CellBasisError(
-                        f"product at node {d.node_label(ni)} has a stray coefficient at "
-                        f"({d.node_label(nj)}, {sj}, {tj})")
-            if value is None:
-                value = v
-            elif value != v:
-                raise CellBasisError(
-                    f"bracket at node {d.node_label(ni)} depends on the reference choice")
-    return value
+def bracket_value(d: CellDatum, ni: int, rpos: int, cpos: int) -> Scalar:
+    """Pairing of right index rpos against left index cpos at node ni: the
+    coefficient of the (ni, 0, 0) basis vector in X*Y, where X carries labels
+    (0, rpos) and Y carries (cpos, 0).  The one-sided conditions make it the
+    same for every reference pair in place of (0, 0)."""
+    product = d.mult(d.basis[(ni, 0, rpos)], d.basis[(ni, cpos, 0)])
+    return d.coordinates(product).get((ni, 0, 0), 0)
 
 
-def gram_definition(d: CellDatum, ni: int, check: bool = False) -> DenseMatrix:
+def gram_definition(d: CellDatum, ni: int) -> DenseMatrix:
     """Gram matrix from the defining products; rows are right indices
     (column, t) and columns are left indices (row, s)."""
     nr, nc = len(d.rsets[ni]), len(d.lsets[ni])
-    entries = [[bracket_value(d, ni, r, c, check) for c in range(nc)] for r in range(nr)]
+    entries = [[bracket_value(d, ni, r, c) for c in range(nc)] for r in range(nr)]
     return DenseMatrix(d.field, nr, nc, entries)
 
 

@@ -283,15 +283,18 @@ def standard_group_data(schutzs: List[SchutzGroup], field: FieldSpec,
     """Pick a verified group datum per D-class: a supplied custom datum (over
     the class's own translation group), the one-node datum for order-1 groups,
     or the tableau datum for symmetric groups found by isomorphism search.  A
-    custom datum is verified where it enters: UnsupportedGroup when its
-    dimension is not the group's order, AxiomViolation when the full axiom
-    check fails.  The built-in data are built once per group order."""
+    custom datum is verified where it enters: UnsupportedGroup when its field
+    is not field or its dimension not the group's order, AxiomViolation when
+    the full axiom check fails.  The built-in data are built once per order."""
     custom = custom or {}
     out: Dict[int, GroupDatumAttachment] = {}
     builtin: Dict[int, CellDatum] = {}
     for d, sch in enumerate(schutzs):
         if d in custom:
             datum = custom[d]
+            if datum.field != field:
+                raise UnsupportedGroup(f"D-class {d}: custom datum is over "
+                                       f"{datum.field.spec_string()}, not {field.spec_string()}")
             if datum.dim != sch.order:
                 raise UnsupportedGroup(f"D-class {d}: custom datum has the wrong dimension")
             from .verify import verify_cell_axioms  # loaded only for a custom datum

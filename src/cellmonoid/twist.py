@@ -11,18 +11,19 @@ twisted datum keeps pi's values as its weights, their one copy, and
 cellbasis.weighted_sandwich reads each scale from them.  A scale may be 0 (a
 compatible twisting that is not strong); it then zeroes its block, and the
 entries with a nonzero scale form the weighted sandwich the analysis reads.
+The unit and cocycle laws are proven here only, by law_failure.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from .cellbasis import CellDatum
-from .exactalg import FieldSpec, Scalar
+from .exactalg import FieldSpec, Scalar, clear_denominators
 from .green import GreenStructure
 from .monoid import (CellmonoidError, FiniteMonoid, LoopTable, _dump_json,
                      _load_json_object)
-from .verify import cocycle_middles, law_failure
+from .verify import cocycle_middles
 
 
 class TwistError(CellmonoidError):
@@ -61,10 +62,11 @@ def trivial_twisting(size: int, field: FieldSpec) -> Twisting:
 
 
 def make_loop_twisting(loops: LoopTable, delta: Scalar, field: FieldSpec) -> Twisting:
-    """pi(x, y) = delta ** loops[x][y], with delta ** 0 = 1 even for delta = 0
-    (as Python's 0 ** 0 is)."""
+    """pi(x, y) = delta ** loops[x][y], with delta ** 0 the int 1, also for
+    delta = 0 and a Fraction delta: an integral value is an int, since no
+    other power of a non-integral delta is integral."""
     maxloops = max((v for row in loops.loops for v in row), default=0)
-    powers = [delta ** k for k in range(maxloops + 1)]
+    powers = [1] + [delta ** k for k in range(1, maxloops + 1)]
     values = [[powers[v] for v in row] for row in loops.loops]
     return Twisting(field, values, f"loop:{delta}")
 
@@ -87,8 +89,31 @@ def load_twisting_json(path, field: FieldSpec) -> Twisting:
     return Twisting(field, values, "file")
 
 
+def law_failure(T: List[List[int]], values, e: int, middles, norm) -> Optional[Dict]:
+    """The first violation of the unit law at identity e, or else of the
+    cocycle law on the triples (x, s, z) with s in middles, x outer and z
+    inner; None when none.  Over the rationals the grid is scaled by the lcm D
+    of its denominators (D = 1 over a prime field); both sides of the law have
+    degree 2 in pi, so both scale by D**2 and the check runs on ints."""
+    n = len(T)
+    for x in range(n):
+        if values[x][e] != 1 or values[e][x] != 1:
+            return {"law": "unit", "x": x}
+    flat = clear_denominators([v for row in values for v in row])
+    W = [flat[x * n:(x + 1) * n] for x in range(n)]
+    for x in range(n):
+        Wx, Tx = W[x], T[x]
+        for y in middles:
+            wxy, Wxy, Wy, Ty = Wx[y], W[Tx[y]], W[y], T[y]
+            for z in range(n):
+                diff = wxy * Wxy[z] - Wx[Ty[z]] * Wy[z]
+                if diff and norm(diff):
+                    return {"law": "cocycle", "triple": (x, y, z)}
+    return None
+
+
 def verify_twisting(M: FiniteMonoid, pi: Twisting) -> Optional[Dict]:
-    """Unit and cocycle check by verify.law_failure; None when both laws hold,
+    """Unit and cocycle check by law_failure; None when both laws hold,
     otherwise a witness naming the first violation in lexicographic order.
     The unit law is checked on all of M.  The cocycle law says that the
     twisted product o is associative, so Light's test applies: it is checked
@@ -161,8 +186,9 @@ def build_twisted_cell_datum(base: CellDatum, pi: Twisting,
     refuses a pi that breaks the unit law pi(1, x) = pi(x, 1) = 1 or the
     cocycle law pi(x, y) pi(xy, z) = pi(x, yz) pi(y, z); IncompatibleTwisting
     then refuses one whose labeled basis would fail the one-sided conditions.
-    The datum is marked lawful: verify_cell_axioms trusts the laws while its
-    weights, pi.values itself, are left unchanged."""
+    The datum is marked lawful: verify_cell_axioms trusts the laws, and acts
+    first by the middles, while its weights, pi.values itself, are left
+    unchanged."""
     at = base.attach
     if at is None:
         raise ValueError("twisting applies to an assembled monoid datum")

@@ -1,7 +1,8 @@
 """Independent verification: the one-sided multiplication axiom checker for
-cell data, with the twisting laws it shares with twist.verify_twisting, a
+cell data, with the walk of middles it shares with twist.verify_twisting, a
 trace-form semisimplicity oracle for characteristic zero, and the dual-path
-cross-check ledger.
+cross-check ledger.  The checker proves no twisting law: it trusts only the
+laws build_twisted_cell_datum proved, and acts by every element otherwise.
 """
 
 from __future__ import annotations
@@ -9,8 +10,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
-from .exactalg import (DenseMatrix, FieldSpec, Scalar, certified_nonsingular,
-                       clear_denominators, mat_rank)
+from .exactalg import DenseMatrix, FieldSpec, Scalar, certified_nonsingular, mat_rank
 from .monoid import CellmonoidError
 
 
@@ -19,6 +19,8 @@ class WrongCharacteristic(CellmonoidError):
 
 
 class AxiomReport(NamedTuple):
+    """verify_cell_axioms' verdict: mode is always "full", acting_count the dimension."""
+
     mode: str
     ok: bool
     witness: Optional[Dict]
@@ -28,28 +30,27 @@ class AxiomReport(NamedTuple):
         return self._asdict()
 
 
-def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None) -> AxiomReport:
+def verify_cell_axioms(datum) -> AxiomReport:
     """Check both one-sided multiplication conditions of the labeled basis.
 
     For every acting element a and node: the coordinates of a * C[s,t] must be
     supported on the node itself (same right index t, coefficients depending
-    only on (s, s')) plus strictly higher nodes; dually for C[s,t] * a.  A
-    supplied acting set gives mode "generators"; it suffices when it generates
-    the algebra under datum.mult, as cocycle_middles from M.gens does.
-    With none the mode is "full", and the check acts first by S =
-    cocycle_middles(table, weights, M.gens, identity) of the attached monoid
-    M (by every element with no monoid attached).  The conditions are linear
-    in the actor and pass to products: a walk step gives e_x =
+    only on (s, s')) plus strictly higher nodes; dually for C[s,t] * a.  The
+    report's mode is always "full" and its acting_count the dimension: the
+    verdict and witness are those of the plain scan over every element.
+    An untwisted datum with a monoid M attached, or one marked lawful (see
+    twist.build_twisted_cell_datum), is acted on first by S =
+    cocycle_middles(table, weights, M.gens, identity).  The conditions are
+    linear in the actor and pass to products: a walk step gives e_x =
     weights[x'][g]**-1 (e_x' o e_g) with g in S, so (e_x' o e_g) o C = e_x' o
     (e_g o C); an actor that passes keeps the span of each node's higher nodes
     (the order is transitive), so the conditions pass to e_x by induction from
     e_1, the unit; dually on the right.  This needs the product associative
-    and unital: the table is, as every CellDatum table is.  Under weights
-    law_failure checks the unit law and the cocycle law on the middles
-    in S, which give both by Light's test, in |S| * n**2 steps, unless the
-    datum is marked lawful (see twist.build_twisted_cell_datum).  When S
-    finds a failure or the laws fail, every element acts again, in index
-    order, so verdict and witness are the plain scan's.
+    and unital: every CellDatum table is, and so is its product under weights
+    proven a unital 2-cocycle.  Any other datum, a bare CellDatum.twisted or
+    one with no monoid attached, is acted on by every element.  When S finds
+    a failure, every element acts again, in index order, so the witness is
+    the plain scan's.
 
     The conditions are checked per unit: a left unit is (node, s) with all its
     right indices t, a right unit (node, t) with all its left indices s.  Let
@@ -87,14 +88,6 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None) -> AxiomRe
     The first failure is reported in the order acting, node, left before
     right, then (t, s) on the left and (s, t) on the right.
     """
-    mode = "full" if acting is None else "generators"
-    acting = None if acting is None else list(acting)
-    for a in acting or ():
-        if type(a) is not int:
-            raise ValueError(f"acting index {a!r} is not an int")
-        if a not in range(datum.dim):
-            raise ValueError(f"acting index {a} is outside 0..{datum.dim - 1}")
-
     T, W = datum.table, datum.weights
     low = []  # per node: the carrier elements of blocks labelled only above it
     groups = []  # per node and side: (node, side, left, units)
@@ -143,37 +136,12 @@ def verify_cell_axioms(datum, acting: Optional[Sequence[int]] = None) -> AxiomRe
         return None
 
     at, dim = datum.attach, datum.dim
-    first = (acting if acting is not None else range(dim) if at is None
-             else sorted(cocycle_middles(T, W, at.monoid.gens, at.monoid.identity)))
+    first = (sorted(cocycle_middles(T, W, at.monoid.gens, at.monoid.identity))
+             if at is not None and (W is None or datum.lawful) else range(dim))
     witness = scan(first)
-    unproven = W is not None and not datum.lawful  # the laws on S still to check
-    if len(first) < dim and acting is None and (witness or unproven and law_failure(
-            T, W, at.monoid.identity, first, datum.field.norm)):
+    if witness and len(first) < dim:
         witness = scan(range(dim))
-    return AxiomReport(mode, witness is None, witness, dim if acting is None else len(acting))
-
-
-def law_failure(T: List[List[int]], values, e: int, middles, norm) -> Optional[Dict]:
-    """The first violation of the unit law at identity e, or else of the
-    cocycle law on the triples (x, s, z) with s in middles, x outer and z
-    inner; None when none.  Over the rationals the grid is scaled by the lcm D
-    of its denominators (D = 1 over a prime field); both sides of the law have
-    degree 2 in pi, so both scale by D**2 and the check runs on ints."""
-    n = len(T)
-    for x in range(n):
-        if values[x][e] != 1 or values[e][x] != 1:
-            return {"law": "unit", "x": x}
-    flat = clear_denominators([v for row in values for v in row])
-    W = [flat[x * n:(x + 1) * n] for x in range(n)]
-    for x in range(n):
-        Wx, Tx = W[x], T[x]
-        for y in middles:
-            wxy, Wxy, Wy, Ty = Wx[y], W[Tx[y]], W[y], T[y]
-            for z in range(n):
-                diff = wxy * Wxy[z] - Wx[Ty[z]] * Wy[z]
-                if diff and norm(diff):
-                    return {"law": "cocycle", "triple": (x, y, z)}
-    return None
+    return AxiomReport("full", witness is None, witness, dim)
 
 
 def cocycle_middles(table: List[List[int]], weights, seeds: Sequence[int],
@@ -183,7 +151,7 @@ def cocycle_middles(table: List[List[int]], weights, seeds: Sequence[int],
     element added, and its step x -> x*g, for g in seeds, needs weights[x][g]
     != 0 (any step when weights is None).  Its two callers walk from M.gens:
     twist.verify_twisting takes its middles here, verify_cell_axioms the set
-    it checks first in full mode.  With weights nowhere zero this is M.gens;
+    it acts by first.  With weights nowhere zero this is M.gens;
     with every step killed, all of M but the identity."""
     middles, seen = list(seeds), {identity, *seeds}
     todo = list(seen)

@@ -269,10 +269,10 @@ def reference_table_mult(table, field, weights=None):
     return mult
 
 
-def reference_witness(datum, acting):
+def reference_witness(datum):
     """The plain scan the axiom check must agree with: every acting element,
     node and basis vector, left side by (t, s), right side by (s, t)."""
-    for a in acting:
+    for a in range(datum.dim):
         ua = datum.unit(a)
         for ni in range(len(datum.nodes)):
             ls, rs = len(datum.lsets[ni]), len(datum.rsets[ni])
@@ -318,13 +318,27 @@ def reference_witness(datum, acting):
     return None
 
 
-def reference_axiom_report(datum, acting=None):
-    """The AxiomReport of the plain scan: every acting element (all of them
-    when acting is None, as in full mode) and every unit, nothing skipped."""
-    mode = "full" if acting is None else "generators"
-    acting = list(range(datum.dim) if acting is None else acting)
-    witness = reference_witness(datum, acting)
-    return cm.AxiomReport(mode, witness is None, witness, len(acting))
+def reference_axiom_report(datum):
+    """The AxiomReport of the plain scan: every element acting on every unit,
+    nothing skipped."""
+    witness = reference_witness(datum)
+    return cm.AxiomReport("full", witness is None, witness, datum.dim)
+
+
+def reference_bracket(d, ni, rpos, cpos):
+    """cellbasis.bracket_value recomputed with every reference pair (rl, rt)
+    in place of (0, 0): each product C[rl, rpos] * C[cpos, rt] must be pure,
+    supported on (ni, rl, rt) and strictly higher nodes, and its coefficient
+    at (ni, rl, rt) must not depend on the pair.  Returns that coefficient."""
+    values = set()
+    for rl in range(len(d.lsets[ni])):
+        for rt in range(len(d.rsets[ni])):
+            coords = d.coordinates(d.mult(d.basis[(ni, rl, rpos)], d.basis[(ni, cpos, rt)]))
+            stray = [k for k in coords if k[0] not in d.higher[ni] and k != (ni, rl, rt)]
+            assert not stray, (d.node_label(ni), rl, rt, stray)
+            values.add(coords.get((ni, rl, rt), 0))
+    assert len(values) == 1, (d.node_label(ni), rpos, cpos, values)
+    return values.pop()
 
 
 def reference_twisting_witness(M, pi):

@@ -13,7 +13,7 @@ from cellmonoid.groupcell import dominates
 
 from conftest import (assembled_order_pairs, assert_checks_clean, reference_table_mult,
                       assert_node_order_matches_reference, assert_phi_r_reads_every_member,
-                      order_pairs)
+                      order_pairs, reference_bracket)
 
 
 def node_by_label(d, label):
@@ -190,9 +190,9 @@ def test_gram_checked_reference_independence(store):
     for key in ("tfull2", "syminv2", "jones3", "null3"):
         d = store.datum(key)
         for ni in range(len(d.nodes)):
-            a = cm.gram_definition(d, ni, check=True)
-            b = cm.gram_definition(d, ni)
-            assert a.entries == b.entries
+            a = [[reference_bracket(d, ni, r, c) for c in range(len(d.lsets[ni]))]
+                 for r in range(len(d.rsets[ni]))]
+            assert a == cm.gram_definition(d, ni).entries
 
 
 def test_gram_fast_equals_definition(store):

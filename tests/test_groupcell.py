@@ -8,7 +8,7 @@ from cellmonoid.groupcell import (AxiomViolation, GroupCellError, _factorial_arg
                                   dominates, murphy_datum, partitions,
                                   standard_tableaux, symmetric_group_table)
 
-from conftest import order_pairs
+from conftest import order_pairs, reference_bracket
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -91,7 +91,10 @@ def test_bracket_reference_independence_small():
     for n in (2, 3):
         d = murphy_datum(n, RATIONALS)
         for ni in range(len(d.nodes)):
-            cm.gram_definition(d, ni, check=True)  # raises on any disagreement
+            for r in range(len(d.rsets[ni])):
+                for c in range(len(d.lsets[ni])):
+                    # raises on any disagreement
+                    assert reference_bracket(d, ni, r, c) == cm.bracket_value(d, ni, r, c)
 
 
 def test_murphy_axioms_full():
@@ -118,6 +121,18 @@ def test_custom_datum_rejections():
     scrambled = with_basis({top: d.basis[bottom], bottom: d.basis[top]})
     with pytest.raises(AxiomViolation):
         cm.standard_group_data(schutzs, RATIONALS, custom={0: scrambled})
+
+
+def test_custom_datum_over_another_field_refused(store):
+    # S2's tableau datum over F2 for the unit class of T2 over Q: its axiom
+    # check passes over F2, but the analysis over Q would read its Grams in
+    # the wrong field, so it is refused where it enters
+    _, _, schutzs = store.green("tfull2")
+    with pytest.raises(cm.UnsupportedGroup,
+                       match="^D-class 0: custom datum is over fp:2, not q$"):
+        cm.standard_group_data(schutzs, RATIONALS, custom={0: murphy_datum(2, F2)})
+    kinds = cm.standard_group_data(schutzs, F2, custom={0: murphy_datum(2, F2)})
+    assert kinds[0].kind == "custom"
 
 
 def test_find_symmetric_iso(store):

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from itertools import product
@@ -24,6 +25,25 @@ def test_loop_twisting_values(store):
     pi0 = cm.make_loop_twisting(loops, Fraction(0), Q)
     assert pi0.values[e1][e1] == 0
     assert pi0.values[M.identity][M.identity] == 1  # 0^0 = 1 by convention
+
+
+@pytest.mark.parametrize("key", ["jones5", "jones6"])
+def test_loop_twisting_keeps_integral_values_ints(store, key):
+    # at delta = 3/2 every value with no loop is the int 1, not Fraction(1, 1),
+    # and every other value is a non-integral power; the Grams of the twisted
+    # datum keep ints too, equal entry for entry to those of the same values
+    # given as Fractions
+    M, loops = store.monoid(key)
+    pi = cm.make_loop_twisting(loops, Fraction(3, 2), Q)
+    assert all(type(v) is int or v.denominator != 1 for row in pi.values for v in row)
+    assert sum(v == 1 for row in pi.values for v in row) > M.size
+    as_fractions = cm.Twisting(Q, [[Fraction(v) for v in row] for row in pi.values], "fractions")
+    base = store.datum(key)
+    grams, reference = (cm.gram_summary(cm.build_twisted_cell_datum(base, tw)).grams
+                        for tw in (pi, as_fractions))
+    assert [g.entries for g in grams] == [g.entries for g in reference]
+    assert not any(type(v) is Fraction and v.denominator == 1
+                   for g in grams for row in g.entries for v in row)
 
 
 def test_verify_twisting(store):
@@ -112,13 +132,17 @@ def test_generators_act_alone_under_zero_weights(store):
     # at delta = 0 products that close a loop vanish, yet the weighted walk
     # from M.gens reaches every element of jones5, since products along
     # reduced words close no loop: the middles are M.gens, four of them, and
-    # they alone generate the twisted algebra, so the check by them passes
+    # they alone generate the twisted algebra, so the full check on the
+    # datum marked lawful acts by them alone and passes
     M, _ = store.monoid("jones5")
     d = store.twisted("jones5", "0")
     middles = cocycle_middles(M.table, d.weights, M.gens, M.identity)
     assert middles == M.gens and len(middles) == 4
-    assert cm.verify_cell_axioms(d, acting=middles) == cm.AxiomReport("generators", True, None, 4)
-    assert cm.verify_cell_axioms(d) == cm.AxiomReport("full", True, None, M.size)
+    actors = set()
+    counted = copy.copy(d)
+    counted.product_coordinates = lambda a, *args: actors.add(a) or d.product_coordinates(a, *args)
+    assert cm.verify_cell_axioms(counted) == cm.AxiomReport("full", True, None, M.size)
+    assert actors == set(middles)
 
 
 def test_cocycle_check_reaches_past_the_generators(store):

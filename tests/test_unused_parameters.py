@@ -41,15 +41,10 @@ def test_every_parameter_is_read():
 # Parameters with a default that no package call overrides, each kept for
 # the reason given; any other such parameter is a knob only the tests turn.
 KNOBS = {
-    # the definition route with every reference pair, the test of the cell
-    # axiom that the bracket does not depend on the reference label
-    "cellbasis.gram_definition.check",
     # the console script reads sys.argv; a caller passes its own arguments
     "cli.main.argv",
     # a caller's own group datum for a group with no built-in one
     "groupcell.standard_group_data.custom",
-    # a generating set of actors, sound when it generates the algebra
-    "verify.verify_cell_axioms.acting",
 }
 
 

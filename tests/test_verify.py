@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 import cellmonoid as cm
 from cellmonoid import exactalg, verify
 from cellmonoid.exactalg import RATIONALS, mat_rank, prime_field
-from cellmonoid.monoid import generating_set
 from cellmonoid.twist import cocycle_middles, law_failure
 
 from conftest import (assert_checks_clean, order_pairs, reference_axiom_report,
@@ -73,11 +72,12 @@ def _swap_unit_labels(d):
 
 
 def test_axioms_sabotage_same_block(store):
-    # the checker must notice the swap in the unit class of T2
-    datum = _swap_unit_labels(store.datum("tfull2"))
-    rep = cm.verify_cell_axioms(datum)
-    assert not rep.ok
-    assert rep.witness["side"] in ("left", "right")
+    # the checker must notice the swap in the unit class of T2 and of T3
+    for key in ("tfull2", "tfull3"):
+        datum = _swap_unit_labels(store.datum(key))
+        rep = cm.verify_cell_axioms(datum)
+        assert not rep.ok
+        assert rep.witness["side"] in ("left", "right")
 
 
 def _h_coboundary(d, h):
@@ -156,8 +156,6 @@ def test_axiom_witnesses_pinned(store, key, sabotage, witness):
     datum = sabotage(store.datum(key))
     rep = cm.verify_cell_axioms(datum)
     assert (rep.ok, rep.witness, rep.acting_count) == (False, witness, datum.dim)
-    by_gens = cm.verify_cell_axioms(datum, acting=[witness["acting"]])
-    assert (by_gens.witness, by_gens.acting_count) == (witness, 1)
 
 
 @pytest.mark.parametrize("key,sabotage,witness", PINNED_WITNESSES,
@@ -168,9 +166,6 @@ def test_pinned_data_match_the_reference_scan(store, key, sabotage, witness):
     # the whole report, not just the witness, equals the plain scan's
     datum = sabotage(store.datum(key))
     assert cm.verify_cell_axioms(datum) == reference_axiom_report(datum)
-    acting = [0, witness["acting"]]
-    assert (cm.verify_cell_axioms(datum, acting=acting)
-            == reference_axiom_report(datum, acting))
 
 
 def _coboundary_twist(d, f):
@@ -221,7 +216,7 @@ def test_random_twistings_match_the_reference_scan():
     # coboundary of a random f, with the basis rescaled to match (so the
     # axioms hold) or not (so they hold only when f suits the classes), and
     # with up to three weights set to zero: the check's report must be the
-    # plain scan's, in full and in generators mode.
+    # plain scan's, unmarked and, when the laws hold, marked lawful.
     counts = {"ok": 0, "failed": 0, "zero weights": 0}
     guard = {"held": 0, "failed": 0}  # the unit and cocycle laws on S
 
@@ -257,24 +252,16 @@ def test_random_twistings_match_the_reference_scan():
         held = law_failure(M.table, weights, M.identity, _generating_set(twisted),
                            RATIONALS.norm) is None
         guard["held" if held else "failed"] += 1
-        acting = data.draw(st.lists(element, min_size=1, max_size=4))
-        assert (cm.verify_cell_axioms(twisted, acting=acting)
-                == reference_axiom_report(twisted, acting))
+        if held:
+            # the laws hold by Light's test, so the datum may be marked, and
+            # the check by the middles first must report the same
+            marked = copy.copy(twisted)
+            marked.lawful = True
+            assert cm.verify_cell_axioms(marked) == full
 
     check()
     assert min(counts.values()) > 5, counts
     assert min(guard.values()) > 0, guard
-
-
-def test_bad_acting_indices_rejected(store):
-    d = store.datum("tfull2")
-    for bad in (-1, 99, d.dim):
-        with pytest.raises(ValueError, match=f"acting index {bad} is outside"):
-            cm.verify_cell_axioms(d, acting=[0, bad])
-    # indices that are not ints, bool included, are named by their repr
-    for bad, shown in ((1.0, "1.0"), ("1", "'1'"), (True, "True"), (None, "None")):
-        with pytest.raises(ValueError, match=f"acting index {shown} is not an int"):
-            cm.verify_cell_axioms(d, acting=[0, bad])
 
 
 def test_terms_cancelling_mod_p_open_no_block():
@@ -335,35 +322,62 @@ def _generating_set(datum):
     return sorted(cocycle_middles(datum.table, datum.weights, M.gens, M.identity))
 
 
+# (key, field, delta): untwisted data and jones5's loop datum at delta = 0,
+# marked lawful by build_twisted_cell_datum
+TRUSTED = [("tfull3", "q", None), ("tpartial3", "q", None), ("tfull4", "fp:3", None),
+           ("jones5", "q", "0")]
+
+
+def _marked_and_unmarked(store, key, field, delta):
+    """The datum the build makes, untwisted or marked lawful, and the bare
+    datum.twisted of the same values (all 1 when untwisted), left unmarked."""
+    base = store.datum(key, field)
+    marked = base if delta is None else store.twisted(key, delta, field)
+    values = [[1] * base.dim for _ in range(base.dim)] if delta is None else marked.weights
+    return marked, base.twisted(values)
+
+
 def test_full_check_product_counts(store):
-    # A passing check acts by S = M.gens only (the walk from M.gens reaches
-    # every element): 3 actors on tfull3 and tfull4, 4 on tpartial3 and
-    # jones5.  Each actor makes at most one product per basis vector on each
-    # side, 2*dim; each product key is verified once across the units of one
-    # node and side with the same pattern, and only products that can reach
-    # a node not above the unit's are made: 80 of 2*3*27 = 162 on tfull3, 178
-    # of 2*4*64 = 512 on tpartial3 and 840 of 2*3*256 = 1536 on tfull4 over
-    # F_3.  jones5 twisted by delta = 0 has zero weights: 82 of its 164
-    # products of 2*4*42 = 336 vanish and take no coordinates.  With every
-    # element acting the keys are shared across actors as well as units:
-    # 126, 236, 1976 and 166 products, 84 of jones5's taking coordinates.
-    # A key kept per unit, not per pattern, makes 111 products on tfull3.
-    for key, field, delta, products, lookups, every in (
-            ("tfull3", "q", None, 80, 80, (126, 126)),
-            ("tpartial3", "q", None, 178, 178, (236, 236)),
-            ("tfull4", "fp:3", None, 840, 840, (1976, 1976)),
-            ("jones5", "q", "0", 164, 82, (166, 84))):
-        datum, counts, actors = _counting(store.datum(key, field) if delta is None
-                                          else store.twisted(key, delta, field))
-        rep = cm.verify_cell_axioms(datum)
-        assert (rep.ok, rep.acting_count) == (True, datum.dim), key
-        assert (counts["products"], counts["coordinates"]) == (products, lookups), key
-        assert actors <= set(_generating_set(datum)) == set(datum.attach.monoid.gens), key
-        datum, counts, _ = _counting(store.datum(key, field) if delta is None
-                                     else store.twisted(key, delta, field))
-        rep = cm.verify_cell_axioms(datum, acting=list(range(datum.dim)))
-        assert (rep.ok, rep.acting_count) == (True, datum.dim), key
-        assert (counts["products"], counts["coordinates"]) == every, key
+    # A passing check on trusted data acts by S = M.gens only (the walk from
+    # M.gens reaches every element): 3 actors on tfull3 and tfull4, 4 on
+    # tpartial3 and jones5.  Each actor makes at most one product per basis
+    # vector on each side, 2*dim; each product key is verified once across
+    # the units of one node and side with the same pattern, and only
+    # products that can reach a node not above the unit's are made: 80 of
+    # 2*3*27 = 162 on tfull3, 178 of 2*4*64 = 512 on tpartial3 and 840 of
+    # 2*3*256 = 1536 on tfull4 over F_3.  jones5 twisted by delta = 0 has zero
+    # weights: 82 of its 164 products of 2*4*42 = 336 vanish and take no
+    # coordinates.  The unmarked data are acted on by every element, where
+    # the keys are shared across actors as well as units: 126, 236, 1976 and
+    # 166 products, 84 of jones5's taking coordinates.  A key kept per unit,
+    # not per pattern, makes 111 products on tfull3.
+    pins = [((80, 80), (126, 126)), ((178, 178), (236, 236)), ((840, 840), (1976, 1976)),
+            ((164, 82), (166, 84))]
+    for (key, field, delta), pinned in zip(TRUSTED, pins):
+        for datum, pin in zip(_marked_and_unmarked(store, key, field, delta), pinned):
+            datum, counts, _ = _counting(datum)
+            rep = cm.verify_cell_axioms(datum)
+            assert (rep.ok, rep.acting_count) == (True, datum.dim), key
+            assert (counts["products"], counts["coordinates"]) == pin, key
+
+
+def test_only_proven_laws_are_trusted(store):
+    # The check acts by the middles S first only on untwisted data and on
+    # data marked lawful; a bare datum.twisted of the same values, whose
+    # laws hold but are not proven, is acted on by every element, and its
+    # report is the marked one's.  On the marked data the actors lie in S,
+    # which is M.gens here; on the unmarked ones they reach past it.
+    for key, field, delta in TRUSTED:
+        marked, unmarked = _marked_and_unmarked(store, key, field, delta)
+        assert (marked.weights is None or marked.lawful) and not unmarked.lawful, key
+        gens = set(_generating_set(marked))
+        assert gens == set(marked.attach.monoid.gens), key
+        reports = []
+        for datum, within in ((marked, True), (unmarked, False)):
+            datum, _, actors = _counting(datum)
+            reports.append(cm.verify_cell_axioms(datum))
+            assert (actors <= gens) == within, key
+        assert reports[0] == reports[1] == reference_axiom_report(marked), key
 
 
 def test_products_above_the_node_take_no_coordinates(store):
@@ -395,45 +409,37 @@ def test_broken_laws_send_the_full_check_past_the_generators(store, x, y, w, law
     # S = M.gens: every actor in S sees weights 1 and passes, but actor x
     # fails, the identity 0 scaling e_y by 2 or actor 1 sending e_y to 0.
     # The product is then not unital or not associative, so passing on S
-    # proves nothing, and the laws on S say so.
+    # proves nothing, and the laws on S say so.  A copy marked lawful
+    # against its laws shows it: the check acts by S alone and passes.  The
+    # datum is unmarked, so the check acts by every element, from 0 on.
     d = store.datum("tfull3")
     twisted = _weight(d, x, y, w)
     gens = _generating_set(twisted)
     assert gens == [3, 11, 15] and x not in gens and y not in gens
-    assert cm.verify_cell_axioms(twisted, acting=gens).ok
     assert law_failure(d.table, twisted.weights, 0, gens, RATIONALS.norm) == law
-    rep = cm.verify_cell_axioms(twisted)
+    false_mark, _, actors = _counting(twisted)
+    false_mark.lawful = True
+    assert cm.verify_cell_axioms(false_mark).ok and actors <= set(gens)
+    datum, _, actors = _counting(twisted)
+    rep = cm.verify_cell_axioms(datum)
     assert rep == reference_axiom_report(twisted)
     assert rep == cm.AxiomReport("full", False, witness, d.dim)
+    assert actors == set(range(x + 1))
 
 
 def test_first_failure_outside_the_generators_is_named(store):
-    # the swapped basis first fails in S = [3, 11, 15] under actor 11, but
-    # actor 7, not in S, fails first in the scan over every element, and the
-    # report names it
+    # the swapped basis first fails in S = [3, 11, 15] under actor 11, so 15
+    # never acts, but actor 7, not in S, fails first in the scan over every
+    # element, and the report names it.  Actors 1, 2 and 5 of that scan make
+    # no product: their keys passed or land above the node.
     datum = _swap(store.datum("tfull3"), (1, 0, 1), (1, 1, 0))
     gens = _generating_set(datum)
-    by_gens = cm.verify_cell_axioms(datum, acting=gens)
-    assert gens == [3, 11, 15] and by_gens.witness["acting"] == 11
-    rep = cm.verify_cell_axioms(datum)
+    assert gens == [3, 11, 15]
+    counted, _, actors = _counting(datum)
+    rep = cm.verify_cell_axioms(counted)
     assert rep == reference_axiom_report(datum)
     assert rep.witness["acting"] == 7 and 7 not in gens
-
-
-def test_generators_mode_consistent_with_full(store):
-    M, _ = store.monoid("tfull3")
-    d = store.datum("tfull3")
-    gens = generating_set(M)
-    assert len(gens) == 3
-    rep = cm.verify_cell_axioms(d, acting=gens)
-    assert rep.ok and rep.acting_count == 3
-    # a broken basis fails by its generators exactly when it fails in full
-    for key in ("tfull2", "tfull3"):
-        M, _ = store.monoid(key)
-        datum = _swap_unit_labels(store.datum(key))
-        full = cm.verify_cell_axioms(datum)
-        by_gens = cm.verify_cell_axioms(datum, acting=generating_set(M))
-        assert not full.ok and not by_gens.ok
+    assert actors == {0, 3, 4, 6, 7, 11}
 
 
 def test_axiom_report_identical_untwisted_vs_trivial_twist(store):
