@@ -72,12 +72,11 @@ def _swap_unit_labels(d):
 
 
 def test_axioms_sabotage_same_block(store):
-    # the checker must notice the swap in the unit class of T2 and of T3
-    for key in ("tfull2", "tfull3"):
-        datum = _swap_unit_labels(store.datum(key))
-        rep = cm.verify_cell_axioms(datum)
-        assert not rep.ok
-        assert rep.witness["side"] in ("left", "right")
+    # the checker must notice the swap in the unit class of T2
+    datum = _swap_unit_labels(store.datum("tfull2"))
+    rep = cm.verify_cell_axioms(datum)
+    assert not rep.ok
+    assert rep.witness["side"] in ("left", "right")
 
 
 def _h_coboundary(d, h):
@@ -440,6 +439,21 @@ def test_first_failure_outside_the_generators_is_named(store):
     assert rep == reference_axiom_report(datum)
     assert rep.witness["acting"] == 7 and 7 not in gens
     assert actors == {0, 3, 4, 6, 7, 11}
+
+
+def test_generators_mode_consistent_with_full(store):
+    # untwisted data with a monoid attached are acted on by the generators
+    # first: a passing check on tfull3 acts by its 3 generators only
+    d, _, actors = _counting(store.datum("tfull3"))
+    gens = set(d.attach.monoid.gens)
+    assert len(gens) == 3
+    rep = cm.verify_cell_axioms(d)
+    assert rep.ok and actors <= gens
+    # a broken basis fails by its generators exactly when it fails in full
+    for key in ("tfull2", "tfull3"):
+        datum = _swap_unit_labels(store.datum(key))
+        rep = cm.verify_cell_axioms(datum)
+        assert not rep.ok and rep == reference_axiom_report(datum), key
 
 
 def test_axiom_report_identical_untwisted_vs_trivial_twist(store):
