@@ -18,14 +18,14 @@ elimination, _bareiss: a fraction-free row echelon form on those int rows,
 whose pivots give the rank and whose back substitution gives the inverse.
 The nonsingularity certificate alone eliminates them mod _MODULUS, since it
 stops at the first dependent column, and takes no answer from the prime
-alone (Dixon 1982): a full rank mod p is a full rank, and a first free column
-is certified by lifting its kernel vector by rational reconstruction and
-checking A v = 0 on ints.
+alone: a full rank mod p is a full rank, and a first free column c is free
+over the rationals when _bareiss on columns 0 to c finds no pivot in column
+c, the columns before it having pivots mod p and so over the rationals.
 """
 
 from __future__ import annotations
 
-from math import isqrt, lcm
+from math import lcm
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -158,8 +158,9 @@ class FieldSpec:
 RATIONALS = FieldSpec("q")
 
 # The prime of the rational nonsingularity certificate, the Mersenne prime
-# 2**61 - 1.  Residues stay small enough for fast Python ints; every answer
-# taken mod this prime is certified over the integers before it is returned.
+# 2**61 - 1.  Residues stay small enough for fast Python ints; a full rank
+# mod this prime is a full rank, and a free column mod it is checked over the
+# integers by _bareiss before the certificate calls the matrix singular.
 _MODULUS = (1 << 61) - 1
 
 
@@ -222,44 +223,6 @@ def clear_denominators(values: Sequence[Scalar]) -> List[int]:
         return list(values)
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values]
-
-
-def _lift(residues: Sequence[int], p: int) -> Optional[Tuple[List[int], int]]:
-    """Ints N and d > 0 with N/d = residues mod p, entry by entry, by rational
-    reconstruction (Wang 1981) under one common denominator d; None when an
-    entry has no reconstruction with numerator and denominator below
-    sqrt(p/2).  Its one caller lifts a kernel vector, one entry per column."""
-    bound = isqrt(p >> 1)
-    den, nums = 1, []
-    for x in residues:
-        r0, r1, s0, s1 = p, x * den % p, 0, 1
-        while r1 > bound:
-            q = r0 // r1
-            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-        if s1 < 0:
-            r1, s1 = -r1, -s1
-        if s1 > bound:
-            return None
-        if s1 != 1:
-            nums = [v * s1 for v in nums]
-            den *= s1
-        nums.append(r1)
-    return nums, den
-
-
-def _certified_kernel_vector(rows: List[List[int]], column: List[int], pivots: List[int],
-                             free: int, p: int) -> Optional[List[Tuple[int, int]]]:
-    """The kernel vector of the free column free whose coefficients mod p on
-    the pivot columns are column (1 at free, minus column at the pivots, 0
-    elsewhere), lifted to ints, as (column, entry) pairs of its support; None
-    unless it lifts and the int rows annihilate it exactly."""
-    lifted = _lift([1] + [-v % p for v in column], p)
-    if lifted is None:
-        return None
-    support = list(zip([free] + pivots, lifted[0]))
-    if any(sum(row[c] * v for c, v in support) for row in rows):
-        return None
-    return support
 
 
 def _int_rows(m: DenseMatrix) -> Tuple[List[List[int]], int]:
@@ -327,20 +290,23 @@ def mat_rank(m: DenseMatrix) -> int:
 
 def certified_nonsingular(m: DenseMatrix) -> Optional[bool]:
     """Whether m is square and nonsingular: whether _scan finds no free
-    column.  It stops at the first one and reads no later column.  Over the
-    rationals a full rank mod _MODULUS proves m nonsingular, and the first
-    free column's certified kernel vector proves it singular; None when
-    neither holds, for the caller's exact fallback."""
+    column.  It stops at the first one; over a prime field it reads no later
+    column.  Over the rationals a full rank mod _MODULUS proves m nonsingular.  A first free
+    column c proves it singular when _bareiss on the distinct int rows cut to
+    columns 0 to c finds no pivot in column c; when it finds one, p divides a
+    minor of those columns, and the answer is None, for the caller's exact
+    fallback."""
     if m.cols != m.rows:
         return False
     rows, p = _int_rows(m)
     free = next(_scan(rows, m.cols, p), None)
     if free is None:
         return True
-    c, pivots, x = free
-    if m.field.kind == "fp" or _certified_kernel_vector(rows, x, pivots, c, p) is not None:
+    if m.field.kind == "fp":
         return False
-    return None
+    c = free[0]
+    prefix = list(dict.fromkeys(tuple(r[:c + 1]) for r in rows))  # a repeat adds no rank
+    return False if len(_bareiss(prefix, c + 1)[0]) == c else None
 
 
 def mat_inverse(m: DenseMatrix) -> Optional[DenseMatrix]:

@@ -44,16 +44,18 @@ class NotACocycle(TwistError):
 
 class Twisting:
     """values[x][y] = pi(x, y) over field, in tuple rows reduced by field.norm
-    when made: every reader compares and zero-tests canonical residues, and a
-    datum that shares them as its weights keeps its lawful mark true (see
-    build_twisted_cell_datum).  provenance names the twisting's source."""
+    when made, with integral rationals as ints: every reader compares and
+    zero-tests canonical residues, and a datum that shares them as its
+    weights keeps its lawful mark true (see build_twisted_cell_datum).
+    provenance names the twisting's source."""
 
     __slots__ = ("field", "values", "provenance")
 
     def __init__(self, field: FieldSpec, values: Sequence[Sequence[Scalar]],
                  provenance: str) -> None:
         self.field = field
-        self.values = tuple(tuple(field.norm(v) for v in row) for row in values)
+        norm = field.norm if field.p else lambda v: v if type(v) is int or v.denominator != 1 else v.numerator
+        self.values = tuple(tuple(map(norm, row)) for row in values)
         self.provenance = provenance
 
 
@@ -62,11 +64,9 @@ def trivial_twisting(size: int, field: FieldSpec) -> Twisting:
 
 
 def make_loop_twisting(loops: LoopTable, delta: Scalar, field: FieldSpec) -> Twisting:
-    """pi(x, y) = delta ** loops[x][y], with delta ** 0 the int 1, also for
-    delta = 0 and a Fraction delta: an integral value is an int, since no
-    other power of a non-integral delta is integral."""
+    """pi(x, y) = delta ** loops[x][y], with delta ** 0 = 1 also for delta = 0."""
     maxloops = max((v for row in loops.loops for v in row), default=0)
-    powers = [1] + [delta ** k for k in range(1, maxloops + 1)]
+    powers = [delta ** k for k in range(maxloops + 1)]
     values = [[powers[v] for v in row] for row in loops.loops]
     return Twisting(field, values, f"loop:{delta}")
 

@@ -213,8 +213,9 @@ def trace_form_semisimple(mult, dim: int, field: FieldSpec,
     tr(e_k) are read off the same products.  With D the lcm of the
     coefficients' denominators, D*coefficients and D*traces are ints, and
     the form built is D**2 * B, nonsingular exactly when B is.
-    certified_nonsingular decides it; when its certificate fails, the exact
-    rank does, and a line saying so is appended to notes when given."""
+    certified_nonsingular decides it; when its prime divides a minor up to
+    the first free column, the exact rank does, and a line saying so is
+    appended to notes when given."""
     if field.kind != "q":
         raise WrongCharacteristic("the trace-form oracle needs characteristic zero")
     products = []  # per i: j, k and c of each term c*e_k of e_i*e_j

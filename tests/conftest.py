@@ -215,9 +215,10 @@ def reference_nonsingular(m):
     """certified_nonsingular by a row echelon form of every column: rows
     scaled to ints over the rationals, residues mod exactalg._MODULUS (read
     at call time, so a test may change it) or the field's prime, pivots 1
-    and the entries below each cleared, up to the first free column; back
-    substitution reduces that column alone, and its kernel vector is lifted
-    and checked by _certified_kernel_vector.  m must be square."""
+    and the entries below each cleared, up to the first free column.  Over
+    the rationals a Fraction RREF (_rref) of columns 0 to that column then
+    decides: False when it has no pivot there, None when it has one (the
+    prime divides a minor).  m must be square."""
     if m.field.kind == "q":
         p, rows = exactalg._MODULUS, [clear_denominators(r) for r in m.entries]
     else:
@@ -241,12 +242,8 @@ def reference_nonsingular(m):
         return True
     if m.field.kind == "fp":
         return False
-    for c in range(free - 1, 0, -1):
-        for r in range(c):
-            red[r][free] = (red[r][free] - red[r][c] * red[c][free]) % p
-    column = [red[r][free] for r in range(free)]
-    support = exactalg._certified_kernel_vector(rows, column, list(range(free)), free, p)
-    return False if support is not None else None
+    pivots = _rref(m.field, [list(r[:free + 1]) for r in m.entries], free + 1)
+    return False if free not in pivots else None
 
 
 def reference_table_mult(table, field, weights=None):

@@ -6,9 +6,9 @@ import pytest
 
 from cellmonoid import exactalg
 from cellmonoid.cellbasis import gram_summary
-from cellmonoid.exactalg import (DenseMatrix, FieldSpec, RATIONALS, _bareiss,
-                                 _certified_kernel_vector, _int_rows, _is_prime, _scan,
-                                 certified_nonsingular, mat_inverse, mat_rank, prime_field)
+from cellmonoid.exactalg import (DenseMatrix, FieldSpec, RATIONALS, _bareiss, _int_rows,
+                                 _is_prime, _scan, certified_nonsingular, mat_inverse,
+                                 mat_rank, prime_field)
 
 from conftest import _rref, reference_nonsingular
 
@@ -132,22 +132,26 @@ def test_rank_examples():
 
 
 def nullspace(m):
-    """The kernel's nullspace basis of m: over a prime field the vectors of
-    the free columns _scan yields, over Q the certified lifts of those vectors
-    (as Fractions), or None when one of them does not certify."""
-    rows, p = _int_rows(m)
+    """A basis of m's kernel, one vector per free column: over a prime field
+    from the coefficients _scan yields, over Q (as Fractions) from the
+    reduced row echelon form _rref."""
+    if m.field.kind == "q":
+        red = [list(r) for r in m.entries]
+        pivots = _rref(RATIONALS, red, m.cols)
+        free = [(c, pivots, [-red[k][c] for k in range(len(pivots))])
+                for c in range(m.cols) if c not in pivots]
+        scalar = Fraction
+    else:
+        rows, p = _int_rows(m)
+        free = [(c, pivots, [-x % p for x in column])
+                for c, pivots, column in _scan(rows, m.cols, p)]
+        scalar = int
     basis = []
-    for free, pivots, column in _scan(rows, m.cols, p):
-        if m.field.kind == "q":
-            support = _certified_kernel_vector(rows, column, pivots, free, p)
-            if support is None:
-                return None
-        else:
-            support = [(free, 1)] + [(c, -x % p) for c, x in zip(pivots, column)]
-        scalar = Fraction if m.field.kind == "q" else int
+    for c, pivots, column in free:
         v = [scalar(0)] * m.cols
-        for c, x in support:
-            v[c] = scalar(x)
+        v[c] = scalar(1)
+        for k, x in zip(pivots, column):
+            v[k] = scalar(x)
         basis.append(v)
     return basis
 
@@ -166,12 +170,9 @@ def test_nullspace_examples():
 
 def test_rank_nullity_and_exact_solve_randomized():
     # 40 small integer matrices per field, then 60 from random_matrix; the
-    # rank is checked against the nullspace route, the kernel vectors that
-    # certify it over Q.  Large kernel entries do not reconstruct mod the
-    # kernel's prime; such matrices are counted, and only their rank's bound
-    # is checked here (see test_kernel_matches_reference_eliminations).
+    # rank is checked against the nullspace route, _scan's kernel vectors over
+    # F_p and the RREF's over Q.
     rng = random.Random(20240611)
-    counts = {"certified": 0, "not certified": 0}
     for field in (RATIONALS, F2, F3, F5):
         for trial in range(100):
             if trial < 40:
@@ -183,16 +184,10 @@ def test_rank_nullity_and_exact_solve_randomized():
             r = mat_rank(a)
             assert r <= bound
             ns = nullspace(a)
-            if ns is None:
-                counts["not certified"] += 1
-                continue
-            if field.kind == "q":
-                counts["certified"] += 1
             assert r + len(ns) == a.cols
             for v in ns:
                 prod = [sum_entries(field, row, v) for row in a.entries]
                 assert not any(prod)
-    assert min(counts.values()) > 0, counts
 
 
 def random_matrix(rng, field, nr, nc):
@@ -335,7 +330,7 @@ def test_kernel_matches_reference_eliminations():
             n = rng.randint(0, 8)
             sq, _ = random_matrix(rng, field, n, n)
             expected = _reference_inverse(sq)
-            assert certified_nonsingular(sq) in (expected is not None, None)
+            assert certified_nonsingular(sq) is (expected is not None)
             inv = mat_inverse(sq)
             if expected is None:
                 singular += 1
@@ -387,9 +382,9 @@ def test_nonsingular_matches_the_row_echelon_reference(modulus, monkeypatch):
     # certified_nonsingular's scan against a row echelon form of every column
     # (conftest.reference_nonsingular): the same verdict on square_int_rows'
     # matrices and on random_matrix's squares (Fractions, products of low
-    # rank, zero columns), None included: a kernel vector too large to
-    # reconstruct, and with the kernel's prime set to 2 or 3 a rank that is
-    # low mod p only, fail the certificate.
+    # rank, zero columns).  Under the kernel's prime every verdict is exact;
+    # with the prime set to 2 or 3 a rank that is low mod p only fails the
+    # certificate (None).
     if modulus is not None:
         monkeypatch.setattr(exactalg, "_MODULUS", modulus)
     rng = random.Random(5209)
@@ -404,7 +399,7 @@ def test_nonsingular_matches_the_row_echelon_reference(modulus, monkeypatch):
             assert certified_nonsingular(m) is expected, (field, m.entries)
             verdicts.add((field.kind, expected))
     assert {("fp", True), ("fp", False), ("q", True), ("q", False)} <= verdicts
-    assert modulus is None or ("q", None) in verdicts, verdicts
+    assert (("q", None) in verdicts) is (modulus is not None), verdicts
 
 
 def shaped_matrix(rng, field, nr, nc, k, planted):
@@ -444,8 +439,9 @@ def test_kernel_matches_the_references_on_larger_shapes(modulus, store, monkeypa
     # 5 x 40, tall 40 x 5, low-rank squares up to 30 x 30 with free columns
     # between the pivots, and squares of full rank; and on the Grams of
     # jones5 twisted by delta = 3/2 and -7/3, whose denominators grow the
-    # ints of the fraction-free elimination.  With the kernel's prime set to 2
-    # or 3 the nonsingularity certificate fails on rational answers.
+    # ints of the fraction-free elimination.  Under the kernel's prime every
+    # verdict is exact; set to 2 or 3 it fails the certificate on rational
+    # answers the prime gets wrong.
     grams = [g for delta in ("3/2", "-7/3")
              for g in gram_summary(store.twisted("jones5", delta)).grams]
     assert any(type(v) is Fraction and v.denominator > 1
@@ -468,7 +464,7 @@ def test_kernel_matches_the_references_on_larger_shapes(modulus, store, monkeypa
         assert verdict is reference_nonsingular(m), (field, m.entries)
         expected, inv = _reference_inverse(m), mat_inverse(m)
         assert (inv and inv.entries) == expected, (field, m.entries)
-        assert verdict in (expected is not None, None)
+        assert verdict is (expected is not None) or modulus and verdict is None
         seen.add((field.kind, verdict, expected is not None))
     assert interleaved > 10, interleaved
     assert {("fp", True, True), ("fp", False, False), ("q", False, False)} <= seen, seen
@@ -477,8 +473,9 @@ def test_kernel_matches_the_references_on_larger_shapes(modulus, store, monkeypa
 
 # The 8 x 8 rational matrix of rank 7 that random_matrix draws for
 # test_nonsingular_matches_the_row_echelon_reference[None] (seed 5209): its
-# kernel vector's entries are 7 x 7 minors, too large to reconstruct mod
-# _MODULUS, so no answer is certified by the prime alone.
+# first free column is column 7, and its kernel vector's entries are 7 x 7
+# minors, far above the bound sqrt(p/2) of a rational reconstruction mod
+# _MODULUS.
 UNCERTIFIED_RANK_7 = """
     -188/15  59/15    4957/300  -134/15  -922/15   731/30    -476/75   -71/30
     218/45   -31/8    -497/120  7/3      253/18    -29/18    69/20     -511/72
@@ -491,18 +488,21 @@ UNCERTIFIED_RANK_7 = """
 """
 
 
-def test_a_kernel_vector_too_large_to_lift_ends_in_the_exact_routes(monkeypatch):
+def test_the_matrix_too_large_to_lift_is_proven_singular_by_one_bareiss(monkeypatch):
+    # the certificate proves it singular by one _bareiss call on columns 0 to 7
     m = DenseMatrix.from_rows(RATIONALS, [[Fraction(v) for v in line.split()]
                                           for line in UNCERTIFIED_RANK_7.strip().splitlines()])
     calls = []
     monkeypatch.setattr(exactalg, "_bareiss",
                         lambda rows, ncols: calls.append(ncols) or _bareiss(rows, ncols))
-    assert certified_nonsingular(m) is None
-    assert calls == []
-    assert mat_rank(m) == 7
+    rows, p = _int_rows(m)
+    assert next(_scan(rows, 8, p))[0] == 7
+    assert certified_nonsingular(m) is False
     assert calls == [8]
+    assert mat_rank(m) == 7
+    assert calls == [8, 8]
     assert mat_inverse(m) is None
-    assert calls == [8, 16]
+    assert calls == [8, 8, 16]
 
 
 @pytest.mark.parametrize("field", [RATIONALS, F3])
@@ -531,8 +531,9 @@ def test_tiny_prime_falls_back_to_exact_eliminations(monkeypatch):
     # With the kernel's prime set to 3, which divides some of these minors,
     # each rational rank and inverse is still one _bareiss call: on m.cols
     # columns for a rank, on 2n for an inverse.  The nonsingularity
-    # certificate still eliminates mod 3, makes no _bareiss call, and fails
-    # (None) where the prime is wrong.
+    # certificate still eliminates mod 3; at the first free column c it makes
+    # one _bareiss call on columns 0 to c, and fails (None) where the prime
+    # is wrong.
     calls = []
 
     def counted(rows, ncols):
@@ -555,17 +556,18 @@ def test_tiny_prime_falls_back_to_exact_eliminations(monkeypatch):
     assert integral_as_int(inv.entries)
     assert calls == [1, 2, 2, 4, 2, 4]
     assert certified_nonsingular(M(RATIONALS, [[1, 2], [2, 1]])) is None
-    assert calls == [1, 2, 2, 4, 2, 4]
+    assert calls == [1, 2, 2, 4, 2, 4, 2]
     # answers the prime gets right take the same one call; the certificate
-    # proves a singular matrix singular by its kernel vector
+    # proves a singular matrix singular by one _bareiss call on its columns
+    # up to the first free one, here of its one distinct row
     assert mat_rank(M(RATIONALS, [[1, 1], [1, 1]])) == 1
     assert certified_nonsingular(M(RATIONALS, [[1, 1], [1, 1]])) is False
     assert mat_inverse(M(RATIONALS, [[1, 1], [0, 1]])).entries == [[1, -1], [0, 1]]
-    assert calls == [1, 2, 2, 4, 2, 4, 2, 4]
+    assert calls == [1, 2, 2, 4, 2, 4, 2, 2, 2, 4]
     # Fractions where the inverse is not integral and ints elsewhere
     inv = mat_inverse(M(RATIONALS, [[2, 0], [0, 1]]))
     assert inv.entries == [[Fraction(1, 2), 0], [0, 1]] and integral_as_int(inv.entries)
-    assert calls == [1, 2, 2, 4, 2, 4, 2, 4, 4]
+    assert calls == [1, 2, 2, 4, 2, 4, 2, 2, 2, 4, 4]
 
 
 @pytest.mark.parametrize("modulus", [None, 2, 3])
@@ -574,7 +576,9 @@ def test_rational_ranks_and_inverses_take_one_bareiss_and_no_scan(modulus, monke
     # call under any kernel prime, also on a 40 x 40 int square whose last
     # column is the sum of the first two: a matrix singular mod every prime
     # takes no full modular scan first.  Over F_p both make one _scan call
-    # and no _bareiss call, and so does certified_nonsingular over Q.
+    # and no _bareiss call.  certified_nonsingular over Q makes one _scan
+    # call, and one _bareiss call after it unless the scan finds no free
+    # column; under the kernel's prime its verdict is exact.
     if modulus is not None:
         monkeypatch.setattr(exactalg, "_MODULUS", modulus)
     calls = []
@@ -602,8 +606,9 @@ def test_rational_ranks_and_inverses_take_one_bareiss_and_no_scan(modulus, monke
             assert [[sum_entries(RATIONALS, r, c) for c in zip(*inv.entries)]
                     for r in m.entries] == DenseMatrix.identity(RATIONALS, m.rows).entries
         calls.clear()
-        assert certified_nonsingular(m) in (nonsingular, None)
-        assert calls == ["scan"]
+        verdict = certified_nonsingular(m)
+        assert verdict is nonsingular or modulus and verdict is None
+        assert calls == (["scan"] if verdict else ["scan", "bareiss"])
     for field in (F3, prime_field(7)):
         for m in (M(field, rows), M(field, [[1, 2], [3, 4]])):
             calls.clear()

@@ -30,20 +30,26 @@ def test_loop_twisting_values(store):
 @pytest.mark.parametrize("key", ["jones5", "jones6"])
 def test_loop_twisting_keeps_integral_values_ints(store, key):
     # at delta = 3/2 every value with no loop is the int 1, not Fraction(1, 1),
-    # and every other value is a non-integral power; the Grams of the twisted
-    # datum keep ints too, equal entry for entry to those of the same values
-    # given as Fractions
+    # and every other value is a non-integral power; the same values given
+    # as Fractions are stored alike, integral ones as ints, and the Grams of
+    # the twisted datum keep ints too, equal entry for entry.  At delta =
+    # Fraction(2) every value is an int, and the analysis is that at delta = 2.
     M, loops = store.monoid(key)
     pi = cm.make_loop_twisting(loops, Fraction(3, 2), Q)
     assert all(type(v) is int or v.denominator != 1 for row in pi.values for v in row)
     assert sum(v == 1 for row in pi.values for v in row) > M.size
     as_fractions = cm.Twisting(Q, [[Fraction(v) for v in row] for row in pi.values], "fractions")
+    assert [[(v, type(v)) for v in row] for row in as_fractions.values] == [
+        [(v, type(v)) for v in row] for row in pi.values]
     base = store.datum(key)
     grams, reference = (cm.gram_summary(cm.build_twisted_cell_datum(base, tw)).grams
                         for tw in (pi, as_fractions))
     assert [g.entries for g in grams] == [g.entries for g in reference]
     assert not any(type(v) is Fraction and v.denominator == 1
                    for g in grams for row in g.entries for v in row)
+    pi = cm.make_loop_twisting(loops, Fraction(2), Q)
+    assert all(type(v) is int for row in pi.values for v in row)
+    assert cm.analyze(cm.build_twisted_cell_datum(base, pi)) == cm.analyze(store.twisted(key, "2"))
 
 
 def test_verify_twisting(store):

@@ -1,9 +1,11 @@
 """Source checks: every function parameter in the package is read by its
 body, every parameter with a default is overridden by some package call or
-named as a knob that stays, and every record field is read as an attribute
-by the package, or is named as one only the tests read."""
+named as a knob that stays, every record field is read as an attribute by
+the package, or is named as one only the tests read, and every private
+function and class is referenced by package code outside its definition."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cellmonoid"
@@ -147,3 +149,27 @@ def test_every_dataclass_field_is_read():
     assert unread == []
     assert sorted(f for f in TESTS_ONLY
                   if f.split(".")[1] in read or f.split(".")[1] not in tests_read) == []
+
+
+def _references(tree):
+    """The names read in tree, as names and as attributes, with repeats."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def test_every_private_helper_is_used_by_the_package():
+    # A private function or class (one _ in front, not a dunder) must be named
+    # somewhere in the package outside its own definition; a helper that only
+    # the tests call fails here.
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    named = Counter(name for tree in trees.values() for name in _references(tree))
+    private = [(module, node) for module, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")]
+    unused = [f"{module}:{node.lineno} {node.name}" for module, node in private
+              if named[node.name] == sum(name == node.name for name in _references(node))]
+    assert unused == []
+    assert len(private) > 40

@@ -516,8 +516,9 @@ def test_trace_form_matches_reference_loop(store):
 @pytest.mark.parametrize("modulus", [None, 2, 3])
 def test_trace_form_verdicts_match_the_row_echelon_reference(store, monkeypatch, modulus):
     # The kernel's verdict on each trace form it is handed equals that of a
-    # row echelon form of every column (conftest.reference_nonsingular),
-    # also with the kernel's prime set to 2 or 3, where certificates fail.
+    # row echelon form of every column (conftest.reference_nonsingular).
+    # Under the kernel's prime every verdict is exact; with the prime set to
+    # 2 or 3 some certificates fail (None).
     forms = []
     monkeypatch.setattr(verify, "certified_nonsingular",
                         lambda m: forms.append(m) or exactalg.certified_nonsingular(m))
@@ -532,6 +533,7 @@ def test_trace_form_verdicts_match_the_row_echelon_reference(store, monkeypatch,
     assert len(forms) == 11
     assert verdicts == [reference_nonsingular(m) for m in forms]
     assert ({True, False} if modulus is None else {None}) <= set(verdicts), verdicts
+    assert modulus is not None or None not in verdicts, verdicts
 
 
 def test_trace_form_makes_each_unit_product_once(store, monkeypatch):
